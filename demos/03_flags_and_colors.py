@@ -9,6 +9,8 @@ machinery discovers this, it never assumes it.
 """
 
 from coverkit import (
+    Coloring,
+    Host,
     QuotientSpec,
     color,
     color_in_h,
@@ -20,7 +22,7 @@ from coverkit import (
 )
 
 patch = generate(4, 4, 8)
-flags = flags_at(patch, patch.root)
+flags = flags_at(Host(patch), patch.root)
 print("flags at the root:", len(flags), "(4 edges x 2 faces)")
 
 # The orbit partition stabilises once the observed symmetry group stops
@@ -29,16 +31,17 @@ n = stabilize_n(patch, i_max=4, guard=2)
 delta = i_fundamental_domain(patch, n)
 print("stabilisation level n =", n, " palette size |Delta| =", len(delta))
 
-# Every flag of the patch gets the single colour.
-cache = {}
+# Every flag of the patch gets the single colour.  The colouring context
+# holds the patch's own host and the isomorphism memo of this run.
+c = Coloring(patch, delta, n)
 v = 17
-print("colours at vertex 17:", sorted({color(patch, delta, n, f, cache=cache) for f in flags_at(patch, v)}))
+print("colours at vertex 17:", sorted({color(c, f) for f in flags_at(c.g, v)}))
 
-# Colours pull back to any locally isomorphic target the same way.
-torus = make_quotient(QuotientSpec("torus", 5, 7))
-tf = flags_at(torus.graph, 11, l_max=4)
-print("colours of torus flags at 11:",
-      sorted({color_in_h(torus.graph, patch, delta, n, f, cache=cache) for f in tf}))
+# Colours pull back to any locally isomorphic target the same way; the
+# target's faces are inferred, with cycle length bound l_max = 4.
+torus = Host(make_quotient(QuotientSpec("torus", 5, 7)).graph, 4)
+tf = flags_at(torus, 11)
+print("colours of torus flags at 11:", sorted({color_in_h(c, torus, f) for f in tf}))
 
 # The same run on the honeycomb.
 honey = generate(6, 3, 8)

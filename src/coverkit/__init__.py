@@ -28,6 +28,7 @@ from .errors import (
     PatchTooSmallError,
 )
 from .flags import (
+    Coloring,
     Flag,
     FundamentalDomain,
     color,
@@ -64,6 +65,7 @@ from .instances import (
 )
 from .local import (
     FaceCore,
+    Host,
     Isomorphism,
     LocalCheckReport,
     dk_ball,

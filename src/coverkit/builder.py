@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import HypothesisViolationError, InputError
-from .flags import Flag, FundamentalDomain, color, color_in_h, flags_at, i_fundamental_domain, stabilize_n
+from .flags import Coloring, Flag, FundamentalDomain, color, color_in_h, flags_at, i_fundamental_domain, stabilize_n
 from .graph import Graph, edge_key
-from .local import dk_ball, host_faces_at
+from .local import Host, dk_ball, host_faces_at
 from .tessellation import FaceBoundary, PlanePatch, face_enumeration
 
 Edge = tuple[int, int]
@@ -29,10 +29,8 @@ Edge = tuple[int, int]
 class PartialCover:
     """The in-progress map with its frontier and verification ledger."""
 
-    patch: PlanePatch
-    h: Graph | PlanePatch
-    delta: FundamentalDomain
-    n: int
+    coloring: Coloring
+    host: Host
     vertex_map: dict[int, int]
     frontier: set[Edge]
     processed: set[FaceBoundary]
@@ -44,11 +42,6 @@ class PartialCover:
     seed: tuple[Flag, Flag] | None = None
     flag_colors: list[tuple[Flag, Flag, int]] = field(default_factory=list)
     log: list[dict] = field(default_factory=list)
-    cache: dict = field(default_factory=dict)
-
-    @property
-    def h_graph(self) -> Graph:
-        return self.h.graph if isinstance(self.h, PlanePatch) else self.h
 
     def frontier_vertices(self) -> set[int]:
         return {v for e in self.frontier for v in e}
@@ -71,8 +64,8 @@ def _check_new_flag_colors(state: PartialCover, face: FaceBoundary, image: FaceB
         for e in face.edges_at(y):
             fl = Flag(y, e, face)
             img = Flag(state.vertex_map[y], edge_key(*(state.vertex_map[t] for t in e)), image)
-            cg = color(state.patch, state.delta, state.n, fl, cache=state.cache)
-            ch = color_in_h(state.h, state.patch, state.delta, state.n, img, cache=state.cache)
+            cg = color(state.coloring, fl)
+            ch = color_in_h(state.coloring, state.host, img)
             if cg != ch:
                 raise HypothesisViolationError(
                     f"step {state.step}: colour of {fl} is {cg} but its image has {ch}; "
@@ -84,7 +77,7 @@ def _check_new_flag_colors(state: PartialCover, face: FaceBoundary, image: FaceB
 def _check_local_injectivity(state: PartialCover, face: FaceBoundary) -> None:
     """Invariant 2 at the new face's vertices: the mapped edges stay
     injective and the new co-facial pair lands in one target face."""
-    h = state.h_graph
+    h = state.host.graph
     for y in sorted(face.cycle):
         images = [state.edge_image[e] for e in sorted(state.domain_edges_at[y])]
         if len(set(images)) != len(images):
@@ -98,35 +91,29 @@ def _check_local_injectivity(state: PartialCover, face: FaceBoundary) -> None:
                 )
         e1, e2 = face.edges_at(y)
         b = state.face_image[face]
-        assert state.edge_image[e1] in b.edges and state.edge_image[e2] in b.edges
+        if state.edge_image[e1] not in b.edges or state.edge_image[e2] not in b.edges:
+            raise HypothesisViolationError(
+                f"step {state.step}: the edges of {face} at {y} do not map into its image {b}"
+            )
 
 
-def init_cover(
-    patch: PlanePatch,
-    h: Graph | PlanePatch,
-    f: Flag,
-    flag_h: Flag,
-    delta: FundamentalDomain,
-    n: int,
-) -> PartialCover:
+def init_cover(c: Coloring, host: Host, f: Flag, flag_h: Flag) -> PartialCover:
     """Map the seed face onto the target face in the orientation fixed by
     the flag pair, and verify colour preservation on all its flags."""
     state = PartialCover(
-        patch=patch,
-        h=h,
-        delta=delta,
-        n=n,
+        coloring=c,
+        host=host,
         vertex_map={},
         frontier=set(),
         processed=set(),
         face_image={},
         edge_image={},
         domain_edges_at={},
-        eligible=_eligible_faces(patch, n),
+        eligible=_eligible_faces(c.patch, c.n),
         seed=(f, flag_h),
     )
-    cg = color(patch, delta, n, f, cache=state.cache)
-    ch = color_in_h(h, patch, delta, n, flag_h, cache=state.cache)
+    cg = color(c, f)
+    ch = color_in_h(c, host, flag_h)
     if cg != ch:
         raise InputError(f"seed flags have different colours ({cg} vs {ch})")
     face, image = f.face, flag_h.face
@@ -201,14 +188,9 @@ def select_next_face(
     return None
 
 
-def match_face(
-    state: PartialCover, face: FaceBoundary, h: Graph | PlanePatch | None = None,
-    l_max: int | None = None,
-) -> FaceBoundary:
+def match_face(state: PartialCover, face: FaceBoundary) -> FaceBoundary:
     """The unique target face that contains the image of the shared path,
     offers a fresh edge at the path's endpoint, and has the right length."""
-    h = state.h if h is None else h
-    l_max = state.patch.l_max if l_max is None else l_max
     path = _intersection_path(face, state.frontier, state.frontier_vertices())
     if path is None:
         raise InputError("face does not meet the frontier in a path")
@@ -218,9 +200,8 @@ def match_face(
         edge_key(state.vertex_map[a], state.vertex_map[b]) for a, b in zip(path, path[1:])
     }
     used_at_w = {state.edge_image[e] for e in state.domain_edges_at[w]}
-    memo = state.cache.setdefault("h_faces", {})
     candidates = []
-    for b in host_faces_at(h, cw, l_max, memo):
+    for b in host_faces_at(state.host, cw):
         if not img_path_edges <= b.edges:
             continue  # (I)
         if len(b) != len(face):
@@ -298,10 +279,13 @@ def _assert_frontier_cycle(state: PartialCover) -> None:
 
 @dataclass
 class CoverMap:
-    """The finished map on the processed region, with its provenance."""
+    """The finished map on the processed region, with its provenance.
+
+    `h` is a new Host of the target, so the finished map does not keep
+    the faces and isomorphisms memoised during the run alive."""
 
     patch: PlanePatch
-    h: Graph | PlanePatch
+    h: Host
     vertex_map: dict[int, int]
     seed: tuple[Flag, Flag]
     delta: FundamentalDomain
@@ -312,10 +296,6 @@ class CoverMap:
     steps: int
     surjective: bool
     log: list[dict]
-
-    @property
-    def h_graph(self) -> Graph:
-        return self.h.graph if isinstance(self.h, PlanePatch) else self.h
 
     def region_interior(self) -> list[int]:
         """Vertices all of whose faces are processed (their whole flag
@@ -338,22 +318,14 @@ class CoverMap:
         }
 
 
-def default_seed(
-    patch: PlanePatch,
-    h: Graph | PlanePatch,
-    delta: FundamentalDomain,
-    n: int,
-    cache: dict | None = None,
-) -> tuple[Flag, Flag]:
+def default_seed(c: Coloring, host: Host) -> tuple[Flag, Flag]:
     """The least flag of the root, paired with the least colour-matched
     flag of the least target vertex."""
-    cache = {} if cache is None else cache
-    f = flags_at(patch, patch.root)[0]
-    want = color(patch, delta, n, f, cache=cache)
-    hg = h.graph if isinstance(h, PlanePatch) else h
-    x0 = hg.vertices[0]
-    for fh in flags_at(h, x0, l_max=patch.l_max):
-        if color_in_h(h, patch, delta, n, fh, cache=cache) == want:
+    f = flags_at(c.g, c.patch.root)[0]
+    want = color(c, f)
+    x0 = host.graph.vertices[0]
+    for fh in flags_at(host, x0):
+        if color_in_h(c, host, fh) == want:
             return f, fh
     raise HypothesisViolationError(f"no flag at target vertex {x0} matches colour {want}")
 
@@ -380,13 +352,13 @@ def build_cover(
         n = stabilize_n(patch, i_max, guard)
     if delta is None:
         delta = i_fundamental_domain(patch, n)
-    cache: dict = {}
+    c = Coloring(patch, delta, n)
+    host = c.host_for(h)
     if f is None or flag_h is None:
-        df, dfh = default_seed(patch, h, delta, n, cache=cache)
+        df, dfh = default_seed(c, host)
         f = df if f is None else f
         flag_h = dfh if flag_h is None else flag_h
-    state = init_cover(patch, h, f, flag_h, delta, n)
-    state.cache.update(cache)
+    state = init_cover(c, host, f, flag_h)
     if enumeration is None:
         enumeration = face_enumeration(patch, tie_break)
     while True:
@@ -396,11 +368,10 @@ def build_cover(
         image = match_face(state, face)
         extend_cover(state, face, image)
     _assert_no_holes(state)
-    hg = state.h_graph
-    surjective = set(state.vertex_map.values()) == set(hg.vertices)
+    surjective = set(state.vertex_map.values()) == set(host.graph.vertices)
     return CoverMap(
         patch=patch,
-        h=h,
+        h=Host(h, patch.l_max),
         vertex_map=dict(state.vertex_map),
         seed=(f, flag_h),
         delta=delta,
@@ -422,4 +393,4 @@ def _assert_no_holes(state: PartialCover) -> None:
         if face in state.processed:
             continue
         if face.edges <= processed_edges:
-            raise AssertionError(f"face {face} was skipped but fully surrounded")
+            raise HypothesisViolationError(f"face {face} was skipped but fully surrounded")

@@ -23,11 +23,13 @@ information as the corresponding ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DefectError, HypothesisViolationError, InputError, PatchTooSmallError
 from .graph import Graph, RootedBall, edge_key, induced_subgraph
 from .local import (
     FaceCore,
+    Host,
     Isomorphism,
     as_rooted,
     face_core,
@@ -72,18 +74,16 @@ class Flag:
             raise InputError(f"malformed flag JSON: {exc}") from exc
 
 
-def flags_at(host: PlanePatch | Graph, v: int, l_max: int | None = None) -> list[Flag]:
+def flags_at(host: Host, v: int) -> list[Flag]:
     """All flags at v, in canonical order.
 
-    For a patch the faces are the traced ones (requires complete_radius
-    >= 2 so the neighbourhood is trustworthy); for a plain graph they are
-    inferred peripheral cycles, which needs l_max.
+    On a patch host the faces are the traced ones (requires
+    complete_radius >= 2 so the neighbourhood is trustworthy); on a graph
+    host they are inferred peripheral cycles.
     """
-    if isinstance(host, PlanePatch):
-        host.require_complete(v, 2)
-    faces = host_faces_at(host, v, l_max)
+    host.require_complete(v, 2)
     out = []
-    for f in faces:
+    for f in host_faces_at(host, v):
         for e in f.edges_at(v):
             out.append(Flag(v, e, f))
     return sorted(out)
@@ -101,9 +101,11 @@ def _flag_cycle(patch: PlanePatch, v: int) -> list[Flag]:
         e_i = edge_key(v, rot[i])
         cyc.append(Flag(v, e_i, corner[i - 1]))
         cyc.append(Flag(v, e_i, corner[i]))
-    assert len(set(cyc)) == 2 * d
+    if len(set(cyc)) != 2 * d:
+        raise DefectError(f"flags at {v} repeat around its rotation")
     for i, f in enumerate(cyc):
-        assert f.incident(cyc[(i + 1) % (2 * d)])
+        if not f.incident(cyc[(i + 1) % (2 * d)]):
+            raise DefectError(f"consecutive flags at {v} are not incident")
     return cyc
 
 
@@ -135,8 +137,9 @@ def flag_orbit_partition(patch: PlanePatch, i: int) -> list[frozenset[Flag]]:
     constrained existence search (never by enumerating the full group,
     which is polluted by rim symmetries on hyperbolic balls).
     """
-    core = face_core(patch, patch.root, i).rooted
-    flags = flags_at(patch, patch.root)
+    host = Host(patch)
+    core = face_core(host, patch.root, i).rooted
+    flags = flags_at(host, patch.root)
     parent = list(range(len(flags)))
 
     def find(x: int) -> int:
@@ -211,7 +214,7 @@ def i_fundamental_domain(patch: PlanePatch, i: int) -> FundamentalDomain:
                     orbits=tuple(orbits),
                     orbit_index=index,
                 )
-    raise AssertionError("no connected traversal: impossible for a plane vertex")
+    raise DefectError("no connected traversal: impossible for a plane vertex")
 
 
 def stabilize_n(patch: PlanePatch, i_max: int, guard: int) -> int:
@@ -252,78 +255,75 @@ def _map_flag(iso: Isomorphism, f: Flag) -> Flag:
     return Flag(iso[f.vertex], iso.map_edge(f.edge), iso.map_cycle(f.face))
 
 
-def _root_core(patch: PlanePatch, n: int, cache: dict | None) -> FaceCore:
-    if cache is not None and ("root_core", n) in cache:
-        return cache[("root_core", n)]
-    core = face_core(patch, patch.root, n)
-    if cache is not None:
-        cache[("root_core", n)] = core
-    return core
+class Coloring:
+    """The colouring context of one run: the patch, its palette delta at
+    level n, the patch's own Host `g`, the root's depth-n face core, and
+    the depth-n core isomorphisms onto it found so far, keyed by (host,
+    vertex) so that no two hosts share an entry."""
+
+    def __init__(self, patch: PlanePatch, delta: FundamentalDomain, n: int):
+        self.patch = patch
+        self.delta = delta
+        self.n = n
+        self.g = Host(patch)
+        self._isos: dict[tuple[Host, int], Isomorphism] = {}
+
+    @cached_property
+    def root_core(self) -> FaceCore:
+        return face_core(self.g, self.patch.root, self.n)
+
+    def host_for(self, h: Graph | PlanePatch) -> Host:
+        """The host of a cover target: on a self-cover the patch's own host,
+        so both sides share its memoised faces and isomorphisms; a new
+        host otherwise."""
+        return self.g if h is self.patch else Host(h, self.patch.l_max)
 
 
-def color(
-    patch: PlanePatch,
-    delta: FundamentalDomain,
-    n: int,
-    f: Flag,
-    cache: dict | None = None,
-) -> int:
-    """The palette index of f's orbit: push f to the root through any
-    root-preserving isomorphism of depth-n cores.  Independent of the
-    choice of isomorphism (tested, not assumed)."""
+def _to_root(c: Coloring, host: Host, f: Flag) -> Flag | None:
+    """f carried to the root through a root-preserving isomorphism of
+    depth-n cores, or None when the core at f's vertex has none."""
+    key = (host, f.vertex)
+    iso = c._isos.get(key)
+    if iso is None:
+        target = face_core(host, f.vertex, c.n)
+        found = rooted_isomorphisms(target.rooted, c.root_core.rooted, limit=1)
+        if not found:
+            return None
+        iso = c._isos[key] = found[0]
+    return _map_flag(iso, f)
+
+
+def color(c: Coloring, f: Flag) -> int:
+    """The palette index of the orbit of a patch flag: push f to the root
+    through any root-preserving isomorphism of depth-n cores.
+    Independent of the choice of isomorphism (tested, not assumed)."""
     v = f.vertex
-    if v == delta.root:
+    if v == c.delta.root:
         try:
-            return delta.orbit_index[f]
+            return c.delta.orbit_index[f]
         except KeyError:
             raise DefectError(f"{f} is not a flag of the root") from None
-    iso = None if cache is None else cache.get(("iso", v))
-    if iso is None:
-        ref = _root_core(patch, n, cache)
-        found = rooted_isomorphisms(face_core(patch, v, n).rooted, ref.rooted, limit=1)
-        if not found:
-            raise DefectError(f"patch not vertex-transitive at {v}: no depth-{n} isomorphism")
-        iso = found[0]
-        if cache is not None:
-            cache[("iso", v)] = iso
-    g_flag = _map_flag(iso, f)
-    if g_flag.face not in patch.face_set:
+    g_flag = _to_root(c, c.g, f)
+    if g_flag is None:
+        raise DefectError(f"patch not vertex-transitive at {v}: no depth-{c.n} isomorphism")
+    if g_flag.face not in c.patch.face_set:
         raise DefectError(f"image of {f.face} at the root is not a face")
-    return delta.orbit_index[g_flag]
+    return c.delta.orbit_index[g_flag]
 
 
-def color_in_h(
-    h: Graph | PlanePatch,
-    patch: PlanePatch,
-    delta: FundamentalDomain,
-    n: int,
-    flag_h: Flag,
-    l_max: int | None = None,
-    cache: dict | None = None,
-) -> int:
+def color_in_h(c: Coloring, host: Host, flag_h: Flag) -> int:
     """The colour of a flag of the target graph: pull it back to the root
     through any isomorphism of depth-n cores (the compositions coincide
     for every choice, which is tested, not assumed)."""
     x = flag_h.vertex
-    iso = None if cache is None else cache.get(("iso_h", x))
-    if iso is None:
-        if l_max is None:
-            l_max = patch.l_max
-        memo = None if cache is None else cache.setdefault("h_faces", {})
-        target = face_core(h, x, n, l_max=l_max, memo=memo)
-        ref = _root_core(patch, n, cache)
-        found = rooted_isomorphisms(target.rooted, ref.rooted, limit=1)
-        if not found:
-            raise HypothesisViolationError(f"h is not {n}-locally-G at {x}")
-        iso = found[0]
-        if cache is not None:
-            cache[("iso_h", x)] = iso
-    g_flag = _map_flag(iso, flag_h)
-    if g_flag.face not in patch.face_set:
+    g_flag = _to_root(c, host, flag_h)
+    if g_flag is None:
+        raise HypothesisViolationError(f"h is not {c.n}-locally-G at {x}")
+    if g_flag.face not in c.patch.face_set:
         raise HypothesisViolationError(
             f"face {flag_h.face} at {x} does not pull back to a face at the root"
         )
-    return delta.orbit_index[g_flag]
+    return c.delta.orbit_index[g_flag]
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +331,7 @@ def color_in_h(
 # ---------------------------------------------------------------------------
 
 def extend_iso(
-    g: PlanePatch,
-    h: Graph | PlanePatch,
-    f: Flag,
-    flag_h: Flag,
-    r: int,
-    delta: FundamentalDomain,
-    n: int,
-    cache: dict | None = None,
-    crosscheck: bool = False,
+    c: Coloring, host: Host, f: Flag, flag_h: Flag, r: int, crosscheck: bool = False
 ) -> Isomorphism:
     """The unique colour-compatible local isomorphism around f.
 
@@ -352,12 +344,12 @@ def extend_iso(
     between the two cores that carry f to flag_h and demanding there is
     no second one.
     """
-    if color(g, delta, n, f, cache=cache) != _color_of_target(h, g, delta, n, flag_h, cache):
+    # a self-cover colours both flags as patch flags (a DefectError on failure)
+    if color(c, f) != (color(c, flag_h) if host is c.g else color_in_h(c, host, flag_h)):
         raise InputError("colour mismatch between seed flags")
     v, x = f.vertex, flag_h.vertex
-    memo = None if cache is None else cache.setdefault("h_faces", {})
-    faces_g = face_core(g, v, r).faces
-    faces_h = face_core(h, x, r, l_max=g.l_max, memo=memo).faces
+    faces_g = face_core(c.g, v, r).faces
+    faces_h = face_core(host, x, r).faces
 
     vmap: dict[int, int] = {}
 
@@ -388,7 +380,8 @@ def extend_iso(
             others = [F for F in faces_g if e in F.edges and F != fg]
             if not others:
                 continue
-            assert len(others) == 1, f"edge {e} lies on more than two faces"
+            if len(others) != 1:
+                raise DefectError(f"edge {e} lies on more than two faces")
             face2 = others[0]
             ie = edge_key(vmap[e[0]], vmap[e[1]])
             h_others = [B for B in faces_h if ie in B.edges and B != fh]
@@ -408,10 +401,10 @@ def extend_iso(
             mapped[face2] = b2
             queue.append(face2)
 
-    _verify_partial_isomorphism(g.graph, _target_graph(h), vmap)
+    _verify_partial_isomorphism(c.g.graph, host.graph, vmap)
     iso = Isomorphism(vmap, v, x)
     if crosscheck:
-        dom, img = core_subgraphs(g, h, iso)
+        dom, img = core_subgraphs(c.g, host, iso)
         pres = {s: vmap[s] for s in f.face.cycle}
         found = rooted_isomorphisms(dom, img, limit=2, prescribed=pres)
         if len(found) != 1:
@@ -419,16 +412,6 @@ def extend_iso(
                 f"{len(found)} extensions carry {f} to {flag_h}; expected exactly one"
             )
     return iso
-
-
-def _color_of_target(h, g, delta, n, flag_h, cache):
-    if h is g:
-        return color(g, delta, n, flag_h, cache=cache)
-    return color_in_h(h, g, delta, n, flag_h, cache=cache)
-
-
-def _target_graph(h: Graph | PlanePatch) -> Graph:
-    return h.graph if isinstance(h, PlanePatch) else h
 
 
 def _verify_partial_isomorphism(ga: Graph, gb: Graph, vmap: dict[int, int]) -> None:
@@ -443,11 +426,9 @@ def _verify_partial_isomorphism(ga: Graph, gb: Graph, vmap: dict[int, int]) -> N
                 )
 
 
-def core_subgraphs(
-    g: PlanePatch, h: Graph | PlanePatch, iso: Isomorphism
-) -> tuple[RootedBall, RootedBall]:
+def core_subgraphs(g: Host, h: Host, iso: Isomorphism) -> tuple[RootedBall, RootedBall]:
     """The two sides of an extension isomorphism as rooted graphs, for
     independent re-enumeration of the isomorphisms between them."""
     dom = induced_subgraph(g.graph, iso.mapping.keys())
-    img = induced_subgraph(_target_graph(h), iso.mapping.values())
+    img = induced_subgraph(h.graph, iso.mapping.values())
     return as_rooted(dom, iso.source_root), as_rooted(img, iso.target_root)

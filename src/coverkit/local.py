@@ -11,6 +11,7 @@ backtracking search and the r-locally-G certification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import HypothesisViolationError, InputError, PatchTooSmallError
 from .graph import Graph, RootedBall, ball, edge_key, is_connected_excluding
@@ -169,30 +170,53 @@ class FaceCore:
         return self.rooted.root
 
 
-def host_faces_at(
-    host, v: int, l_max: int | None = None, memo: dict | None = None
-) -> tuple[FaceBoundary, ...]:
-    """Face-boundaries at v: traced faces for a patch (v must be interior),
-    inferred peripheral cycles for a plain graph."""
-    if isinstance(host, PlanePatch):
-        if not host.is_interior(v):
-            raise PatchTooSmallError(
-                f"patch too small: faces at boundary vertex {v} are not all known"
-            )
-        return host.faces_at(v)
-    if memo is not None and v in memo:
-        return memo[v]
-    if l_max is None:
-        raise InputError("face enumeration on a Graph needs l_max")
-    faces = tuple(face_boundaries_at(host, v, l_max))
-    if memo is not None:
-        memo[v] = faces
+class Host:
+    """A graph together with its face-boundaries, vertex by vertex.
+
+    A patch host serves the patch's traced faces, at interior vertices
+    only, and its completeness guard; the patch brings its own l_max.  A
+    plain graph host infers face-boundaries with cycle length bound l_max
+    and has no margin.  Faces are memoised per vertex inside the host, so
+    no host ever serves another graph's faces; a new Host starts empty.
+    """
+
+    def __init__(self, source: Graph | PlanePatch, l_max: int | None = None):
+        self.source = source
+        self._faces: dict[int, tuple[FaceBoundary, ...]] = {}
+        if isinstance(source, PlanePatch):
+            self.graph, self.l_max = source.graph, source.l_max
+            self.require_complete = source.require_complete
+            self._find_faces = partial(_traced_faces, source)
+        else:
+            if l_max is None:
+                raise InputError("face enumeration on a Graph needs l_max")
+            self.graph, self.l_max = source, l_max
+            self.require_complete = _no_margin
+            self._find_faces = lambda v: tuple(face_boundaries_at(source, v, l_max))
+
+
+def _traced_faces(patch: PlanePatch, v: int) -> tuple[FaceBoundary, ...]:
+    if not patch.is_interior(v):
+        raise PatchTooSmallError(
+            f"patch too small: faces at boundary vertex {v} are not all known"
+        )
+    return patch.faces_at(v)
+
+
+def _no_margin(v: int, radius: int) -> None:
+    """A plain graph is whole: every neighbourhood in it is complete."""
+
+
+def host_faces_at(host: Host, v: int) -> tuple[FaceBoundary, ...]:
+    """Face-boundaries at v: traced faces on a patch host (v must be
+    interior), inferred peripheral cycles on a graph host."""
+    faces = host._faces.get(v)
+    if faces is None:
+        faces = host._faces[v] = host._find_faces(v)
     return faces
 
 
-def face_core(
-    host, x: int, n: int, l_max: int | None = None, memo: dict | None = None
-) -> FaceCore:
+def face_core(host: Host, x: int, n: int) -> FaceCore:
     """Faces within n vertex-sharing chain steps of x, as a rooted subgraph.
 
     Level 1 holds the faces containing x; level i+1 holds the faces
@@ -210,7 +234,7 @@ def face_core(
         new_faces: set[FaceBoundary] = set()
         for w in sorted(frontier):
             expanded.add(w)
-            for fb in host_faces_at(host, w, l_max, memo):
+            for fb in host_faces_at(host, w):
                 if fb not in all_faces:
                     new_faces.add(fb)
         all_faces |= new_faces
@@ -258,9 +282,6 @@ class Isomorphism:
             first.source_root,
             self.target_root,
         )
-
-    def key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.mapping.items()))
 
     def is_orientation_reversing(
         self,
@@ -419,11 +440,11 @@ def is_r_locally(
     pick up wrap chords.
     """
     failures = []
-    memo: dict = {}
     if d_balls:
-        reference = face_core(g_patch, g_patch.root, r).rooted
+        reference = face_core(Host(g_patch), g_patch.root, r).rooted
+        host = Host(h, g_patch.l_max)
         for v in h.vertices:
-            target = face_core(h, v, r, l_max=g_patch.l_max, memo=memo).rooted
+            target = face_core(host, v, r).rooted
             if not rooted_isomorphisms(target, reference, limit=1):
                 failures.append(v)
     else:

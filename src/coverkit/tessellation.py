@@ -457,6 +457,7 @@ def import_patch(source: dict | str | Path) -> PlanePatch:
     are traced from the rotation; the closed-up map must be spherical
     (V - E + F = 2) or the rotation is rejected as non-planar.  No
     vertex-transitivity verification is performed: imports are trusted.
+    A malformed field of any kind raises InputError.
     """
     if not isinstance(source, dict):
         with open(source, "r", encoding="utf-8") as fh:
@@ -468,8 +469,18 @@ def import_patch(source: dict | str | Path) -> PlanePatch:
     try:
         rotation = {int(v): tuple(int(u) for u in rot) for v, rot in d["rotation"].items()}
         root = int(d["root"])
-    except (KeyError, TypeError, ValueError) as exc:
+        declared_outer = None if d.get("outer") is None else [int(v) for v in d["outer"]]
+        declared_faces = {FaceBoundary(c) for c in d["faces"]} if "faces" in d else None
+        declared_crad = (
+            {int(v): int(r) for v, r in d["complete_radius"].items()}
+            if "complete_radius" in d
+            else None
+        )
+        schlafli = tuple(int(k) for k in d["schlafli"]) if "schlafli" in d else None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed patch JSON: {exc}") from exc
+    if schlafli is not None and (len(schlafli) != 2 or min(schlafli) < 3):
+        raise InputError(f"schlafli must be two integers >= 3, got {list(schlafli)}")
     if root not in g:
         raise InputError(f"root {root} is not a vertex")
     if set(rotation) != set(g.vertices):
@@ -481,7 +492,7 @@ def import_patch(source: dict | str | Path) -> PlanePatch:
         raise InputError(
             f"non-planar rotation: closed-up Euler count {euler} != 2 (genus > 0)"
         )
-    outer = _pick_outer(walks, d.get("outer"))
+    outer = _pick_outer(walks, declared_outer)
     faces = []
     for w in walks:
         if w == outer:
@@ -489,17 +500,12 @@ def import_patch(source: dict | str | Path) -> PlanePatch:
         if not _is_simple_walk(w):
             raise InputError(f"interior walk {w} is not a simple cycle")
         faces.append(FaceBoundary(w))
-    if "faces" in d:
-        declared = {FaceBoundary(c) for c in d["faces"]}
-        if declared != set(faces):
-            raise InputError("declared faces disagree with the traced faces")
+    if declared_faces is not None and declared_faces != set(faces):
+        raise InputError("declared faces disagree with the traced faces")
 
     crad = _complete_radius_from_boundary(g, set(outer))
-    if "complete_radius" in d:
-        declared_crad = {int(v): int(r) for v, r in d["complete_radius"].items()}
-        if declared_crad != crad:
-            raise InputError("declared complete_radius disagrees with recomputation")
-    schlafli = tuple(d["schlafli"]) if "schlafli" in d else None
+    if declared_crad is not None and declared_crad != crad:
+        raise InputError("declared complete_radius disagrees with recomputation")
     return PlanePatch(g, root, rotation, faces, outer, crad, schlafli)
 
 

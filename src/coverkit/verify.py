@@ -16,7 +16,7 @@ import random
 
 from .builder import CoverMap, build_cover
 from .errors import CoverKitError
-from .flags import Flag, color, color_in_h, extend_iso
+from .flags import Coloring, Flag, color, color_in_h, extend_iso
 from .graph import Graph, edge_key
 from .local import dk_ball, host_faces_at
 from .report import VerificationReport
@@ -29,7 +29,7 @@ def check_cover(cover: CoverMap, margin: int = 1) -> VerificationReport:
     Also reports fiber sizes over the checked region."""
     if margin < 1:
         raise CoverKitError("margin must be >= 1")
-    patch, h = cover.patch, cover.h_graph
+    patch, h = cover.patch, cover.h.graph
     vmap = cover.vertex_map
     report = VerificationReport()
     checked = []
@@ -128,10 +128,10 @@ def check_normality(
     transformation reconstructed from one matched flag pair commutes
     with the cover wherever both sides are defined.  Each reconstructed
     transformation is classified as orientation-preserving or reversing.
+    Colours and faces are computed afresh, not taken from the build.
     """
     patch = cover.patch
-    delta, n = cover.delta, cover.n
-    r = n + 1
+    r = cover.n + 1
     rng = random.Random(rng_seed)
     report = VerificationReport()
     pairs = _sample_fiber_pairs(cover, samples, rng, exhaustive)
@@ -139,7 +139,8 @@ def check_normality(
         # all fibers in the checked region are singletons: trivially normal
         report.add("fiber pairs sampled", True, note="all fibers singletons; trivially normal")
         return report
-    cache: dict = {}
+    c = Coloring(patch, cover.delta, cover.n)
+    host = c.host_for(cover.h.source)
     color_bad: list = []
     commute_bad: list = []
     orientations: list[bool] = []
@@ -147,21 +148,21 @@ def check_normality(
         hv = cover.vertex_map[v]
         target_flags = [
             Flag(hv, e, b)
-            for b in host_faces_at(cover.h, hv, patch.l_max, cache.setdefault("h_faces", {}))
+            for b in host_faces_at(host, hv)
             for e in b.edges_at(hv)
         ]
         alpha = None
         for tf in sorted(target_flags):
             f_v = _flag_preimage_at(cover, v, tf)
             f_w = _flag_preimage_at(cover, w, tf)
-            cv = color(patch, delta, n, f_v, cache=cache)
-            cw = color(patch, delta, n, f_w, cache=cache)
-            ch = color_in_h(cover.h, patch, delta, n, tf, cache=cache)
+            cv = color(c, f_v)
+            cw = color(c, f_w)
+            ch = color_in_h(c, host, tf)
             if not (cv == ch == cw):
                 color_bad.append((v, w, tf.to_json_dict(), cv, ch, cw))
                 continue
             if alpha is None:
-                alpha = extend_iso(patch, patch, f_v, f_w, r, delta, n, cache=cache)
+                alpha = extend_iso(c, c.g, f_v, f_w, r)
         if alpha is None:
             commute_bad.append((v, w, "no colour-matched flag pair"))
             continue

@@ -7,9 +7,11 @@ import random
 import time
 
 from coverkit import (
+    Coloring,
     CoverKitError,
     Flag,
     Graph,
+    Host,
     QuotientSpec,
     build_cover,
     check_cover,
@@ -58,7 +60,7 @@ def test_criterion_1_euclidean_end_to_end():
     coords = square_lattice_coordinates(patch)
     where = {c: v for v, c in coords.items()}
     pairs = _sample_fiber_pairs(cover, 20, random.Random(0), False)
-    cache: dict = {}
+    c = Coloring(patch, cover.delta, cover.n)
     for v, w in pairs:
         hv = cover.vertex_map[v]
         tf = sorted(
@@ -68,7 +70,7 @@ def test_criterion_1_euclidean_end_to_end():
         )[0]
         f_v = _flag_preimage_at(cover, v, tf)
         f_w = _flag_preimage_at(cover, w, tf)
-        alpha = extend_iso(patch, patch, f_v, f_w, 2, cover.delta, cover.n, cache=cache)
+        alpha = extend_iso(c, c.g, f_v, f_w, 2)
         dx, dy = coords[w][0] - coords[v][0], coords[w][1] - coords[v][1]
         assert dx % 5 == 0 and dy % 7 == 0
         assert all(
@@ -117,26 +119,26 @@ def test_criterion_4_hyperbolic_machinery():
     assert len(delta) == 1
     r = n + 1
     j_r = dk_ball(patch.graph, patch.root, r, patch.l_max, patch.complete_radius).radius
-    cache: dict = {}
-    f0 = flags_at(patch, patch.root)[0]
+    c = Coloring(patch, delta, n)
+    f0 = flags_at(c.g, patch.root)[0]
     eligible = [v for v in patch.graph.vertices if patch.complete_radius[v] >= j_r]
     samples = [
-        (v, fh) for v in eligible for fh in flags_at(patch, v) if (v, fh) != (patch.root, f0)
+        (v, fh) for v in eligible for fh in flags_at(c.g, v) if (v, fh) != (patch.root, f0)
     ][:50]
     assert len(samples) == 50
     for v, fh in samples:
-        extend_iso(patch, patch, f0, fh, r, delta, n, cache=cache, crosscheck=True)
+        extend_iso(c, c.g, f0, fh, r, crosscheck=True)
 
     cover = build_cover(patch, patch, n=n)
     vals = list(cover.vertex_map.values())
     assert len(set(vals)) == len(vals)
     assert all(k == v for k, v in cover.vertex_map.items())
 
-    other = flags_at(patch, patch.root)[3]
+    other = flags_at(c.g, patch.root)[3]
     twisted = build_cover(patch, patch, f=f0, flag_h=other, n=n)
     vals = list(twisted.vertex_map.values())
     assert len(set(vals)) == len(vals)
-    alpha = extend_iso(patch, patch, f0, other, r, delta, n, cache=cache)
+    alpha = extend_iso(c, c.g, f0, other, r)
     overlap = set(alpha.mapping) & set(twisted.vertex_map)
     assert overlap
     assert all(twisted.vertex_map[u] == alpha.mapping[u] for u in overlap)
@@ -181,13 +183,14 @@ def test_criterion_6_color_well_definedness():
     torus = make_quotient(QuotientSpec("torus", 5, 7))
     n = stabilize_n(patch, 4, 2)
     delta = i_fundamental_domain(patch, n)
-    ref = face_core(patch, patch.root, n)
+    ref = face_core(Host(patch), patch.root, n)
+    torus_host = Host(torus.graph, 4)
     total = 0
     for x in list(torus.graph.vertices)[:5]:
-        target = face_core(torus.graph, x, n, l_max=4)
+        target = face_core(torus_host, x, n)
         isos = rooted_isomorphisms(target.rooted, ref.rooted)
         assert len(isos) >= 2
-        flags = flags_at(torus.graph, x, l_max=4)
+        flags = flags_at(torus_host, x)
         colorings = {
             tuple(delta.orbit_index[_map_flag(pi, fl)] for fl in flags) for pi in isos
         }

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from coverkit import (
+    Coloring,
     CoverKitError,
     FaceBoundary,
+    Host,
     build_cover,
     default_seed,
     extend_cover,
@@ -23,7 +30,7 @@ def delta44(patch44_r10):
 
 
 def seed_flag(patch):
-    return flags_at(patch, patch.root)[0]
+    return flags_at(Host(patch), patch.root)[0]
 
 
 def face_at_cell(patch, coords, cell):
@@ -37,7 +44,8 @@ def face_at_cell(patch, coords, cell):
 class TestInitCover:
     def test_identity_seed(self, patch44_r10, delta44):
         f = seed_flag(patch44_r10)
-        state = init_cover(patch44_r10, patch44_r10, f, f, delta44, 1)
+        c = Coloring(patch44_r10, delta44, 1)
+        state = init_cover(c, c.g, f, f)
         assert all(k == v for k, v in state.vertex_map.items())
         assert state.processed == {f.face}
         assert state.frontier == set(f.face.edges)
@@ -45,17 +53,19 @@ class TestInitCover:
     def test_all_eight_torus_seeds_valid(self, patch44_r10, delta44, torus57):
         f = seed_flag(patch44_r10)
         images = set()
-        for fh in flags_at(torus57.graph, 0, l_max=4):
-            state = init_cover(patch44_r10, torus57.graph, f, fh, delta44, 1)
+        torus = Host(torus57.graph, 4)
+        for fh in flags_at(torus, 0):
+            state = init_cover(Coloring(patch44_r10, delta44, 1), torus, f, fh)
             assert len(state.vertex_map) == 4
             images.add(tuple(sorted(state.vertex_map.items())))
         assert len(images) == 8  # distinct orientations, all legal
 
     def test_mismatched_face_length_rejected(self, patch44_r10, delta44, hex55):
         f = seed_flag(patch44_r10)
-        fh = flags_at(hex55.graph, 0, l_max=6)[0]
+        hexa = Host(hex55.graph, 6)
+        fh = flags_at(hexa, 0)[0]
         with pytest.raises(CoverKitError):
-            init_cover(patch44_r10, hex55.graph, f, fh, delta44, 1)
+            init_cover(Coloring(patch44_r10, delta44, 1), hexa, f, fh)
 
     def test_wholly_incompatible_target_rejected(self, patch44_r10, hex55):
         with pytest.raises(CoverKitError):
@@ -67,7 +77,8 @@ class TestSelectNextFace:
         from coverkit import face_enumeration
 
         f = seed_flag(patch44_r10)
-        state = init_cover(patch44_r10, patch44_r10, f, f, delta44, 1)
+        c = Coloring(patch44_r10, delta44, 1)
+        state = init_cover(c, c.g, f, f)
         enum = face_enumeration(patch44_r10)
         face = select_next_face(state, enum)
         assert face is not None and face != f.face
@@ -88,10 +99,11 @@ class TestSelectNextFace:
         coords = square_lattice_coordinates(patch44_r10)
         cells = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (0, 1), (0, 2)]
         faces = [face_at_cell(patch44_r10, coords, c) for c in cells]
+        c = Coloring(patch44_r10, delta44, 1)
         f = next(
-            fl for fl in flags_at(patch44_r10, patch44_r10.root) if fl.face == faces[0]
+            fl for fl in flags_at(c.g, patch44_r10.root) if fl.face == faces[0]
         )
-        state = init_cover(patch44_r10, patch44_r10, f, f, delta44, 1)
+        state = init_cover(c, c.g, f, f)
         for face in faces[1:]:
             extend_cover(state, face, face)
         trap = face_at_cell(patch44_r10, coords, (1, 2))
@@ -111,8 +123,9 @@ class TestMatchFace:
     def test_single_edge_picks_fresh_side(self, patch44_r10, delta44, torus57):
         from coverkit import face_enumeration
 
-        f, fh = default_seed(patch44_r10, torus57.graph, delta44, 1)
-        state = init_cover(patch44_r10, torus57.graph, f, fh, delta44, 1)
+        c, torus = Coloring(patch44_r10, delta44, 1), Host(torus57.graph, 4)
+        f, fh = default_seed(c, torus)
+        state = init_cover(c, torus, f, fh)
         face = select_next_face(state, face_enumeration(patch44_r10))
         image = match_face(state, face)
         assert image != fh.face
@@ -127,7 +140,8 @@ class TestMatchFace:
         from coverkit import face_enumeration
 
         f = seed_flag(patch44_r10)
-        state = init_cover(patch44_r10, patch44_r10, f, f, delta44, 1)
+        c = Coloring(patch44_r10, delta44, 1)
+        state = init_cover(c, c.g, f, f)
         for _ in range(10):
             face = select_next_face(state, face_enumeration(patch44_r10))
             image = match_face(state, face)
@@ -137,8 +151,9 @@ class TestMatchFace:
     def test_longer_path_unique(self, patch44_r10, delta44, torus57):
         from coverkit import face_enumeration
 
-        f, fh = default_seed(patch44_r10, torus57.graph, delta44, 1)
-        state = init_cover(patch44_r10, torus57.graph, f, fh, delta44, 1)
+        c, torus = Coloring(patch44_r10, delta44, 1), Host(torus57.graph, 4)
+        f, fh = default_seed(c, torus)
+        state = init_cover(c, torus, f, fh)
         enum = face_enumeration(patch44_r10)
         saw_long_path = False
         for _ in range(12):
@@ -257,8 +272,8 @@ class TestBuildCover:
         rotated = build_cover(
             patch,
             patch,
-            f=flags_at(patch, patch.root)[0],
-            flag_h=flags_at(patch, patch.root)[5],
+            f=flags_at(Host(patch), patch.root)[0],
+            flag_h=flags_at(Host(patch), patch.root)[5],
             n=n,
             delta=delta,
         )
@@ -272,11 +287,11 @@ class TestBuildCover:
         f = seed_flag(small)
         big_dist = big.graph.distances_from(big.root)
         target_vertex = sorted(v for v in big.graph.vertices if big_dist[v] == 2)[0]
-        fh = flags_at(big, target_vertex)[1]
+        fh = flags_at(Host(big), target_vertex)[1]
         cov = build_cover(small, big, f=f, flag_h=fh, n=1)
         vals = list(cov.vertex_map.values())
         assert len(set(vals)) == len(vals)  # injective into the bigger patch
-        iso = extend_iso(small, big, f, fh, 2, delta, 1)
+        iso = extend_iso(Coloring(small, delta, 1), Host(big), f, fh, 2)
         overlap = set(iso.mapping) & set(cov.vertex_map)
         assert overlap
         assert all(iso.mapping[u] == cov.vertex_map[u] for u in overlap)
@@ -317,3 +332,44 @@ class TestNegativeDetection:
             else:
                 detected = not check_cover(cov).ok
         assert detected
+
+
+TAMPER_UNDER_O = """
+import sys
+from coverkit import Coloring, HypothesisViolationError, flags_at, generate, i_fundamental_domain, init_cover
+from coverkit.builder import _assert_no_holes, _check_local_injectivity
+
+if __debug__:
+    sys.exit("expected python -O")
+patch = generate(4, 4, 6)
+c = Coloring(patch, i_fundamental_domain(patch, 1), 1)
+f = flags_at(c.g, patch.root)[0]
+
+state = init_cover(c, c.g, f, f)
+state.face_image[f.face] = next(b for b in patch.faces_at(patch.root) if b != f.face)
+try:
+    _check_local_injectivity(state, f.face)
+except HypothesisViolationError:
+    print("rejected wrong face image")
+
+state = init_cover(c, c.g, f, f)
+state.processed.clear()
+try:
+    _assert_no_holes(state)
+except HypothesisViolationError:
+    print("rejected skipped face")
+"""
+
+
+class TestInvariantsUnderOptimize:
+    def test_tampered_partial_cover_rejected_under_dash_o(self):
+        # the builder's invariant checks are explicit raises, not asserts,
+        # so python -O cannot strip them
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", TAMPER_UNDER_O], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["rejected wrong face image", "rejected skipped face"]

@@ -142,3 +142,30 @@ class TestPipeline:
         assert doc["delta_size"] == 3
         lengths = sorted(len(f["face"]) for f in doc["delta"])
         assert lengths == [4, 8, 8]
+
+
+class TestMalformedPatch:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("complete_radius", "x"),
+            ("schlafli", 5),
+            ("schlafli", ["x", 4]),
+            ("schlafli", [4]),
+            ("faces", 7),
+            ("faces", [[0, 1, "x"]]),
+            ("outer", 3),
+            ("outer", ["a"]),
+            ("rotation", [1, 2]),
+        ],
+    )
+    def test_input_error_exit_2(self, tmp_path, capsys, field, value):
+        g = tmp_path / "g.json"
+        assert main(["gen", "--p", "4", "--q", "4", "--radius", "3", "-o", str(g)]) == 0
+        doc = json.loads(g.read_text())
+        doc[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(["flags", "--g", str(bad)], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "input"

@@ -3,12 +3,15 @@ import math
 import pytest
 
 from coverkit import (
+    Coloring,
     Flag,
+    Host,
     InputError,
     PatchTooSmallError,
     color,
     color_in_h,
     extend_iso,
+    face_boundaries_at,
     face_core,
     flag_orbit_partition,
     flags_at,
@@ -18,6 +21,7 @@ from coverkit import (
     stabilize_n,
 )
 from coverkit.flags import _flag_cycle, _map_flag
+from coverkit.local import host_faces_at
 
 from .oracles import adjacency_of, brute_rooted_isomorphisms
 
@@ -75,9 +79,9 @@ def squareoct():
 
 class TestFlagsAt:
     def test_counts(self, patch44_r6, patch63_r10, torus57):
-        assert len(flags_at(patch44_r6, patch44_r6.root)) == 8
-        assert len(flags_at(patch63_r10, patch63_r10.root)) == 6
-        assert len(flags_at(torus57.graph, 4, l_max=4)) == 8
+        assert len(flags_at(Host(patch44_r6), patch44_r6.root)) == 8
+        assert len(flags_at(Host(patch63_r10), patch63_r10.root)) == 6
+        assert len(flags_at(Host(torus57.graph, 4), 4)) == 8
 
     def test_incidence_structure_is_a_cycle(self, patch44_r6):
         cyc = _flag_cycle(patch44_r6, patch44_r6.root)
@@ -85,7 +89,7 @@ class TestFlagsAt:
 
     def test_patch_margin_guard(self, patch44_r6):
         with pytest.raises(PatchTooSmallError):
-            flags_at(patch44_r6, patch44_r6.outer[0])
+            flags_at(Host(patch44_r6), patch44_r6.outer[0])
 
     def test_flag_validation(self, patch44_r6):
         face = patch44_r6.faces_at(patch44_r6.root)[0]
@@ -98,7 +102,7 @@ class TestFlagsAt:
                 Flag(patch44_r6.root, e, other)
 
     def test_flag_json_round_trip(self, patch44_r6):
-        f = flags_at(patch44_r6, patch44_r6.root)[0]
+        f = flags_at(Host(patch44_r6), patch44_r6.root)[0]
         assert Flag.from_json_dict(f.to_json_dict()) == f
 
 
@@ -116,10 +120,10 @@ class TestFundamentalDomain:
     def test_orbits_confirmed_by_brute_force(self, patch44_r6):
         # oracle: enumerate every automorphism of the depth-1 core the slow
         # way and act on the flags
-        core = face_core(patch44_r6, patch44_r6.root, 1)
+        core = face_core(Host(patch44_r6), patch44_r6.root, 1)
         adj = adjacency_of(core.rooted.graph)
         autos = brute_rooted_isomorphisms(adj, core.root, adj, core.root)
-        flags = flags_at(patch44_r6, patch44_r6.root)
+        flags = flags_at(Host(patch44_r6), patch44_r6.root)
         orbit = {flags[0]}
         from coverkit import Isomorphism
 
@@ -178,21 +182,21 @@ class TestColor:
     def test_palette_flags_color_to_own_index(self, patch44_r6):
         delta = i_fundamental_domain(patch44_r6, 1)
         for k, f in enumerate(delta.flags):
-            assert color(patch44_r6, delta, 1, f) == k
+            assert color(Coloring(patch44_r6, delta, 1), f) == k
 
     def test_single_color_everywhere(self, patch44_r10):
         delta = i_fundamental_domain(patch44_r10, 1)
-        cache = {}
+        c = Coloring(patch44_r10, delta, 1)
         for v in [v for v in patch44_r10.graph.vertices if patch44_r10.complete_radius[v] >= 2][:12]:
-            for f in flags_at(patch44_r10, v):
-                assert color(patch44_r10, delta, 1, f, cache=cache) == 0
+            for f in flags_at(c.g, v):
+                assert color(c, f) == 0
 
     def test_surjective_and_orbit_constant(self, squareoct):
         n = stabilize_n(squareoct, 2, 2)
         delta = i_fundamental_domain(squareoct, n)
         cols = {}
-        for f in flags_at(squareoct, squareoct.root):
-            cols.setdefault(color(squareoct, delta, n, f), set()).add(f)
+        for f in flags_at(Host(squareoct), squareoct.root):
+            cols.setdefault(color(Coloring(squareoct, delta, n), f), set()).add(f)
         assert set(cols) == set(range(len(delta)))
         assert sorted(map(frozenset, cols.values())) == sorted(map(frozenset, delta.orbits))
 
@@ -206,68 +210,88 @@ class TestColor:
         n = stabilize_n(damaged, 1, 1)  # the root area is intact
         delta = i_fundamental_domain(damaged, n)
         victim = ids[(2, 0, 1)]  # on the merged 14-gon
-        assert any(len(f.face) == 14 for f in flags_at(damaged, victim))
+        assert any(len(f.face) == 14 for f in flags_at(Host(damaged), victim))
         with pytest.raises(DefectError, match="not vertex-transitive"):
-            for f in flags_at(damaged, victim):
-                color(damaged, delta, n, f)
+            for f in flags_at(Host(damaged), victim):
+                color(Coloring(damaged, delta, n), f)
 
     def test_square_and_octagon_flags_differ(self, squareoct):
         n = stabilize_n(squareoct, 2, 2)
         delta = i_fundamental_domain(squareoct, n)
-        cache = {}
+        c = Coloring(squareoct, delta, n)
         v = sorted(v for v in squareoct.graph.vertices if squareoct.complete_radius[v] >= 3)[5]
         by_len = {}
-        for f in flags_at(squareoct, v):
-            by_len.setdefault(len(f.face), set()).add(color(squareoct, delta, n, f, cache=cache))
+        for f in flags_at(c.g, v):
+            by_len.setdefault(len(f.face), set()).add(color(c, f))
         assert by_len[4].isdisjoint(by_len[8])
 
 
 class TestColorInH:
     def test_agrees_with_color_on_g_itself(self, patch44_r10):
         delta = i_fundamental_domain(patch44_r10, 1)
-        cache = {}
+        c = Coloring(patch44_r10, delta, 1)
         v = 7
-        for f in flags_at(patch44_r10, v):
-            assert color_in_h(patch44_r10, patch44_r10, delta, 1, f, cache=cache) == color(
-                patch44_r10, delta, 1, f, cache=cache
-            )
+        for f in flags_at(c.g, v):
+            assert color_in_h(c, Host(patch44_r10), f) == color(c, f)
 
     def test_torus_flags_all_color_zero(self, torus57, patch44_r10):
         delta = i_fundamental_domain(patch44_r10, 1)
-        cache = {}
+        c = Coloring(patch44_r10, delta, 1)
+        torus = Host(torus57.graph, 4)
         for x in (0, 9, 17):
-            for f in flags_at(torus57.graph, x, l_max=4):
-                assert color_in_h(torus57.graph, patch44_r10, delta, 1, f, cache=cache) == 0
+            for f in flags_at(torus, x):
+                assert color_in_h(c, torus, f) == 0
 
     def test_every_pullback_gives_same_colors(self, torus57, patch44_r10):
         # the well-definedness lemma, by brute force: every isomorphism of
         # depth-1 cores induces the same colouring of the flags at x
         delta = i_fundamental_domain(patch44_r10, 1)
         x = 11
-        target = face_core(torus57.graph, x, 1, l_max=4)
-        ref = face_core(patch44_r10, patch44_r10.root, 1)
+        target = face_core(Host(torus57.graph, 4), x, 1)
+        ref = face_core(Host(patch44_r10), patch44_r10.root, 1)
         isos = rooted_isomorphisms(target.rooted, ref.rooted)
         assert len(isos) == 8
-        flags = flags_at(torus57.graph, x, l_max=4)
+        flags = flags_at(Host(torus57.graph, 4), x)
         colorings = {
             tuple(delta.orbit_index[_map_flag(pi, f)] for f in flags) for pi in isos
         }
         assert len(colorings) == 1
 
 
+class TestHostIdentity:
+    def test_one_coloring_keeps_two_targets_apart(self, patch44_r10, torus57, klein66):
+        # vertex 3 exists in both targets with different faces: a face or
+        # isomorphism memo keyed by vertex id alone would serve the Klein
+        # bottle the torus's entries
+        c = Coloring(patch44_r10, i_fundamental_domain(patch44_r10, 1), 1)
+        faces = {}
+        for name, inst in (("torus", torus57), ("klein", klein66)):
+            host = Host(inst.graph, 4)
+            faces[name] = set(host_faces_at(host, 3))
+            assert faces[name] == set(face_boundaries_at(inst.graph, 3, 4))
+            flags = flags_at(host, 3)
+            assert {f.face for f in flags} == faces[name]
+            fresh = Coloring(patch44_r10, c.delta, 1)
+            assert [color_in_h(c, host, f) for f in flags] == [
+                color_in_h(fresh, Host(inst.graph, 4), f) for f in flags
+            ] == [0] * 8
+        assert faces["torus"] != faces["klein"]
+
+
 class TestExtendIso:
     def test_identity(self, patch44_r10):
         delta = i_fundamental_domain(patch44_r10, 1)
-        f = flags_at(patch44_r10, patch44_r10.root)[0]
-        iso = extend_iso(patch44_r10, patch44_r10, f, f, 2, delta, 1, crosscheck=True)
+        c = Coloring(patch44_r10, delta, 1)
+        f = flags_at(c.g, patch44_r10.root)[0]
+        iso = extend_iso(c, c.g, f, f, 2, crosscheck=True)
         assert all(k == v for k, v in iso.mapping.items())
 
     def test_two_interior_vertices_unique_and_facial(self, patch44_r10):
         delta = i_fundamental_domain(patch44_r10, 1)
-        cache = {}
-        f = flags_at(patch44_r10, patch44_r10.root)[0]
-        g2 = flags_at(patch44_r10, 12)[3]
-        iso = extend_iso(patch44_r10, patch44_r10, f, g2, 2, delta, 1, cache=cache, crosscheck=True)
+        c = Coloring(patch44_r10, delta, 1)
+        f = flags_at(c.g, patch44_r10.root)[0]
+        g2 = flags_at(c.g, 12)[3]
+        iso = extend_iso(c, c.g, f, g2, 2, crosscheck=True)
         assert iso[f.vertex] == g2.vertex
         assert iso.map_cycle(f.face) == g2.face
         for face in patch44_r10.faces_at(patch44_r10.root):
@@ -276,27 +300,29 @@ class TestExtendIso:
 
     def test_onto_torus_at_depth_one(self, patch44_r10, torus57):
         delta = i_fundamental_domain(patch44_r10, 1)
-        f = flags_at(patch44_r10, patch44_r10.root)[0]
-        fh = flags_at(torus57.graph, 5, l_max=4)[2]
-        iso = extend_iso(patch44_r10, torus57.graph, f, fh, 1, delta, 1, crosscheck=True)
+        c = Coloring(patch44_r10, delta, 1)
+        torus = Host(torus57.graph, 4)
+        f = flags_at(c.g, patch44_r10.root)[0]
+        fh = flags_at(torus, 5)[2]
+        iso = extend_iso(c, torus, f, fh, 1, crosscheck=True)
         assert iso[f.vertex] == 5
         assert len(iso.mapping) == 9
 
     def test_color_mismatch_rejected(self, squareoct):
         n = stabilize_n(squareoct, 2, 2)
         delta = i_fundamental_domain(squareoct, n)
-        cache = {}
-        root_flags = flags_at(squareoct, squareoct.root)
+        c = Coloring(squareoct, delta, n)
+        root_flags = flags_at(c.g, squareoct.root)
         sq = next(f for f in root_flags if len(f.face) == 4)
         oc = next(f for f in root_flags if len(f.face) == 8)
         with pytest.raises(InputError):
-            extend_iso(squareoct, squareoct, sq, oc, n + 1, delta, n, cache=cache)
+            extend_iso(c, c.g, sq, oc, n + 1)
 
     def test_unique_extension_sample(self, patch45_r5):
         delta = i_fundamental_domain(patch45_r5, 1)
-        cache = {}
-        f = flags_at(patch45_r5, patch45_r5.root)[0]
+        c = Coloring(patch45_r5, delta, 1)
+        f = flags_at(c.g, patch45_r5.root)[0]
         targets = [v for v in patch45_r5.graph.vertices if patch45_r5.complete_radius[v] >= 4]
         for v in targets[:4]:
-            for fh in flags_at(patch45_r5, v)[:2]:
-                extend_iso(patch45_r5, patch45_r5, f, fh, 2, delta, 1, cache=cache, crosscheck=True)
+            for fh in flags_at(c.g, v)[:2]:
+                extend_iso(c, c.g, f, fh, 2, crosscheck=True)

@@ -2,6 +2,7 @@ import pytest
 
 from coverkit import (
     Graph,
+    Host,
     PatchTooSmallError,
     ball,
     dk_ball,
@@ -178,19 +179,19 @@ class TestRootedIsomorphisms:
 
 class TestFaceCore:
     def test_lattice_core_is_block(self, patch44_r6):
-        core = face_core(patch44_r6, patch44_r6.root, 1)
+        core = face_core(Host(patch44_r6), patch44_r6.root, 1)
         assert core.rooted.n == 9
         assert len(core.faces) == 4
 
     def test_torus_core_matches_lattice_core(self, patch44_r6, torus57):
-        cp = face_core(patch44_r6, patch44_r6.root, 2)
-        ct = face_core(torus57.graph, 0, 2, l_max=4)
+        cp = face_core(Host(patch44_r6), patch44_r6.root, 2)
+        ct = face_core(Host(torus57.graph, 4), 0, 2)
         assert len(cp.faces) == len(ct.faces) == 16
         assert rooted_isomorphisms(cp.rooted, ct.rooted, limit=1)
 
     def test_patch_guard(self, patch44_r6):
         with pytest.raises(PatchTooSmallError):
-            face_core(patch44_r6, patch44_r6.outer[0], 1)
+            face_core(Host(patch44_r6), patch44_r6.outer[0], 1)
 
 
 class TestIsRLocally:

@@ -1,6 +1,7 @@
 import pytest
 
 from coverkit import (
+    Coloring,
     build_cover,
     check_cover,
     check_normality,
@@ -76,7 +77,7 @@ class TestCheckNormality:
         assert len(pairs) == 20
         from coverkit import Flag, face_boundaries_at
 
-        cache = {}
+        c = Coloring(patch, torus_cover.delta, 1)
         for v, w in pairs:
             hv = torus_cover.vertex_map[v]
             tf = sorted(
@@ -86,7 +87,7 @@ class TestCheckNormality:
             )[0]
             f_v = _flag_preimage_at(torus_cover, v, tf)
             f_w = _flag_preimage_at(torus_cover, w, tf)
-            alpha = extend_iso(patch, patch, f_v, f_w, 2, torus_cover.delta, 1, cache=cache)
+            alpha = extend_iso(c, c.g, f_v, f_w, 2)
             dx = coords[w][0] - coords[v][0]
             dy = coords[w][1] - coords[v][1]
             assert dx % 5 == 0 and dy % 7 == 0  # a genuine deck element
@@ -154,7 +155,7 @@ class TestDeckOracleAgreement:
         # build with the seed flag pushed through (projection after a deck
         # translation); by uniqueness the whole map must equal that shifted
         # projection wherever both are defined
-        from coverkit import face_boundaries_at, flags_at
+        from coverkit import Host, face_boundaries_at, flags_at
 
         inst = request.getfixturevalue(kind)
         patch = patch63_r10 if kind == "hex55" else patch44_r10
@@ -163,7 +164,7 @@ class TestDeckOracleAgreement:
         h_faces = set()
         for x in inst.graph.vertices:
             h_faces.update(face_boundaries_at(inst.graph, x, patch.l_max))
-        f0 = flags_at(patch, patch.root)[0]
+        f0 = flags_at(Host(patch), patch.root)[0]
         shifted = {v: proj[tau[v]] for v in tau}
         flag_h = project_flag(shifted, h_faces, f0)
         cov = build_cover(patch, inst.graph, f=f0, flag_h=flag_h)
