@@ -8,6 +8,7 @@ unit squares the quotient inherits.
 """
 
 from coverkit import (
+    Host,
     QuotientSpec,
     dk_ball,
     face_boundaries_at,
@@ -22,9 +23,11 @@ torus = make_quotient(QuotientSpec("torus", 5, 7))
 print("target:", torus.graph)
 
 # D_k balls: the smallest ordinary ball containing everything reachable
-# by chains of k face-sized peripheral cycles.
-d1 = dk_ball(torus.graph, 0, 1, l_max=4)
-d2 = dk_ball(torus.graph, 0, 2, l_max=4)
+# by chains of k face-sized peripheral cycles.  A D-ball is taken in a
+# Host: here the torus graph with cycle length bound l_max = 4.
+host = Host(torus.graph, 4)
+d1 = dk_ball(host, 0, 1)
+d2 = dk_ball(host, 0, 2)
 print("D_1(0) = B_%d with %d vertices" % (d1.radius, d1.n))
 print("D_2(0) = B_%d with %d vertices" % (d2.radius, d2.n))
 

@@ -72,7 +72,6 @@ from .local import (
     face_boundaries_at,
     face_core,
     is_r_locally,
-    patch_dk_ball,
     peripheral_cycles_through,
     rooted_isomorphisms,
 )

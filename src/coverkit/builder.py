@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import HypothesisViolationError, InputError
+from .errors import HypothesisViolationError, InputError, PatchTooSmallError
 from .flags import Coloring, Flag, FundamentalDomain, color, color_in_h, flags_at, i_fundamental_domain, stabilize_n
 from .graph import Graph, edge_key
 from .local import Host, dk_ball, host_faces_at
@@ -40,22 +40,28 @@ class PartialCover:
     eligible: frozenset[FaceBoundary]
     step: int = 0
     seed: tuple[Flag, Flag] | None = None
-    flag_colors: list[tuple[Flag, Flag, int]] = field(default_factory=list)
     log: list[dict] = field(default_factory=list)
 
     def frontier_vertices(self) -> set[int]:
         return {v for e in self.frontier for v in e}
 
 
-def _eligible_faces(patch: PlanePatch, n: int) -> frozenset[FaceBoundary]:
+def _eligible_faces(c: Coloring) -> frozenset[FaceBoundary]:
     """Faces all of whose vertices can host depth-n colour computations:
     complete_radius at least the D_n ball radius guarantees every chain
-    vertex of the depth-n core is interior."""
-    j_n = dk_ball(patch.graph, patch.root, n, patch.l_max, patch.complete_radius).radius
-    need = max(j_n, 2)
-    return frozenset(
+    vertex of the depth-n core is interior.  A patch with no such face
+    is too small to start a cover at all."""
+    patch = c.patch
+    need = max(dk_ball(c.g, patch.root, c.n).radius, 2)
+    eligible = frozenset(
         f for f in patch.faces if all(patch.complete_radius[v] >= need for v in f)
     )
+    if not eligible:
+        raise PatchTooSmallError(
+            f"patch too small: no face has complete_radius >= {need} at all its "
+            f"vertices; increase radius"
+        )
+    return eligible
 
 
 def _check_new_flag_colors(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -> None:
@@ -71,7 +77,6 @@ def _check_new_flag_colors(state: PartialCover, face: FaceBoundary, image: FaceB
                     f"step {state.step}: colour of {fl} is {cg} but its image has {ch}; "
                     f"h violates r-locality"
                 )
-            state.flag_colors.append((fl, img, cg))
 
 
 def _check_local_injectivity(state: PartialCover, face: FaceBoundary) -> None:
@@ -109,7 +114,7 @@ def init_cover(c: Coloring, host: Host, f: Flag, flag_h: Flag) -> PartialCover:
         face_image={},
         edge_image={},
         domain_edges_at={},
-        eligible=_eligible_faces(c.patch, c.n),
+        eligible=_eligible_faces(c),
         seed=(f, flag_h),
     )
     cg = color(c, f)
@@ -323,6 +328,8 @@ def default_seed(c: Coloring, host: Host) -> tuple[Flag, Flag]:
     flag of the least target vertex."""
     f = flags_at(c.g, c.patch.root)[0]
     want = color(c, f)
+    if not host.graph.vertices:
+        raise InputError("the target graph has no vertices")
     x0 = host.graph.vertices[0]
     for fh in flags_at(host, x0):
         if color_in_h(c, host, fh) == want:
@@ -335,12 +342,10 @@ def build_cover(
     h: Graph | PlanePatch,
     f: Flag | None = None,
     flag_h: Flag | None = None,
-    delta: FundamentalDomain | None = None,
     n: int | None = None,
     i_max: int = 4,
     guard: int = 2,
     tie_break: int = 0,
-    enumeration: list[FaceBoundary] | None = None,
 ) -> CoverMap:
     """Drive init/select/match/extend until the patch is exhausted.
 
@@ -350,8 +355,7 @@ def build_cover(
     """
     if n is None:
         n = stabilize_n(patch, i_max, guard)
-    if delta is None:
-        delta = i_fundamental_domain(patch, n)
+    delta = i_fundamental_domain(patch, n)
     c = Coloring(patch, delta, n)
     host = c.host_for(h)
     if f is None or flag_h is None:
@@ -359,8 +363,7 @@ def build_cover(
         f = df if f is None else f
         flag_h = dfh if flag_h is None else flag_h
     state = init_cover(c, host, f, flag_h)
-    if enumeration is None:
-        enumeration = face_enumeration(patch, tie_break)
+    enumeration = face_enumeration(patch, tie_break)
     while True:
         face = select_next_face(state, enumeration)
         if face is None:

@@ -45,6 +45,15 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _flag_arg(text: str | None, option: str) -> Flag | None:
+    if not text:
+        return None
+    try:
+        return Flag.from_json_dict(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{option} is not JSON: {exc}") from exc
+
+
 def _diag(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
@@ -145,8 +154,8 @@ def _cmd_flags(args) -> int:
 def _cmd_cover(args) -> int:
     patch = import_patch(_load_json(args.g_path))
     h = Graph.from_json_dict(_load_json(args.h_path))
-    f = Flag.from_json_dict(json.loads(args.seed_f)) if args.seed_f else None
-    flag_h = Flag.from_json_dict(json.loads(args.seed_h)) if args.seed_h else None
+    f = _flag_arg(args.seed_f, "--seed-f")
+    flag_h = _flag_arg(args.seed_h, "--seed-h")
     cov = build_cover(
         patch, h, f=f, flag_h=flag_h, n=args.n, i_max=args.i_max, guard=args.guard
     )
@@ -162,10 +171,10 @@ def _cmd_verify(args) -> int:
         seed_f = Flag.from_json_dict(cover_doc["seed"]["f"])
         seed_h = Flag.from_json_dict(cover_doc["seed"]["h"])
         n = int(cover_doc["n"])
+        stored = {int(a): int(b) for a, b in cover_doc.get("map", [])}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed cover JSON: {exc}") from exc
     cov = build_cover(patch, h, f=seed_f, flag_h=seed_h, n=n)
-    stored = {int(a): int(b) for a, b in cover_doc.get("map", [])}
     reports = {"rebuild_matches_file": cov.vertex_map == stored}
     rep = check_cover(cov, margin=args.margin)
     reports["cover"] = rep.to_json_dict()

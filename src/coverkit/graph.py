@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import InputError
+from .errors import DefectError, InputError
 
 Edge = tuple[int, int]
 
@@ -146,7 +146,8 @@ class RootedBall:
     dist: dict[int, int] = field(compare=False)
 
     def __post_init__(self) -> None:
-        assert all(d <= self.radius for d in self.dist.values())
+        if any(d > self.radius for d in self.dist.values()):
+            raise DefectError(f"ball of radius {self.radius} holds a vertex farther out")
 
     @property
     def n(self) -> int:

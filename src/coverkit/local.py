@@ -10,10 +10,11 @@ backtracking search and the r-locally-G certification.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
-from .errors import HypothesisViolationError, InputError, PatchTooSmallError
+from .errors import InputError, PatchTooSmallError
 from .graph import Graph, RootedBall, ball, edge_key, is_connected_excluding
 from .tessellation import FaceBoundary, PlanePatch
 
@@ -64,21 +65,15 @@ def peripheral_cycles_through(g: Graph, v: int, l_max: int) -> list[PeripheralCy
     return sorted(found)
 
 
-def dk_ball(
-    g: Graph,
-    o: int,
-    k: int,
-    l_max: int,
-    complete_radius: dict[int, int] | None = None,
-) -> RootedBall:
+def dk_ball(host: Host, o: int, k: int) -> RootedBall:
     """D_k(o): B_j(o) for the smallest j containing every vertex reachable
     by a chain of <= k pairwise-intersecting peripheral cycles from o.
 
-    When `complete_radius` is given (patch-hosted computation), the chain
-    search refuses to enumerate cycles at vertices whose surroundings are
-    not certified, and the final ball must fit inside the certified region;
-    it never silently truncates.
+    On a patch host every chain vertex must have complete surroundings to
+    radius 2 and the final ball must fit inside the certified region
+    (PatchTooSmallError otherwise); it never silently truncates.
     """
+    g = host.graph
     if o not in g:
         raise InputError(f"unknown vertex {o}")
     if k < 1:
@@ -89,12 +84,8 @@ def dk_ball(
     for _ in range(k):
         new_vertices: set[int] = set()
         for x in sorted(frontier):
-            if complete_radius is not None and complete_radius[x] < 2:
-                raise PatchTooSmallError(
-                    f"patch too small: D-ball chain reached vertex {x} with "
-                    f"complete_radius {complete_radius[x]} < 2"
-                )
-            for c in peripheral_cycles_through(g, x, l_max):
+            host.require_complete(x, 2)
+            for c in peripheral_cycles_through(g, x, host.l_max):
                 if c not in seen_cycles:
                     seen_cycles.add(c)
                     new_vertices.update(c.cycle)
@@ -102,48 +93,14 @@ def dk_ball(
         reach |= new_vertices
     dist = g.distances_from(o)
     j = max(dist[x] for x in reach)
-    if complete_radius is not None and complete_radius[o] < j:
-        raise PatchTooSmallError(
-            f"patch too small: D_{k}({o}) needs B_{j} but complete_radius is "
-            f"{complete_radius[o]}"
-        )
+    host.require_complete(o, j)
     return ball(g, o, j)
 
 
-def patch_dk_ball(patch: PlanePatch, v: int, k: int) -> RootedBall:
-    """D_k(v) inside a patch, guarded by the patch's completeness data."""
-    return dk_ball(patch.graph, v, k, patch.l_max, complete_radius=patch.complete_radius)
-
-
-def face_boundaries_at(
-    h: Graph, v: int, l_max: int, cross_check: bool = False
-) -> list[FaceBoundary]:
-    """The face-boundaries of H at v: peripheral cycles of D_2(v;H) through v.
-
-    With cross_check=True every returned cycle is additionally re-tested
-    for peripherality in all of H.
-    """
-    d2 = dk_ball(h, v, 2, l_max)
-    cycles = peripheral_cycles_through(d2.graph, v, l_max)
-    if cross_check:
-        for c in cycles:
-            if not _peripheral_in(h, c):
-                raise HypothesisViolationError(
-                    f"cycle {c} at {v} is peripheral in D_2 but not in the full graph"
-                )
-    return cycles
-
-
-def _peripheral_in(g: Graph, c: FaceBoundary) -> bool:
-    k = len(c)
-    cyc = c.cycle
-    for i in range(k):
-        for j in range(i + 1, k):
-            if (j - i) % k in (1, k - 1):
-                continue
-            if g.has_edge(cyc[i], cyc[j]):
-                return False
-    return is_connected_excluding(g, cyc)
+def face_boundaries_at(h: Graph, v: int, l_max: int) -> list[FaceBoundary]:
+    """The face-boundaries of H at v: peripheral cycles of D_2(v;H) through v."""
+    d2 = dk_ball(Host(h, l_max), v, 2)
+    return peripheral_cycles_through(d2.graph, v, l_max)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +120,6 @@ class FaceCore:
 
     rooted: RootedBall
     faces: frozenset[FaceBoundary]
-    levels: tuple[frozenset[FaceBoundary], ...]
 
     @property
     def root(self) -> int:
@@ -226,7 +182,6 @@ def face_core(host: Host, x: int, n: int) -> FaceCore:
     """
     if n < 1:
         raise InputError("need n >= 1")
-    levels: list[frozenset[FaceBoundary]] = []
     all_faces: set[FaceBoundary] = set()
     expanded: set[int] = set()
     frontier = {x}
@@ -238,12 +193,11 @@ def face_core(host: Host, x: int, n: int) -> FaceCore:
                 if fb not in all_faces:
                     new_faces.add(fb)
         all_faces |= new_faces
-        levels.append(frozenset(new_faces))
         frontier = {w for fb in all_faces for w in fb} - expanded
     verts = {x} | {w for fb in all_faces for w in fb}
     edges = [e for fb in all_faces for e in fb.edges]
     core_graph = Graph(verts, edges)
-    return FaceCore(as_rooted(core_graph, x), frozenset(all_faces), tuple(levels))
+    return FaceCore(as_rooted(core_graph, x), frozenset(all_faces))
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +223,6 @@ class Isomorphism:
 
     def map_cycle(self, c: FaceBoundary) -> FaceBoundary:
         return FaceBoundary([self.mapping[v] for v in c.cycle])
-
-    def inverse(self) -> "Isomorphism":
-        return Isomorphism(
-            {w: v for v, w in self.mapping.items()}, self.target_root, self.source_root
-        )
-
-    def compose(self, first: "Isomorphism") -> "Isomorphism":
-        """self after first: (self . first)(v) = self[first[v]]."""
-        return Isomorphism(
-            {v: self.mapping[w] for v, w in first.mapping.items()},
-            first.source_root,
-            self.target_root,
-        )
 
     def is_orientation_reversing(
         self,
@@ -363,8 +304,6 @@ def rooted_isomorphisms(
     if a.radius != b.radius or ga.n != gb.n or len(ga.edges) != len(gb.edges):
         return []
     col_a, col_b = _joint_refinement(a, b)
-    from collections import Counter
-
     if Counter(col_a.values()) != Counter(col_b.values()):
         return []
     if col_a[a.root] != col_b[b.root]:
@@ -386,31 +325,38 @@ def rooted_isomorphisms(
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            results.append(Isomorphism(dict(mapping), a.root, b.root))
-            return limit is not None and len(results) >= limit
-        v = order[i]
+    def candidates(v: int):
+        """Images of v consistent with the current partial map, lazily."""
         mapped_nbrs = [mapping[u] for u in ga.neighbors(v) if u in mapping]
-        n_mapped = sum(1 for u in ga.neighbors(v) if u in mapping)
-        candidates = [pres[v]] if v in pres else by_color.get(col_a[v], ())
-        for w in candidates:
+        for w in [pres[v]] if v in pres else by_color.get(col_a[v], ()):
             if w in used:
                 continue
             wn = gb.neighbors(w)
-            if sum(1 for x in wn if x in used) != n_mapped:
+            if sum(1 for x in wn if x in used) != len(mapped_nbrs):
                 continue
             if any(x not in wn for x in mapped_nbrs):
                 continue
-            mapping[v] = w
-            used.add(w)
-            if backtrack(i + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
+            yield w
 
-    backtrack(0)
+    # Depth-first search with one candidate iterator per mapped vertex;
+    # stack[i] enumerates the images of order[i].
+    stack = [candidates(order[0])]
+    while stack:
+        v = order[len(stack) - 1]
+        if v in mapping:
+            used.remove(mapping.pop(v))
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            continue
+        mapping[v] = w
+        used.add(w)
+        if len(stack) < len(order):
+            stack.append(candidates(order[len(stack)]))
+            continue
+        results.append(Isomorphism(dict(mapping), a.root, b.root))
+        if limit is not None and len(results) >= limit:
+            break
     return results
 
 

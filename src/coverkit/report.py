@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import DefectError
+
 
 @dataclass
 class CheckResult:
@@ -31,7 +33,8 @@ class VerificationReport:
 
     def add(self, name: str, passed: bool, witnesses: list | None = None, **info) -> CheckResult:
         c = CheckResult(name, passed, list(witnesses or []), dict(info))
-        assert c.passed or c.witnesses, f"failing check {name} must carry a witness"
+        if not (c.passed or c.witnesses):
+            raise DefectError(f"failing check {name} must carry a witness")
         self.checks.append(c)
         return c
 

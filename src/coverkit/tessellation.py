@@ -457,7 +457,8 @@ def import_patch(source: dict | str | Path) -> PlanePatch:
     are traced from the rotation; the closed-up map must be spherical
     (V - E + F = 2) or the rotation is rejected as non-planar.  No
     vertex-transitivity verification is performed: imports are trusted.
-    A malformed field of any kind raises InputError.
+    A declared schlafli {p,q} must match the face lengths and interior
+    degrees.  A malformed field of any kind raises InputError.
     """
     if not isinstance(source, dict):
         with open(source, "r", encoding="utf-8") as fh:
@@ -502,11 +503,27 @@ def import_patch(source: dict | str | Path) -> PlanePatch:
         faces.append(FaceBoundary(w))
     if declared_faces is not None and declared_faces != set(faces):
         raise InputError("declared faces disagree with the traced faces")
+    if schlafli is not None:
+        _check_schlafli(g, faces, set(outer), schlafli)
 
     crad = _complete_radius_from_boundary(g, set(outer))
     if declared_crad is not None and declared_crad != crad:
         raise InputError("declared complete_radius disagrees with recomputation")
     return PlanePatch(g, root, rotation, faces, outer, crad, schlafli)
+
+
+def _check_schlafli(
+    g: Graph, faces: list[FaceBoundary], outer: set[int], schlafli: tuple[int, ...]
+) -> None:
+    """A declared {p,q} must match the traced faces (length p) and the
+    interior degrees (q): it sets l_max for every face search."""
+    p, q = schlafli
+    for f in faces:
+        if len(f) != p:
+            raise InputError(f"schlafli declares p = {p} but face {f.cycle} has length {len(f)}")
+    for v in g.vertices:
+        if v not in outer and g.degree(v) != q:
+            raise InputError(f"schlafli declares q = {q} but interior vertex {v} has degree {g.degree(v)}")
 
 
 def _pick_outer(walks: list[tuple[int, ...]], declared) -> tuple[int, ...]:

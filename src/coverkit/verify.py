@@ -18,7 +18,7 @@ from .builder import CoverMap, build_cover
 from .errors import CoverKitError
 from .flags import Coloring, Flag, color, color_in_h, extend_iso
 from .graph import Graph, edge_key
-from .local import dk_ball, host_faces_at
+from .local import Host, dk_ball, host_faces_at
 from .report import VerificationReport
 from .tessellation import PlanePatch
 
@@ -90,8 +90,7 @@ def _sample_fiber_pairs(
     """Deterministic fiber pairs from the processed interior, round-robin
     across target vertices."""
     patch = cover.patch
-    r = cover.n + 1
-    j_r = dk_ball(patch.graph, patch.root, r, patch.l_max, patch.complete_radius).radius
+    j_r = dk_ball(Host(patch), patch.root, cover.n + 1).radius
     core = [v for v in cover.region_interior() if patch.complete_radius[v] >= j_r]
     fibers: dict[int, list[int]] = {}
     for v in core:

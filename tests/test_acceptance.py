@@ -118,7 +118,7 @@ def test_criterion_4_hyperbolic_machinery():
     delta = i_fundamental_domain(patch, n)
     assert len(delta) == 1
     r = n + 1
-    j_r = dk_ball(patch.graph, patch.root, r, patch.l_max, patch.complete_radius).radius
+    j_r = dk_ball(Host(patch), patch.root, r).radius
     c = Coloring(patch, delta, n)
     f0 = flags_at(c.g, patch.root)[0]
     eligible = [v for v in patch.graph.vertices if patch.complete_radius[v] >= j_r]
@@ -164,7 +164,7 @@ def test_criterion_5_face_inference_lemma():
         }
         assert {frozenset(frozenset(e) for e in f.edges) for f in inferred} == rotation_faces
         oracle = peripheral_cycles_oracle(
-            adjacency_of(dk_ball(torus.graph, v, 2, 4).graph), v, 4
+            adjacency_of(dk_ball(Host(torus.graph, 4), v, 2).graph), v, 4
         )
         assert {frozenset(frozenset(e) for e in f.edges) for f in inferred} == oracle
     interior = [v for v in patch.graph.vertices if patch.complete_radius[v] >= 2][:10]

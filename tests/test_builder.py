@@ -241,7 +241,7 @@ class TestBuildCover:
         delta = i_fundamental_domain(patch, n)
         assert len(delta) == 3
         target = squareoct_torus(4, 4)
-        cov = build_cover(patch, target, n=n, delta=delta)
+        cov = build_cover(patch, target, n=n)
         assert cov.surjective
         assert check_cover(cov).ok
         assert check_normality(cov, samples=10).ok
@@ -253,7 +253,7 @@ class TestBuildCover:
         n = stabilize_n(patch, 2, 2)
         delta = i_fundamental_domain(patch, n)
         assert (n, len(delta)) == (1, 1)
-        cov = build_cover(patch, patch, n=n, delta=delta)
+        cov = build_cover(patch, patch, n=n)
         assert all(k == v for k, v in cov.vertex_map.items())
         assert check_cover(cov).ok
 
@@ -266,7 +266,7 @@ class TestBuildCover:
         n = stabilize_n(patch, 3, 2)
         delta = i_fundamental_domain(patch, n)
         assert (n, len(delta)) == (1, 1)
-        cov = build_cover(patch, patch, n=n, delta=delta)
+        cov = build_cover(patch, patch, n=n)
         assert all(k == v for k, v in cov.vertex_map.items())
         assert check_cover(cov).ok
         rotated = build_cover(
@@ -275,7 +275,6 @@ class TestBuildCover:
             f=flags_at(Host(patch), patch.root)[0],
             flag_h=flags_at(Host(patch), patch.root)[5],
             n=n,
-            delta=delta,
         )
         vals = list(rotated.vertex_map.values())
         assert len(set(vals)) == len(vals)

@@ -143,6 +143,62 @@ class TestPipeline:
         lengths = sorted(len(f["face"]) for f in doc["delta"])
         assert lengths == [4, 8, 8]
 
+    def test_no_eligible_face_exit_3(self, artifacts, tmp_path, capsys):
+        # every face of a {4,4} R=3 patch touches a vertex of complete_radius < 2
+        g = tmp_path / "g3.json"
+        assert main(["gen", "--p", "4", "--q", "4", "--radius", "3", "-o", str(g)]) == 0
+        _, _, t = artifacts
+        code, _, err = run(["cover", "--g", str(g), "--h", str(t), "-o", str(tmp_path / "c.json")], capsys)
+        assert code == 3
+        assert json.loads(err)["error"] == "patch-too-small"
+
+    def test_margin_seed_exit_2(self, artifacts, capsys):
+        # a colour-matched seed pair whose patch face has a vertex at
+        # complete_radius 1: the patch is large enough, the seed is not
+        d, g, t = artifacts
+        f = {"v": 81, "e": [81, 109], "face": [81, 109, 141, 113]}
+        fh = {"v": 0, "e": [0, 1], "face": [0, 1, 8, 7]}
+        assert min(json.loads(g.read_text())["complete_radius"][str(v)] for v in f["face"]) == 1
+        code, _, err = run(
+            [
+                "cover", "--g", str(g), "--h", str(t),
+                "--seed-f", json.dumps(f), "--seed-h", json.dumps(fh),
+                "-o", str(d / "m.json"),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "too close to the patch margin" in json.loads(err)["message"]
+
+
+def _cover_with_int_map(d, g, t):
+    cov = d / "c5.json"
+    assert main(["cover", "--g", str(g), "--h", str(t), "-o", str(cov)]) == 0
+    doc = json.loads(cov.read_text())
+    doc["map"] = 5
+    cov.write_text(json.dumps(doc))
+    return ["verify", "--cover", str(cov), "--g", str(g), "--h", str(t)]
+
+
+def _cover_with_unparsable_seed(d, g, t):
+    return ["cover", "--g", str(g), "--h", str(t), "--seed-f", "notjson", "-o", str(d / "x.json")]
+
+
+def _cover_onto_empty_graph(d, g, t):
+    empty = d / "empty.json"
+    empty.write_text(json.dumps({"n": 0, "edges": []}))
+    return ["cover", "--g", str(g), "--h", str(empty), "-o", str(d / "x.json")]
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize(
+        "make_argv", [_cover_with_int_map, _cover_with_unparsable_seed, _cover_onto_empty_graph]
+    )
+    def test_input_error_exit_2(self, artifacts, capsys, make_argv):
+        code, _, err = run(make_argv(*artifacts), capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "input"
+
 
 class TestMalformedPatch:
     @pytest.mark.parametrize(
@@ -157,6 +213,8 @@ class TestMalformedPatch:
             ("outer", 3),
             ("outer", ["a"]),
             ("rotation", [1, 2]),
+            ("schlafli", [3, 4]),
+            ("schlafli", [4, 5]),
         ],
     )
     def test_input_error_exit_2(self, tmp_path, capsys, field, value):

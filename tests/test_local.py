@@ -8,8 +8,8 @@ from coverkit import (
     dk_ball,
     face_boundaries_at,
     face_core,
+    generate,
     is_r_locally,
-    patch_dk_ball,
     peripheral_cycles_through,
     rooted_isomorphisms,
 )
@@ -39,7 +39,7 @@ class TestPeripheralCycles:
         assert len(got) == 1 and len(got[0]) == 6
 
     def test_torus_d2_ball_has_four_grid_faces(self, torus57):
-        d2 = dk_ball(torus57.graph, 0, 2, 4)
+        d2 = dk_ball(Host(torus57.graph, 4), 0, 2)
         got = peripheral_cycles_through(d2.graph, 0, 4)
         want = peripheral_cycles_oracle(adjacency_of(d2.graph), 0, 4)
         assert len(got) == 4
@@ -81,7 +81,7 @@ class TestPeripheralCycles:
 
 class TestDkBall:
     def test_d1_equals_b2_on_lattice(self, patch44_r6):
-        d1 = patch_dk_ball(patch44_r6, patch44_r6.root, 1)
+        d1 = dk_ball(Host(patch44_r6), patch44_r6.root, 1)
         b2 = ball(patch44_r6.graph, patch44_r6.root, 2)
         assert d1.radius == 2
         assert set(d1.graph.vertices) == set(b2.graph.vertices)
@@ -90,26 +90,26 @@ class TestDkBall:
         assert max(abs(x) + abs(y) for x, y in reach) == 2
 
     def test_d2_equals_b4_on_lattice(self, patch44_r6):
-        d2 = patch_dk_ball(patch44_r6, patch44_r6.root, 2)
+        d2 = dk_ball(Host(patch44_r6), patch44_r6.root, 2)
         assert d2.radius == 4
         assert set(d2.graph.vertices) == set(
             ball(patch44_r6.graph, patch44_r6.root, 4).graph.vertices
         )
 
     def test_torus_d1(self, torus57):
-        d1 = dk_ball(torus57.graph, 0, 1, 4)
+        d1 = dk_ball(Host(torus57.graph, 4), 0, 1)
         assert d1.radius == 2
         assert set(d1.graph.vertices) == set(ball(torus57.graph, 0, 2).graph.vertices)
 
     def test_monotone_in_k(self, patch44_r10):
-        d1 = patch_dk_ball(patch44_r10, patch44_r10.root, 1)
-        d2 = patch_dk_ball(patch44_r10, patch44_r10.root, 2)
+        d1 = dk_ball(Host(patch44_r10), patch44_r10.root, 1)
+        d2 = dk_ball(Host(patch44_r10), patch44_r10.root, 2)
         assert set(d1.graph.vertices) <= set(d2.graph.vertices)
 
     def test_patch_too_small_never_truncates(self, patch44_r6):
         margin_vertex = patch44_r6.outer[0]
         with pytest.raises(PatchTooSmallError):
-            patch_dk_ball(patch44_r6, margin_vertex, 1)
+            dk_ball(Host(patch44_r6), margin_vertex, 1)
 
 
 class TestFaceBoundariesAt:
@@ -127,8 +127,13 @@ class TestFaceBoundariesAt:
         fb = face_boundaries_at(klein66.graph, 0, 4)
         assert len(fb) == 4 and all(len(f) == 4 for f in fb)
 
-    def test_cross_check_mode(self, torus57):
-        assert face_boundaries_at(torus57.graph, 0, 4, cross_check=True)
+    def test_peripheral_in_whole_graph(self, torus57):
+        # every face-boundary at v is also peripheral in all of H
+        g = torus57.graph
+        for v in (0, 6, 34):
+            fb = face_boundaries_at(g, v, 4)
+            assert fb
+            assert as_edge_sets(fb) == peripheral_cycles_oracle(adjacency_of(g), v, 4)
 
 
 class TestRootedIsomorphisms:
@@ -142,7 +147,7 @@ class TestRootedIsomorphisms:
         assert len(rooted_isomorphisms(b, b)) == 24
 
     def test_d1_has_8_confirmed_by_oracle(self, patch44_r6):
-        d1 = patch_dk_ball(patch44_r6, patch44_r6.root, 1)
+        d1 = dk_ball(Host(patch44_r6), patch44_r6.root, 1)
         got = rooted_isomorphisms(d1, d1)
         adj = adjacency_of(d1.graph)
         brute = brute_rooted_isomorphisms(adj, d1.root, adj, d1.root)
@@ -156,16 +161,16 @@ class TestRootedIsomorphisms:
         ba = rooted_isomorphisms(b, a)
         assert bool(ab) == bool(ba)
         i = ab[0]
-        assert i.inverse().mapping in [j.mapping for j in ba]
-        comp = i.inverse().compose(i)
-        assert all(comp[v] == v for v in a.graph.vertices)
+        inverse = {w: v for v, w in i.mapping.items()}
+        assert inverse in [j.mapping for j in ba]
+        assert all(inverse[i[v]] == v for v in a.graph.vertices)
 
     def test_limit_respected(self, patch44_r6):
         b = ball(patch44_r6.graph, patch44_r6.root, 1)
         assert len(rooted_isomorphisms(b, b, limit=5)) == 5
 
     def test_prescription_constrains(self, patch44_r6):
-        d1 = patch_dk_ball(patch44_r6, patch44_r6.root, 1)
+        d1 = dk_ball(Host(patch44_r6), patch44_r6.root, 1)
         nbrs = patch44_r6.graph.neighbors(patch44_r6.root)
         pres = {nbrs[0]: nbrs[0], nbrs[1]: nbrs[1]}
         isos = rooted_isomorphisms(d1, d1, prescribed=pres)
@@ -175,6 +180,16 @@ class TestRootedIsomorphisms:
         a = ball(patch44_r6.graph, patch44_r6.root, 1)
         b = ball(patch63_r10.graph, patch63_r10.root, 1)
         assert rooted_isomorphisms(a, b) == []
+
+    def test_search_depth_not_bounded_by_recursion_limit(self):
+        # one search level per vertex: 1,201 levels exceed Python's default
+        # recursion limit, so the search must keep its own stack
+        p = generate(4, 4, 30)
+        b = ball(p.graph, p.root, 24)
+        assert b.n == 1201
+        isos = rooted_isomorphisms(b, b, limit=1)
+        assert len(isos) == 1
+        assert all(k == v for k, v in isos[0].mapping.items())
 
 
 class TestFaceCore:

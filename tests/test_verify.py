@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from coverkit import (
@@ -188,3 +193,32 @@ class TestDeckOracleAgreement:
             for gen in deck_generators(inst, patch44_r10):
                 assert gen
                 assert all(proj[gen[v]] == proj[v] for v in gen)
+
+
+CHECKS_UNDER_O = """
+from coverkit import DefectError, Graph, RootedBall, VerificationReport
+
+try:
+    VerificationReport().add("x", False)
+except DefectError:
+    print("rejected failing check without witness")
+try:
+    RootedBall(Graph([0, 1], [(0, 1)]), 0, 0, {0: 0, 1: 1})
+except DefectError:
+    print("rejected vertex beyond the radius")
+"""
+
+
+class TestChecksUnderOptimize:
+    def test_report_and_ball_checks_survive_dash_o(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", CHECKS_UNDER_O], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "rejected failing check without witness",
+            "rejected vertex beyond the radius",
+        ]
