@@ -358,6 +358,7 @@ def build_cover(
     delta = i_fundamental_domain(patch, n)
     c = Coloring(patch, delta, n)
     host = c.host_for(h)
+    host.fill_chain_cycles()
     if f is None or flag_h is None:
         df, dfh = default_seed(c, host)
         f = df if f is None else f

@@ -333,7 +333,8 @@ def make_example_K(l: int, k: int) -> ExampleK:
                 edges.add(edge_key(x(i, j), y(i, jj)))
     g = Graph(range(2 * nk), edges)
     for v in g.vertices:
-        assert g.degree(v) == 4 + k, f"vertex {v} has degree {g.degree(v)}"
+        if g.degree(v) != 4 + k:
+            raise DefectError(f"vertex {v} has degree {g.degree(v)}")
     labels = {x(i, j): ("x", i, j) for i in range(l) for j in range(k)}
     labels.update({y(i, j): ("y", i, j) for i in range(l) for j in range(k)})
     return ExampleK(l, k, g, labels)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 
 from .errors import InputError, PatchTooSmallError
 from .graph import Graph, RootedBall, ball, edge_key, is_connected_excluding
@@ -24,18 +23,14 @@ from .tessellation import FaceBoundary, PlanePatch
 PeripheralCycle = FaceBoundary
 
 
-def peripheral_cycles_through(g: Graph, v: int, l_max: int) -> list[PeripheralCycle]:
-    """All induced non-separating cycles through v with at most l_max vertices.
+def _chordless_cycles_through(g: Graph, v: int, l_max: int) -> list[FaceBoundary]:
+    """All induced cycles through v with at most l_max vertices, untested
+    for separation.
 
     Enumeration is a DFS over chordless paths in ascending id order; each
-    cycle is reported once, in canonical rotation.  A cycle whose removal
-    leaves no vertices counts as non-separating.
+    cycle is reported once, in canonical rotation.
     """
-    if v not in g:
-        raise InputError(f"unknown vertex {v}")
-    if l_max < 3:
-        return []
-    found: list[PeripheralCycle] = []
+    found: list[FaceBoundary] = []
     path = [v]
     on_path = {v}
 
@@ -50,9 +45,7 @@ def peripheral_cycles_through(g: Graph, v: int, l_max: int) -> list[PeripheralCy
             if len(path) >= 2 and g.has_edge(u, v):
                 # adjacency back to v forces closure here
                 if path[1] < u:
-                    cyc = path + [u]
-                    if is_connected_excluding(g, cyc):
-                        found.append(FaceBoundary(cyc))
+                    found.append(FaceBoundary(path + [u]))
                 continue
             if len(path) + 1 <= l_max - 1:
                 path.append(u)
@@ -62,33 +55,41 @@ def peripheral_cycles_through(g: Graph, v: int, l_max: int) -> list[PeripheralCy
                 on_path.remove(u)
 
     extend()
-    return sorted(found)
+    return found
+
+
+def peripheral_cycles_through(g: Graph, v: int, l_max: int) -> list[PeripheralCycle]:
+    """All induced non-separating cycles through v with at most l_max
+    vertices, sorted.  A cycle whose removal leaves no vertices counts as
+    non-separating.
+    """
+    if v not in g:
+        raise InputError(f"unknown vertex {v}")
+    return list(Host(g, l_max).chain_cycles(v))
 
 
 def dk_ball(host: Host, o: int, k: int) -> RootedBall:
     """D_k(o): B_j(o) for the smallest j containing every vertex reachable
     by a chain of <= k pairwise-intersecting peripheral cycles from o.
 
-    On a patch host every chain vertex must have complete surroundings to
-    radius 2 and the final ball must fit inside the certified region
-    (PatchTooSmallError otherwise); it never silently truncates.
+    The chain cycles are peripheral in all of the host graph
+    (`Host.chain_cycles`).  On a patch host every chain vertex must have
+    complete surroundings to radius 2 and the final ball must fit inside
+    the certified region (PatchTooSmallError otherwise); it never
+    silently truncates.
     """
     g = host.graph
     if o not in g:
         raise InputError(f"unknown vertex {o}")
     if k < 1:
         raise InputError("need k >= 1")
-    seen_cycles: set[PeripheralCycle] = set()
     reach: set[int] = {o}
     frontier: set[int] = {o}
     for _ in range(k):
         new_vertices: set[int] = set()
         for x in sorted(frontier):
-            host.require_complete(x, 2)
-            for c in peripheral_cycles_through(g, x, host.l_max):
-                if c not in seen_cycles:
-                    seen_cycles.add(c)
-                    new_vertices.update(c.cycle)
+            for c in host.chain_cycles(x):
+                new_vertices.update(c.cycle)
         frontier = new_vertices - reach
         reach |= new_vertices
     dist = g.distances_from(o)
@@ -98,9 +99,10 @@ def dk_ball(host: Host, o: int, k: int) -> RootedBall:
 
 
 def face_boundaries_at(h: Graph, v: int, l_max: int) -> list[FaceBoundary]:
-    """The face-boundaries of H at v: peripheral cycles of D_2(v;H) through v."""
-    d2 = dk_ball(Host(h, l_max), v, 2)
-    return peripheral_cycles_through(d2.graph, v, l_max)
+    """The face-boundaries of H at v: peripheral cycles of D_2(v;H) through
+    v, found on a new Host (repeated queries belong on one Host, through
+    host_faces_at)."""
+    return list(host_faces_at(Host(h, l_max), v))
 
 
 # ---------------------------------------------------------------------------
@@ -132,31 +134,78 @@ class Host:
     A patch host serves the patch's traced faces, at interior vertices
     only, and its completeness guard; the patch brings its own l_max.  A
     plain graph host infers face-boundaries with cycle length bound l_max
-    and has no margin.  Faces are memoised per vertex inside the host, so
-    no host ever serves another graph's faces; a new Host starts empty.
+    and has no margin.  Faces and chain cycles are memoised per vertex
+    inside the host, and each cycle's non-separation in the whole graph
+    is tested once per host, so no host ever serves another graph's
+    faces; a new Host starts empty.  The memos fill lazily: a run touches
+    only the vertices it asks about, which on a large patch host is a
+    small part of the graph; a cover build fills a graph host's chain
+    cycles at once (`fill_chain_cycles`).  Nothing in a Host refers back
+    to it, so a dropped Host is freed at once, without the cyclic garbage
+    collector.
     """
 
     def __init__(self, source: Graph | PlanePatch, l_max: int | None = None):
         self.source = source
         self._faces: dict[int, tuple[FaceBoundary, ...]] = {}
+        self._chain: dict[int, tuple[PeripheralCycle, ...]] = {}
+        self._nonseparating: dict[FaceBoundary, bool] = {}
         if isinstance(source, PlanePatch):
             self.graph, self.l_max = source.graph, source.l_max
             self.require_complete = source.require_complete
-            self._find_faces = partial(_traced_faces, source)
+            self._find_faces, self._fill_from = _traced_faces, ()
         else:
             if l_max is None:
                 raise InputError("face enumeration on a Graph needs l_max")
             self.graph, self.l_max = source, l_max
             self.require_complete = _no_margin
-            self._find_faces = lambda v: tuple(face_boundaries_at(source, v, l_max))
+            self._find_faces, self._fill_from = _inferred_faces, source.vertices
+
+    def chain_cycles(self, x: int) -> tuple[PeripheralCycle, ...]:
+        """The peripheral cycles through x in the whole host graph, sorted:
+        the links of D-ball chains.  Enumerated once per vertex; a cycle
+        met from several of its vertices is tested once.  On a patch host
+        x must have complete surroundings to radius 2 (PatchTooSmallError
+        otherwise)."""
+        self.require_complete(x, 2)
+        cycles = self._chain.get(x)
+        if cycles is None:
+            g, verdicts = self.graph, self._nonseparating
+            found = []
+            for c in _chordless_cycles_through(g, x, self.l_max):
+                ok = verdicts.get(c)
+                if ok is None:
+                    ok = verdicts[c] = is_connected_excluding(g, c.cycle)
+                if ok:
+                    found.append(c)
+            cycles = self._chain[x] = tuple(sorted(found))
+        return cycles
+
+    def fill_chain_cycles(self) -> None:
+        """Find the chain cycles of every vertex of a graph host now.  A
+        cover is onto its target, so building one asks for nearly all of
+        them anyway, and finding them first makes the build's work depend
+        on the target graph alone, not on where in it the image lies.  A
+        patch host does nothing: its margin has no complete chain cycles,
+        and a run asks for few of its vertices."""
+        for x in self._fill_from:
+            self.chain_cycles(x)
 
 
-def _traced_faces(patch: PlanePatch, v: int) -> tuple[FaceBoundary, ...]:
+def _traced_faces(host: Host, v: int) -> tuple[FaceBoundary, ...]:
+    patch = host.source
     if not patch.is_interior(v):
         raise PatchTooSmallError(
             f"patch too small: faces at boundary vertex {v} are not all known"
         )
     return patch.faces_at(v)
+
+
+def _inferred_faces(host: Host, v: int) -> tuple[FaceBoundary, ...]:
+    """Peripheral cycles of D_2(v) through v.  Peripheral here means in
+    the ball's own graph, not in all of H as for chain cycles."""
+    d2 = dk_ball(host, v, 2)
+    return tuple(peripheral_cycles_through(d2.graph, v, host.l_max))
 
 
 def _no_margin(v: int, radius: int) -> None:
@@ -168,7 +217,7 @@ def host_faces_at(host: Host, v: int) -> tuple[FaceBoundary, ...]:
     interior), inferred peripheral cycles on a graph host."""
     faces = host._faces.get(v)
     if faces is None:
-        faces = host._faces[v] = host._find_faces(v)
+        faces = host._faces[v] = host._find_faces(host, v)
     return faces
 
 

@@ -21,7 +21,7 @@ from collections import deque
 from pathlib import Path
 from typing import Sequence
 
-from .errors import InputError, PatchTooSmallError
+from .errors import DefectError, InputError, PatchTooSmallError
 from .graph import Graph, RootedBall, ball, edge_key
 
 
@@ -94,7 +94,8 @@ def _canonical_cycle(t: tuple[int, ...]) -> tuple[int, ...]:
             cand = seq[s:] + seq[:s]
             if best is None or cand < best:
                 best = cand
-    assert best is not None
+    if best is None:
+        raise DefectError("cannot canonicalise an empty cycle")
     return best
 
 
@@ -132,7 +133,8 @@ def trace_faces(g: Graph, rotation: dict[int, Sequence[int]]) -> list[tuple[int,
                 seen.add((a, b))
                 walk.append(b)
                 a, b = b, succ[b][a]
-            assert (a, b) == (u, v), "dart orbit did not close on its start"
+            if (a, b) != (u, v):
+                raise DefectError("dart orbit did not close on its start")
             walks.append(_canonical_walk(tuple(walk[:-1])))
     return walks
 
@@ -233,7 +235,8 @@ class PlanePatch:
         """The unique face at v containing both edges va and vb."""
         ea, eb = edge_key(v, a), edge_key(v, b)
         hits = [f for f in self._faces_at[v] if ea in f.edges and eb in f.edges]
-        assert len(hits) == 1, f"corner ({a},{b}) at {v} has {len(hits)} faces"
+        if len(hits) != 1:
+            raise DefectError(f"corner ({a},{b}) at {v} has {len(hits)} faces")
         return hits[0]
 
     def __eq__(self, other: object) -> bool:
@@ -300,22 +303,26 @@ class _PatchBuilder:
         """Close the next face in the outer corner at v (after arc_v[-1])."""
         p = self.p
         arc = self.arc
-        assert self.remaining(v) >= 1
+        if self.remaining(v) < 1:
+            raise DefectError(f"vertex {v} already carries all its faces")
         if not arc[v]:
             path = [v]  # the root's first face
         else:
             back = [arc[v][-1]]
             while self.remaining(back[-1]) == 1:
                 back.append(arc[back[-1]][-1])
-                assert len(back) < p
+                if len(back) >= p:
+                    raise DefectError(f"backward boundary run at {v} reached length {p}")
             fwd: list[int] = []
             if self.remaining(v) == 1:
                 fwd.append(arc[v][0])
                 while self.remaining(fwd[-1]) == 1:
                     fwd.append(arc[fwd[-1]][0])
-                    assert len(fwd) < p
+                    if len(fwd) >= p:
+                        raise DefectError(f"forward boundary run at {v} reached length {p}")
             path = back[::-1] + [v] + fwd
-        assert len(path) <= p and len(set(path)) == len(path)
+        if len(path) > p or len(set(path)) != len(path):
+            raise DefectError(f"attaching path {path} is not a simple path of <= {p} vertices")
 
         chain = [self.new_vertex() for _ in range(p - len(path))]
         left, right = path[0], path[-1]
@@ -327,17 +334,17 @@ class _PatchBuilder:
                 arc[m] = [nodes[i], nodes[i + 2]]
             arc[left].insert(0, chain[-1])
         else:
-            assert left != right and left not in arc[right], "tessellation closed on itself"
+            if left == right or left in arc[right]:
+                raise DefectError("tessellation closed on itself")
             arc[right].append(left)
             arc[left].insert(0, right)
 
         for x in cycle:
             self.nfaces[x] += 1
-            assert self.nfaces[x] <= self.q
-            if self.nfaces[x] == self.q:
-                assert len(arc[x]) == self.q
-            else:
-                assert len(arc[x]) == self.nfaces[x] + 1
+            if self.nfaces[x] > self.q:
+                raise DefectError(f"vertex {x} carries more than {self.q} faces")
+            if len(arc[x]) != (self.q if self.nfaces[x] == self.q else self.nfaces[x] + 1):
+                raise DefectError(f"vertex {x} has {len(arc[x])} edges for {self.nfaces[x]} faces")
         self.face_cycles.append(tuple(cycle))
 
     def complete_vertex(self, v: int) -> None:
@@ -382,14 +389,17 @@ def generate(p: int, q: int, R: int) -> PlanePatch:
     graph = Graph(range(nverts), edges)
     rotation = {v: tuple(b.arc[v]) for v in range(nverts)}
     faces = [FaceBoundary(c) for c in b.face_cycles]
-    assert len(set(faces)) == len(faces)
+    if len(set(faces)) != len(faces):
+        raise DefectError("generation produced a face twice")
 
     outer = _identify_outer(graph, rotation, frozenset(faces))
     interior = {v for v in range(nverts) if b.nfaces[v] == q}
-    assert interior == set(range(nverts)) - set(outer)
+    if interior != set(range(nverts)) - set(outer):
+        raise DefectError("the complete vertices are not exactly those off the outer walk")
 
     crad = _complete_radius_from_boundary(graph, set(outer))
-    assert crad[o] >= R
+    if crad[o] < R:
+        raise DefectError(f"root complete_radius {crad[o]} < requested radius {R}")
     patch = PlanePatch(graph, o, rotation, faces, outer, crad, (p, q))
     return patch
 
@@ -403,7 +413,8 @@ def _identify_outer(
     for w in trace_faces(g, rotation):
         if len(w) > max_len or not (_is_simple_walk(w) and FaceBoundary(w) in faces):
             leftovers.append(w)
-    assert len(leftovers) == 1, f"expected one outer walk, found {len(leftovers)}"
+    if len(leftovers) != 1:
+        raise DefectError(f"expected one outer walk, found {len(leftovers)}")
     return leftovers[0]
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from .builder import CoverMap, build_cover
-from .errors import CoverKitError
+from .errors import CoverKitError, InputError
 from .flags import Coloring, Flag, color, color_in_h, extend_iso
 from .graph import Graph, edge_key
 from .local import Host, dk_ball, host_faces_at
@@ -28,7 +28,7 @@ def check_cover(cover: CoverMap, margin: int = 1) -> VerificationReport:
     neighbourhood, the edge map to the image neighbourhood is a bijection.
     Also reports fiber sizes over the checked region."""
     if margin < 1:
-        raise CoverKitError("margin must be >= 1")
+        raise InputError("margin must be >= 1")
     patch, h = cover.patch, cover.h.graph
     vmap = cover.vertex_map
     report = VerificationReport()
@@ -128,7 +128,11 @@ def check_normality(
     with the cover wherever both sides are defined.  Each reconstructed
     transformation is classified as orientation-preserving or reversing.
     Colours and faces are computed afresh, not taken from the build.
+    A sample of fewer than one pair is an input error: it would check
+    nothing, yet read as trivial normality.
     """
+    if samples < 1 and not exhaustive:
+        raise InputError("samples must be >= 1")
     patch = cover.patch
     r = cover.n + 1
     rng = random.Random(rng_seed)

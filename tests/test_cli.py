@@ -190,9 +190,38 @@ def _cover_onto_empty_graph(d, g, t):
     return ["cover", "--g", str(g), "--h", str(empty), "-o", str(d / "x.json")]
 
 
+def _verify_argv(d, g, t, *options):
+    cov = d / "cv.json"
+    if not cov.exists():
+        assert main(["cover", "--g", str(g), "--h", str(t), "-o", str(cov)]) == 0
+    return ["verify", "--cover", str(cov), "--g", str(g), "--h", str(t), *options]
+
+
+def _verify_with_zero_samples(d, g, t):
+    # the fibres of this cover hold 2 to 4 vertices: an empty sample
+    # must not read as trivial normality
+    return _verify_argv(d, g, t, "--normality", "--samples", "0")
+
+
+def _verify_with_negative_samples(d, g, t):
+    return _verify_argv(d, g, t, "--normality", "--samples", "-1")
+
+
+def _verify_with_zero_margin(d, g, t):
+    return _verify_argv(d, g, t, "--margin", "0")
+
+
 class TestBadInputs:
     @pytest.mark.parametrize(
-        "make_argv", [_cover_with_int_map, _cover_with_unparsable_seed, _cover_onto_empty_graph]
+        "make_argv",
+        [
+            _cover_with_int_map,
+            _cover_with_unparsable_seed,
+            _cover_onto_empty_graph,
+            _verify_with_zero_samples,
+            _verify_with_negative_samples,
+            _verify_with_zero_margin,
+        ],
     )
     def test_input_error_exit_2(self, artifacts, capsys, make_argv):
         code, _, err = run(make_argv(*artifacts), capsys)

@@ -1,18 +1,28 @@
+import gc
+import random
+import weakref
+from collections import Counter
+
 import pytest
 
+import coverkit.local as local
 from coverkit import (
     Graph,
     Host,
     PatchTooSmallError,
+    QuotientSpec,
     ball,
+    build_cover,
     dk_ball,
     face_boundaries_at,
     face_core,
     generate,
     is_r_locally,
+    make_quotient,
     peripheral_cycles_through,
     rooted_isomorphisms,
 )
+from coverkit.local import host_faces_at
 from .oracles import (
     adjacency_of,
     brute_rooted_isomorphisms,
@@ -110,6 +120,106 @@ class TestDkBall:
         margin_vertex = patch44_r6.outer[0]
         with pytest.raises(PatchTooSmallError):
             dk_ball(Host(patch44_r6), margin_vertex, 1)
+        with pytest.raises(PatchTooSmallError):
+            Host(patch44_r6).chain_cycles(margin_vertex)
+
+
+def _cycle_edges(cycle):
+    k = len(cycle)
+    return frozenset(frozenset((cycle[i], cycle[(i + 1) % k])) for i in range(k))
+
+
+@pytest.fixture(
+    scope="module",
+    params=[("torus", 9, 9, 4), ("klein", 12, 12, 4), ("hex_torus", 8, 8, 6)],
+    ids=["torus9x9", "klein12x12", "hex8x8"],
+)
+def ladder_target(request):
+    kind, m, n, l_max = request.param
+    return make_quotient(QuotientSpec(kind, m, n)).graph, l_max
+
+
+class TestChainCyclesAgainstNetworkx:
+    """The host's chain cycles against networkx on targets too large for
+    the brute-force oracles."""
+
+    def test_chain_cycles_are_chordless_nonseparating_cycles(self, ladder_target):
+        nx = pytest.importorskip("networkx")
+        g, l_max = ladder_target
+        big = nx.Graph(list(g.edges))
+        want: dict[int, set] = {v: set() for v in g.vertices}
+        for cyc in nx.chordless_cycles(big, length_bound=l_max):
+            rest = set(big) - set(cyc)
+            if not rest or nx.is_connected(big.subgraph(rest)):
+                for v in cyc:
+                    want[v].add(_cycle_edges(cyc))
+        host = Host(g, l_max)
+        for v in g.vertices:
+            assert as_edge_sets(host.chain_cycles(v)) == want[v]
+
+    def test_warm_host_serves_the_faces_of_a_cold_one(self, ladder_target):
+        g, l_max = ladder_target
+        warm = Host(g, l_max)
+        for v in reversed(g.vertices):
+            host_faces_at(warm, v)
+        for v in g.vertices:
+            assert list(host_faces_at(warm, v)) == face_boundaries_at(g, v, l_max)
+
+
+class TestFaceInferenceWork:
+    def test_each_cycle_tested_once_per_graph(self, patch44_r10, torus57, monkeypatch):
+        tested: Counter = Counter()
+        graphs = []  # keeps every tested graph alive, so its id stays unique
+        real = local.is_connected_excluding
+
+        def counting(g, removed):
+            graphs.append(g)
+            tested[(id(g), frozenset(removed))] += 1
+            return real(g, removed)
+
+        monkeypatch.setattr(local, "is_connected_excluding", counting)
+        build_cover(patch44_r10, torus57.graph)
+        assert max(tested.values()) == 1
+        # 179 tests on the patch, the torus and its 35 D_2 balls; 1,404
+        # when every D-ball chain retested its cycles on all of H
+        assert sum(tested.values()) <= 200
+
+    def test_build_work_does_not_depend_on_the_labelling(self, monkeypatch):
+        # the image of a {4,4} R=8 patch covers 81 of the 144 vertices of
+        # a Klein bottle; how many chain vertices surround it depends on
+        # where it lies, so only a filled target host makes the work the
+        # same for every labelling (468, 466 and 462 tests when lazy)
+        patch = generate(4, 4, 8)
+        klein = make_quotient(QuotientSpec("klein", 12, 12)).graph
+        calls = [0]
+        real = local.is_connected_excluding
+
+        def counting(g, removed):
+            calls[0] += 1
+            return real(g, removed)
+
+        monkeypatch.setattr(local, "is_connected_excluding", counting)
+        counts = set()
+        for seed in (1, 3, 5):
+            perm = list(klein.vertices)
+            random.Random(seed).shuffle(perm)
+            calls[0] = 0
+            build_cover(patch, Graph(klein.vertices, [(perm[u], perm[v]) for u, v in klein.edges]))
+            counts.add(calls[0])
+        assert len(counts) == 1
+
+    def test_dropped_host_is_freed_without_the_cycle_collector(self, torus57):
+        host = Host(torus57.graph, 4)
+        for v in torus57.graph.vertices:
+            host_faces_at(host, v)
+        dk_ball(host, 0, 3)
+        ref = weakref.ref(host)
+        gc.disable()
+        try:
+            del host
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestFaceBoundariesAt:

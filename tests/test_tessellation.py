@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverkit import (
+    DefectError,
     FaceBoundary,
     Graph,
     InputError,
@@ -16,7 +17,7 @@ from coverkit import (
     trace_faces,
 )
 from coverkit.graph import RootedBall
-from coverkit.tessellation import _is_simple_walk
+from coverkit.tessellation import _is_simple_walk, _PatchBuilder
 
 from .oracles import z2_ball
 
@@ -115,6 +116,22 @@ class TestGenerate:
             if r >= 1:
                 for u, d in p.graph.distances_from(v, limit=r).items():
                     assert p.is_interior(u) or d == r
+
+
+class TestStructuralChecks:
+    # explicit raises, not asserts: they hold under python -O as well
+    def test_corner_without_a_face_is_a_defect(self, patch44_r6):
+        v = patch44_r6.root
+        rot = patch44_r6.rotation[v]
+        with pytest.raises(DefectError, match="has 0 faces"):
+            patch44_r6.corner_face(v, rot[0], rot[2])  # opposite edges share no face
+
+    def test_face_beyond_the_vertex_degree_is_a_defect(self):
+        b = _PatchBuilder(4, 4)
+        v = b.new_vertex()
+        b.complete_vertex(v)
+        with pytest.raises(DefectError, match="already carries all its faces"):
+            b.add_face_at(v)
 
 
 class TestTraceFaces:
