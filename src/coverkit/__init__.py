@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 from .builder import (
     CoverMap,
+    CoverRun,
     PartialCover,
     build_cover,
     default_seed,

@@ -39,7 +39,6 @@ class PartialCover:
     domain_edges_at: dict[int, set[Edge]]
     eligible: frozenset[FaceBoundary]
     step: int = 0
-    seed: tuple[Flag, Flag] | None = None
     log: list[dict] = field(default_factory=list)
 
     def frontier_vertices(self) -> set[int]:
@@ -115,7 +114,6 @@ def init_cover(c: Coloring, host: Host, f: Flag, flag_h: Flag) -> PartialCover:
         edge_image={},
         domain_edges_at={},
         eligible=_eligible_faces(c),
-        seed=(f, flag_h),
     )
     cg = color(c, f)
     ch = color_in_h(c, host, flag_h)
@@ -337,6 +335,67 @@ def default_seed(c: Coloring, host: Host) -> tuple[Flag, Flag]:
     raise HypothesisViolationError(f"no flag at target vertex {x0} matches colour {want}")
 
 
+class CoverRun:
+    """One cover construction from a patch onto a target, prepared once:
+    the stabilisation level n, the palette, the colouring context, the
+    target host with its chain cycles filled, and the seed flags (the
+    default seed where f or flag_h is None).  Each `build` runs one face
+    enumeration from this state; builds share the memoised faces and
+    isomorphisms, which are deterministic functions of the inputs."""
+
+    def __init__(
+        self,
+        patch: PlanePatch,
+        h: Graph | PlanePatch,
+        f: Flag | None = None,
+        flag_h: Flag | None = None,
+        n: int | None = None,
+        i_max: int = 4,
+        guard: int = 2,
+    ):
+        if n is None:
+            n = stabilize_n(patch, i_max, guard)
+        self.coloring = c = Coloring(patch, i_fundamental_domain(patch, n), n)
+        self.host = c.host_for(h)
+        self.host.fill_chain_cycles()
+        if f is None or flag_h is None:
+            df, dfh = default_seed(c, self.host)
+            f = df if f is None else f
+            flag_h = dfh if flag_h is None else flag_h
+        self.seed = (f, flag_h)
+
+    def build(self, tie_break: int = 0) -> CoverMap:
+        """Drive init/select/match/extend under face enumeration `tie_break`
+        until the patch is exhausted.  The map comes with its step log;
+        surjectivity onto the target is reported, not required.  Any
+        invariant failure raises HypothesisViolationError with the step."""
+        c, host = self.coloring, self.host
+        state = init_cover(c, host, *self.seed)
+        enumeration = face_enumeration(c.patch, tie_break)
+        while True:
+            face = select_next_face(state, enumeration)
+            if face is None:
+                break
+            image = match_face(state, face)
+            extend_cover(state, face, image)
+        _assert_no_holes(state)
+        surjective = set(state.vertex_map.values()) == set(host.graph.vertices)
+        return CoverMap(
+            patch=c.patch,
+            h=Host(host.source, c.patch.l_max),
+            vertex_map=dict(state.vertex_map),
+            seed=self.seed,
+            delta=c.delta,
+            n=c.n,
+            processed=frozenset(state.processed),
+            face_image=dict(state.face_image),
+            eligible=state.eligible,
+            steps=state.step,
+            surjective=surjective,
+            log=state.log,
+        )
+
+
 def build_cover(
     patch: PlanePatch,
     h: Graph | PlanePatch,
@@ -345,48 +404,10 @@ def build_cover(
     n: int | None = None,
     i_max: int = 4,
     guard: int = 2,
-    tie_break: int = 0,
 ) -> CoverMap:
-    """Drive init/select/match/extend until the patch is exhausted.
-
-    Returns the accumulated map together with the step log; surjectivity
-    onto the target is reported, not required.  Any invariant failure
-    raises HypothesisViolationError carrying the step index.
-    """
-    if n is None:
-        n = stabilize_n(patch, i_max, guard)
-    delta = i_fundamental_domain(patch, n)
-    c = Coloring(patch, delta, n)
-    host = c.host_for(h)
-    host.fill_chain_cycles()
-    if f is None or flag_h is None:
-        df, dfh = default_seed(c, host)
-        f = df if f is None else f
-        flag_h = dfh if flag_h is None else flag_h
-    state = init_cover(c, host, f, flag_h)
-    enumeration = face_enumeration(patch, tie_break)
-    while True:
-        face = select_next_face(state, enumeration)
-        if face is None:
-            break
-        image = match_face(state, face)
-        extend_cover(state, face, image)
-    _assert_no_holes(state)
-    surjective = set(state.vertex_map.values()) == set(host.graph.vertices)
-    return CoverMap(
-        patch=patch,
-        h=Host(h, patch.l_max),
-        vertex_map=dict(state.vertex_map),
-        seed=(f, flag_h),
-        delta=delta,
-        n=n,
-        processed=frozenset(state.processed),
-        face_image=dict(state.face_image),
-        eligible=state.eligible,
-        steps=state.step,
-        surjective=surjective,
-        log=state.log,
-    )
+    """Prepare a CoverRun and build the cover under the default face
+    enumeration."""
+    return CoverRun(patch, h, f=f, flag_h=flag_h, n=n, i_max=i_max, guard=guard).build()
 
 
 def _assert_no_holes(state: PartialCover) -> None:

@@ -4,7 +4,7 @@ Subcommands: gen, check-local, flags, cover, verify, instance.  All
 artifacts are JSON, written with sorted keys so identical inputs produce
 byte-identical outputs.  Exit codes: 0 success / checks passed, 1
 verification failure or hypothesis violation, 2 input error, 3 patch too
-small (increase radius).
+small (increase radius), 4 internal error (a defect in cover-kit).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_TOO_SMALL = 3
+EXIT_INTERNAL = 4
 
 
 def _dump(obj: dict) -> str:
@@ -54,8 +55,8 @@ def _flag_arg(text: str | None, option: str) -> Flag | None:
         raise InputError(f"{option} is not JSON: {exc}") from exc
 
 
-def _diag(kind: str, message: str) -> None:
-    sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
+def _diag(kind: str, message: str, **extra) -> None:
+    sys.stderr.write(json.dumps({"error": kind, "message": message, **extra}) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -222,6 +223,11 @@ def main(argv: list[str] | None = None) -> int:
     except CoverKitError as exc:
         _diag("verification", str(exc))
         return EXIT_FAIL
+    except Exception as exc:  # a defect: report it as JSON, with its traceback
+        import traceback  # only here, so that no command pays for its import
+
+        _diag("internal", f"{type(exc).__name__}: {exc}", traceback=traceback.format_exc().splitlines())
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: InputError -> 2,
-PatchTooSmallError -> 3, HypothesisViolationError and DefectError -> 1.
+PatchTooSmallError -> 3, HypothesisViolationError and DefectError -> 1;
+any other exception is an internal error, exit code 4.
 """
 
 

@@ -26,16 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DefectError, HypothesisViolationError, InputError, PatchTooSmallError
-from .graph import Graph, RootedBall, edge_key, induced_subgraph
-from .local import (
-    FaceCore,
-    Host,
-    Isomorphism,
-    as_rooted,
-    face_core,
-    host_faces_at,
-    rooted_isomorphisms,
-)
+from .graph import Graph, edge_key
+from .local import FaceCore, Host, Isomorphism, face_core, host_faces_at, rooted_isomorphisms
 from .tessellation import FaceBoundary, PlanePatch
 
 
@@ -330,19 +322,14 @@ def color_in_h(c: Coloring, host: Host, flag_h: Flag) -> int:
 # The extension isomorphism (rigidity)
 # ---------------------------------------------------------------------------
 
-def extend_iso(
-    c: Coloring, host: Host, f: Flag, flag_h: Flag, r: int, crosscheck: bool = False
-) -> Isomorphism:
+def extend_iso(c: Coloring, host: Host, f: Flag, flag_h: Flag, r: int) -> Isomorphism:
     """The unique colour-compatible local isomorphism around f.
 
     Maps f to flag_h and propagates face by face across shared edges,
     covering the faces within r chain steps of f's vertex.  Each step is
     forced (an edge inside the region lies on exactly two faces), so the
     result is unique by construction; any failure to close consistently
-    is reported as a hypothesis violation.  With crosscheck=True the
-    uniqueness is additionally verified by enumerating the isomorphisms
-    between the two cores that carry f to flag_h and demanding there is
-    no second one.
+    is reported as a hypothesis violation.
     """
     # a self-cover colours both flags as patch flags (a DefectError on failure)
     if color(c, f) != (color(c, flag_h) if host is c.g else color_in_h(c, host, flag_h)):
@@ -402,16 +389,7 @@ def extend_iso(
             queue.append(face2)
 
     _verify_partial_isomorphism(c.g.graph, host.graph, vmap)
-    iso = Isomorphism(vmap, v, x)
-    if crosscheck:
-        dom, img = core_subgraphs(c.g, host, iso)
-        pres = {s: vmap[s] for s in f.face.cycle}
-        found = rooted_isomorphisms(dom, img, limit=2, prescribed=pres)
-        if len(found) != 1:
-            raise HypothesisViolationError(
-                f"{len(found)} extensions carry {f} to {flag_h}; expected exactly one"
-            )
-    return iso
+    return Isomorphism(vmap, v, x)
 
 
 def _verify_partial_isomorphism(ga: Graph, gb: Graph, vmap: dict[int, int]) -> None:
@@ -424,11 +402,3 @@ def _verify_partial_isomorphism(ga: Graph, gb: Graph, vmap: dict[int, int]) -> N
                 raise HypothesisViolationError(
                     f"extension does not preserve adjacency on ({a},{b})"
                 )
-
-
-def core_subgraphs(g: Host, h: Host, iso: Isomorphism) -> tuple[RootedBall, RootedBall]:
-    """The two sides of an extension isomorphism as rooted graphs, for
-    independent re-enumeration of the isomorphisms between them."""
-    dom = induced_subgraph(g.graph, iso.mapping.keys())
-    img = induced_subgraph(h.graph, iso.mapping.values())
-    return as_rooted(dom, iso.source_root), as_rooted(img, iso.target_root)

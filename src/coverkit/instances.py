@@ -89,9 +89,6 @@ class QuotientInstance:
     def _hex_id(self, a: int, b: int, sigma: int) -> int:
         return 2 * ((a % self.spec.m) * self.spec.n + (b % self.spec.n)) + sigma
 
-    def project_hex(self, a: int, b: int, sigma: int) -> int:
-        return self._hex_id(a, b, sigma)
-
     def _build_hex(self) -> None:
         m, n = self.spec.m, self.spec.n
         edges = set()
@@ -242,7 +239,7 @@ def closed_form_projection(inst: QuotientInstance, patch: PlanePatch) -> dict[in
     """
     if inst.spec.kind == "hex_torus":
         coords = hex_lattice_coordinates(patch)
-        proj = {v: inst.project_hex(*coords[v]) for v in patch.graph.vertices}
+        proj = {v: inst._hex_id(*coords[v]) for v in patch.graph.vertices}
     else:
         coords = square_lattice_coordinates(patch)
         proj = {v: inst.project_square(*coords[v]) for v in patch.graph.vertices}

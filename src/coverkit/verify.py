@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from .builder import CoverMap, build_cover
+from .builder import CoverMap, CoverRun
 from .errors import CoverKitError, InputError
 from .flags import Coloring, Flag, color, color_in_h, extend_iso
 from .graph import Graph, edge_key
@@ -85,12 +85,12 @@ def _flag_preimage_at(cover: CoverMap, v: int, target: Flag) -> Flag:
 
 
 def _sample_fiber_pairs(
-    cover: CoverMap, samples: int, rng: random.Random, exhaustive: bool
+    cover: CoverMap, g: Host, samples: int, rng: random.Random, exhaustive: bool
 ) -> list[tuple[int, int]]:
     """Deterministic fiber pairs from the processed interior, round-robin
-    across target vertices."""
+    across target vertices; g is the patch's host."""
     patch = cover.patch
-    j_r = dk_ball(Host(patch), patch.root, cover.n + 1).radius
+    j_r = dk_ball(g, patch.root, cover.n + 1).radius
     core = [v for v in cover.region_interior() if patch.complete_radius[v] >= j_r]
     fibers: dict[int, list[int]] = {}
     for v in core:
@@ -137,12 +137,12 @@ def check_normality(
     r = cover.n + 1
     rng = random.Random(rng_seed)
     report = VerificationReport()
-    pairs = _sample_fiber_pairs(cover, samples, rng, exhaustive)
+    c = Coloring(patch, cover.delta, cover.n)
+    pairs = _sample_fiber_pairs(cover, c.g, samples, rng, exhaustive)
     if not pairs:
         # all fibers in the checked region are singletons: trivially normal
         report.add("fiber pairs sampled", True, note="all fibers singletons; trivially normal")
         return report
-    c = Coloring(patch, cover.delta, cover.n)
     host = c.host_for(cover.h.source)
     color_bad: list = []
     commute_bad: list = []
@@ -204,12 +204,14 @@ def check_uniqueness(
     guard: int = 2,
 ) -> VerificationReport:
     """Rebuild the cover under `trials` different deterministic face
-    enumerations (tie-break variants) and assert identical vertex maps."""
+    enumerations (tie-break variants) from one prepared run and assert
+    identical vertex maps."""
+    run = CoverRun(patch, h, f=f, flag_h=flag_h, i_max=i_max, guard=guard)
     report = VerificationReport()
     reference = None
     diff: list = []
     for t in range(trials):
-        cov = build_cover(patch, h, f=f, flag_h=flag_h, i_max=i_max, guard=guard, tie_break=t % 3)
+        cov = run.build(t % 3)
         if reference is None:
             reference = cov
             continue

@@ -1,16 +1,20 @@
 """Independent brute-force oracles.
 
-Everything here is deliberately written from scratch against plain
-adjacency dicts, so it shares no code path with the library: coordinate
-models of the square lattice, exhaustive cycle enumeration, and a naive
-isomorphism backtracker.  Expected values asserted in the tests are
-computed by these oracles, not copied from the implementation.
+Everything here but `assert_unique_extension` is deliberately written
+from scratch against plain adjacency dicts, so it shares no code path
+with the library: coordinate models of the square lattice, exhaustive
+cycle enumeration, and a naive isomorphism backtracker.  Expected values
+asserted in the tests are computed by these oracles, not copied from the
+implementation.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
+
+from coverkit.graph import induced_subgraph
+from coverkit.local import as_rooted, rooted_isomorphisms
 
 Coord = tuple[int, int]
 
@@ -153,3 +157,15 @@ def brute_rooted_isomorphisms(adj_a: dict, root_a, adj_b: dict, root_b, limit=No
 def adjacency_of(graph) -> dict:
     """Adjacency dict of a coverkit Graph, for feeding the oracles."""
     return {v: set(graph.neighbors(v)) for v in graph.vertices}
+
+
+def assert_unique_extension(g, h, f, iso) -> None:
+    """The rigidity cross-check of an extension isomorphism: re-enumerate,
+    with the library's own search, the rooted isomorphisms between the
+    cores induced on iso's domain in host g and its image in host h that
+    agree with iso on the face of flag f, and demand exactly one."""
+    dom = as_rooted(induced_subgraph(g.graph, iso.mapping.keys()), iso.source_root)
+    img = as_rooted(induced_subgraph(h.graph, iso.mapping.values()), iso.target_root)
+    pres = {s: iso.mapping[s] for s in f.face.cycle}
+    found = rooted_isomorphisms(dom, img, limit=2, prescribed=pres)
+    assert len(found) == 1, f"{len(found)} extensions carry {f} onto its image; expected exactly one"

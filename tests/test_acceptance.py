@@ -9,6 +9,7 @@ import time
 from coverkit import (
     Coloring,
     CoverKitError,
+    CoverRun,
     Flag,
     Graph,
     Host,
@@ -37,7 +38,7 @@ from coverkit import (
 from coverkit.flags import _map_flag
 from coverkit.verify import _flag_preimage_at, _sample_fiber_pairs
 
-from .oracles import adjacency_of, peripheral_cycles_oracle
+from .oracles import adjacency_of, assert_unique_extension, peripheral_cycles_oracle
 
 
 def report(criterion: int, elapsed: float, detail: str) -> None:
@@ -59,8 +60,8 @@ def test_criterion_1_euclidean_end_to_end():
     # closed-form deck translations
     coords = square_lattice_coordinates(patch)
     where = {c: v for v, c in coords.items()}
-    pairs = _sample_fiber_pairs(cover, 20, random.Random(0), False)
     c = Coloring(patch, cover.delta, cover.n)
+    pairs = _sample_fiber_pairs(cover, c.g, 20, random.Random(0), False)
     for v, w in pairs:
         hv = cover.vertex_map[v]
         tf = sorted(
@@ -127,7 +128,7 @@ def test_criterion_4_hyperbolic_machinery():
     ][:50]
     assert len(samples) == 50
     for v, fh in samples:
-        extend_iso(c, c.g, f0, fh, r, crosscheck=True)
+        assert_unique_extension(c.g, c.g, f0, extend_iso(c, c.g, f0, fh, r))
 
     cover = build_cover(patch, patch, n=n)
     vals = list(cover.vertex_map.values())
@@ -204,8 +205,8 @@ def test_criterion_7_uniqueness():
     t0 = time.time()
     patch = generate(4, 4, 10)
     torus = make_quotient(QuotientSpec("torus", 5, 7))
-    first = build_cover(patch, torus.graph, tie_break=0)
-    second = build_cover(patch, torus.graph, tie_break=1)
+    first = CoverRun(patch, torus.graph).build(0)
+    second = CoverRun(patch, torus.graph).build(1)
     blob1 = json.dumps(sorted(first.vertex_map.items())).encode()
     blob2 = json.dumps(sorted(second.vertex_map.items())).encode()
     assert blob1 == blob2

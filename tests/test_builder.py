@@ -8,6 +8,7 @@ import pytest
 from coverkit import (
     Coloring,
     CoverKitError,
+    CoverRun,
     FaceBoundary,
     Host,
     build_cover,
@@ -198,11 +199,21 @@ class TestBuildCover:
                 }
 
     def test_order_independence(self, patch44_r10, torus57):
-        base = build_cover(patch44_r10, torus57.graph, tie_break=0)
+        base = CoverRun(patch44_r10, torus57.graph).build(0)
         for tb in (1, 2):
-            other = build_cover(patch44_r10, torus57.graph, tie_break=tb)
+            other = CoverRun(patch44_r10, torus57.graph).build(tb)
             assert other.vertex_map == base.vertex_map
             assert other.processed == base.processed
+
+    def test_prepared_run_rebuilds_like_a_fresh_one(self, patch44_r10, klein66):
+        # builds share the run's memoised faces and isomorphisms, so each
+        # must give what a run prepared for it alone gives
+        run = CoverRun(patch44_r10, klein66.graph)
+        for tb in (2, 0, 1):
+            first, second = run.build(tb), run.build(tb)
+            fresh = CoverRun(patch44_r10, klein66.graph).build(tb)
+            assert first.to_json_dict() == second.to_json_dict() == fresh.to_json_dict()
+            assert first.log == second.log == fresh.log
 
     def test_klein_cover(self, patch44_r10, klein66):
         cov = build_cover(patch44_r10, klein66.graph)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import coverkit.cli as cli
 from coverkit.cli import main
 
 
@@ -49,6 +50,20 @@ class TestInstance:
     def test_degenerate_exit_2(self, tmp_path, capsys):
         code, _, _ = run(["instance", "torus", "--m", "2", "--n", "7", "-o", str(tmp_path / "t.json")], capsys)
         assert code == 2
+
+
+class TestInternalError:
+    def test_unhandled_exception_exit_4(self, tmp_path, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_instance", broken)
+        code, out, err = run(["instance", "torus", "--m", "5", "--n", "7", "-o", str(tmp_path / "t.json")], capsys)
+        assert code == 4 and out == ""
+        diag = json.loads(err)  # the whole of stderr is one JSON diagnostic
+        assert diag["error"] == "internal"
+        assert diag["message"] == "RuntimeError: boom"
+        assert diag["traceback"][-1] == "RuntimeError: boom"
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,7 @@ from coverkit import (
 from coverkit.flags import _flag_cycle, _map_flag
 from coverkit.local import host_faces_at
 
-from .oracles import adjacency_of, brute_rooted_isomorphisms
+from .oracles import adjacency_of, assert_unique_extension, brute_rooted_isomorphisms
 
 
 def build_squareoct_patch(window=6, drop_link=None):
@@ -283,7 +283,8 @@ class TestExtendIso:
         delta = i_fundamental_domain(patch44_r10, 1)
         c = Coloring(patch44_r10, delta, 1)
         f = flags_at(c.g, patch44_r10.root)[0]
-        iso = extend_iso(c, c.g, f, f, 2, crosscheck=True)
+        iso = extend_iso(c, c.g, f, f, 2)
+        assert_unique_extension(c.g, c.g, f, iso)
         assert all(k == v for k, v in iso.mapping.items())
 
     def test_two_interior_vertices_unique_and_facial(self, patch44_r10):
@@ -291,7 +292,8 @@ class TestExtendIso:
         c = Coloring(patch44_r10, delta, 1)
         f = flags_at(c.g, patch44_r10.root)[0]
         g2 = flags_at(c.g, 12)[3]
-        iso = extend_iso(c, c.g, f, g2, 2, crosscheck=True)
+        iso = extend_iso(c, c.g, f, g2, 2)
+        assert_unique_extension(c.g, c.g, f, iso)
         assert iso[f.vertex] == g2.vertex
         assert iso.map_cycle(f.face) == g2.face
         for face in patch44_r10.faces_at(patch44_r10.root):
@@ -304,7 +306,8 @@ class TestExtendIso:
         torus = Host(torus57.graph, 4)
         f = flags_at(c.g, patch44_r10.root)[0]
         fh = flags_at(torus, 5)[2]
-        iso = extend_iso(c, torus, f, fh, 1, crosscheck=True)
+        iso = extend_iso(c, torus, f, fh, 1)
+        assert_unique_extension(c.g, torus, f, iso)
         assert iso[f.vertex] == 5
         assert len(iso.mapping) == 9
 
@@ -325,4 +328,4 @@ class TestExtendIso:
         targets = [v for v in patch45_r5.graph.vertices if patch45_r5.complete_radius[v] >= 4]
         for v in targets[:4]:
             for fh in flags_at(c.g, v)[:2]:
-                extend_iso(c, c.g, f, fh, 2, crosscheck=True)
+                assert_unique_extension(c.g, c.g, f, extend_iso(c, c.g, f, fh, 2))

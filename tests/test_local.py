@@ -166,6 +166,22 @@ class TestChainCyclesAgainstNetworkx:
             assert list(host_faces_at(warm, v)) == face_boundaries_at(g, v, l_max)
 
 
+class TestChainCyclesAgainstTutte:
+    """Tutte (1963): the peripheral cycles of a 3-connected planar graph
+    are exactly its face boundaries.  Near its interior vertices a patch
+    looks like the whole tessellation, so there the chain cycles of a
+    patch host must be the traced faces."""
+
+    @pytest.mark.parametrize("p,q,radius", [(4, 4, 6), (6, 3, 6), (3, 7, 4), (4, 5, 4)])
+    def test_patch_chain_cycles_are_its_faces(self, p, q, radius):
+        patch = generate(p, q, radius)
+        host = Host(patch)
+        interior = [x for x in patch.graph.vertices if patch.complete_radius[x] >= 2]
+        assert interior
+        for x in interior:
+            assert host.chain_cycles(x) == tuple(sorted(patch.faces_at(x)))
+
+
 class TestFaceInferenceWork:
     def test_each_cycle_tested_once_per_graph(self, patch44_r10, torus57, monkeypatch):
         tested: Counter = Counter()

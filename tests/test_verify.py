@@ -1,10 +1,13 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import coverkit.builder as builder
+import coverkit.local as local
 from coverkit import (
     Coloring,
     build_cover,
@@ -78,11 +81,11 @@ class TestCheckNormality:
         from coverkit.verify import _flag_preimage_at, _sample_fiber_pairs
         import random
 
-        pairs = _sample_fiber_pairs(torus_cover, 20, random.Random(0), False)
+        c = Coloring(patch, torus_cover.delta, 1)
+        pairs = _sample_fiber_pairs(torus_cover, c.g, 20, random.Random(0), False)
         assert len(pairs) == 20
         from coverkit import Flag, face_boundaries_at
 
-        c = Coloring(patch, torus_cover.delta, 1)
         for v, w in pairs:
             hv = torus_cover.vertex_map[v]
             tf = sorted(
@@ -126,6 +129,31 @@ class TestCheckUniqueness:
     def test_hex(self, patch63_r10, hex55):
         rep = check_uniqueness(patch63_r10, hex55.graph, trials=3)
         assert rep.ok
+
+    def test_prepares_once(self, patch44_r10, klein66, monkeypatch):
+        calls: Counter = Counter()
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(builder, "stabilize_n")
+        counting(builder, "i_fundamental_domain")
+        counting(local, "is_connected_excluding")
+        build_cover(patch44_r10, klein66.graph)
+        one_build = calls["is_connected_excluding"]
+        calls.clear()
+        assert check_uniqueness(patch44_r10, klein66.graph, trials=3).ok
+        assert calls == {
+            "stabilize_n": 1,
+            "i_fundamental_domain": 1,
+            "is_connected_excluding": one_build,
+        }
 
 
 def project_flag(proj, h_faces, flag):
