@@ -92,7 +92,9 @@ def dk_ball(host: Host, o: int, k: int) -> RootedBall:
                 new_vertices.update(c.cycle)
         frontier = new_vertices - reach
         reach |= new_vertices
-    dist = g.distances_from(o)
+    # a chain cycle has at most l_max vertices, so each link reaches at
+    # most l_max // 2 steps further from o
+    dist = g.distances_from(o, limit=k * (host.l_max // 2))
     j = max(dist[x] for x in reach)
     host.require_complete(o, j)
     return ball(g, o, j)

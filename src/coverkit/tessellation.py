@@ -87,16 +87,12 @@ class FaceBoundary:
 
 
 def _canonical_cycle(t: tuple[int, ...]) -> tuple[int, ...]:
-    k = len(t)
-    best = None
-    for seq in (t, t[::-1]):
-        for s in range(k):
-            cand = seq[s:] + seq[:s]
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        raise DefectError("cannot canonicalise an empty cycle")
-    return best
+    """The least rotation or reflection of a cycle of distinct vertices:
+    it starts at the least vertex and goes towards its smaller neighbour."""
+    i = t.index(min(t))
+    if t[i - 1] < t[(i + 1) % len(t)]:
+        t, i = t[::-1], len(t) - 1 - i
+    return t[i:] + t[:i]
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +465,8 @@ def import_patch(source: dict | str | Path) -> PlanePatch:
     (V - E + F = 2) or the rotation is rejected as non-planar.  No
     vertex-transitivity verification is performed: imports are trusted.
     A declared schlafli {p,q} must match the face lengths and interior
-    degrees.  A malformed field of any kind raises InputError.
+    degrees.  A malformed field of any kind raises InputError; a map with
+    no interior face raises PatchTooSmallError.
     """
     if not isinstance(source, dict):
         with open(source, "r", encoding="utf-8") as fh:
@@ -512,6 +509,8 @@ def import_patch(source: dict | str | Path) -> PlanePatch:
         if not _is_simple_walk(w):
             raise InputError(f"interior walk {w} is not a simple cycle")
         faces.append(FaceBoundary(w))
+    if not faces:
+        raise PatchTooSmallError("patch too small: the traced map has no interior face")
     if declared_faces is not None and declared_faces != set(faces):
         raise InputError("declared faces disagree with the traced faces")
     if schlafli is not None:

@@ -205,7 +205,10 @@ def check_uniqueness(
 ) -> VerificationReport:
     """Rebuild the cover under `trials` different deterministic face
     enumerations (tie-break variants) from one prepared run and assert
-    identical vertex maps."""
+    identical vertex maps.  Fewer than two trials is an input error: it
+    would compare nothing, yet read as passed."""
+    if trials < 2:
+        raise InputError("trials must be >= 2")
     run = CoverRun(patch, h, f=f, flag_h=flag_h, i_max=i_max, guard=guard)
     report = VerificationReport()
     reference = None

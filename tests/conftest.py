@@ -1,8 +1,27 @@
 import pytest
 
+import coverkit.builder as builder
 from coverkit import QuotientSpec, generate, make_quotient
 
 pytest.register_assert_rewrite("tests.oracles")
+
+from .oracles import assert_frontier_cycle  # noqa: E402 (imported once the hook is set)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def frontier_oracle():
+    """Every build in the suite checks the whole frontier after every
+    step; the builder itself checks only the absorbed face's shared path."""
+    extend = builder.extend_cover
+
+    def checked(state, face, image):
+        out = extend(state, face, image)
+        assert_frontier_cycle(state.frontier)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(builder, "extend_cover", checked)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -3,9 +3,10 @@
 Everything here but `assert_unique_extension` is deliberately written
 from scratch against plain adjacency dicts, so it shares no code path
 with the library: coordinate models of the square lattice, exhaustive
-cycle enumeration, and a naive isomorphism backtracker.  Expected values
-asserted in the tests are computed by these oracles, not copied from the
-implementation.
+cycle enumeration, a naive isomorphism backtracker, a walk round the
+builder's frontier, and cycle canonical forms by trying every rotation.
+Expected values asserted in the tests are computed by these oracles, not
+copied from the implementation.
 """
 
 from __future__ import annotations
@@ -157,6 +158,31 @@ def brute_rooted_isomorphisms(adj_a: dict, root_a, adj_b: dict, root_b, limit=No
 def adjacency_of(graph) -> dict:
     """Adjacency dict of a coverkit Graph, for feeding the oracles."""
     return {v: set(graph.neighbors(v)) for v in graph.vertices}
+
+
+def assert_frontier_cycle(frontier) -> None:
+    """The frontier edges form one simple cycle: every vertex has degree
+    two, and the walk from the least vertex visits all of them.  An
+    explicit raise, so the check stays live under python -O."""
+    adj: dict = {}
+    for a, b in frontier:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    bad = sorted(v for v, nb in adj.items() if len(nb) != 2)
+    if not adj or bad:
+        raise AssertionError(f"frontier is not a simple cycle: degree other than 2 at {bad}")
+    start = min(adj)
+    prev, v, length = start, adj[start][0], 1
+    while v != start:
+        a, b = adj[v]
+        prev, v, length = v, b if a == prev else a, length + 1
+    if length != len(adj):
+        raise AssertionError(f"frontier splits into several cycles; one has {length} of {len(adj)} vertices")
+
+
+def brute_canonical_cycle(t: tuple) -> tuple:
+    """The least of all rotations and reflections of a cycle."""
+    return min(s[i:] + s[:i] for s in (t, t[::-1]) for i in range(len(t)))
 
 
 def assert_unique_extension(g, h, f, iso) -> None:

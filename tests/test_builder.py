@@ -11,6 +11,7 @@ from coverkit import (
     CoverRun,
     FaceBoundary,
     Host,
+    InputError,
     build_cover,
     default_seed,
     extend_cover,
@@ -23,6 +24,8 @@ from coverkit import (
     select_next_face,
 )
 from coverkit.instances import square_lattice_coordinates
+
+from .oracles import assert_frontier_cycle
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +43,21 @@ def face_at_cell(patch, coords, cell):
     where = {c: v for v, c in coords.items()}
     corners = [where[(i, j)], where[(i + 1, j)], where[(i + 1, j + 1)], where[(i, j + 1)]]
     return FaceBoundary(corners)
+
+
+def u_shape(patch, delta):
+    """A U-shaped region of seven lattice cells, built face by face, with
+    the two cells it leaves open: the trap, which meets the frontier in
+    two disjoint edges, and the cell below it, which meets it in a path."""
+    coords = square_lattice_coordinates(patch)
+    cells = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (0, 1), (0, 2)]
+    faces = [face_at_cell(patch, coords, c) for c in cells]
+    c = Coloring(patch, delta, 1)
+    f = next(fl for fl in flags_at(c.g, patch.root) if fl.face == faces[0])
+    state = init_cover(c, c.g, f, f)
+    for face in faces[1:]:
+        extend_cover(state, face, face)
+    return state, face_at_cell(patch, coords, (1, 2)), face_at_cell(patch, coords, (1, 1))
 
 
 class TestInitCover:
@@ -94,24 +112,25 @@ class TestSelectNextFace:
         assert face == others[0]
 
     def test_disjoint_intersection_skipped(self, patch44_r10, delta44):
-        # build a U-shaped region whose missing middle face meets the
-        # frontier in two disjoint edges: it must be passed over even when
-        # an adversarial enumeration puts it first
-        coords = square_lattice_coordinates(patch44_r10)
-        cells = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (0, 1), (0, 2)]
-        faces = [face_at_cell(patch44_r10, coords, c) for c in cells]
-        c = Coloring(patch44_r10, delta44, 1)
-        f = next(
-            fl for fl in flags_at(c.g, patch44_r10.root) if fl.face == faces[0]
-        )
-        state = init_cover(c, c.g, f, f)
-        for face in faces[1:]:
-            extend_cover(state, face, face)
-        trap = face_at_cell(patch44_r10, coords, (1, 2))
-        fill = face_at_cell(patch44_r10, coords, (1, 1))
+        # the U's trap face must be passed over even when an adversarial
+        # enumeration puts it first
+        state, trap, fill = u_shape(patch44_r10, delta44)
         assert len(trap.edges & state.frontier) == 2
         chosen = select_next_face(state, [trap, fill])
         assert chosen == fill
+
+    def test_trap_face_rejected_before_the_frontier_changes(self, patch44_r10, delta44):
+        # absorbing the trap would split the frontier into two cycles; the
+        # builder's local path check refuses it and leaves the frontier as
+        # it was, and the whole-frontier oracle refuses the split frontier
+        state, trap, _ = u_shape(patch44_r10, delta44)
+        before = set(state.frontier)
+        with pytest.raises(InputError, match="does not meet the frontier in a path"):
+            extend_cover(state, trap, trap)
+        assert state.frontier == before
+        assert_frontier_cycle(state.frontier)
+        with pytest.raises(AssertionError, match="several cycles"):
+            assert_frontier_cycle(state.frontier ^ trap.edges)
 
     def test_exhaustion_on_small_patch(self):
         patch = generate(4, 4, 4)

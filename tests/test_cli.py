@@ -140,6 +140,25 @@ class TestPipeline:
         assert code == 3
         assert "patch" in err or "increase" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flags", "--g", "{g}"],
+            ["cover", "--g", "{g}", "--h", "{t}", "-o", "{d}/c.json"],
+            ["check-local", "--h", "{t}", "--g", "{g}", "--r", "2", "--d-balls"],
+        ],
+        ids=["flags", "cover", "check-local"],
+    )
+    def test_patch_without_faces_exit_3(self, artifacts, tmp_path, capsys, argv):
+        # a lone edge traces one walk, the outer one: there is no face
+        _, _, t = artifacts
+        g = tmp_path / "edge.json"
+        g.write_text(json.dumps({"n": 2, "edges": [[0, 1]], "rotation": {"0": [1], "1": [0]}, "root": 0}))
+        argv = [a.format(g=g, t=t, d=tmp_path) for a in argv]
+        code, _, err = run(argv, capsys)
+        assert code == 3
+        assert json.loads(err)["error"] == "patch-too-small"
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code, _, _ = run(["flags", "--g", str(tmp_path / "nope.json")], capsys)
         assert code == 2

@@ -25,7 +25,9 @@ from coverkit import (
 from coverkit.local import host_faces_at
 from .oracles import (
     adjacency_of,
+    bfs_distances,
     brute_rooted_isomorphisms,
+    cycle_vertices,
     peripheral_cycles_oracle,
     z2_faces_at,
 )
@@ -122,6 +124,23 @@ class TestDkBall:
             dk_ball(Host(patch44_r6), margin_vertex, 1)
         with pytest.raises(PatchTooSmallError):
             Host(patch44_r6).chain_cycles(margin_vertex)
+
+    @pytest.mark.parametrize("p, q, radius", [(5, 4, 5), (7, 3, 7), (3, 7, 4)])
+    def test_radius_on_odd_face_lengths(self, p, q, radius):
+        # an odd l_max rounds the per-link distance bound down; the
+        # radius must still be that of the unbounded search
+        patch = generate(p, q, radius)
+        adj = adjacency_of(patch.graph)
+        for o in sorted(v for v in patch.graph.vertices if patch.root_distance(v) <= 1):
+            dist = bfs_distances(adj, o)
+            reach = {o}
+            for k in (1, 2):
+                for y in list(reach):
+                    for c in peripheral_cycles_oracle(adj, y, p):
+                        reach |= cycle_vertices(c)
+                j = max(dist[x] for x in reach)
+                assert dk_ball(Host(patch), o, k).radius == j
+                assert dk_ball(Host(patch.graph, p), o, k).radius == j
 
 
 def _cycle_edges(cycle):

@@ -19,7 +19,7 @@ from coverkit import (
 from coverkit.graph import RootedBall
 from coverkit.tessellation import _is_simple_walk, _PatchBuilder
 
-from .oracles import z2_ball
+from .oracles import brute_canonical_cycle, z2_ball
 
 
 class TestFaceBoundary:
@@ -40,6 +40,11 @@ class TestFaceBoundary:
         f = FaceBoundary([0, 1, 2, 3])
         assert f.cycle_from(1, 2) == (1, 2, 3, 0)
         assert f.cycle_from(1, 0) == (1, 0, 3, 2)
+
+    @given(st.lists(st.integers(min_value=-5, max_value=60), min_size=3, max_size=12, unique=True))
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_form_is_the_least_rotation_or_reflection(self, cycle):
+        assert FaceBoundary(cycle).cycle == brute_canonical_cycle(tuple(cycle))
 
 
 class TestGenerate:

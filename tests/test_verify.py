@@ -10,6 +10,7 @@ import coverkit.builder as builder
 import coverkit.local as local
 from coverkit import (
     Coloring,
+    InputError,
     build_cover,
     check_cover,
     check_normality,
@@ -129,6 +130,16 @@ class TestCheckUniqueness:
     def test_hex(self, patch63_r10, hex55):
         rep = check_uniqueness(patch63_r10, hex55.graph, trials=3)
         assert rep.ok
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_fewer_than_two_trials_rejected(self, patch44_r10, torus57, monkeypatch, trials):
+        # one build compares nothing; the run must not even be prepared
+        def unprepared(*args, **kwargs):
+            raise AssertionError("the run was prepared")
+
+        monkeypatch.setattr(builder, "stabilize_n", unprepared)
+        with pytest.raises(InputError, match="trials"):
+            check_uniqueness(patch44_r10, torus57.graph, trials=trials)
 
     def test_prepares_once(self, patch44_r10, klein66, monkeypatch):
         calls: Counter = Counter()
