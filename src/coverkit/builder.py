@@ -33,7 +33,7 @@ class PartialCover:
     host: Host
     vertex_map: dict[int, int]
     frontier: set[Edge]
-    processed: set[FaceBoundary]
+    pending: dict[FaceBoundary, None]  # eligible faces not yet absorbed, in enumeration order
     face_image: dict[FaceBoundary, FaceBoundary]
     edge_image: dict[Edge, Edge]
     domain_edges_at: dict[int, set[Edge]]
@@ -98,19 +98,21 @@ def _check_local_injectivity(state: PartialCover, face: FaceBoundary) -> None:
             )
 
 
-def init_cover(c: Coloring, host: Host, f: Flag, flag_h: Flag) -> PartialCover:
+def init_cover(c: Coloring, host: Host, f: Flag, flag_h: Flag, tie_break: int = 0) -> PartialCover:
     """Map the seed face onto the target face in the orientation fixed by
-    the flag pair, and verify colour preservation on all its flags."""
+    the flag pair, and verify colour preservation on all its flags.  The
+    eligible faces wait in face enumeration `tie_break` order."""
+    eligible = _eligible_faces(c)
     state = PartialCover(
         coloring=c,
         host=host,
         vertex_map={},
         frontier=set(),
-        processed=set(),
+        pending=dict.fromkeys(x for x in face_enumeration(c.patch, tie_break) if x in eligible),
         face_image={},
         edge_image={},
         domain_edges_at={},
-        eligible=_eligible_faces(c),
+        eligible=eligible,
     )
     cg = color(c, f)
     ch = color_in_h(c, host, flag_h)
@@ -133,7 +135,7 @@ def init_cover(c: Coloring, host: Host, f: Flag, flag_h: Flag) -> PartialCover:
 
 
 def _absorb_face(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -> None:
-    state.processed.add(face)
+    del state.pending[face]
     state.face_image[face] = image
     for e in face.edges:
         state.edge_image[e] = edge_key(state.vertex_map[e[0]], state.vertex_map[e[1]])
@@ -176,15 +178,10 @@ def _intersection_path(face: FaceBoundary, state: PartialCover) -> list[int] | N
     return path
 
 
-def select_next_face(
-    state: PartialCover, enumeration: list[FaceBoundary]
-) -> FaceBoundary | None:
-    """The enumeration-least unprocessed face sharing a path with the
-    frontier, restricted to faces with complete surroundings.  None means
-    patch exhaustion (normal termination for patch-bounded runs)."""
-    for face in enumeration:
-        if face in state.processed or face not in state.eligible:
-            continue
+def select_next_face(state: PartialCover) -> FaceBoundary | None:
+    """The least pending face sharing a path with the frontier.  None
+    means patch exhaustion (normal termination for patch-bounded runs)."""
+    for face in state.pending:
         if _intersection_path(face, state) is not None:
             return face
     return None
@@ -233,7 +230,11 @@ def extend_cover(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -
       edge, which would lie on P), so C ^ D is a simple cycle;
     - so every step that would break the cycle is rejected with
       InputError before the frontier changes.
+    A face that is not pending (absorbed already, or too near the patch
+    margin) is rejected the same way, so no face is mapped twice.
     """
+    if face not in state.pending:
+        raise InputError(f"face {face} is not pending")
     path = _intersection_path(face, state)
     if path is None:
         raise InputError("face does not meet the frontier in a path")
@@ -352,10 +353,9 @@ class CoverRun:
         surjectivity onto the target is reported, not required.  Any
         invariant failure raises HypothesisViolationError with the step."""
         c, host = self.coloring, self.host
-        state = init_cover(c, host, *self.seed)
-        enumeration = face_enumeration(c.patch, tie_break)
+        state = init_cover(c, host, *self.seed, tie_break)
         while True:
-            face = select_next_face(state, enumeration)
+            face = select_next_face(state)
             if face is None:
                 break
             image = match_face(state, face)
@@ -369,7 +369,7 @@ class CoverRun:
             seed=self.seed,
             delta=c.delta,
             n=c.n,
-            processed=frozenset(state.processed),
+            processed=frozenset(state.face_image),
             face_image=dict(state.face_image),
             eligible=state.eligible,
             steps=state.step,
@@ -393,11 +393,9 @@ def build_cover(
 
 
 def _assert_no_holes(state: PartialCover) -> None:
-    """Every eligible face surrounded by processed faces must itself have
-    been processed (each face is eventually chosen)."""
+    """No pending face may be surrounded by processed faces (each face is
+    eventually chosen)."""
     processed_edges = set(state.edge_image)
-    for face in state.eligible:
-        if face in state.processed:
-            continue
+    for face in state.pending:
         if face.edges <= processed_edges:
             raise HypothesisViolationError(f"face {face} was skipped but fully surrounded")

@@ -436,6 +436,8 @@ def is_r_locally(
     that stays meaningful on quotients small enough for induced balls to
     pick up wrap chords.
     """
+    if r < 1:
+        raise InputError("need r >= 1")
     failures = []
     if d_balls:
         reference = face_core(Host(g_patch), g_patch.root, r).rooted

@@ -347,6 +347,16 @@ class _PatchBuilder:
         while self.nfaces[v] < self.q:
             self.add_face_at(v)
 
+    def outer_walk(self) -> tuple[int, ...]:
+        """The outer boundary walk, from the least vertex that still needs
+        a face: each boundary vertex v is followed by arc_v[0]."""
+        walk = [min(v for v, k in enumerate(self.nfaces) if k < self.q)]
+        while self.arc[walk[-1]][0] != walk[0]:
+            if len(walk) == len(self.arc):
+                raise DefectError("the outer walk does not close")
+            walk.append(self.arc[walk[-1]][0])
+        return _canonical_walk(tuple(walk))
+
     def bfs(self, o: int) -> dict[int, int]:
         dist = {o: 0}
         queue = deque([o])
@@ -388,7 +398,9 @@ def generate(p: int, q: int, R: int) -> PlanePatch:
     if len(set(faces)) != len(faces):
         raise DefectError("generation produced a face twice")
 
-    outer = _identify_outer(graph, rotation, frozenset(faces))
+    if nverts - len(edges) + len(faces) + 1 != 2:
+        raise DefectError("the patch and its outer region do not close up into a sphere")
+    outer = b.outer_walk()
     interior = {v for v in range(nverts) if b.nfaces[v] == q}
     if interior != set(range(nverts)) - set(outer):
         raise DefectError("the complete vertices are not exactly those off the outer walk")
@@ -398,20 +410,6 @@ def generate(p: int, q: int, R: int) -> PlanePatch:
         raise DefectError(f"root complete_radius {crad[o]} < requested radius {R}")
     patch = PlanePatch(graph, o, rotation, faces, outer, crad, (p, q))
     return patch
-
-
-def _identify_outer(
-    g: Graph, rotation: dict[int, tuple[int, ...]], faces: frozenset[FaceBoundary]
-) -> tuple[int, ...]:
-    """Trace the map and return the single walk that is not a recorded face."""
-    max_len = max(len(f) for f in faces)
-    leftovers = []
-    for w in trace_faces(g, rotation):
-        if len(w) > max_len or not (_is_simple_walk(w) and FaceBoundary(w) in faces):
-            leftovers.append(w)
-    if len(leftovers) != 1:
-        raise DefectError(f"expected one outer walk, found {len(leftovers)}")
-    return leftovers[0]
 
 
 def _complete_radius_from_boundary(g: Graph, boundary: set[int]) -> dict[int, int]:

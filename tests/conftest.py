@@ -11,12 +11,18 @@ from .oracles import assert_frontier_cycle  # noqa: E402 (imported once the hook
 @pytest.fixture(autouse=True, scope="session")
 def frontier_oracle():
     """Every build in the suite checks the whole frontier after every
-    step; the builder itself checks only the absorbed face's shared path."""
+    step; the builder itself checks only the absorbed face's shared path.
+    The same check holds the ledger to account: the pending and the
+    absorbed faces split the eligible ones."""
     extend = builder.extend_cover
 
     def checked(state, face, image):
         out = extend(state, face, image)
         assert_frontier_cycle(state.frontier)
+        pending, absorbed = set(state.pending), set(state.face_image)
+        if pending & absorbed or pending | absorbed != state.eligible:
+            # an explicit raise, so the check stays live under python -O
+            raise AssertionError("the pending and the absorbed faces do not split the eligible ones")
         return out
 
     with pytest.MonkeyPatch.context() as mp:

@@ -4,7 +4,8 @@ Everything here but `assert_unique_extension` is deliberately written
 from scratch against plain adjacency dicts, so it shares no code path
 with the library: coordinate models of the square lattice, exhaustive
 cycle enumeration, a naive isomorphism backtracker, a walk round the
-builder's frontier, and cycle canonical forms by trying every rotation.
+builder's frontier, a trace of every walk of a patch's rotation system,
+and cycle canonical forms by trying every rotation.
 Expected values asserted in the tests are computed by these oracles, not
 copied from the implementation.
 """
@@ -183,6 +184,30 @@ def assert_frontier_cycle(frontier) -> None:
 def brute_canonical_cycle(t: tuple) -> tuple:
     """The least of all rotations and reflections of a cycle."""
     return min(s[i:] + s[:i] for s in (t, t[::-1]) for i in range(len(t)))
+
+
+def outer_walk_by_tracing(patch) -> tuple:
+    """The whole-map search for a patch's outer walk: trace every orbit
+    of the next-dart map (u, v) -> (v, w), w following u in the rotation
+    at v, keep the one walk that is not a face, and start it at its least
+    dart."""
+    succ = {v: {rot[i - 1]: rot[i] for i in range(len(rot))} for v, rot in patch.rotation.items()}
+    faces = {brute_canonical_cycle(f.cycle) for f in patch.faces}
+    seen: set = set()
+    leftovers = []
+    for u in sorted(succ):
+        for v in patch.rotation[u]:
+            walk, a, b = [], u, v
+            while (a, b) not in seen:
+                seen.add((a, b))
+                walk.append(a)
+                a, b = b, succ[b][a]
+            if walk and brute_canonical_cycle(tuple(walk)) not in faces:
+                leftovers.append(tuple(walk))
+    if len(leftovers) != 1:
+        raise AssertionError(f"{len(leftovers)} traced walks are not faces; expected one")
+    w = leftovers[0]
+    return min((w[i:] + w[:i] for i in range(len(w))), key=lambda t: t[:2])
 
 
 def assert_unique_extension(g, h, f, iso) -> None:

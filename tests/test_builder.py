@@ -66,7 +66,7 @@ class TestInitCover:
         c = Coloring(patch44_r10, delta44, 1)
         state = init_cover(c, c.g, f, f)
         assert all(k == v for k, v in state.vertex_map.items())
-        assert state.processed == {f.face}
+        assert set(state.face_image) == {f.face}
         assert state.frontier == set(f.face.edges)
 
     def test_all_eight_torus_seeds_valid(self, patch44_r10, delta44, torus57):
@@ -99,13 +99,13 @@ class TestSelectNextFace:
         c = Coloring(patch44_r10, delta44, 1)
         state = init_cover(c, c.g, f, f)
         enum = face_enumeration(patch44_r10)
-        face = select_next_face(state, enum)
+        face = select_next_face(state)
         assert face is not None and face != f.face
         assert len(face.edges & state.frontier) == 1
         others = [
             x
             for x in enum
-            if x not in state.processed
+            if x not in state.face_image
             and x in state.eligible
             and x.edges & state.frontier
         ]
@@ -116,7 +116,8 @@ class TestSelectNextFace:
         # enumeration puts it first
         state, trap, fill = u_shape(patch44_r10, delta44)
         assert len(trap.edges & state.frontier) == 2
-        chosen = select_next_face(state, [trap, fill])
+        state.pending = dict.fromkeys([trap, fill])
+        chosen = select_next_face(state)
         assert chosen == fill
 
     def test_trap_face_rejected_before_the_frontier_changes(self, patch44_r10, delta44):
@@ -132,6 +133,19 @@ class TestSelectNextFace:
         with pytest.raises(AssertionError, match="several cycles"):
             assert_frontier_cycle(state.frontier ^ trap.edges)
 
+    def test_absorbed_face_rejected_before_the_frontier_changes(self, patch44_r10, delta44):
+        # after one step the seed face meets the frontier in a path again;
+        # absorbing it a second time would map it twice
+        f = seed_flag(patch44_r10)
+        c = Coloring(patch44_r10, delta44, 1)
+        state = init_cover(c, c.g, f, f)
+        face = select_next_face(state)
+        extend_cover(state, face, face)
+        before = set(state.frontier)
+        with pytest.raises(InputError, match="is not pending"):
+            extend_cover(state, f.face, f.face)
+        assert state.frontier == before and state.step == 1
+
     def test_exhaustion_on_small_patch(self):
         patch = generate(4, 4, 4)
         cov = build_cover(patch, patch, n=1)
@@ -141,12 +155,10 @@ class TestSelectNextFace:
 
 class TestMatchFace:
     def test_single_edge_picks_fresh_side(self, patch44_r10, delta44, torus57):
-        from coverkit import face_enumeration
-
         c, torus = Coloring(patch44_r10, delta44, 1), Host(torus57.graph, 4)
         f, fh = default_seed(c, torus)
         state = init_cover(c, torus, f, fh)
-        face = select_next_face(state, face_enumeration(patch44_r10))
+        face = select_next_face(state)
         image = match_face(state, face)
         assert image != fh.face
         shared = face.edges & state.frontier
@@ -157,27 +169,22 @@ class TestMatchFace:
         assert len(image) == len(face)
 
     def test_identity_run_matches_true_face(self, patch44_r10, delta44):
-        from coverkit import face_enumeration
-
         f = seed_flag(patch44_r10)
         c = Coloring(patch44_r10, delta44, 1)
         state = init_cover(c, c.g, f, f)
         for _ in range(10):
-            face = select_next_face(state, face_enumeration(patch44_r10))
+            face = select_next_face(state)
             image = match_face(state, face)
             assert image == face
             extend_cover(state, face, image)
 
     def test_longer_path_unique(self, patch44_r10, delta44, torus57):
-        from coverkit import face_enumeration
-
         c, torus = Coloring(patch44_r10, delta44, 1), Host(torus57.graph, 4)
         f, fh = default_seed(c, torus)
         state = init_cover(c, torus, f, fh)
-        enum = face_enumeration(patch44_r10)
         saw_long_path = False
         for _ in range(12):
-            face = select_next_face(state, enum)
+            face = select_next_face(state)
             if len(face.edges & state.frontier) >= 2:
                 saw_long_path = True
             extend_cover(state, face, match_face(state, face))
@@ -382,7 +389,7 @@ except HypothesisViolationError:
     print("rejected wrong face image")
 
 state = init_cover(c, c.g, f, f)
-state.processed.clear()
+state.pending[f.face] = None
 try:
     _assert_no_holes(state)
 except HypothesisViolationError:

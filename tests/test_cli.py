@@ -97,6 +97,14 @@ class TestPipeline:
         code, out, _ = run(["check-local", "--h", str(t), "--g", str(g), "--r", "2"], capsys)
         assert code == 1 and not json.loads(out)["ok"]
 
+    @pytest.mark.parametrize("mode", [[], ["--d-balls"]], ids=["balls", "cores"])
+    def test_check_local_radius_zero_exit_2(self, artifacts, capsys, mode):
+        # radius 0 compares single vertices, which checks nothing
+        d, g, t = artifacts
+        code, out, err = run(["check-local", "--h", str(t), "--g", str(g), "--r", "0", *mode], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "input", "message": "need r >= 1"}
+
     def test_flags_stabilize(self, artifacts, capsys):
         d, g, t = artifacts
         code, out, _ = run(["flags", "--g", str(g), "--stabilize"], capsys)

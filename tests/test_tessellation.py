@@ -19,7 +19,7 @@ from coverkit import (
 from coverkit.graph import RootedBall
 from coverkit.tessellation import _is_simple_walk, _PatchBuilder
 
-from .oracles import brute_canonical_cycle, z2_ball
+from .oracles import brute_canonical_cycle, outer_walk_by_tracing, z2_ball
 
 
 class TestFaceBoundary:
@@ -112,6 +112,11 @@ class TestGenerate:
         for v in sorted(inner):
             if big.complete_radius[v] >= 1 and small.complete_radius[v] >= 1:
                 assert big.rotation[v] == small.rotation[v]
+
+    @pytest.mark.parametrize("p,q,R", [(4, 4, 6), (6, 3, 5), (3, 7, 4), (5, 4, 4), (7, 3, 5)])
+    def test_outer_is_the_traced_walk_that_is_not_a_face(self, p, q, R):
+        patch = generate(p, q, R)
+        assert patch.outer == outer_walk_by_tracing(patch)
 
     def test_complete_radius_certificate(self, patch44_r6):
         p = patch44_r6
