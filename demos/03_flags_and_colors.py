@@ -33,7 +33,7 @@ print("stabilisation level n =", n, " palette size |Delta| =", len(delta))
 
 # Every flag of the patch gets the single colour.  The colouring context
 # holds the patch's own host and the isomorphism memo of this run.
-c = Coloring(patch, delta, n)
+c = Coloring(patch, delta)
 v = 17
 print("colours at vertex 17:", sorted({color(c, f) for f in flags_at(c.g, v)}))
 

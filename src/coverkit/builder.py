@@ -35,11 +35,13 @@ class PartialCover:
     frontier: set[Edge]
     pending: dict[FaceBoundary, None]  # eligible faces not yet absorbed, in enumeration order
     face_image: dict[FaceBoundary, FaceBoundary]
-    edge_image: dict[Edge, Edge]
-    domain_edges_at: dict[int, set[Edge]]
+    domain_edges_at: dict[int, set[Edge]]  # the processed edges at each vertex
     eligible: frozenset[FaceBoundary]
-    step: int = 0
-    log: list[dict] = field(default_factory=list)
+    log: list[dict] = field(default_factory=list)  # one entry per step after the seed
+
+
+def _image(state: PartialCover, e: Edge) -> Edge:
+    return edge_key(state.vertex_map[e[0]], state.vertex_map[e[1]])
 
 
 def _eligible_faces(c: Coloring) -> frozenset[FaceBoundary]:
@@ -65,12 +67,12 @@ def _check_new_flag_colors(state: PartialCover, face: FaceBoundary, image: FaceB
     for y in sorted(face.cycle):
         for e in face.edges_at(y):
             fl = Flag(y, e, face)
-            img = Flag(state.vertex_map[y], edge_key(*(state.vertex_map[t] for t in e)), image)
+            img = Flag(state.vertex_map[y], _image(state, e), image)
             cg = color(state.coloring, fl)
             ch = color_in_h(state.coloring, state.host, img)
             if cg != ch:
                 raise HypothesisViolationError(
-                    f"step {state.step}: colour of {fl} is {cg} but its image has {ch}; "
+                    f"step {len(state.log)}: colour of {fl} is {cg} but its image has {ch}; "
                     f"h violates r-locality"
                 )
 
@@ -80,28 +82,28 @@ def _check_local_injectivity(state: PartialCover, face: FaceBoundary) -> None:
     injective and the new co-facial pair lands in one target face."""
     h = state.host.graph
     for y in sorted(face.cycle):
-        images = [state.edge_image[e] for e in sorted(state.domain_edges_at[y])]
+        images = [_image(state, e) for e in sorted(state.domain_edges_at[y])]
         if len(set(images)) != len(images):
             raise HypothesisViolationError(
-                f"step {state.step}: images of the edges at {y} collide"
+                f"step {len(state.log)}: images of the edges at {y} collide"
             )
         for img in images:
             if not h.has_edge(*img):
                 raise HypothesisViolationError(
-                    f"step {state.step}: image edge {img} is not an edge of h"
+                    f"step {len(state.log)}: image edge {img} is not an edge of h"
                 )
         e1, e2 = face.edges_at(y)
         b = state.face_image[face]
-        if state.edge_image[e1] not in b.edges or state.edge_image[e2] not in b.edges:
+        if _image(state, e1) not in b.edges or _image(state, e2) not in b.edges:
             raise HypothesisViolationError(
-                f"step {state.step}: the edges of {face} at {y} do not map into its image {b}"
+                f"step {len(state.log)}: the edges of {face} at {y} do not map into its image {b}"
             )
 
 
 def init_cover(c: Coloring, host: Host, f: Flag, flag_h: Flag, tie_break: int = 0) -> PartialCover:
     """Map the seed face onto the target face in the orientation fixed by
-    the flag pair, and verify colour preservation on all its flags.  The
-    eligible faces wait in face enumeration `tie_break` order."""
+    the flag pair and absorb it like any later face.  The eligible faces
+    wait in face enumeration `tie_break` order."""
     eligible = _eligible_faces(c)
     state = PartialCover(
         coloring=c,
@@ -110,15 +112,16 @@ def init_cover(c: Coloring, host: Host, f: Flag, flag_h: Flag, tie_break: int = 
         frontier=set(),
         pending=dict.fromkeys(x for x in face_enumeration(c.patch, tie_break) if x in eligible),
         face_image={},
-        edge_image={},
         domain_edges_at={},
         eligible=eligible,
     )
+    face, image = f.face, flag_h.face
+    if face not in c.patch.face_set or image not in host_faces_at(host, flag_h.vertex):
+        raise InputError("a seed flag's face is not a face of its graph")
     cg = color(c, f)
     ch = color_in_h(c, host, flag_h)
     if cg != ch:
         raise InputError(f"seed flags have different colours ({cg} vs {ch})")
-    face, image = f.face, flag_h.face
     if len(face) != len(image):
         raise InputError("seed faces have different lengths")
     if face not in state.eligible:
@@ -128,54 +131,45 @@ def init_cover(c: Coloring, host: Host, f: Flag, flag_h: Flag, tie_break: int = 
     for a, b in zip(seq_g, seq_h):
         state.vertex_map[a] = b
     _absorb_face(state, face, image)
-    state.frontier = set(face.edges)
-    _check_new_flag_colors(state, face, image)
-    _check_local_injectivity(state, face)
     return state
 
 
 def _absorb_face(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -> None:
+    """Record a face whose vertices are mapped, swap its edges into the
+    frontier, and re-verify the inductive invariants on its flags."""
     del state.pending[face]
     state.face_image[face] = image
     for e in face.edges:
-        state.edge_image[e] = edge_key(state.vertex_map[e[0]], state.vertex_map[e[1]])
         for y in e:
             state.domain_edges_at.setdefault(y, set()).add(e)
+    state.frontier ^= face.edges
+    _check_new_flag_colors(state, face, image)
+    _check_local_injectivity(state, face)
 
 
 def _intersection_path(face: FaceBoundary, state: PartialCover) -> list[int] | None:
-    """The intersection of the face with the frontier cycle, as an ordered
-    vertex path, or None when it is not a nonempty path (isolated common
-    vertices disqualify it).  Every frontier edge is a processed edge, so
-    a face vertex is on the frontier iff one of its processed edges is a
-    frontier edge: no step looks at the whole frontier."""
+    """The intersection of the face with the frontier cycle, as a vertex
+    path from its lesser end, or None when it is not one nonempty path.
+    One walk round the face marks its frontier edges, which must form a
+    single run; no face vertex off that run may be on the frontier
+    (isolated common vertices disqualify it).  Every frontier edge is a
+    processed edge, so a vertex is on the frontier iff one of its
+    processed edges is a frontier edge: no step looks at the whole
+    frontier."""
     frontier = state.frontier
-    common_edges = face.edges & frontier
-    if not common_edges:
+    if face.edges.isdisjoint(frontier):
         return None
-    common_vertices = {
-        v for v in face.cycle if any(e in frontier for e in state.domain_edges_at.get(v, ()))
-    }
-    adj: dict[int, list[int]] = {v: [] for v in common_vertices}
-    for a, b in common_edges:
-        if a not in adj or b not in adj:
-            return None
-        adj[a].append(b)
-        adj[b].append(a)
-    ends = [v for v, nb in adj.items() if len(nb) == 1]
-    if len(ends) != 2 or any(len(nb) > 2 for nb in adj.values()):
+    cyc = face.cycle
+    shared = [edge_key(a, b) in frontier for a, b in zip(cyc, cyc[1:] + cyc[:1])]  # edge i leaves cyc[i]
+    starts = [i for i, on in enumerate(shared) if on and not shared[i - 1]]
+    if len(starts) != 1:
+        return None  # the whole face, or several runs
+    walk = cyc[starts[0] :] + cyc[: starts[0]]
+    m = shared.count(True)
+    if any(e in frontier for v in walk[m + 1 :] for e in state.domain_edges_at.get(v, ())):
         return None
-    path = [min(ends)]
-    prev = None
-    while True:
-        nxt = [u for u in adj[path[-1]] if u != prev]
-        if not nxt:
-            break
-        prev = path[-1]
-        path.append(nxt[0])
-    if len(path) != len(common_vertices) or len(path) != len(common_edges) + 1:
-        return None
-    return path
+    path = list(walk[: m + 1])
+    return path if path[0] < path[-1] else path[::-1]
 
 
 def select_next_face(state: PartialCover) -> FaceBoundary | None:
@@ -195,10 +189,8 @@ def match_face(state: PartialCover, face: FaceBoundary) -> FaceBoundary:
         raise InputError("face does not meet the frontier in a path")
     w = path[0]
     cw = state.vertex_map[w]
-    img_path_edges = {
-        edge_key(state.vertex_map[a], state.vertex_map[b]) for a, b in zip(path, path[1:])
-    }
-    used_at_w = {state.edge_image[e] for e in state.domain_edges_at[w]}
+    img_path_edges = {_image(state, e) for e in zip(path, path[1:])}
+    used_at_w = {_image(state, e) for e in state.domain_edges_at[w]}
     candidates = []
     for b in host_faces_at(state.host, cw):
         if not img_path_edges <= b.edges:
@@ -210,7 +202,7 @@ def match_face(state: PartialCover, face: FaceBoundary) -> FaceBoundary:
         candidates.append(b)
     if len(candidates) != 1:
         raise HypothesisViolationError(
-            f"step {state.step + 1}: {len(candidates)} candidate faces at target "
+            f"step {len(state.log) + 1}: {len(candidates)} candidate faces at target "
             f"vertex {cw}; h is not r-locally-G here"
         )
     return candidates[0]
@@ -242,24 +234,20 @@ def extend_cover(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -
     seq_h = image.cycle_from(state.vertex_map[path[0]], state.vertex_map[path[1]])
     for i, (a, b) in enumerate(zip(seq_g, seq_h)):
         if i < len(path):
-            if seq_g[i] != path[i] or state.vertex_map[a] != b:
+            if a != path[i] or state.vertex_map[a] != b:
                 raise HypothesisViolationError(
-                    f"step {state.step + 1}: image face does not align with the shared path"
+                    f"step {len(state.log) + 1}: image face does not align with the shared path"
                 )
         elif a in state.vertex_map:
             if state.vertex_map[a] != b:
                 raise HypothesisViolationError(
-                    f"step {state.step + 1}: vertex {a} already mapped to "
+                    f"step {len(state.log) + 1}: vertex {a} already mapped to "
                     f"{state.vertex_map[a]}, face image forces {b}"
                 )
         else:
             state.vertex_map[a] = b
+    state.log.append({"step": len(state.log) + 1, "face": list(face.cycle), "image": list(image.cycle)})
     _absorb_face(state, face, image)
-    state.frontier ^= face.edges
-    state.step += 1
-    state.log.append({"step": state.step, "face": list(face.cycle), "image": list(image.cycle)})
-    _check_new_flag_colors(state, face, image)
-    _check_local_injectivity(state, face)
     return state
 
 
@@ -275,8 +263,6 @@ class CoverMap:
     vertex_map: dict[int, int]
     seed: tuple[Flag, Flag]
     delta: FundamentalDomain
-    n: int
-    processed: frozenset[FaceBoundary]
     face_image: dict[FaceBoundary, FaceBoundary]
     eligible: frozenset[FaceBoundary]
     steps: int
@@ -289,7 +275,7 @@ class CoverMap:
         out = []
         for v in sorted(self.vertex_map):
             if self.patch.is_interior(v) and all(
-                f in self.processed for f in self.patch.faces_at(v)
+                f in self.face_image for f in self.patch.faces_at(v)
             ):
                 out.append(v)
         return out
@@ -300,7 +286,7 @@ class CoverMap:
             "seed": {"f": self.seed[0].to_json_dict(), "h": self.seed[1].to_json_dict()},
             "steps": self.steps,
             "surjective": self.surjective,
-            "n": self.n,
+            "n": self.delta.level,
         }
 
 
@@ -338,7 +324,7 @@ class CoverRun:
     ):
         if n is None:
             n = stabilize_n(patch, i_max, guard)
-        self.coloring = c = Coloring(patch, i_fundamental_domain(patch, n), n)
+        self.coloring = c = Coloring(patch, i_fundamental_domain(patch, n))
         self.host = c.host_for(h)
         self.host.fill_chain_cycles()
         if f is None or flag_h is None:
@@ -368,11 +354,9 @@ class CoverRun:
             vertex_map=dict(state.vertex_map),
             seed=self.seed,
             delta=c.delta,
-            n=c.n,
-            processed=frozenset(state.face_image),
             face_image=dict(state.face_image),
             eligible=state.eligible,
-            steps=state.step,
+            steps=len(state.log),
             surjective=surjective,
             log=state.log,
         )
@@ -395,7 +379,7 @@ def build_cover(
 def _assert_no_holes(state: PartialCover) -> None:
     """No pending face may be surrounded by processed faces (each face is
     eventually chosen)."""
-    processed_edges = set(state.edge_image)
+    processed_edges = {e for es in state.domain_edges_at.values() for e in es}
     for face in state.pending:
         if face.edges <= processed_edges:
             raise HypothesisViolationError(f"face {face} was skipped but fully surrounded")

@@ -18,7 +18,7 @@ from . import __version__
 from .builder import build_cover
 from .errors import CoverKitError, InputError, PatchTooSmallError
 from .flags import Flag, i_fundamental_domain, stabilize_n
-from .graph import Graph
+from .graph import Graph, json_int
 from .instances import QuotientSpec, make_example_K, make_quotient
 from .local import is_r_locally
 from .tessellation import generate, import_patch
@@ -41,9 +41,12 @@ def _write(path: str, obj: dict) -> None:
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path} does not hold a JSON object")
+    return doc
 
 
 def _flag_arg(text: str | None, option: str) -> Flag | None:
@@ -171,8 +174,8 @@ def _cmd_verify(args) -> int:
     try:
         seed_f = Flag.from_json_dict(cover_doc["seed"]["f"])
         seed_h = Flag.from_json_dict(cover_doc["seed"]["h"])
-        n = int(cover_doc["n"])
-        stored = {int(a): int(b) for a, b in cover_doc.get("map", [])}
+        n = json_int(cover_doc["n"], "cover n")
+        stored = {json_int(a, "map entry"): json_int(b, "map entry") for a, b in cover_doc.get("map", [])}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed cover JSON: {exc}") from exc
     cov = build_cover(patch, h, f=seed_f, flag_h=seed_h, n=n)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DefectError, HypothesisViolationError, InputError, PatchTooSmallError
-from .graph import Graph, edge_key
+from .graph import Graph, edge_key, json_int
 from .local import FaceCore, Host, Isomorphism, face_core, host_faces_at, rooted_isomorphisms
 from .tessellation import FaceBoundary, PlanePatch
 
@@ -61,7 +61,9 @@ class Flag:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Flag":
         try:
-            return cls(int(d["v"]), edge_key(int(d["e"][0]), int(d["e"][1])), FaceBoundary(d["face"]))
+            a, b = (json_int(x, "flag edge end") for x in d["e"])
+            face = FaceBoundary([json_int(x, "flag face vertex") for x in d["face"]])
+            return cls(json_int(d["v"], "flag v"), edge_key(a, b), face)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed flag JSON: {exc}") from exc
 
@@ -161,7 +163,6 @@ class FundamentalDomain:
 
     flags: tuple[Flag, ...]
     level: int
-    root: int
     orbits: tuple[frozenset[Flag], ...]
     orbit_index: dict[Flag, int]
 
@@ -202,7 +203,6 @@ def i_fundamental_domain(patch: PlanePatch, i: int) -> FundamentalDomain:
                 return FundamentalDomain(
                     flags=ordered,
                     level=i,
-                    root=patch.root,
                     orbits=tuple(orbits),
                     orbit_index=index,
                 )
@@ -249,14 +249,14 @@ def _map_flag(iso: Isomorphism, f: Flag) -> Flag:
 
 class Coloring:
     """The colouring context of one run: the patch, its palette delta at
-    level n, the patch's own Host `g`, the root's depth-n face core, and
-    the depth-n core isomorphisms onto it found so far, keyed by (host,
-    vertex) so that no two hosts share an entry."""
+    level n = delta.level, the patch's own Host `g`, the root's depth-n
+    face core, and the depth-n core isomorphisms onto it found so far,
+    keyed by (host, vertex) so that no two hosts share an entry."""
 
-    def __init__(self, patch: PlanePatch, delta: FundamentalDomain, n: int):
+    def __init__(self, patch: PlanePatch, delta: FundamentalDomain):
         self.patch = patch
         self.delta = delta
-        self.n = n
+        self.n = delta.level
         self.g = Host(patch)
         self._isos: dict[tuple[Host, int], Isomorphism] = {}
 
@@ -290,7 +290,7 @@ def color(c: Coloring, f: Flag) -> int:
     through any root-preserving isomorphism of depth-n cores.
     Independent of the choice of isomorphism (tested, not assumed)."""
     v = f.vertex
-    if v == c.delta.root:
+    if v == c.patch.root:
         try:
             return c.delta.orbit_index[f]
         except KeyError:

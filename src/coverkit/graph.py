@@ -22,6 +22,14 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of loaded JSON.  Bools and floats are refused, not
+    truncated: `int()` would read true as 1 and 35.9 as 35."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class Graph:
     """Immutable simple undirected graph over integer vertex ids."""
 
@@ -129,10 +137,12 @@ class Graph:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Graph":
         try:
-            n = int(d["n"])
-            edges = [(int(u), int(v)) for u, v in d["edges"]]
+            n = json_int(d["n"], "graph n")
+            edges = [(json_int(u, "edge end"), json_int(v, "edge end")) for u, v in d["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed graph JSON: {exc}") from exc
+        if n < 0:
+            raise InputError(f"graph n must be >= 0, got {n}")
         return cls(range(n), edges)
 
 

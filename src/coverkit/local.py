@@ -275,16 +275,11 @@ class Isomorphism:
     def map_cycle(self, c: FaceBoundary) -> FaceBoundary:
         return FaceBoundary([self.mapping[v] for v in c.cycle])
 
-    def is_orientation_reversing(
-        self,
-        src_rotation: dict[int, tuple[int, ...]],
-        dst_rotation: dict[int, tuple[int, ...]],
-        at: int,
-    ) -> bool:
-        """Whether the image of the cyclic order at `at` is the reverse of
-        the target rotation (rather than a rotation of it)."""
-        img = tuple(self.mapping[u] for u in src_rotation[at])
-        dst = dst_rotation[self.mapping[at]]
+    def is_orientation_reversing(self, rotation: dict[int, tuple[int, ...]], at: int) -> bool:
+        """Whether this self-map carries the cyclic order at `at` onto the
+        reverse of the rotation at its image (rather than a rotation of it)."""
+        img = tuple(self.mapping[u] for u in rotation[at])
+        dst = rotation[self.mapping[at]]
         if _cyclic_equal(img, dst):
             return False
         if _cyclic_equal(img, dst[::-1]):

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import DefectError, InputError, PatchTooSmallError
-from .graph import Graph, RootedBall, ball, edge_key
+from .graph import Graph, RootedBall, ball, edge_key, json_int
 
 
 class FaceBoundary:
@@ -474,16 +474,18 @@ def import_patch(source: dict | str | Path) -> PlanePatch:
     if "rotation" not in d:
         raise InputError("patch JSON is missing the rotation system")
     try:
-        rotation = {int(v): tuple(int(u) for u in rot) for v, rot in d["rotation"].items()}
-        root = int(d["root"])
-        declared_outer = None if d.get("outer") is None else [int(v) for v in d["outer"]]
-        declared_faces = {FaceBoundary(c) for c in d["faces"]} if "faces" in d else None
+        rotation = {int(v): tuple(json_int(u, "rotation entry") for u in rot) for v, rot in d["rotation"].items()}
+        root = json_int(d["root"], "patch root")
+        declared_outer = None if d.get("outer") is None else [json_int(v, "outer vertex") for v in d["outer"]]
+        declared_faces = (
+            {FaceBoundary([json_int(v, "face vertex") for v in c]) for c in d["faces"]} if "faces" in d else None
+        )
         declared_crad = (
-            {int(v): int(r) for v, r in d["complete_radius"].items()}
+            {int(v): json_int(r, "complete_radius value") for v, r in d["complete_radius"].items()}
             if "complete_radius" in d
             else None
         )
-        schlafli = tuple(int(k) for k in d["schlafli"]) if "schlafli" in d else None
+        schlafli = tuple(json_int(k, "schlafli entry") for k in d["schlafli"]) if "schlafli" in d else None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed patch JSON: {exc}") from exc
     if schlafli is not None and (len(schlafli) != 2 or min(schlafli) < 3):

@@ -90,7 +90,7 @@ def _sample_fiber_pairs(
     """Deterministic fiber pairs from the processed interior, round-robin
     across target vertices; g is the patch's host."""
     patch = cover.patch
-    j_r = dk_ball(g, patch.root, cover.n + 1).radius
+    j_r = dk_ball(g, patch.root, cover.delta.level + 1).radius
     core = [v for v in cover.region_interior() if patch.complete_radius[v] >= j_r]
     fibers: dict[int, list[int]] = {}
     for v in core:
@@ -134,10 +134,10 @@ def check_normality(
     if samples < 1 and not exhaustive:
         raise InputError("samples must be >= 1")
     patch = cover.patch
-    r = cover.n + 1
+    c = Coloring(patch, cover.delta)
+    r = c.n + 1
     rng = random.Random(rng_seed)
     report = VerificationReport()
-    c = Coloring(patch, cover.delta, cover.n)
     pairs = _sample_fiber_pairs(cover, c.g, samples, rng, exhaustive)
     if not pairs:
         # all fibers in the checked region are singletons: trivially normal
@@ -175,9 +175,7 @@ def check_normality(
                 if cover.vertex_map[au] != cover.vertex_map[u]:
                     commute_bad.append((v, w, u))
                     break
-        orientations.append(
-            alpha.is_orientation_reversing(patch.rotation, patch.rotation, at=v)
-        )
+        orientations.append(alpha.is_orientation_reversing(patch.rotation, at=v))
     report.add(
         "fiber flag colours agree",
         not color_bad,
@@ -224,7 +222,7 @@ def check_uniqueness(
                 | {v for v in cov.vertex_map if reference.vertex_map.get(v) != cov.vertex_map[v]}
             )
             diff.append((t, first))
-        if frozenset(cov.processed) != frozenset(reference.processed):
+        if cov.face_image.keys() != reference.face_image.keys():
             diff.append((t, "processed face sets differ"))
     report.add("vertex maps identical across enumerations", not diff, witnesses=diff, trials=trials)
     return report

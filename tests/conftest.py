@@ -5,23 +5,28 @@ from coverkit import QuotientSpec, generate, make_quotient
 
 pytest.register_assert_rewrite("tests.oracles")
 
-from .oracles import assert_frontier_cycle  # noqa: E402 (imported once the hook is set)
+from .oracles import assert_frontier_cycle, intersection_path_by_adjacency  # noqa: E402 (imported once the hook is set)
 
 
 @pytest.fixture(autouse=True, scope="session")
 def frontier_oracle():
     """Every build in the suite checks the whole frontier after every
-    step; the builder itself checks only the absorbed face's shared path.
-    The same check holds the ledger to account: the pending and the
-    absorbed faces split the eligible ones."""
+    step; the builder itself checks only the absorbed face's shared path,
+    which must first agree with the adjacency-walk reference.  The same
+    check holds the ledger to account: the pending and the absorbed faces
+    split the eligible ones.  Explicit raises, so the checks stay live
+    under python -O."""
     extend = builder.extend_cover
 
     def checked(state, face, image):
+        want = intersection_path_by_adjacency(face, state)
+        got = builder._intersection_path(face, state)
+        if got != want:
+            raise AssertionError(f"shared path of {face} is {got}; the reference gives {want}")
         out = extend(state, face, image)
         assert_frontier_cycle(state.frontier)
         pending, absorbed = set(state.pending), set(state.face_image)
         if pending & absorbed or pending | absorbed != state.eligible:
-            # an explicit raise, so the check stays live under python -O
             raise AssertionError("the pending and the absorbed faces do not split the eligible ones")
         return out
 

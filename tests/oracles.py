@@ -1,11 +1,14 @@
 """Independent brute-force oracles.
 
-Everything here but `assert_unique_extension` is deliberately written
-from scratch against plain adjacency dicts, so it shares no code path
-with the library: coordinate models of the square lattice, exhaustive
-cycle enumeration, a naive isomorphism backtracker, a walk round the
-builder's frontier, a trace of every walk of a patch's rotation system,
-and cycle canonical forms by trying every rotation.
+Everything here but `assert_unique_extension` and
+`intersection_path_by_adjacency` is deliberately written from scratch
+against plain adjacency dicts, so it shares no code path with the
+library: coordinate models of the square lattice, exhaustive cycle
+enumeration, a naive isomorphism backtracker, a walk round the builder's
+frontier, a trace of every walk of a patch's rotation system, and cycle
+canonical forms by trying every rotation.  The shared-path reference
+reads the builder's state, but finds the path another way: an adjacency
+dict of the shared edges, walked between its two ends.
 Expected values asserted in the tests are computed by these oracles, not
 copied from the implementation.
 """
@@ -179,6 +182,40 @@ def assert_frontier_cycle(frontier) -> None:
         prev, v, length = v, b if a == prev else a, length + 1
     if length != len(adj):
         raise AssertionError(f"frontier splits into several cycles; one has {length} of {len(adj)} vertices")
+
+
+def intersection_path_by_adjacency(face, state) -> list | None:
+    """The builder's shared path found the slow way: gather the face's
+    frontier edges and its vertices on the frontier, build the adjacency
+    of those edges, and walk from the lesser of its two ends.  None unless
+    the edges form one path through every such vertex."""
+    frontier = state.frontier
+    common_edges = face.edges & frontier
+    if not common_edges:
+        return None
+    common_vertices = {
+        v for v in face.cycle if any(e in frontier for e in state.domain_edges_at.get(v, ()))
+    }
+    adj: dict = {v: [] for v in common_vertices}
+    for a, b in common_edges:
+        if a not in adj or b not in adj:
+            return None
+        adj[a].append(b)
+        adj[b].append(a)
+    ends = [v for v, nb in adj.items() if len(nb) == 1]
+    if len(ends) != 2 or any(len(nb) > 2 for nb in adj.values()):
+        return None
+    path = [min(ends)]
+    prev = None
+    while True:
+        nxt = [u for u in adj[path[-1]] if u != prev]
+        if not nxt:
+            break
+        prev = path[-1]
+        path.append(nxt[0])
+    if len(path) != len(common_vertices) or len(path) != len(common_edges) + 1:
+        return None
+    return path
 
 
 def brute_canonical_cycle(t: tuple) -> tuple:

@@ -60,7 +60,7 @@ def test_criterion_1_euclidean_end_to_end():
     # closed-form deck translations
     coords = square_lattice_coordinates(patch)
     where = {c: v for v, c in coords.items()}
-    c = Coloring(patch, cover.delta, cover.n)
+    c = Coloring(patch, cover.delta)
     pairs = _sample_fiber_pairs(cover, c.g, 20, random.Random(0), False)
     for v, w in pairs:
         hv = cover.vertex_map[v]
@@ -120,7 +120,7 @@ def test_criterion_4_hyperbolic_machinery():
     assert len(delta) == 1
     r = n + 1
     j_r = dk_ball(Host(patch), patch.root, r).radius
-    c = Coloring(patch, delta, n)
+    c = Coloring(patch, delta)
     f0 = flags_at(c.g, patch.root)[0]
     eligible = [v for v in patch.graph.vertices if patch.complete_radius[v] >= j_r]
     samples = [

@@ -12,6 +12,7 @@ from coverkit import (
     FaceBoundary,
     Host,
     InputError,
+    QuotientSpec,
     build_cover,
     default_seed,
     extend_cover,
@@ -20,12 +21,14 @@ from coverkit import (
     generate,
     i_fundamental_domain,
     init_cover,
+    make_quotient,
     match_face,
     select_next_face,
 )
+from coverkit.builder import _intersection_path
 from coverkit.instances import square_lattice_coordinates
 
-from .oracles import assert_frontier_cycle
+from .oracles import assert_frontier_cycle, intersection_path_by_adjacency
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +55,7 @@ def u_shape(patch, delta):
     coords = square_lattice_coordinates(patch)
     cells = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (0, 1), (0, 2)]
     faces = [face_at_cell(patch, coords, c) for c in cells]
-    c = Coloring(patch, delta, 1)
+    c = Coloring(patch, delta)
     f = next(fl for fl in flags_at(c.g, patch.root) if fl.face == faces[0])
     state = init_cover(c, c.g, f, f)
     for face in faces[1:]:
@@ -63,7 +66,7 @@ def u_shape(patch, delta):
 class TestInitCover:
     def test_identity_seed(self, patch44_r10, delta44):
         f = seed_flag(patch44_r10)
-        c = Coloring(patch44_r10, delta44, 1)
+        c = Coloring(patch44_r10, delta44)
         state = init_cover(c, c.g, f, f)
         assert all(k == v for k, v in state.vertex_map.items())
         assert set(state.face_image) == {f.face}
@@ -74,7 +77,7 @@ class TestInitCover:
         images = set()
         torus = Host(torus57.graph, 4)
         for fh in flags_at(torus, 0):
-            state = init_cover(Coloring(patch44_r10, delta44, 1), torus, f, fh)
+            state = init_cover(Coloring(patch44_r10, delta44), torus, f, fh)
             assert len(state.vertex_map) == 4
             images.add(tuple(sorted(state.vertex_map.items())))
         assert len(images) == 8  # distinct orientations, all legal
@@ -84,7 +87,7 @@ class TestInitCover:
         hexa = Host(hex55.graph, 6)
         fh = flags_at(hexa, 0)[0]
         with pytest.raises(CoverKitError):
-            init_cover(Coloring(patch44_r10, delta44, 1), hexa, f, fh)
+            init_cover(Coloring(patch44_r10, delta44), hexa, f, fh)
 
     def test_wholly_incompatible_target_rejected(self, patch44_r10, hex55):
         with pytest.raises(CoverKitError):
@@ -96,7 +99,7 @@ class TestSelectNextFace:
         from coverkit import face_enumeration
 
         f = seed_flag(patch44_r10)
-        c = Coloring(patch44_r10, delta44, 1)
+        c = Coloring(patch44_r10, delta44)
         state = init_cover(c, c.g, f, f)
         enum = face_enumeration(patch44_r10)
         face = select_next_face(state)
@@ -137,25 +140,66 @@ class TestSelectNextFace:
         # after one step the seed face meets the frontier in a path again;
         # absorbing it a second time would map it twice
         f = seed_flag(patch44_r10)
-        c = Coloring(patch44_r10, delta44, 1)
+        c = Coloring(patch44_r10, delta44)
         state = init_cover(c, c.g, f, f)
         face = select_next_face(state)
         extend_cover(state, face, face)
         before = set(state.frontier)
         with pytest.raises(InputError, match="is not pending"):
             extend_cover(state, f.face, f.face)
-        assert state.frontier == before and state.step == 1
+        assert state.frontier == before and len(state.log) == 1
 
     def test_exhaustion_on_small_patch(self):
         patch = generate(4, 4, 4)
         cov = build_cover(patch, patch, n=1)
-        assert cov.steps + 1 == len(cov.processed)
-        assert cov.processed == cov.eligible  # everything certified got mapped
+        assert cov.steps + 1 == len(cov.face_image)
+        assert set(cov.face_image) == cov.eligible  # everything certified got mapped
+
+
+def _quotient_target(p, q, radius, kind, m, n):
+    return lambda: (generate(p, q, radius), make_quotient(QuotientSpec(kind, m, n)).graph)
+
+
+def _self_cover(p, q, radius):
+    def build():
+        patch = generate(p, q, radius)
+        return patch, patch
+
+    return build
+
+
+class TestSharedPath:
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            _quotient_target(4, 4, 10, "torus", 5, 7),
+            _quotient_target(4, 4, 8, "klein", 12, 12),
+            _quotient_target(6, 3, 10, "hex_torus", 5, 5),
+            _self_cover(3, 7, 6),
+            _self_cover(4, 5, 6),
+            _self_cover(5, 4, 6),
+        ],
+        ids=["{4,4}-torus-5x7", "{4,4}-klein-12x12", "{6,3}-hex-5x5", "{3,7}-self", "{4,5}-self", "{5,4}-self"],
+    )
+    def test_every_pending_face_agrees_with_the_reference(self, instance):
+        # the one walk round the face gives the adjacency walk's path, or
+        # its None, for every face still pending at every step
+        run = CoverRun(*instance())
+        for tie_break in (0, 1, 2):
+            state = init_cover(run.coloring, run.host, *run.seed, tie_break)
+            while True:
+                for x in state.pending:
+                    assert _intersection_path(x, state) == intersection_path_by_adjacency(x, state), x
+                face = select_next_face(state)
+                if face is None:
+                    break
+                extend_cover(state, face, match_face(state, face))
+            assert len(state.log) > 10
 
 
 class TestMatchFace:
     def test_single_edge_picks_fresh_side(self, patch44_r10, delta44, torus57):
-        c, torus = Coloring(patch44_r10, delta44, 1), Host(torus57.graph, 4)
+        c, torus = Coloring(patch44_r10, delta44), Host(torus57.graph, 4)
         f, fh = default_seed(c, torus)
         state = init_cover(c, torus, f, fh)
         face = select_next_face(state)
@@ -170,7 +214,7 @@ class TestMatchFace:
 
     def test_identity_run_matches_true_face(self, patch44_r10, delta44):
         f = seed_flag(patch44_r10)
-        c = Coloring(patch44_r10, delta44, 1)
+        c = Coloring(patch44_r10, delta44)
         state = init_cover(c, c.g, f, f)
         for _ in range(10):
             face = select_next_face(state)
@@ -179,7 +223,7 @@ class TestMatchFace:
             extend_cover(state, face, image)
 
     def test_longer_path_unique(self, patch44_r10, delta44, torus57):
-        c, torus = Coloring(patch44_r10, delta44, 1), Host(torus57.graph, 4)
+        c, torus = Coloring(patch44_r10, delta44), Host(torus57.graph, 4)
         f, fh = default_seed(c, torus)
         state = init_cover(c, torus, f, fh)
         saw_long_path = False
@@ -212,7 +256,7 @@ class TestBuildCover:
 
     def test_facial_walks_preserved(self, patch44_r10, torus57):
         cov = build_cover(patch44_r10, torus57.graph)
-        for face in sorted(cov.processed)[:40]:
+        for face in sorted(cov.face_image)[:40]:
             image = cov.face_image[face]
             cyc = face.cycle_from(face.cycle[0], face.cycle[1])
             img = [cov.vertex_map[v] for v in cyc]
@@ -229,7 +273,7 @@ class TestBuildCover:
         for tb in (1, 2):
             other = CoverRun(patch44_r10, torus57.graph).build(tb)
             assert other.vertex_map == base.vertex_map
-            assert other.processed == base.processed
+            assert other.face_image.keys() == base.face_image.keys()
 
     def test_prepared_run_rebuilds_like_a_fresh_one(self, patch44_r10, klein66):
         # builds share the run's memoised faces and isomorphisms, so each
@@ -327,7 +371,7 @@ class TestBuildCover:
         cov = build_cover(small, big, f=f, flag_h=fh, n=1)
         vals = list(cov.vertex_map.values())
         assert len(set(vals)) == len(vals)  # injective into the bigger patch
-        iso = extend_iso(Coloring(small, delta, 1), Host(big), f, fh, 2)
+        iso = extend_iso(Coloring(small, delta), Host(big), f, fh, 2)
         overlap = set(iso.mapping) & set(cov.vertex_map)
         assert overlap
         assert all(iso.mapping[u] == cov.vertex_map[u] for u in overlap)
@@ -378,7 +422,7 @@ from coverkit.builder import _assert_no_holes, _check_local_injectivity
 if __debug__:
     sys.exit("expected python -O")
 patch = generate(4, 4, 6)
-c = Coloring(patch, i_fundamental_domain(patch, 1), 1)
+c = Coloring(patch, i_fundamental_domain(patch, 1))
 f = flags_at(c.g, patch.root)[0]
 
 state = init_cover(c, c.g, f, f)

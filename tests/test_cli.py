@@ -226,6 +226,11 @@ def _cover_with_unparsable_seed(d, g, t):
     return ["cover", "--g", str(g), "--h", str(t), "--seed-f", "notjson", "-o", str(d / "x.json")]
 
 
+def _cover_with_seed_face_not_in_target(d, g, t):
+    fh = {"v": 0, "e": [0, 1], "face": [0, 1, 2, 3]}  # a path of the torus, closed up
+    return ["cover", "--g", str(g), "--h", str(t), "--seed-h", json.dumps(fh), "-o", str(d / "x.json")]
+
+
 def _cover_onto_empty_graph(d, g, t):
     empty = d / "empty.json"
     empty.write_text(json.dumps({"n": 0, "edges": []}))
@@ -253,16 +258,76 @@ def _verify_with_zero_margin(d, g, t):
     return _verify_argv(d, g, t, "--margin", "0")
 
 
+def _with(path, out, change):
+    """A copy of the JSON file at path, written to out after change(doc)."""
+    doc = json.loads(path.read_text())
+    change(doc)
+    out.write_text(json.dumps(doc))
+    return str(out)
+
+
+def _verify_changed_cover(d, g, t, change):
+    argv = _verify_argv(d, g, t)
+    argv[2] = _with(d / "cv.json", d / "changed_cover.json", change)
+    return argv
+
+
+def _cover_changed_target(d, g, t, change):
+    return ["cover", "--g", str(g), "--h", _with(t, d / "changed_t.json", change), "-o", str(d / "x.json")]
+
+
+def _verify_with_float_n(d, g, t):
+    # a bool or a float where an integer is due is refused, not truncated
+    return _verify_changed_cover(d, g, t, lambda doc: doc.update(n=1.7))
+
+
+def _verify_with_bool_n(d, g, t):
+    return _verify_changed_cover(d, g, t, lambda doc: doc.update(n=True))
+
+
+def _verify_with_float_seed_vertex(d, g, t):
+    return _verify_changed_cover(d, g, t, lambda doc: doc["seed"]["f"].update(v=0.0))
+
+
+def _cover_onto_float_n(d, g, t):
+    return _cover_changed_target(d, g, t, lambda doc: doc.update(n=35.9))
+
+
+def _cover_onto_float_edge_end(d, g, t):
+    def change(doc):
+        doc["edges"][0][0] = 0.0
+
+    return _cover_changed_target(d, g, t, change)
+
+
+def _cover_from_float_root(d, g, t):
+    patch = _with(g, d / "changed_g.json", lambda doc: doc.update(root=0.4))
+    return ["cover", "--g", patch, "--h", str(t), "-o", str(d / "x.json")]
+
+
+def _check_local_on_negative_n(d, g, t):
+    empty = _with(t, d / "negative_n.json", lambda doc: doc.update(n=-1, edges=[]))
+    return ["check-local", "--h", empty, "--g", str(g), "--r", "1"]
+
+
 class TestBadInputs:
     @pytest.mark.parametrize(
         "make_argv",
         [
             _cover_with_int_map,
             _cover_with_unparsable_seed,
+            _cover_with_seed_face_not_in_target,
             _cover_onto_empty_graph,
             _verify_with_zero_samples,
             _verify_with_negative_samples,
             _verify_with_zero_margin,
+            _verify_with_float_n,
+            _verify_with_bool_n,
+            _verify_with_float_seed_vertex,
+            _cover_onto_float_n,
+            _cover_onto_float_edge_end,
+            _cover_from_float_root,
+            _check_local_on_negative_n,
         ],
     )
     def test_input_error_exit_2(self, artifacts, capsys, make_argv):

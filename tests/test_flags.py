@@ -182,11 +182,11 @@ class TestColor:
     def test_palette_flags_color_to_own_index(self, patch44_r6):
         delta = i_fundamental_domain(patch44_r6, 1)
         for k, f in enumerate(delta.flags):
-            assert color(Coloring(patch44_r6, delta, 1), f) == k
+            assert color(Coloring(patch44_r6, delta), f) == k
 
     def test_single_color_everywhere(self, patch44_r10):
         delta = i_fundamental_domain(patch44_r10, 1)
-        c = Coloring(patch44_r10, delta, 1)
+        c = Coloring(patch44_r10, delta)
         for v in [v for v in patch44_r10.graph.vertices if patch44_r10.complete_radius[v] >= 2][:12]:
             for f in flags_at(c.g, v):
                 assert color(c, f) == 0
@@ -196,7 +196,7 @@ class TestColor:
         delta = i_fundamental_domain(squareoct, n)
         cols = {}
         for f in flags_at(Host(squareoct), squareoct.root):
-            cols.setdefault(color(Coloring(squareoct, delta, n), f), set()).add(f)
+            cols.setdefault(color(Coloring(squareoct, delta), f), set()).add(f)
         assert set(cols) == set(range(len(delta)))
         assert sorted(map(frozenset, cols.values())) == sorted(map(frozenset, delta.orbits))
 
@@ -213,12 +213,12 @@ class TestColor:
         assert any(len(f.face) == 14 for f in flags_at(Host(damaged), victim))
         with pytest.raises(DefectError, match="not vertex-transitive"):
             for f in flags_at(Host(damaged), victim):
-                color(Coloring(damaged, delta, n), f)
+                color(Coloring(damaged, delta), f)
 
     def test_square_and_octagon_flags_differ(self, squareoct):
         n = stabilize_n(squareoct, 2, 2)
         delta = i_fundamental_domain(squareoct, n)
-        c = Coloring(squareoct, delta, n)
+        c = Coloring(squareoct, delta)
         v = sorted(v for v in squareoct.graph.vertices if squareoct.complete_radius[v] >= 3)[5]
         by_len = {}
         for f in flags_at(c.g, v):
@@ -229,14 +229,14 @@ class TestColor:
 class TestColorInH:
     def test_agrees_with_color_on_g_itself(self, patch44_r10):
         delta = i_fundamental_domain(patch44_r10, 1)
-        c = Coloring(patch44_r10, delta, 1)
+        c = Coloring(patch44_r10, delta)
         v = 7
         for f in flags_at(c.g, v):
             assert color_in_h(c, Host(patch44_r10), f) == color(c, f)
 
     def test_torus_flags_all_color_zero(self, torus57, patch44_r10):
         delta = i_fundamental_domain(patch44_r10, 1)
-        c = Coloring(patch44_r10, delta, 1)
+        c = Coloring(patch44_r10, delta)
         torus = Host(torus57.graph, 4)
         for x in (0, 9, 17):
             for f in flags_at(torus, x):
@@ -263,7 +263,7 @@ class TestHostIdentity:
         # vertex 3 exists in both targets with different faces: a face or
         # isomorphism memo keyed by vertex id alone would serve the Klein
         # bottle the torus's entries
-        c = Coloring(patch44_r10, i_fundamental_domain(patch44_r10, 1), 1)
+        c = Coloring(patch44_r10, i_fundamental_domain(patch44_r10, 1))
         faces = {}
         for name, inst in (("torus", torus57), ("klein", klein66)):
             host = Host(inst.graph, 4)
@@ -271,7 +271,7 @@ class TestHostIdentity:
             assert faces[name] == set(face_boundaries_at(inst.graph, 3, 4))
             flags = flags_at(host, 3)
             assert {f.face for f in flags} == faces[name]
-            fresh = Coloring(patch44_r10, c.delta, 1)
+            fresh = Coloring(patch44_r10, c.delta)
             assert [color_in_h(c, host, f) for f in flags] == [
                 color_in_h(fresh, Host(inst.graph, 4), f) for f in flags
             ] == [0] * 8
@@ -281,7 +281,7 @@ class TestHostIdentity:
 class TestExtendIso:
     def test_identity(self, patch44_r10):
         delta = i_fundamental_domain(patch44_r10, 1)
-        c = Coloring(patch44_r10, delta, 1)
+        c = Coloring(patch44_r10, delta)
         f = flags_at(c.g, patch44_r10.root)[0]
         iso = extend_iso(c, c.g, f, f, 2)
         assert_unique_extension(c.g, c.g, f, iso)
@@ -289,7 +289,7 @@ class TestExtendIso:
 
     def test_two_interior_vertices_unique_and_facial(self, patch44_r10):
         delta = i_fundamental_domain(patch44_r10, 1)
-        c = Coloring(patch44_r10, delta, 1)
+        c = Coloring(patch44_r10, delta)
         f = flags_at(c.g, patch44_r10.root)[0]
         g2 = flags_at(c.g, 12)[3]
         iso = extend_iso(c, c.g, f, g2, 2)
@@ -302,7 +302,7 @@ class TestExtendIso:
 
     def test_onto_torus_at_depth_one(self, patch44_r10, torus57):
         delta = i_fundamental_domain(patch44_r10, 1)
-        c = Coloring(patch44_r10, delta, 1)
+        c = Coloring(patch44_r10, delta)
         torus = Host(torus57.graph, 4)
         f = flags_at(c.g, patch44_r10.root)[0]
         fh = flags_at(torus, 5)[2]
@@ -314,7 +314,7 @@ class TestExtendIso:
     def test_color_mismatch_rejected(self, squareoct):
         n = stabilize_n(squareoct, 2, 2)
         delta = i_fundamental_domain(squareoct, n)
-        c = Coloring(squareoct, delta, n)
+        c = Coloring(squareoct, delta)
         root_flags = flags_at(c.g, squareoct.root)
         sq = next(f for f in root_flags if len(f.face) == 4)
         oc = next(f for f in root_flags if len(f.face) == 8)
@@ -323,7 +323,7 @@ class TestExtendIso:
 
     def test_unique_extension_sample(self, patch45_r5):
         delta = i_fundamental_domain(patch45_r5, 1)
-        c = Coloring(patch45_r5, delta, 1)
+        c = Coloring(patch45_r5, delta)
         f = flags_at(c.g, patch45_r5.root)[0]
         targets = [v for v in patch45_r5.graph.vertices if patch45_r5.complete_radius[v] >= 4]
         for v in targets[:4]:

@@ -82,7 +82,7 @@ class TestCheckNormality:
         from coverkit.verify import _flag_preimage_at, _sample_fiber_pairs
         import random
 
-        c = Coloring(patch, torus_cover.delta, 1)
+        c = Coloring(patch, torus_cover.delta)
         pairs = _sample_fiber_pairs(torus_cover, c.g, 20, random.Random(0), False)
         assert len(pairs) == 20
         from coverkit import Flag, face_boundaries_at
