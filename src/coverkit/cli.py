@@ -42,7 +42,7 @@ def _write(path: str, obj: dict) -> None:
 def _load_json(path: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not JSON, or nested too deep
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path} does not hold a JSON object")

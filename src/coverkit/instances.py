@@ -16,12 +16,27 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import DefectError, InputError
-from .graph import Graph, ball, edge_key
+from .graph import Graph, ball
 from .local import as_rooted, rooted_isomorphisms
 from .report import VerificationReport
 from .tessellation import PlanePatch
 
-_SQ_STEP = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+@dataclass(frozen=True)
+class _Lattice:
+    """A planar lattice, described once.  `steps[c][t]` is the coordinate
+    step (dx, dy) taken from a vertex of class c across rotation position
+    t.  A lattice point is (x, y, class), and a step from class c lands in
+    class c + 1 (mod the number of classes): the square lattice has one
+    class, and every hexagonal edge joins the two classes."""
+
+    name: str
+    schlafli: tuple[int, int]
+    steps: tuple[tuple[tuple[int, int], ...], ...]
+
+
+_SQUARE = _Lattice("square", (4, 4), (((1, 0), (0, 1), (-1, 0), (0, -1)),))
+_HEX = _Lattice("hex", (6, 3), (((0, 0), (-1, 0), (0, -1)), ((0, 0), (1, 0), (0, 1))))
 
 
 @dataclass(frozen=True)
@@ -41,70 +56,52 @@ class QuotientSpec:
 
 
 class QuotientInstance:
-    """The quotient graph plus its closed-form projection from the lattice."""
+    """The quotient graph plus its closed-form projection from the lattice.
+
+    The lattice points (x, y, c) with 0 <= x < m and 0 <= y < n are the
+    quotient's vertices, numbered (x * n + y) * classes + c; each vertex's
+    rotation lists its lattice steps in order.
+    """
 
     def __init__(self, spec: QuotientSpec):
         self.spec = spec
-        if spec.kind == "hex_torus":
-            self._build_hex()
-        else:
-            self._build_square()
+        self._lattice = _HEX if spec.kind == "hex_torus" else _SQUARE
+        m, n, steps = spec.m, spec.n, self._lattice.steps
+        classes = len(steps)
+        # away from the domain's edge a step is a fixed shift of the vertex number
+        shifts = [
+            [(dx * n + dy) * classes + (c + 1) % classes - c for dx, dy in row] for c, row in enumerate(steps)
+        ]
+        rotation: dict[int, tuple[int, ...]] = {}
+        for x in range(m):
+            for y in range(n):
+                inside = 0 < x < m - 1 and 0 < y < n - 1  # no step is longer than 1 in x or y
+                for c, row in enumerate(steps):
+                    v = (x * n + y) * classes + c
+                    rotation[v] = tuple(
+                        map(v.__add__, shifts[c])
+                        if inside
+                        else [self._project((x + dx, y + dy, (c + 1) % classes)) for dx, dy in row]
+                    )
+        edges = [(v, u) for v, nbrs in rotation.items() for u in nbrs if v < u]
+        self.graph = Graph(range(m * n * classes), edges)
+        if 2 * len(self.graph.edges) != sum(map(len, rotation.values())):
+            raise InputError("degenerate quotient (a loop or a double edge); enlarge dimensions")
+        self.rotation = rotation
 
-    # -- square-lattice kinds -------------------------------------------------
-
-    def _sq_id(self, i: int, j: int) -> int:
-        return i * self.spec.n + j
+    def _project(self, point: tuple[int, int, int]) -> int:
+        """Canonical quotient vertex of the lattice point (x, y, class)."""
+        x, y, c = point
+        m, n = self.spec.m, self.spec.n
+        if self.spec.kind == "twisted_torus":
+            x -= y // n * self.spec.s  # (x, y) ~ (x + s, y + n)
+        elif self.spec.kind == "klein" and x // m % 2:
+            y = -y  # (x, y) ~ (x + m, -y)
+        return ((x % m) * n + y % n) * len(self._lattice.steps) + c
 
     def project_square(self, x: int, y: int) -> int:
         """Canonical quotient vertex of the lattice point (x, y)."""
-        m, n, s = self.spec.m, self.spec.n, self.spec.s
-        if self.spec.kind == "torus":
-            return self._sq_id(x % m, y % n)
-        if self.spec.kind == "twisted_torus":
-            kwrap = y // n
-            return self._sq_id((x - kwrap * s) % m, y % n)
-        # klein: (x, y) ~ (x + m, -y) ~ (x, y + n)
-        q = x // m
-        yy = y if q % 2 == 0 else -y
-        return self._sq_id(x % m, yy % n)
-
-    def _build_square(self) -> None:
-        m, n = self.spec.m, self.spec.n
-        edges = set()
-        rotation: dict[int, tuple[int, ...]] = {}
-        for i in range(m):
-            for j in range(n):
-                v = self._sq_id(i, j)
-                nbrs = [self.project_square(i + dx, j + dy) for dx, dy in _SQ_STEP]
-                if len(set(nbrs)) != 4 or v in nbrs:
-                    raise InputError(f"degenerate quotient at ({i},{j}); enlarge dimensions")
-                rotation[v] = tuple(nbrs)
-                for u in nbrs:
-                    edges.add(edge_key(v, u))
-        self.graph = Graph(range(m * n), edges)
-        self.rotation = rotation
-
-    # -- hexagonal torus -------------------------------------------------------
-
-    def _hex_id(self, a: int, b: int, sigma: int) -> int:
-        return 2 * ((a % self.spec.m) * self.spec.n + (b % self.spec.n)) + sigma
-
-    def _build_hex(self) -> None:
-        m, n = self.spec.m, self.spec.n
-        edges = set()
-        rotation = {}
-        for a in range(m):
-            for b in range(n):
-                v0 = self._hex_id(a, b, 0)
-                n0 = (self._hex_id(a, b, 1), self._hex_id(a - 1, b, 1), self._hex_id(a, b - 1, 1))
-                v1 = self._hex_id(a, b, 1)
-                n1 = (self._hex_id(a, b, 0), self._hex_id(a + 1, b, 0), self._hex_id(a, b + 1, 0))
-                rotation[v0] = n0
-                rotation[v1] = n1
-                for u in n0:
-                    edges.add(edge_key(v0, u))
-        self.graph = Graph(range(2 * m * n), edges)
-        self.rotation = rotation
+        return self._project((x, y, 0))
 
     def to_json_dict(self) -> dict:
         labels = {"kind": self.spec.kind, "m": self.spec.m, "n": self.spec.n, "s": self.spec.s}
@@ -124,108 +121,70 @@ class _Inconsistent(Exception):
 
 
 def square_lattice_coordinates(patch: PlanePatch) -> dict[int, tuple[int, int]]:
-    """Coordinates for a generated {4,4} patch: root at (0,0), edge
-    directions propagated through the rotation (consecutive rotation
-    positions turn by one quarter)."""
-    if patch.schlafli != (4, 4):
-        raise InputError("square coordinates need a {4,4} patch")
-    for sense in (1, -1):
-        try:
-            return _propagate_square(patch, sense)
-        except _Inconsistent:
-            continue
-    raise DefectError("patch rotation admits no square-lattice coordinates")
-
-
-def _propagate_square(patch: PlanePatch, sense: int) -> dict[int, tuple[int, int]]:
-    g = patch.graph
-    coord = {patch.root: (0, 0)}
-    direction: dict[tuple[int, int], int] = {}
-
-    def set_dirs(v: int, u: int, d: int) -> None:
-        # linear offsets along the rotation arc: valid for interior
-        # vertices (full cycle) and boundary vertices (contiguous fan,
-        # where the outer gap may span several quarter-turns)
-        rot = patch.rotation[v]
-        k = rot.index(u)
-        for t, w in enumerate(rot):
-            dt = (d + sense * (t - k)) % 4
-            if direction.setdefault((v, w), dt) != dt:
-                raise _Inconsistent
-
-    set_dirs(patch.root, patch.rotation[patch.root][0], 0)
-    queue = deque([patch.root])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            d = direction[(v, u)]
-            cu = (coord[v][0] + _SQ_STEP[d][0], coord[v][1] + _SQ_STEP[d][1])
-            if u in coord:
-                if coord[u] != cu:
-                    raise _Inconsistent
-            else:
-                coord[u] = cu
-                queue.append(u)
-            back = (d + 2) % 4
-            if (u, v) in direction:
-                if direction[(u, v)] != back:
-                    raise _Inconsistent
-            else:
-                set_dirs(u, v, back)
-    if len(set(coord.values())) != len(coord):
-        raise _Inconsistent
-    return coord
-
-
-_HEX_OFF0 = ((0, 0), (-1, 0), (0, -1))  # class-0 vertex (a,b) reaches class-1 at these offsets
-_HEX_OFF1 = ((0, 0), (1, 0), (0, 1))
+    """Coordinates (x, y) for a generated {4,4} patch."""
+    return {v: (x, y) for v, (x, y, _) in _lattice_coordinates(patch, _SQUARE).items()}
 
 
 def hex_lattice_coordinates(patch: PlanePatch) -> dict[int, tuple[int, int, int]]:
     """Axial coordinates (a, b, class) for a generated {6,3} patch."""
-    if patch.schlafli != (6, 3):
-        raise InputError("hex coordinates need a {6,3} patch")
+    return _lattice_coordinates(patch, _HEX)
+
+
+def _lattice_coordinates(patch: PlanePatch, lattice: _Lattice) -> dict[int, tuple[int, int, int]]:
+    if patch.schlafli != lattice.schlafli:
+        p, q = lattice.schlafli
+        raise InputError(f"{lattice.name} coordinates need a {{{p},{q}}} patch")
     for sense in (1, -1):
         try:
-            return _propagate_hex(patch, sense)
+            return _propagate(patch, lattice, sense)
         except _Inconsistent:
             continue
-    raise DefectError("patch rotation admits no hex-lattice coordinates")
+    raise DefectError(f"patch rotation admits no {lattice.name}-lattice coordinates")
 
 
-def _propagate_hex(patch: PlanePatch, sense: int) -> dict[int, tuple[int, int, int]]:
+def _propagate(patch: PlanePatch, lattice: _Lattice, sense: int) -> dict[int, tuple[int, int, int]]:
+    """Root at (0, 0, 0), its first rotation position taking step 0.
+    Consecutive rotation positions take consecutive step indices, and the
+    reverse of an edge takes the step index whose step undoes it."""
+    steps = lattice.steps
+    classes, degree = len(steps), len(steps[0])
+    undo = [[steps[(c + 1) % classes].index((-dx, -dy)) for dx, dy in row] for c, row in enumerate(steps)]
     g = patch.graph
-    coord: dict[int, tuple[int, int, int]] = {patch.root: (0, 0, 0)}
-    etype: dict[tuple[int, int], int] = {}
+    coord = {patch.root: (0, 0, 0)}
+    step_of: dict[tuple[int, int], int] = {}
 
-    def set_types(v: int, u: int, t0: int) -> None:
+    def set_steps(v: int, u: int, d: int) -> None:
+        # linear offsets along the rotation arc: valid for interior
+        # vertices (full cycle) and boundary vertices (contiguous fan,
+        # where the outer gap may span several positions)
         rot = patch.rotation[v]
         k = rot.index(u)
         for t, w in enumerate(rot):
-            tt = (t0 + sense * (t - k)) % 3
-            if etype.setdefault((v, w), tt) != tt:
+            dt = (d + sense * (t - k)) % degree
+            if step_of.setdefault((v, w), dt) != dt:
                 raise _Inconsistent
 
-    set_types(patch.root, patch.rotation[patch.root][0], 0)
+    set_steps(patch.root, patch.rotation[patch.root][0], 0)
     queue = deque([patch.root])
     while queue:
         v = queue.popleft()
-        a, b, sigma = coord[v]
+        x, y, c = coord[v]
         for u in g.neighbors(v):
-            t = etype[(v, u)]
-            off = _HEX_OFF0[t] if sigma == 0 else _HEX_OFF1[t]
-            cu = (a + off[0], b + off[1], 1 - sigma)
+            d = step_of[(v, u)]
+            dx, dy = steps[c][d]
+            cu = (x + dx, y + dy, (c + 1) % classes)
             if u in coord:
                 if coord[u] != cu:
                     raise _Inconsistent
             else:
                 coord[u] = cu
                 queue.append(u)
-            if (u, v) in etype:
-                if etype[(u, v)] != t:
+            back = undo[c][d]
+            if (u, v) in step_of:
+                if step_of[(u, v)] != back:
                     raise _Inconsistent
             else:
-                set_types(u, v, t)
+                set_steps(u, v, back)
     if len(set(coord.values())) != len(coord):
         raise _Inconsistent
     return coord
@@ -237,12 +196,8 @@ def closed_form_projection(inst: QuotientInstance, patch: PlanePatch) -> dict[in
     Checked to be locally bijective at every certified interior vertex
     before being returned.
     """
-    if inst.spec.kind == "hex_torus":
-        coords = hex_lattice_coordinates(patch)
-        proj = {v: inst._hex_id(*coords[v]) for v in patch.graph.vertices}
-    else:
-        coords = square_lattice_coordinates(patch)
-        proj = {v: inst.project_square(*coords[v]) for v in patch.graph.vertices}
+    coords = _lattice_coordinates(patch, inst._lattice)
+    proj = {v: inst._project(coords[v]) for v in patch.graph.vertices}
     for v in patch.graph.vertices:
         if patch.complete_radius[v] < 1:
             continue
@@ -261,18 +216,13 @@ def deck_generators(inst: QuotientInstance, patch: PlanePatch) -> list[dict[int,
     point is still inside the patch); composing with the closed-form
     projection leaves it unchanged.
     """
-    spec = inst.spec
-    if spec.kind == "hex_torus":
-        coords = hex_lattice_coordinates(patch)
-        moves = [lambda c: (c[0] + spec.m, c[1], c[2]), lambda c: (c[0], c[1] + spec.n, c[2])]
-    else:
-        coords = square_lattice_coordinates(patch)
-        if spec.kind == "torus":
-            moves = [lambda c: (c[0] + spec.m, c[1]), lambda c: (c[0], c[1] + spec.n)]
-        elif spec.kind == "twisted_torus":
-            moves = [lambda c: (c[0] + spec.m, c[1]), lambda c: (c[0] + spec.s, c[1] + spec.n)]
-        else:  # klein: a glide reflection and a translation
-            moves = [lambda c: (c[0] + spec.m, -c[1]), lambda c: (c[0], c[1] + spec.n)]
+    m, n, kind = inst.spec.m, inst.spec.n, inst.spec.kind
+    if kind == "klein":  # a glide reflection and a translation
+        moves = [lambda p: (p[0] + m, -p[1], p[2]), lambda p: (p[0], p[1] + n, p[2])]
+    else:  # two translations; the twisted torus shifts x as it wraps y
+        s = inst.spec.s if kind == "twisted_torus" else 0
+        moves = [lambda p: (p[0] + m, p[1], p[2]), lambda p: (p[0] + s, p[1] + n, p[2])]
+    coords = _lattice_coordinates(patch, inst._lattice)
     where = {c: v for v, c in coords.items()}
     gens = []
     for mv in moves:
@@ -298,7 +248,7 @@ class ExampleK:
         return (i % self.l) * self.k + (j % self.k)
 
     def y(self, i: int, j: int) -> int:
-        return self.l * self.k + (i % self.l) * self.k + (j % self.k)
+        return self.l * self.k + self.x(i, j)
 
     def to_json_dict(self) -> dict:
         labels = {str(v): list(lab) for v, lab in self.labels.items()}
@@ -308,33 +258,21 @@ class ExampleK:
 def make_example_K(l: int, k: int) -> ExampleK:
     if l < 3 or k < 3:
         raise InputError("need l >= 3 and k >= 3")
-    nk = l * k
-
-    def x(i, j):
-        return (i % l) * k + (j % k)
-
-    def y(i, j):
-        return nk + (i % l) * k + (j % k)
-
-    edges = set()
+    kk = ExampleK(l, k, Graph((), ()), {})  # numbers the vertices; graph and labels follow
+    x, y = kk.x, kk.y
+    edges = []
     for i in range(l):
         for j in range(k):
-            edges.add(edge_key(x(i, j), x(i + 1, j)))
-            edges.add(edge_key(x(i, j), x(i, j + 1)))
-            edges.add(edge_key(y(i, j), y(i, j + 1)))
-            if i == 0:
-                edges.add(edge_key(y(0, j), y(1, j + 1)))  # rerouted level
-            else:
-                edges.add(edge_key(y(i, j), y(i + 1, j)))
-            for jj in range(k):
-                edges.add(edge_key(x(i, j), y(i, jj)))
-    g = Graph(range(2 * nk), edges)
+            edges += [(x(i, j), x(i + 1, j)), (x(i, j), x(i, j + 1)), (y(i, j), y(i, j + 1))]
+            edges.append((y(0, j), y(1, j + 1)) if i == 0 else (y(i, j), y(i + 1, j)))  # level 0 is rerouted
+            edges += [(x(i, j), y(i, jj)) for jj in range(k)]
+    kk.graph = g = Graph(range(2 * l * k), edges)
     for v in g.vertices:
         if g.degree(v) != 4 + k:
             raise DefectError(f"vertex {v} has degree {g.degree(v)}")
-    labels = {x(i, j): ("x", i, j) for i in range(l) for j in range(k)}
-    labels.update({y(i, j): ("y", i, j) for i in range(l) for j in range(k)})
-    return ExampleK(l, k, g, labels)
+    grid = [(i, j) for i in range(l) for j in range(k)]
+    kk.labels = {x(i, j): ("x", i, j) for i, j in grid} | {y(i, j): ("y", i, j) for i, j in grid}
+    return kk
 
 
 @dataclass
@@ -369,23 +307,19 @@ def make_example_G_patch(k: int, z_range: tuple[int, int]) -> ExampleG:
     if z_hi <= z_lo:
         raise InputError("empty height range")
     heights = range(z_lo, z_hi + 1)
-
-    def vid(c, z, j):
-        return ((z - z_lo) * 2 + c) * k + (j % k)
-
-    edges = set()
+    window = ExampleG(k, z_lo, z_hi, Graph((), ()), {})  # numbers the vertices; graph and labels follow
+    vid = window.vid
+    edges = []
     for z in heights:
         for c in (0, 1):
             for j in range(k):
-                edges.add(edge_key(vid(c, z, j), vid(c, z, j + 1)))
+                edges.append((vid(c, z, j), vid(c, z, j + 1)))
                 if z < z_hi:
-                    edges.add(edge_key(vid(c, z, j), vid(c, z + 1, j)))
-        for j in range(k):
-            for jj in range(k):
-                edges.add(edge_key(vid(0, z, j), vid(1, z, jj)))
-    g = Graph(range(2 * k * len(heights)), edges)
-    labels = {vid(c, z, j): (c, z, j) for z in heights for c in (0, 1) for j in range(k)}
-    return ExampleG(k, z_lo, z_hi, g, labels)
+                    edges.append((vid(c, z, j), vid(c, z + 1, j)))
+        edges += [(vid(0, z, j), vid(1, z, jj)) for j in range(k) for jj in range(k)]
+    window.graph = Graph(range(2 * k * len(heights)), edges)
+    window.labels = {vid(c, z, j): (c, z, j) for z in heights for c in (0, 1) for j in range(k)}
+    return window
 
 
 def example_cover_formula(l: int, k: int, z_range: tuple[int, int]) -> tuple[ExampleG, ExampleK, dict[int, int]]:

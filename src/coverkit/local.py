@@ -33,16 +33,17 @@ def _chordless_cycles_through(g: Graph, v: int, l_max: int) -> list[FaceBoundary
     found: list[FaceBoundary] = []
     path = [v]
     on_path = {v}
-
-    def extend() -> None:
-        tail = path[-1]
-        for u in g.neighbors(tail):
+    branches = [iter(g.neighbors(v))]  # the untried neighbours of each path vertex
+    while branches:
+        for u in branches[-1]:
             if u in on_path:
                 continue
             nbrs = g.neighbors(u)
-            if any(w in path[1:-1] for w in nbrs):
-                continue  # chord to the path interior
-            if len(path) >= 2 and g.has_edge(u, v):
+            closes = v in nbrs
+            # u meets the tail and, if it closes, v; any other path vertex is a chord
+            if len(on_path.intersection(nbrs)) > 1 + closes:
+                continue
+            if closes and len(path) >= 2:
                 # adjacency back to v forces closure here
                 if path[1] < u:
                     found.append(FaceBoundary(path + [u]))
@@ -50,11 +51,11 @@ def _chordless_cycles_through(g: Graph, v: int, l_max: int) -> list[FaceBoundary
             if len(path) + 1 <= l_max - 1:
                 path.append(u)
                 on_path.add(u)
-                extend()
-                path.pop()
-                on_path.remove(u)
-
-    extend()
+                branches.append(iter(nbrs))
+                break
+        else:
+            branches.pop()
+            on_path.remove(path.pop())
     return found
 
 

@@ -17,6 +17,7 @@ This keeps every interior vertex at degree q with q faces of length p.
 from __future__ import annotations
 
 import json
+import os
 from collections import deque
 from pathlib import Path
 from typing import Sequence
@@ -456,20 +457,27 @@ def face_enumeration(patch: PlanePatch, tie_break: int = 0) -> list[FaceBoundary
 # ---------------------------------------------------------------------------
 
 def import_patch(source: dict | str | Path) -> PlanePatch:
-    """Load a patch from JSON (dict or file path).
+    """Load a patch from JSON: a dict, or the name or path of a file.
 
     Needs vertices, edges, a rotation for every vertex, and a root.  Faces
     are traced from the rotation; the closed-up map must be spherical
     (V - E + F = 2) or the rotation is rejected as non-planar.  No
     vertex-transitivity verification is performed: imports are trusted.
     A declared schlafli {p,q} must match the face lengths and interior
-    degrees.  A malformed field of any kind raises InputError; a map with
-    no interior face raises PatchTooSmallError.
+    degrees.  A source of another type, an unreadable file, and JSON that
+    is not an object raise InputError, as does a malformed field of any
+    kind; a map with no interior face raises PatchTooSmallError.
     """
-    if not isinstance(source, dict):
-        with open(source, "r", encoding="utf-8") as fh:
-            source = json.load(fh)
-    d = source
+    if isinstance(source, (str, os.PathLike)):
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                d = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:  # unreadable, not JSON, or nested too deep
+            raise InputError(f"cannot read patch {source}: {exc}") from exc
+    else:
+        d = source
+    if not isinstance(d, dict):
+        raise InputError(f"a patch is a JSON object, got {type(d).__name__}")
     g = Graph.from_json_dict(d)
     if "rotation" not in d:
         raise InputError("patch JSON is missing the rotation system")

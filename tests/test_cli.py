@@ -310,6 +310,18 @@ def _check_local_on_negative_n(d, g, t):
     return ["check-local", "--h", empty, "--g", str(g), "--r", "1"]
 
 
+def _check_local_on_deeply_nested_json(d, g, t):
+    deep = d / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    return ["check-local", "--h", str(deep), "--g", str(g), "--r", "1"]
+
+
+def _check_local_on_non_utf8_file(d, g, t):
+    latin = d / "latin.json"
+    latin.write_bytes(b'{"n": 1, "edges": [], "name": "\xe9"}')
+    return ["check-local", "--h", str(latin), "--g", str(g), "--r", "1"]
+
+
 class TestBadInputs:
     @pytest.mark.parametrize(
         "make_argv",
@@ -328,6 +340,8 @@ class TestBadInputs:
             _cover_onto_float_edge_end,
             _cover_from_float_root,
             _check_local_on_negative_n,
+            _check_local_on_deeply_nested_json,
+            _check_local_on_non_utf8_file,
         ],
     )
     def test_input_error_exit_2(self, artifacts, capsys, make_argv):

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 from collections import Counter
 
@@ -49,6 +50,15 @@ class TestPeripheralCycles:
         g = Graph(range(6), [(i, (i + 1) % 6) for i in range(6)])
         got = peripheral_cycles_through(g, 0, 6)
         assert len(got) == 1 and len(got[0]) == 6
+
+    def test_face_longer_than_the_recursion_limit(self):
+        # one search level per path vertex: a face this long exceeds
+        # Python's recursion limit, so the search must keep its own stack
+        n = sys.getrecursionlimit() + 100
+        g = Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+        got = peripheral_cycles_through(g, 0, n)
+        assert [c.cycle for c in got] == [tuple(range(n))]
+        assert peripheral_cycles_through(g, 0, n - 1) == []
 
     def test_torus_d2_ball_has_four_grid_faces(self, torus57):
         d2 = dk_ball(Host(torus57.graph, 4), 0, 2)

@@ -225,6 +225,37 @@ class TestImportExport:
         with pytest.raises(InputError, match="non-planar"):
             import_patch(doc)
 
+    def test_loads_from_a_file_name_and_a_path(self, tmp_path):
+        p = generate(4, 4, 3)
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(p.to_json_dict()), encoding="utf-8")
+        assert import_patch(f) == p
+        assert import_patch(str(f)) == p
+
+    @pytest.mark.parametrize("source", [[], None, 3, 2.5, b"g.json"], ids=repr)
+    def test_source_of_another_type_rejected(self, source):
+        # an int is not opened as a file descriptor
+        with pytest.raises(InputError, match="a patch is a JSON object"):
+            import_patch(source)
+
+    def test_unreadable_file_rejected(self, tmp_path):
+        names = ("no", "dir", "bad", "latin", "deep")
+        missing, directory, bad_json, not_utf8, deep = (tmp_path / name for name in names)
+        directory.mkdir()
+        bad_json.write_text("{not json", encoding="utf-8")
+        not_utf8.write_bytes(b"\xff\xfe{")
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        for f in (missing, directory, bad_json, not_utf8, deep):
+            with pytest.raises(InputError, match="cannot read patch"):
+                import_patch(f)
+
+    @pytest.mark.parametrize("text", ["[]", "null", "3", '"g.json"'])
+    def test_file_holding_json_that_is_not_an_object_rejected(self, tmp_path, text):
+        f = tmp_path / "g.json"
+        f.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match="a patch is a JSON object"):
+            import_patch(f)
+
     def test_declared_faces_checked(self):
         p = generate(4, 4, 2)
         doc = p.to_json_dict()
