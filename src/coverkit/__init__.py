@@ -46,7 +46,6 @@ from .graph import (
     ball,
     induced_subgraph,
     is_connected_excluding,
-    is_three_connected,
 )
 from .instances import (
     ExampleG,

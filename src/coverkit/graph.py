@@ -173,12 +173,14 @@ def ball(g: Graph, o: int, i: int) -> RootedBall:
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
-    """Induced subgraph on s, keeping original vertex ids."""
+    """Induced subgraph on s, keeping original vertex ids.  Its edges are
+    read off the neighbours of s, so the cost does not grow with g."""
     keep = set(s)
     for v in keep:
         if v not in g:
             raise InputError(f"unknown vertex {v} in subgraph request")
-    edges = [(u, w) for (u, w) in g.edges if u in keep and w in keep]
+    adj = g._adj
+    edges = [(u, w) for u in keep for w in adj[u] if u < w and w in keep]
     return Graph(keep, edges)
 
 
@@ -205,18 +207,72 @@ def is_connected_excluding(g: Graph, removed: Iterable[int]) -> bool:
     return len(seen) == len(rest)
 
 
-def is_three_connected(g: Graph) -> bool:
-    """Brute-force vertex-cut search over all sets of size <= 2."""
-    if g.n < 4:
-        raise InputError("3-connectivity check needs at least 4 vertices")
-    if not g.is_connected():
-        return False
-    vs = g.vertices
-    for v in vs:
-        if not is_connected_excluding(g, {v}):
-            return False
-    for i, u in enumerate(vs):
-        for w in vs[i + 1 :]:
-            if not is_connected_excluding(g, {u, w}):
-                return False
-    return True
+def component_count(g: Graph) -> int:
+    """The number of connected components of g, found in one pass."""
+    seen: set[int] = set()
+    count = 0
+    for v in g.vertices:
+        if v not in seen:
+            count += 1
+            seen.update(g.distances_from(v))
+    return count
+
+
+def local_parts(g: Graph, removed: Iterable[int]) -> int:
+    """How many components of g minus `removed` touch `removed`: 0, 1, or
+    2 for two or more.  The answer is found near `removed`, without
+    scanning the rest of g.
+
+    Every component of g - removed that touches `removed` holds a vertex
+    of N, the neighbours of `removed` outside it, so the count is that of
+    the classes of N under "joined by a path avoiding `removed`".  A
+    search is grown from each vertex of N in turn, one vertex per turn,
+    and two searches merge when one reaches a vertex the other has
+    found.  One search left means 1.  A search that runs dry while
+    another remains has scanned a whole component, and another exists,
+    so the answer is 2.  Taking turns bounds that work by |N| times the
+    smallest such component, however large g is; on a face, the
+    searches merge within a few dozen vertices.
+
+    With a connected set C removed (a cycle, say), g - C is connected
+    exactly when local_parts(g, C) + component_count(g) - 1 <= 1: the
+    components of g that miss C survive whole.  That equals
+    is_connected_excluding(g, C) on every graph.
+    """
+    adj = g._adj
+    gone = set(removed)
+    for v in gone:
+        if v not in adj:
+            raise InputError(f"unknown vertex {v}")
+    seeds = sorted({u for v in gone for u in adj[v]} - gone)
+    if len(seeds) < 2:
+        return len(seeds)
+    # owner[v] is the search that found v; link[i] leads from search i to
+    # the search it merged into, and ends at a search still running
+    owner = {s: i for i, s in enumerate(seeds)}
+    link = list(range(len(seeds)))
+    queues = [deque([s]) for s in seeds]
+    running = len(seeds)
+    while True:
+        for i in range(len(seeds)):
+            if link[i] != i:
+                continue
+            queue = queues[i]
+            if not queue:
+                return 2
+            for u in adj[queue.popleft()]:
+                if u in gone:
+                    continue
+                j = owner.get(u)
+                if j is None:
+                    owner[u] = i
+                    queue.append(u)
+                    continue
+                while link[j] != j:
+                    link[j] = j = link[link[j]]
+                if j != i:
+                    link[j] = i
+                    running -= 1
+                    if running == 1:
+                        return 1
+                    queue.extend(queues[j])

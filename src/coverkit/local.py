@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InputError, PatchTooSmallError
-from .graph import Graph, RootedBall, ball, edge_key, is_connected_excluding
+from .graph import Graph, RootedBall, ball, component_count, edge_key, local_parts
 from .tessellation import FaceBoundary, PlanePatch
 
 # A peripheral cycle is represented by the same canonical cycle type that
@@ -87,10 +88,10 @@ def dk_ball(host: Host, o: int, k: int) -> RootedBall:
     reach: set[int] = {o}
     frontier: set[int] = {o}
     for _ in range(k):
-        new_vertices: set[int] = set()
+        level: set[PeripheralCycle] = set()
         for x in sorted(frontier):
-            for c in host.chain_cycles(x):
-                new_vertices.update(c.cycle)
+            level.update(host.chain_cycles(x))
+        new_vertices = {v for c in level for v in c.cycle}
         frontier = new_vertices - reach
         reach |= new_vertices
     # a chain cycle has at most l_max vertices, so each link reaches at
@@ -139,13 +140,15 @@ class Host:
     plain graph host infers face-boundaries with cycle length bound l_max
     and has no margin.  Faces and chain cycles are memoised per vertex
     inside the host, and each cycle's non-separation in the whole graph
-    is tested once per host, so no host ever serves another graph's
-    faces; a new Host starts empty.  The memos fill lazily: a run touches
-    only the vertices it asks about, which on a large patch host is a
-    small part of the graph; a cover build fills a graph host's chain
-    cycles at once (`fill_chain_cycles`).  Nothing in a Host refers back
-    to it, so a dropped Host is freed at once, without the cyclic garbage
-    collector.
+    is decided once per host, so no host ever serves another graph's
+    faces; a new Host starts empty.  A verdict looks only near its cycle
+    (`graph.local_parts`) and adds the graph's component count, counted
+    once per host on the first verdict, so its cost does not grow with
+    the graph.  The memos fill lazily: a run touches only the vertices
+    it asks about, which on a large patch host is a small part of the
+    graph; a cover build fills a graph host's chain cycles at once
+    (`fill_chain_cycles`).  Nothing in a Host refers back to it, so a
+    dropped Host is freed at once, without the cyclic garbage collector.
     """
 
     def __init__(self, source: Graph | PlanePatch, l_max: int | None = None):
@@ -167,9 +170,11 @@ class Host:
     def chain_cycles(self, x: int) -> tuple[PeripheralCycle, ...]:
         """The peripheral cycles through x in the whole host graph, sorted:
         the links of D-ball chains.  Enumerated once per vertex; a cycle
-        met from several of its vertices is tested once.  On a patch host
-        x must have complete surroundings to radius 2 (PatchTooSmallError
-        otherwise)."""
+        met from several of its vertices is tested once.  C is
+        non-separating when H - C has at most one component: the parts
+        of H's component around C, plus H's other components, which C
+        leaves whole.  On a patch host x must have complete surroundings
+        to radius 2 (PatchTooSmallError otherwise)."""
         self.require_complete(x, 2)
         cycles = self._chain.get(x)
         if cycles is None:
@@ -178,11 +183,15 @@ class Host:
             for c in _chordless_cycles_through(g, x, self.l_max):
                 ok = verdicts.get(c)
                 if ok is None:
-                    ok = verdicts[c] = is_connected_excluding(g, c.cycle)
+                    ok = verdicts[c] = local_parts(g, c.cycle) + self._components - 1 <= 1
                 if ok:
                     found.append(c)
             cycles = self._chain[x] = tuple(sorted(found))
         return cycles
+
+    @cached_property
+    def _components(self) -> int:
+        return component_count(self.graph)
 
     def fill_chain_cycles(self) -> None:
         """Find the chain cycles of every vertex of a graph host now.  A

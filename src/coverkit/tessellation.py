@@ -30,19 +30,23 @@ class FaceBoundary:
     """A cycle of the underlying graph, canonicalised up to rotation and
     reflection so that equal cycles compare and hash equal."""
 
-    __slots__ = ("cycle", "_edges")
+    __slots__ = ("cycle", "_edges", "_hash")
 
     def __init__(self, cycle: Sequence[int]):
         t = tuple(int(v) for v in cycle)
         if len(t) < 3 or len(set(t)) != len(t):
             raise InputError(f"not a simple cycle: {t}")
         self.cycle: tuple[int, ...] = _canonical_cycle(t)
-        self._edges = frozenset(
-            edge_key(self.cycle[i], self.cycle[(i + 1) % len(t)]) for i in range(len(t))
-        )
+        self._hash = hash(self.cycle)
+        self._edges: frozenset[tuple[int, int]] | None = None
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
+        """The cycle's edges, built on first use: a run reads the edges of
+        few of a large patch's faces."""
+        if self._edges is None:
+            c, k = self.cycle, len(self.cycle)
+            self._edges = frozenset(edge_key(c[i], c[(i + 1) % k]) for i in range(k))
         return self._edges
 
     def __len__(self) -> int:
@@ -78,7 +82,7 @@ class FaceBoundary:
         return self.cycle == other.cycle
 
     def __hash__(self) -> int:
-        return hash(self.cycle)
+        return self._hash
 
     def __lt__(self, other: "FaceBoundary") -> bool:
         return (len(self.cycle), self.cycle) < (len(other.cycle), other.cycle)

@@ -4,7 +4,8 @@ Everything here but `assert_unique_extension` and
 `intersection_path_by_adjacency` is deliberately written from scratch
 against plain adjacency dicts, so it shares no code path with the
 library: coordinate models of the square lattice, exhaustive cycle
-enumeration, a naive isomorphism backtracker, a walk round the builder's
+enumeration, 3-connectivity by trying every cut of at most two
+vertices, a naive isomorphism backtracker, a walk round the builder's
 frontier, a trace of every walk of a patch's rotation system, and cycle
 canonical forms by trying every rotation.  The shared-path reference
 reads the builder's state, but finds the path another way: an adjacency
@@ -18,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
+from coverkit.errors import InputError
 from coverkit.graph import induced_subgraph
 from coverkit.local import as_rooted, rooted_isomorphisms
 
@@ -76,6 +78,19 @@ def connected_after_removal(adj: dict, removed: set) -> bool:
                 seen.add(u)
                 stack.append(u)
     return len(seen) == len(rest)
+
+
+def is_three_connected(graph) -> bool:
+    """Brute-force vertex-cut search over all sets of size <= 2, on the
+    adjacency dict of a coverkit Graph."""
+    adj = adjacency_of(graph)
+    if len(adj) < 4:
+        raise InputError("3-connectivity check needs at least 4 vertices")
+    return all(
+        connected_after_removal(adj, set(cut))
+        for size in range(3)
+        for cut in combinations(sorted(adj), size)
+    )
 
 
 def all_cycles_through(adj: dict, v, max_len: int) -> set[frozenset]:

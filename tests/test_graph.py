@@ -8,10 +8,9 @@ from coverkit import (
     ball,
     induced_subgraph,
     is_connected_excluding,
-    is_three_connected,
 )
 
-from .oracles import adjacency_of, connected_after_removal, z2_ball
+from .oracles import adjacency_of, connected_after_removal, is_three_connected, z2_ball
 
 
 def k4():
@@ -166,3 +165,12 @@ def test_ball_radii_nest(g, i):
     big = ball(g, o, i + 1)
     assert set(small.graph.vertices) <= set(big.graph.vertices)
     assert {v for v, d in big.dist.items() if d <= i} == set(small.graph.vertices)
+
+
+@given(small_graphs(), st.sets(st.integers(min_value=0, max_value=8)))
+@settings(max_examples=60, deadline=None)
+def test_induced_subgraph_keeps_exactly_the_edges_inside(g, s):
+    keep = {v for v in s if v in g}
+    sub = induced_subgraph(g, keep)
+    assert set(sub.vertices) == keep
+    assert sub.edges == {(u, w) for u, w in g.edges if u in keep and w in keep}

@@ -21,6 +21,8 @@ from coverkit import (
 from coverkit.graph import Graph
 from coverkit.instances import graph_diameter
 
+from .oracles import is_three_connected
+
 
 class TestQuotients:
     def test_torus_counts(self):
@@ -73,8 +75,6 @@ class TestQuotients:
         assert is_r_locally(hex55.graph, patch63_r10, 2, d_balls=True).ok
 
     def test_quotients_are_three_connected(self, torus57, klein66, hex55):
-        from coverkit import is_three_connected
-
         for inst in (torus57, klein66, hex55):
             assert is_three_connected(inst.graph)
 

@@ -23,6 +23,7 @@ from coverkit import (
     peripheral_cycles_through,
     rooted_isomorphisms,
 )
+from coverkit.graph import is_connected_excluding
 from coverkit.local import host_faces_at
 from .oracles import (
     adjacency_of,
@@ -211,18 +212,119 @@ class TestChainCyclesAgainstTutte:
             assert host.chain_cycles(x) == tuple(sorted(patch.faces_at(x)))
 
 
+def _disjoint_union(*graphs):
+    """The graphs side by side, each relabelled past the previous ones."""
+    vertices, edges, base = [], [], 0
+    for g in graphs:
+        vertices += [base + v for v in g.vertices]
+        edges += [(base + u, base + w) for u, w in g.edges]
+        base += max(g.vertices) + 1
+    return Graph(vertices, edges)
+
+
+def _grid(k):
+    return Graph(range(k * k), [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)]
+                 + [(i * k + j, (i + 1) * k + j) for i in range(k - 1) for j in range(k)])
+
+
+def _verdicts(g, l_max):
+    """(Host verdict, whole-graph BFS verdict) for every chordless cycle of g."""
+    host = Host(g, l_max)
+    seen, pairs = set(), []
+    for x in g.vertices:
+        chain = set(host.chain_cycles(x))
+        for c in local._chordless_cycles_through(g, x, l_max):
+            if c not in seen:
+                seen.add(c)
+                pairs.append((c in chain, is_connected_excluding(g, c.cycle)))
+    return pairs
+
+
+class TestLocalVerdict:
+    """Host.chain_cycles decides each cycle's separation near the cycle
+    (graph.local_parts and the host's component count); the BFS over the
+    whole graph, is_connected_excluding, is the reference."""
+
+    def test_agrees_with_whole_graph_bfs(self):
+        torus = make_quotient(QuotientSpec("torus", 5, 5)).graph
+        grid = _grid(3)
+        hosts = {
+            "{4,4} R=5": (generate(4, 4, 5).graph, 8),
+            "{3,7} R=2": (generate(3, 7, 2).graph, 8),
+            "{6,3} R=6": (generate(6, 3, 6).graph, 8),
+            "{4,5} R=3": (generate(4, 5, 3).graph, 6),
+            "torus 5x7": (make_quotient(QuotientSpec("torus", 5, 7)).graph, 6),
+            "klein 6x6": (make_quotient(QuotientSpec("klein", 6, 6)).graph, 6),
+            "hex torus 5x5": (make_quotient(QuotientSpec("hex_torus", 5, 5)).graph, 8),
+            "two tori": (_disjoint_union(torus, torus), 4),
+            "triangle and torus": (_disjoint_union(Graph(range(3), [(0, 1), (1, 2), (0, 2)]), torus), 4),
+            # two 3x3 grids sharing the corner 8, a cut vertex
+            "cut vertex": (Graph(range(17), list(grid.edges) + [(u + 8, w + 8) for u, w in grid.edges]), 8),
+        }
+        answers = Counter()
+        for name, (g, l_max) in hosts.items():
+            pairs = _verdicts(g, l_max)
+            assert all(mine == ref for mine, ref in pairs), name
+            answers.update(ref for _, ref in pairs)
+        assert answers[True] and answers[False]
+
+    def test_agrees_on_random_graphs(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from .test_graph import small_graphs
+
+        @given(small_graphs(), st.integers(min_value=3, max_value=8))
+        @settings(max_examples=80, deadline=None)
+        def run(g, l_max):
+            assert all(mine == ref for mine, ref in _verdicts(g, l_max))
+
+        run()
+
+    def test_chain_verdicts_stay_near_the_cycle(self, monkeypatch):
+        # the vertices whose neighbours a verdict reads, counted through the
+        # patch graph's adjacency; a BFS over the whole 11,173-vertex patch
+        # reads all but the cycle's 3 in each verdict
+        patch = generate(3, 7, 7)
+        g = patch.graph
+        running: list[set[int]] = []  # the reads of the verdict under way
+        scanned: list[set[int]] = []  # the reads of each finished verdict
+
+        class CountingAdjacency(dict):
+            def __getitem__(self, v):
+                if running:
+                    running[-1].add(v)
+                return dict.__getitem__(self, v)
+
+        g._adj = CountingAdjacency(g._adj)
+        real = local.local_parts
+
+        def counting(graph, removed):
+            running.append(set())
+            try:
+                return real(graph, removed)
+            finally:
+                scanned.append(running.pop())
+
+        monkeypatch.setattr(local, "local_parts", counting)
+        dk_ball(Host(patch), patch.root, 2)
+        assert len(scanned) == 35
+        assert max(map(len, scanned)) < g.n // 100
+        assert len(set().union(*scanned)) < g.n // 100
+
+
 class TestFaceInferenceWork:
     def test_each_cycle_tested_once_per_graph(self, patch44_r10, torus57, monkeypatch):
         tested: Counter = Counter()
         graphs = []  # keeps every tested graph alive, so its id stays unique
-        real = local.is_connected_excluding
+        real = local.local_parts
 
         def counting(g, removed):
             graphs.append(g)
             tested[(id(g), frozenset(removed))] += 1
             return real(g, removed)
 
-        monkeypatch.setattr(local, "is_connected_excluding", counting)
+        monkeypatch.setattr(local, "local_parts", counting)
         build_cover(patch44_r10, torus57.graph)
         assert max(tested.values()) == 1
         # 179 tests on the patch, the torus and its 35 D_2 balls; 1,404
@@ -237,13 +339,13 @@ class TestFaceInferenceWork:
         patch = generate(4, 4, 8)
         klein = make_quotient(QuotientSpec("klein", 12, 12)).graph
         calls = [0]
-        real = local.is_connected_excluding
+        real = local.local_parts
 
         def counting(g, removed):
             calls[0] += 1
             return real(g, removed)
 
-        monkeypatch.setattr(local, "is_connected_excluding", counting)
+        monkeypatch.setattr(local, "local_parts", counting)
         counts = set()
         for seed in (1, 3, 5):
             perm = list(klein.vertices)

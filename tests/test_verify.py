@@ -155,15 +155,15 @@ class TestCheckUniqueness:
 
         counting(builder, "stabilize_n")
         counting(builder, "i_fundamental_domain")
-        counting(local, "is_connected_excluding")
+        counting(local, "local_parts")
         build_cover(patch44_r10, klein66.graph)
-        one_build = calls["is_connected_excluding"]
+        one_build = calls["local_parts"]
         calls.clear()
         assert check_uniqueness(patch44_r10, klein66.graph, trials=3).ok
         assert calls == {
             "stabilize_n": 1,
             "i_fundamental_domain": 1,
-            "is_connected_excluding": one_build,
+            "local_parts": one_build,
         }
 
 
