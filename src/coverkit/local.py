@@ -105,7 +105,9 @@ def dk_ball(host: Host, o: int, k: int) -> RootedBall:
 def face_boundaries_at(h: Graph, v: int, l_max: int) -> list[FaceBoundary]:
     """The face-boundaries of H at v: peripheral cycles of D_2(v;H) through
     v, found on a new Host (repeated queries belong on one Host, through
-    host_faces_at)."""
+    host_faces_at).  With peripheral_cycles_through it is the tests'
+    reference for face inference; the package itself infers faces only
+    through a Host."""
     return list(host_faces_at(Host(h, l_max), v))
 
 
@@ -138,28 +140,35 @@ class Host:
     A patch host serves the patch's traced faces, at interior vertices
     only, and its completeness guard; the patch brings its own l_max.  A
     plain graph host infers face-boundaries with cycle length bound l_max
-    and has no margin.  Faces and chain cycles are memoised per vertex
-    inside the host, and each cycle's non-separation in the whole graph
-    is decided once per host, so no host ever serves another graph's
-    faces; a new Host starts empty.  A verdict looks only near its cycle
-    (`graph.local_parts`) and adds the graph's component count, counted
-    once per host on the first verdict, so its cost does not grow with
-    the graph.  The memos fill lazily: a run touches only the vertices
-    it asks about, which on a large patch host is a small part of the
-    graph; a cover build fills a graph host's chain cycles at once
-    (`fill_chain_cycles`).  Nothing in a Host refers back to it, so a
-    dropped Host is freed at once, without the cyclic garbage collector.
+    and has no margin.  A host keeps three memos, so no host ever serves
+    another graph's faces; a new Host starts empty: the faces at each
+    vertex; the chordless cycles through each vertex, each with its
+    verdict, from which both the chain cycles and the inferred faces
+    are read; and each cycle's verdict in the whole graph, kept with the
+    first object found for the cycle, so that a cycle met from several
+    vertices is one object and sets of cycles match by identity.  A
+    verdict looks only near its cycle (`graph.local_parts`) and adds the
+    graph's component count, counted once per host on the first verdict
+    (a patch whose BFS from the root reached every vertex needs no
+    count), so its cost does not grow with the graph.  The memos fill
+    lazily: a run touches only the vertices it asks about, which on a
+    large patch host is a small part of the graph; a cover build fills
+    a graph host's chain cycles at once (`fill_chain_cycles`).  Nothing
+    in a Host refers back to it, so a dropped Host is freed at once,
+    without the cyclic garbage collector.
     """
 
     def __init__(self, source: Graph | PlanePatch, l_max: int | None = None):
         self.source = source
         self._faces: dict[int, tuple[FaceBoundary, ...]] = {}
-        self._chain: dict[int, tuple[PeripheralCycle, ...]] = {}
-        self._nonseparating: dict[FaceBoundary, bool] = {}
+        self._cycles: dict[int, tuple[tuple[FaceBoundary, bool], ...]] = {}
+        self._verdicts: dict[FaceBoundary, tuple[FaceBoundary, bool]] = {}
         if isinstance(source, PlanePatch):
             self.graph, self.l_max = source.graph, source.l_max
             self.require_complete = source.require_complete
             self._find_faces, self._fill_from = _traced_faces, ()
+            if len(source._dist_from_root) == source.graph.n:
+                self._components = 1  # the root's BFS reached every vertex
         else:
             if l_max is None:
                 raise InputError("face enumeration on a Graph needs l_max")
@@ -167,27 +176,31 @@ class Host:
             self.require_complete = _no_margin
             self._find_faces, self._fill_from = _inferred_faces, source.vertices
 
+    def _cycles_at(self, x: int) -> tuple[tuple[FaceBoundary, bool], ...]:
+        """The chordless cycles through x with at most l_max vertices,
+        sorted, each paired with whether it leaves the host graph
+        connected.  Enumerated once per vertex, and each cycle is tested
+        once.  C is non-separating when H - C
+        has at most one component: the parts of H's component around C,
+        plus H's other components, which C leaves whole."""
+        cycles = self._cycles.get(x)
+        if cycles is None:
+            g, verdicts = self.graph, self._verdicts
+            found = []
+            for c in sorted(_chordless_cycles_through(g, x, self.l_max)):
+                entry = verdicts.get(c)
+                if entry is None:
+                    entry = verdicts[c] = (c, local_parts(g, c.cycle) + self._components - 1 <= 1)
+                found.append(entry)
+            cycles = self._cycles[x] = tuple(found)
+        return cycles
+
     def chain_cycles(self, x: int) -> tuple[PeripheralCycle, ...]:
         """The peripheral cycles through x in the whole host graph, sorted:
-        the links of D-ball chains.  Enumerated once per vertex; a cycle
-        met from several of its vertices is tested once.  C is
-        non-separating when H - C has at most one component: the parts
-        of H's component around C, plus H's other components, which C
-        leaves whole.  On a patch host x must have complete surroundings
-        to radius 2 (PatchTooSmallError otherwise)."""
+        the links of D-ball chains.  On a patch host x must have complete
+        surroundings to radius 2 (PatchTooSmallError otherwise)."""
         self.require_complete(x, 2)
-        cycles = self._chain.get(x)
-        if cycles is None:
-            g, verdicts = self.graph, self._nonseparating
-            found = []
-            for c in _chordless_cycles_through(g, x, self.l_max):
-                ok = verdicts.get(c)
-                if ok is None:
-                    ok = verdicts[c] = local_parts(g, c.cycle) + self._components - 1 <= 1
-                if ok:
-                    found.append(c)
-            cycles = self._chain[x] = tuple(sorted(found))
-        return cycles
+        return tuple(c for c, ok in self._cycles_at(x) if ok)
 
     @cached_property
     def _components(self) -> int:
@@ -201,7 +214,7 @@ class Host:
         patch host does nothing: its margin has no complete chain cycles,
         and a run asks for few of its vertices."""
         for x in self._fill_from:
-            self.chain_cycles(x)
+            self._cycles_at(x)
 
 
 def _traced_faces(host: Host, v: int) -> tuple[FaceBoundary, ...]:
@@ -214,10 +227,22 @@ def _traced_faces(host: Host, v: int) -> tuple[FaceBoundary, ...]:
 
 
 def _inferred_faces(host: Host, v: int) -> tuple[FaceBoundary, ...]:
-    """Peripheral cycles of D_2(v) through v.  Peripheral here means in
-    the ball's own graph, not in all of H as for chain cycles."""
+    """Peripheral cycles of D_2(v) through v, sorted.  Peripheral here
+    means in the ball's own graph, not in all of H as for chain cycles.
+
+    They are read off the host's own chordless cycles through v: those
+    inside D_2(v) whose removal leaves at most one part of the ball.
+    That is the answer of peripheral_cycles_through(D_2(v), v, l_max)
+    without a second search: D_2(v) is an induced ball, so a cycle
+    inside it is chordless there exactly when it is chordless in H; and
+    a ball is connected, so its component count is 1."""
     d2 = dk_ball(host, v, 2)
-    return tuple(peripheral_cycles_through(d2.graph, v, host.l_max))
+    inside, g = d2.dist, d2.graph
+    return tuple(
+        c
+        for c, _ in host._cycles_at(v)
+        if all(x in inside for x in c.cycle) and local_parts(g, c.cycle) <= 1
+    )
 
 
 def _no_margin(v: int, radius: int) -> None:
@@ -439,10 +464,13 @@ def is_r_locally(
     With d_balls=True the comparison uses depth-r face cores instead: the
     variant the flag machinery and the cover builder rely on, and the one
     that stays meaningful on quotients small enough for induced balls to
-    pick up wrap chords.
+    pick up wrap chords.  A target with no vertices is an input error:
+    a check of nothing would read as passed.
     """
     if r < 1:
         raise InputError("need r >= 1")
+    if not h.vertices:
+        raise InputError("the target graph has no vertices")
     failures = []
     if d_balls:
         reference = face_core(Host(g_patch), g_patch.root, r).rooted

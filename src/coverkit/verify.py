@@ -203,16 +203,17 @@ def check_uniqueness(
 ) -> VerificationReport:
     """Rebuild the cover under `trials` different deterministic face
     enumerations (tie-break variants) from one prepared run and assert
-    identical vertex maps.  Fewer than two trials is an input error: it
-    would compare nothing, yet read as passed."""
-    if trials < 2:
-        raise InputError("trials must be >= 2")
+    identical vertex maps.  There are three enumerations, so `trials`
+    must be 2 or 3: one trial would compare nothing, yet read as passed,
+    and more would repeat a build, yet count it as a trial."""
+    if not 2 <= trials <= 3:
+        raise InputError(f"trials must be 2 or 3, one per face enumeration, got {trials}")
     run = CoverRun(patch, h, f=f, flag_h=flag_h, i_max=i_max, guard=guard)
     report = VerificationReport()
     reference = None
     diff: list = []
     for t in range(trials):
-        cov = run.build(t % 3)
+        cov = run.build(t)
         if reference is None:
             reference = cov
             continue

@@ -11,13 +11,18 @@ canonical forms by trying every rotation.  The shared-path reference
 reads the builder's state, but finds the path another way: an adjacency
 dict of the shared edges, walked between its two ends.
 Expected values asserted in the tests are computed by these oracles, not
-copied from the implementation.
+copied from the implementation.  Two helpers build inputs rather than
+check outputs: `hub_patch`, a planar map with long faces, and
+`relabelled`, a seeded renaming of a graph's vertices.  The lattice
+symmetries are found by trying every small integer matrix on the unit
+steps.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 
 from coverkit.errors import InputError
 from coverkit.graph import induced_subgraph
@@ -272,3 +277,75 @@ def assert_unique_extension(g, h, f, iso) -> None:
     pres = {s: iso.mapping[s] for s in f.face.cycle}
     found = rooted_isomorphisms(dom, img, limit=2, prescribed=pres)
     assert len(found) == 1, f"{len(found)} extensions carry {f} onto its image; expected exactly one"
+
+
+def hub_patch(k: int) -> dict:
+    """Patch JSON of three k-vertex spokes from a hub (vertex 0, the
+    root), whose ends are joined in the declared outer triangle: a
+    subdivided K4 with three interior faces of 2k + 1 vertices each."""
+    spokes = [[1 + i * k + j for j in range(k)] for i in range(3)]
+    ends = [s[-1] for s in spokes]
+    edges, rotation = [], {0: [s[0] for s in spokes]}
+    for i, spoke in enumerate(spokes):
+        path = [0] + spoke
+        edges += [[a, b] for a, b in zip(path, path[1:])]
+        edges.append(sorted((ends[i], ends[(i + 1) % 3])))
+        for j in range(1, k):
+            rotation[path[j]] = [path[j - 1], path[j + 1]]
+        rotation[ends[i]] = [path[-2], ends[(i - 1) % 3], ends[(i + 1) % 3]]
+    return {
+        "n": 3 * k + 1,
+        "edges": sorted(edges),
+        "rotation": {str(v): r for v, r in rotation.items()},
+        "root": 0,
+        "outer": ends,
+    }
+
+
+def relabelled(graph, seed: int) -> tuple[list, list]:
+    """A seeded permutation perm of a graph on 0..n-1 (perm[v] is the new
+    name of v) and the graph's edges renamed through it."""
+    perm = list(range(graph.n))
+    random.Random(seed).shuffle(perm)
+    return perm, [(perm[u], perm[v]) for u, v in graph.edges]
+
+
+_SQUARE_UNITS = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
+_TRIANGULAR_UNITS = _SQUARE_UNITS | {(1, -1), (-1, 1)}
+
+
+def lattice_projections(inst, coords: dict, root_image: int) -> list[dict]:
+    """Every map v -> proj(alpha(coords[v])) from a patch onto a flat
+    quotient, alpha a symmetry of the plane lattice taking the root to a
+    point over the quotient vertex root_image.  By uniqueness a correct
+    cover whose root lands on root_image is one of them.
+
+    A lattice point (x, y, c) sits at (3x + c, 3y + c): the square lattice
+    has class 0 only; the honeycomb's class-0 points form a triangular
+    lattice and its class-1 point (x, y, 1) is the centre of the triangle
+    (x, y), (x + 1, y), (x, y + 1).  A symmetry is z -> Lz + t with L
+    keeping the unit steps (8 matrices on the square lattice, 12 on the
+    triangular one); an L that does not keep the honeycomb leaves some
+    point off it, and its map is dropped.  One lift of root_image serves
+    for t: two lifts differ by a deck map, which the projection forgets.
+    """
+    n = inst.spec.n
+    classes = 2 if inst.spec.kind == "hex_torus" else 1
+    units = _SQUARE_UNITS if classes == 1 else _TRIANGULAR_UNITS
+    rest, c0 = divmod(root_image, classes)
+    tx, ty = 3 * (rest // n) + c0, 3 * (rest % n) + c0  # the lift in the fundamental domain
+    maps = []
+    for a, b, c, d in product((-1, 0, 1), repeat=4):
+        if {(a * x + b * y, c * x + d * y) for x, y in units} != units:
+            continue
+        image = {}
+        for v, (x, y, cls) in coords.items():
+            px, py = 3 * x + cls, 3 * y + cls
+            qx, qy = a * px + b * py + tx, c * px + d * py + ty
+            cls = qx % 3
+            if cls >= classes or qy % 3 != cls:
+                break
+            image[v] = inst._project(((qx - cls) // 3, (qy - cls) // 3, cls))
+        else:
+            maps.append(image)
+    return maps

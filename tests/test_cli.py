@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 import coverkit.cli as cli
 from coverkit.cli import main
+
+from .oracles import hub_patch
 
 
 def run(argv, capsys):
@@ -104,6 +107,29 @@ class TestPipeline:
         code, out, err = run(["check-local", "--h", str(t), "--g", str(g), "--r", "0", *mode], capsys)
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": "input", "message": "need r >= 1"}
+
+    @pytest.mark.parametrize("mode", [[], ["--d-balls"]], ids=["balls", "cores"])
+    def test_check_local_on_an_empty_target_exit_2(self, artifacts, capsys, mode):
+        # a target with no vertices offers nothing to check, as in cover
+        d, g, t = artifacts
+        empty = d / "empty_h.json"
+        empty.write_text(json.dumps({"n": 0, "edges": []}))
+        code, out, err = run(["check-local", "--h", str(empty), "--g", str(g), "--r", "1", *mode], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "input", "message": "the target graph has no vertices"}
+
+    def test_check_local_report_on_long_faces(self, tmp_path, capsys):
+        # the hub patch's three faces have 11 vertices each; the report
+        # digest was recorded before faces were read off the host's own
+        # cycles (exit 1: every vertex but the hub fails)
+        hub = tmp_path / "hub.json"
+        hub.write_text(json.dumps(hub_patch(5)))
+        code, out, _ = run(["check-local", "--h", str(hub), "--g", str(hub), "--r", "1", "--d-balls"], capsys)
+        assert code == 1
+        assert json.loads(out)["failures"] == list(range(1, 16))
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "08332b20f57c76526ed11e9abc612c5ebd2ab5845300d741a35709052b52948e"
+        )
 
     def test_flags_stabilize(self, artifacts, capsys):
         d, g, t = artifacts

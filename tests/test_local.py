@@ -161,12 +161,12 @@ def _cycle_edges(cycle):
 
 @pytest.fixture(
     scope="module",
-    params=[("torus", 9, 9, 4), ("klein", 12, 12, 4), ("hex_torus", 8, 8, 6)],
-    ids=["torus9x9", "klein12x12", "hex8x8"],
+    params=[("torus", 9, 9, 0, 4), ("klein", 12, 12, 0, 4), ("hex_torus", 8, 8, 0, 6), ("twisted_torus", 7, 5, 2, 4)],
+    ids=["torus9x9", "klein12x12", "hex8x8", "twisted7x5"],
 )
 def ladder_target(request):
-    kind, m, n, l_max = request.param
-    return make_quotient(QuotientSpec(kind, m, n)).graph, l_max
+    kind, m, n, s, l_max = request.param
+    return make_quotient(QuotientSpec(kind, m, n, s)).graph, l_max
 
 
 class TestChainCyclesAgainstNetworkx:
@@ -367,6 +367,165 @@ class TestFaceInferenceWork:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def _reference_faces(g, v, l_max):
+    """The faces at v the long way: D_2(v) on one Host, its peripheral
+    cycles through v on a second Host of the ball's own graph."""
+    return tuple(peripheral_cycles_through(dk_ball(Host(g, l_max), v, 2).graph, v, l_max))
+
+
+def _ear_and_long_cycle(ear, length):
+    """A chordless cycle C = 0..length-1, an ear path of `ear` new
+    vertices from 0 to 1, a vertex w joined to 2 and length - 1, and a
+    pendant vertex opposite 0.  C separates the ear from the pendant, so
+    no chain cycle reaches beyond the ear's face, and D_2(0) stops short
+    of C, which the face search at 0 must drop."""
+    a = list(range(length, length + ear))
+    w, pendant = length + ear, length + ear + 1
+    edges = [(i, (i + 1) % length) for i in range(length)]
+    edges += [(0, a[0]), *zip(a, a[1:]), (a[-1], 1), (w, 2), (w, length - 1), (length // 2, pendant)]
+    return Graph(range(pendant + 1), edges)
+
+
+class TestFacesFromTheHostsCycles:
+    """A graph host infers the faces at v from its own chordless cycles
+    through v, kept when inside D_2(v) and non-separating there; the
+    reference builds a second Host over the ball's graph."""
+
+    def test_equal_the_reference_on_the_ladder(self, ladder_target):
+        g, l_max = ladder_target
+        host = Host(g, l_max)
+        for v in g.vertices:
+            assert host_faces_at(host, v) == _reference_faces(g, v, l_max)
+
+    def test_equal_the_reference_where_the_ball_drops_a_cycle(self):
+        g, l_max = _ear_and_long_cycle(8, 16), 16
+        host = Host(g, l_max)
+        inside = dk_ball(host, 0, 2).dist
+        dropped = [c for c, _ in host._cycles_at(0) if not set(c.cycle) <= inside.keys()]
+        assert [len(c) for c in dropped] == [16]
+        assert [len(c) for c in host_faces_at(host, 0)] == [10]
+        for v in g.vertices:
+            assert host_faces_at(host, v) == _reference_faces(g, v, l_max)
+
+    def test_a_face_may_separate_the_host(self):
+        # the triangle 0-2-4 cuts the pendant 1 off from 3 in H, but 1 lies
+        # outside D_2(0) = B_1(0), so in the ball the triangle is a face:
+        # the verdict that counts is the ball's, not the host's
+        g = Graph(range(5), [(0, 2), (0, 3), (0, 4), (1, 2), (2, 4), (3, 4)])
+        host = Host(g, 6)
+        faces = host_faces_at(host, 0)
+        assert [c.cycle for c in faces] == [(0, 2, 4), (0, 3, 4)]
+        assert faces == _reference_faces(g, 0, 6)
+        assert [c.cycle for c in host.chain_cycles(0)] == [(0, 3, 4)]
+
+    def test_equal_the_reference_on_random_graphs(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from .test_graph import small_graphs
+
+        @given(small_graphs(), st.integers(min_value=3, max_value=8))
+        @settings(max_examples=80, deadline=None)
+        def run(g, l_max):
+            host = Host(g, l_max)
+            for v in g.vertices:
+                assert host_faces_at(host, v) == _reference_faces(g, v, l_max)
+
+        run()
+
+    def test_one_cycle_search_per_vertex_per_host(self, monkeypatch):
+        searched: Counter = Counter()
+        real = local._chordless_cycles_through
+
+        def counting(g, v, l_max):
+            searched[(g, v)] += 1
+            return real(g, v, l_max)
+
+        monkeypatch.setattr(local, "_chordless_cycles_through", counting)
+        g = make_quotient(QuotientSpec("torus", 9, 9)).graph
+        host = Host(g, 4)
+        for v in g.vertices:
+            host_faces_at(host, v)
+            host.chain_cycles(v)
+        dk_ball(host, 0, 3)
+        assert searched == Counter({(g, v): 1 for v in g.vertices})
+
+    def test_host_count_does_not_grow_with_the_target(self, patch44_r10, monkeypatch):
+        made = [0]
+        real = Host.__init__
+
+        def counting(self, *args, **kwargs):
+            made[0] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Host, "__init__", counting)
+        counts = []
+        for m in (5, 9):
+            made[0] = 0
+            build_cover(patch44_r10, make_quotient(QuotientSpec("torus", m, m)).graph)
+            counts.append(made[0])
+        assert counts[0] == counts[1]
+
+    def test_a_shared_cycle_is_one_object(self):
+        g = make_quotient(QuotientSpec("torus", 9, 9)).graph
+        host = Host(g, 4)
+        for u, w in sorted(g.edges):
+            shared = [(a, b) for a in host.chain_cycles(u) for b in host.chain_cycles(w) if a == b]
+            assert len(shared) == 2
+            assert all(a is b for a, b in shared)
+            assert all(a in host_faces_at(host, u) for a, _ in shared)
+
+
+class TestPatchComponents:
+    """A patch host takes its component count from the patch's own BFS
+    from the root when that reached every vertex, and counts only a
+    disconnected patch."""
+
+    def test_a_self_cover_never_counts_the_patch(self, monkeypatch):
+        from coverkit import check_normality
+
+        patch = generate(3, 7, 5)
+        counted, tested = [], []
+        real_count, real_parts = local.component_count, local.local_parts
+
+        def counting(g):
+            counted.append(g)
+            return real_count(g)
+
+        def testing(g, removed):
+            tested.append(g)
+            return real_parts(g, removed)
+
+        monkeypatch.setattr(local, "component_count", counting)
+        monkeypatch.setattr(local, "local_parts", testing)
+        cov = build_cover(patch, patch)
+        assert check_normality(cov).ok
+        assert any(g is patch.graph for g in tested)  # verdicts were taken on the patch
+        assert not any(g is patch.graph for g in counted)
+
+    def test_two_patches_keep_exact_verdicts(self, patch44_r6):
+        from coverkit import FaceBoundary, PlanePatch
+
+        p, shift = patch44_r6, patch44_r6.graph.n
+        g = _disjoint_union(p.graph, p.graph)
+        twin = PlanePatch(
+            g,
+            p.root,
+            {**p.rotation, **{v + shift: tuple(u + shift for u in r) for v, r in p.rotation.items()}},
+            [*p.faces, *(FaceBoundary([v + shift for v in f]) for f in p.faces)],
+            p.outer + tuple(v + shift for v in p.outer),
+            {**p.complete_radius, **{v + shift: r for v, r in p.complete_radius.items()}},
+            p.schlafli,
+        )
+        host = Host(twin)
+        asked = [x for x in g.vertices if twin.complete_radius[x] >= 2]
+        assert len(asked) > 20
+        for x in asked:
+            chain = set(host.chain_cycles(x))
+            for c in local._chordless_cycles_through(g, x, twin.l_max):
+                assert (c in chain) == is_connected_excluding(g, c.cycle)
 
 
 class TestFaceBoundariesAt:

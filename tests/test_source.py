@@ -31,3 +31,19 @@ def test_no_whole_graph_separation_verdicts_outside_graph():
     ]
     if not SRC.is_dir() or found:
         raise AssertionError(f"is_connected_excluding called in src/coverkit: {found or 'no sources found'}")
+
+
+def test_faces_are_inferred_through_a_host_only():
+    # peripheral_cycles_through and face_boundaries_at each build a new
+    # Host: the tests' reference for face inference.  Inside the package
+    # a Host reads faces off its own cycles, so neither is called there
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("**/*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+        & {"peripheral_cycles_through", "face_boundaries_at"}
+    ]
+    if not SRC.is_dir() or found:
+        raise AssertionError(f"one-off face queries called in src/coverkit: {found or 'no sources found'}")

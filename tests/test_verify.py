@@ -131,9 +131,10 @@ class TestCheckUniqueness:
         rep = check_uniqueness(patch63_r10, hex55.graph, trials=3)
         assert rep.ok
 
-    @pytest.mark.parametrize("trials", [0, 1])
+    @pytest.mark.parametrize("trials", [0, 1, 4, 7])
     def test_fewer_than_two_trials_rejected(self, patch44_r10, torus57, monkeypatch, trials):
-        # one build compares nothing; the run must not even be prepared
+        # one build compares nothing, and there are only three face
+        # enumerations to build from; the run must not even be prepared
         def unprepared(*args, **kwargs):
             raise AssertionError("the run was prepared")
 
