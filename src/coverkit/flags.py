@@ -288,16 +288,11 @@ def _to_root(c: Coloring, host: Host, f: Flag) -> Flag | None:
 def color(c: Coloring, f: Flag) -> int:
     """The palette index of the orbit of a patch flag: push f to the root
     through any root-preserving isomorphism of depth-n cores.
-    Independent of the choice of isomorphism (tested, not assumed)."""
-    v = f.vertex
-    if v == c.patch.root:
-        try:
-            return c.delta.orbit_index[f]
-        except KeyError:
-            raise DefectError(f"{f} is not a flag of the root") from None
+    Independent of the choice of isomorphism (tested, not assumed), so a
+    root flag is pulled through a root automorphism like any other."""
     g_flag = _to_root(c, c.g, f)
     if g_flag is None:
-        raise DefectError(f"patch not vertex-transitive at {v}: no depth-{c.n} isomorphism")
+        raise DefectError(f"patch not vertex-transitive at {f.vertex}: no depth-{c.n} isomorphism")
     if g_flag.face not in c.patch.face_set:
         raise DefectError(f"image of {f.face} at the root is not a face")
     return c.delta.orbit_index[g_flag]
@@ -323,73 +318,27 @@ def color_in_h(c: Coloring, host: Host, flag_h: Flag) -> int:
 # ---------------------------------------------------------------------------
 
 def extend_iso(c: Coloring, host: Host, f: Flag, flag_h: Flag, r: int) -> Isomorphism:
-    """The unique colour-compatible local isomorphism around f.
-
-    Maps f to flag_h and propagates face by face across shared edges,
-    covering the faces within r chain steps of f's vertex.  Each step is
-    forced (an edge inside the region lies on exactly two faces), so the
-    result is unique by construction; any failure to close consistently
-    is reported as a hypothesis violation.
-    """
+    """The unique colour-compatible local isomorphism around f: the
+    isomorphism of depth-r face cores that carries f onto flag_h and each
+    core face onto a core face.  At most one exists: a map that carries
+    faces onto faces and fixes one face pointwise is forced across each
+    shared edge, and the faces of a core are joined through shared edges.
+    So the search stops at its first map (limit=1), which must carry the
+    faces onto exactly the target core's faces; no map, or one that does
+    not, is a hypothesis violation."""
     # a self-cover colours both flags as patch flags (a DefectError on failure)
     if color(c, f) != (color(c, flag_h) if host is c.g else color_in_h(c, host, flag_h)):
         raise InputError("colour mismatch between seed flags")
-    v, x = f.vertex, flag_h.vertex
-    faces_g = face_core(c.g, v, r).faces
-    faces_h = face_core(host, x, r).faces
-
-    vmap: dict[int, int] = {}
-
-    def assign(a: int, b: int) -> None:
-        if vmap.get(a, b) != b:
-            raise HypothesisViolationError(
-                f"extension conflict at {a}: {vmap[a]} vs {b}"
-            )
-        vmap[a] = b
-
-    def align(face_g: FaceBoundary, face_h: FaceBoundary, a: int, b: int) -> None:
-        if len(face_g) != len(face_h):
-            raise HypothesisViolationError(
-                f"face length mismatch {len(face_g)} vs {len(face_h)} at {a}"
-            )
-        for s, t in zip(face_g.cycle_from(a, b), face_h.cycle_from(vmap[a], vmap[b])):
-            assign(s, t)
-
-    assign(v, x)
-    assign(f.other_end, flag_h.other_end)
-    align(f.face, flag_h.face, v, f.other_end)
-    mapped: dict[FaceBoundary, FaceBoundary] = {f.face: flag_h.face}
-    queue = [f.face]
-    while queue:
-        fg = queue.pop(0)
-        fh = mapped[fg]
-        for e in sorted(fg.edges):
-            others = [F for F in faces_g if e in F.edges and F != fg]
-            if not others:
-                continue
-            if len(others) != 1:
-                raise DefectError(f"edge {e} lies on more than two faces")
-            face2 = others[0]
-            ie = edge_key(vmap[e[0]], vmap[e[1]])
-            h_others = [B for B in faces_h if ie in B.edges and B != fh]
-            if face2 in mapped:
-                if mapped[face2] != fh and mapped[face2] not in h_others:
-                    raise HypothesisViolationError(
-                        f"faces across edge {e} map inconsistently"
-                    )
-                continue
-            if len(h_others) != 1:
-                raise HypothesisViolationError(
-                    f"h is not r-locally-G near {ie}: expected exactly one "
-                    f"further face on the image edge, found {len(h_others)}"
-                )
-            b2 = h_others[0]
-            align(face2, b2, e[0], e[1])
-            mapped[face2] = b2
-            queue.append(face2)
-
-    _verify_partial_isomorphism(c.g.graph, host.graph, vmap)
-    return Isomorphism(vmap, v, x)
+    core_g, core_h = face_core(c.g, f.vertex, r), face_core(host, flag_h.vertex, r)
+    pres = _prescription(f, flag_h)
+    found = rooted_isomorphisms(core_g.rooted, core_h.rooted, limit=1, prescribed=pres) if pres else []
+    if not found or {found[0].map_cycle(F) for F in core_g.faces} != core_h.faces:
+        raise HypothesisViolationError(
+            f"h is not {r}-locally-G at {flag_h.vertex}: no isomorphism of depth-{r} "
+            f"cores carries the flag at {f.vertex} onto it, faces onto faces"
+        )
+    _verify_partial_isomorphism(c.g.graph, host.graph, found[0].mapping)
+    return found[0]
 
 
 def _verify_partial_isomorphism(ga: Graph, gb: Graph, vmap: dict[int, int]) -> None:

@@ -301,9 +301,6 @@ class Isomorphism:
     def __getitem__(self, v: int) -> int:
         return self.mapping[v]
 
-    def __contains__(self, v: int) -> bool:
-        return v in self.mapping
-
     def map_edge(self, e: tuple[int, int]) -> tuple[int, int]:
         return edge_key(self.mapping[e[0]], self.mapping[e[1]])
 

@@ -26,11 +26,15 @@ from .tessellation import PlanePatch
 def check_cover(cover: CoverMap, margin: int = 1) -> VerificationReport:
     """The cover property: at every certified vertex with fully mapped
     neighbourhood, the edge map to the image neighbourhood is a bijection.
-    Also reports fiber sizes over the checked region."""
+    Also reports fiber sizes over the checked region.  A margin that no
+    mapped vertex reaches is an input error: it would check nothing, yet
+    read as passed."""
     if margin < 1:
         raise InputError("margin must be >= 1")
     patch, h = cover.patch, cover.h.graph
     vmap = cover.vertex_map
+    if all(patch.complete_radius[v] < margin for v in vmap):
+        raise InputError(f"no mapped vertex has complete radius {margin} or more")
     report = VerificationReport()
     checked = []
     bad = []

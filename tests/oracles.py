@@ -1,15 +1,17 @@
 """Independent brute-force oracles.
 
-Everything here but `assert_unique_extension` and
-`intersection_path_by_adjacency` is deliberately written from scratch
-against plain adjacency dicts, so it shares no code path with the
-library: coordinate models of the square lattice, exhaustive cycle
+Everything here but `assert_unique_extension`,
+`intersection_path_by_adjacency` and `extension_by_propagation` is
+deliberately written from scratch against plain adjacency dicts, so it
+shares no code path with the library: coordinate models of the square lattice, exhaustive cycle
 enumeration, 3-connectivity by trying every cut of at most two
 vertices, a naive isomorphism backtracker, a walk round the builder's
 frontier, a trace of every walk of a patch's rotation system, and cycle
 canonical forms by trying every rotation.  The shared-path reference
 reads the builder's state, but finds the path another way: an adjacency
-dict of the shared edges, walked between its two ends.
+dict of the shared edges, walked between its two ends.  The extension
+reference reads the library's face cores, but builds the map another
+way: face by face across shared edges, where the library searches.
 Expected values asserted in the tests are computed by these oracles, not
 copied from the implementation.  Two helpers build inputs rather than
 check outputs: `hub_patch`, a planar map with long faces, and
@@ -24,9 +26,9 @@ import random
 from collections import deque
 from itertools import combinations, product
 
-from coverkit.errors import InputError
-from coverkit.graph import induced_subgraph
-from coverkit.local import as_rooted, rooted_isomorphisms
+from coverkit.errors import DefectError, HypothesisViolationError, InputError
+from coverkit.graph import edge_key, induced_subgraph
+from coverkit.local import as_rooted, face_core, rooted_isomorphisms
 
 Coord = tuple[int, int]
 
@@ -349,3 +351,61 @@ def lattice_projections(inst, coords: dict, root_image: int) -> list[dict]:
         else:
             maps.append(image)
     return maps
+
+
+def extension_by_propagation(g, h, f, flag_h, r: int) -> dict:
+    """The extension isomorphism built face by face, for comparison with
+    the library's prescribed core search: map f's face onto flag_h's
+    pointwise, then cross each shared edge of the depth-r face core of f's
+    vertex in host g onto the one further face of the image edge in the
+    depth-r core of flag_h's vertex in host h.  Each step is forced, so
+    the vertex map is unique by construction; a step that cannot close
+    consistently raises HypothesisViolationError, and an edge on more
+    than two faces of g's core a DefectError.  Reads the cores through
+    `face_core`; the propagation itself is from scratch."""
+    v, x = f.vertex, flag_h.vertex
+    faces_g = face_core(g, v, r).faces
+    faces_h = face_core(h, x, r).faces
+
+    vmap: dict = {}
+
+    def assign(a, b) -> None:
+        if vmap.get(a, b) != b:
+            raise HypothesisViolationError(f"extension conflict at {a}: {vmap[a]} vs {b}")
+        vmap[a] = b
+
+    def align(face_g, face_h, a, b) -> None:
+        if len(face_g) != len(face_h):
+            raise HypothesisViolationError(f"face length mismatch {len(face_g)} vs {len(face_h)} at {a}")
+        for s, t in zip(face_g.cycle_from(a, b), face_h.cycle_from(vmap[a], vmap[b])):
+            assign(s, t)
+
+    assign(v, x)
+    assign(f.other_end, flag_h.other_end)
+    align(f.face, flag_h.face, v, f.other_end)
+    mapped = {f.face: flag_h.face}
+    queue = deque([f.face])
+    while queue:
+        fg = queue.popleft()
+        fh = mapped[fg]
+        for e in sorted(fg.edges):
+            others = [F for F in faces_g if e in F.edges and F != fg]
+            if not others:
+                continue
+            if len(others) != 1:
+                raise DefectError(f"edge {e} lies on more than two faces")
+            face2 = others[0]
+            ie = edge_key(vmap[e[0]], vmap[e[1]])
+            h_others = [B for B in faces_h if ie in B.edges and B != fh]
+            if face2 in mapped:
+                if mapped[face2] != fh and mapped[face2] not in h_others:
+                    raise HypothesisViolationError(f"faces across edge {e} map inconsistently")
+                continue
+            if len(h_others) != 1:
+                raise HypothesisViolationError(
+                    f"expected exactly one further face on the image edge {ie}, found {len(h_others)}"
+                )
+            align(face2, h_others[0], e[0], e[1])
+            mapped[face2] = h_others[0]
+            queue.append(face2)
+    return vmap

@@ -284,6 +284,10 @@ def _verify_with_zero_margin(d, g, t):
     return _verify_argv(d, g, t, "--margin", "0")
 
 
+def _verify_with_margin_beyond_the_patch(d, g, t):
+    return _verify_argv(d, g, t, "--margin", "100")
+
+
 def _with(path, out, change):
     """A copy of the JSON file at path, written to out after change(doc)."""
     doc = json.loads(path.read_text())
@@ -359,6 +363,7 @@ class TestBadInputs:
             _verify_with_zero_samples,
             _verify_with_negative_samples,
             _verify_with_zero_margin,
+            _verify_with_margin_beyond_the_patch,
             _verify_with_float_n,
             _verify_with_bool_n,
             _verify_with_float_seed_vertex,

@@ -4,10 +4,15 @@ import pytest
 
 from coverkit import (
     Coloring,
+    DefectError,
+    FaceBoundary,
     Flag,
+    Graph,
     Host,
+    HypothesisViolationError,
     InputError,
     PatchTooSmallError,
+    QuotientSpec,
     color,
     color_in_h,
     extend_iso,
@@ -15,15 +20,23 @@ from coverkit import (
     face_core,
     flag_orbit_partition,
     flags_at,
+    generate,
     i_fundamental_domain,
     import_patch,
+    make_quotient,
     rooted_isomorphisms,
     stabilize_n,
 )
 from coverkit.flags import _flag_cycle, _map_flag
+from coverkit.graph import edge_key
 from coverkit.local import host_faces_at
 
-from .oracles import adjacency_of, assert_unique_extension, brute_rooted_isomorphisms
+from .oracles import (
+    adjacency_of,
+    assert_unique_extension,
+    brute_rooted_isomorphisms,
+    extension_by_propagation,
+)
 
 
 def build_squareoct_patch(window=6, drop_link=None):
@@ -75,6 +88,11 @@ def build_squareoct_patch(window=6, drop_link=None):
 @pytest.fixture(scope="module")
 def squareoct():
     return build_squareoct_patch(6)
+
+
+@pytest.fixture(scope="module")
+def patch37_r5():
+    return generate(3, 7, 5)
 
 
 class TestFlagsAt:
@@ -200,12 +218,35 @@ class TestColor:
         assert set(cols) == set(range(len(delta)))
         assert sorted(map(frozenset, cols.values())) == sorted(map(frozenset, delta.orbits))
 
+    @pytest.mark.parametrize("fixture", ["patch44_r10", "patch37_r5", "squareoct"])
+    def test_root_flags_pulled_through_a_root_automorphism(self, fixture, request):
+        # a root flag takes no shortcut: it is pulled to the root like any
+        # other flag, and keeps its own orbit index
+        patch = request.getfixturevalue(fixture)
+        delta = i_fundamental_domain(patch, stabilize_n(patch, 2, 2))
+        c = Coloring(patch, delta)
+        root_flags = flags_at(c.g, patch.root)
+        assert [color(c, f) for f in root_flags] == [delta.orbit_index[f] for f in root_flags]
+
+    @pytest.mark.parametrize("fixture", ["patch44_r10", "patch37_r5", "squareoct"])
+    def test_root_flag_on_a_non_face_is_a_defect(self, fixture, request):
+        # the boundary of two faces across a root edge is a cycle through
+        # the root, but not a face
+        patch = request.getfixturevalue(fixture)
+        c = Coloring(patch, i_fundamental_domain(patch, 1))
+        root = patch.root
+        u = patch.rotation[root][0]
+        f1, f2 = (f for f in patch.faces_at(root) if edge_key(root, u) in f.edges)
+        walk = f2.cycle_from(u, root)[1:] + f1.cycle_from(root, u)[1:]  # root first
+        merged = FaceBoundary(walk)
+        assert merged not in patch.face_set
+        with pytest.raises(DefectError, match="not a face"):
+            color(c, Flag(root, edge_key(root, walk[1]), merged))
+
     def test_non_transitive_import_diagnosed(self):
         # dropping one link edge merges two octagons into a 14-gon; the
         # import still succeeds (trusted), but colouring a flag near the
         # damage reports the patch as not vertex-transitive there
-        from coverkit import DefectError
-
         damaged, ids = build_squareoct_patch(6, drop_link=(2, 0))
         n = stabilize_n(damaged, 1, 1)  # the root area is intact
         delta = i_fundamental_domain(damaged, n)
@@ -310,6 +351,54 @@ class TestExtendIso:
         assert_unique_extension(c.g, torus, f, iso)
         assert iso[f.vertex] == 5
         assert len(iso.mapping) == 9
+
+    @pytest.mark.parametrize(
+        "fixture, vertex_pairs",
+        [("patch44_r10", 4), ("patch37_r5", 1), ("patch63_r10", 4), ("patch45_r5", 2)],
+    )
+    def test_equals_the_propagation(self, fixture, vertex_pairs, request):
+        # every flag pair at each sampled pair of vertices: one orbit, so
+        # every pair is colour-compatible and all are compared
+        patch = request.getfixturevalue(fixture)
+        c = Coloring(patch, i_fundamental_domain(patch, 1))
+        deep = sorted(v for v in patch.graph.vertices if patch.complete_radius[v] >= 4)
+        compared = 0
+        for v, w in zip(deep[:vertex_pairs], deep[::-1]):
+            for f in flags_at(c.g, v):
+                for fh in flags_at(c.g, w):
+                    want = extension_by_propagation(c.g, c.g, f, fh, 2)
+                    assert extend_iso(c, c.g, f, fh, 2).mapping == want
+                    compared += 1
+        assert compared == vertex_pairs * (2 * patch.graph.degree(patch.root)) ** 2
+
+    def test_equals_the_propagation_onto_torus(self, patch44_r10, torus57):
+        c = Coloring(patch44_r10, i_fundamental_domain(patch44_r10, 1))
+        torus = Host(torus57.graph, 4)
+        deep = sorted(v for v in patch44_r10.graph.vertices if patch44_r10.complete_radius[v] >= 4)
+        compared = 0
+        for v, x in zip(deep, (0, 11, 17, 34)):
+            for f in flags_at(c.g, v):
+                for fh in flags_at(torus, x):
+                    want = extension_by_propagation(c.g, torus, f, fh, 1)
+                    assert extend_iso(c, torus, f, fh, 1).mapping == want
+                    compared += 1
+        assert compared == 4 * 8 * 8
+
+    def test_rewired_target_rejected_by_both(self, patch44_r10):
+        # torus 9x9 with (40,41), (49,50) rewired to (40,50), (41,49): the
+        # depth-1 cores at 22 and 39 still pull back, so the colours
+        # match, but no depth-2 extension exists there
+        c = Coloring(patch44_r10, i_fundamental_domain(patch44_r10, 1))
+        g = make_quotient(QuotientSpec("torus", 9, 9)).graph
+        rewired = Host(Graph(range(81), set(g.edges) - {(40, 41), (49, 50)} | {(40, 50), (41, 49)}), 4)
+        f = flags_at(c.g, patch44_r10.root)[0]
+        for x in (22, 39):
+            for fh in flags_at(rewired, x):
+                assert color_in_h(c, rewired, fh) == color(c, f)
+                with pytest.raises(HypothesisViolationError):
+                    extend_iso(c, rewired, f, fh, 2)
+                with pytest.raises(HypothesisViolationError):
+                    extension_by_propagation(c.g, rewired, f, fh, 2)
 
     def test_color_mismatch_rejected(self, squareoct):
         n = stabilize_n(squareoct, 2, 2)

@@ -92,7 +92,7 @@ class TestPeripheralCycles:
             return Graph(range(n), picks), draw(st.integers(min_value=0, max_value=n - 1)), l_max
 
         @given(graph_and_query())
-        @settings(max_examples=80, deadline=None)
+        @settings(max_examples=80, deadline=None, derandomize=True, database=None)
         def run(case):
             g, v, l_max = case
             got = {frozenset(frozenset(e) for e in c.edges) for c in peripheral_cycles_through(g, v, l_max)}
@@ -275,7 +275,7 @@ class TestLocalVerdict:
         from .test_graph import small_graphs
 
         @given(small_graphs(), st.integers(min_value=3, max_value=8))
-        @settings(max_examples=80, deadline=None)
+        @settings(max_examples=80, deadline=None, derandomize=True, database=None)
         def run(g, l_max):
             assert all(mine == ref for mine, ref in _verdicts(g, l_max))
 
@@ -427,7 +427,7 @@ class TestFacesFromTheHostsCycles:
         from .test_graph import small_graphs
 
         @given(small_graphs(), st.integers(min_value=3, max_value=8))
-        @settings(max_examples=80, deadline=None)
+        @settings(max_examples=80, deadline=None, derandomize=True, database=None)
         def run(g, l_max):
             host = Host(g, l_max)
             for v in g.vertices:

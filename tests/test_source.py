@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "coverkit"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_no_assert_statements_in_the_package():
@@ -47,3 +48,26 @@ def test_faces_are_inferred_through_a_host_only():
     ]
     if not SRC.is_dir() or found:
         raise AssertionError(f"one-off face queries called in src/coverkit: {found or 'no sources found'}")
+
+
+def test_property_tests_are_derandomized():
+    # a hypothesis test that draws afresh on every run catches a fault on
+    # some runs and misses it on others; every settings(...) in the tests
+    # fixes its draws
+    calls = [
+        (path.name, node)
+        for path in sorted(TESTS.glob("**/*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "settings" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in calls
+        if not any(
+            k.arg == "derandomize" and isinstance(k.value, ast.Constant) and k.value.value is True
+            for k in node.keywords
+        )
+    ]
+    if not calls or found:
+        raise AssertionError(f"hypothesis settings without derandomize=True: {found or 'no settings found'}")
