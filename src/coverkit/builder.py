@@ -294,23 +294,27 @@ def default_seed(c: Coloring, host: Host) -> tuple[Flag, Flag]:
     """The least flag of the root, paired with the least colour-matched
     flag of the least target vertex."""
     f = flags_at(c.g, c.patch.root)[0]
-    want = color(c, f)
+    return f, _least_target_flag(c, host, color(c, f))
+
+
+def _least_target_flag(c: Coloring, host: Host, want: int) -> Flag:
     if not host.graph.vertices:
         raise InputError("the target graph has no vertices")
     x0 = host.graph.vertices[0]
     for fh in flags_at(host, x0):
         if color_in_h(c, host, fh) == want:
-            return f, fh
+            return fh
     raise HypothesisViolationError(f"no flag at target vertex {x0} matches colour {want}")
 
 
 class CoverRun:
     """One cover construction from a patch onto a target, prepared once:
     the stabilisation level n, the palette, the colouring context, the
-    target host with its chain cycles filled, and the seed flags (the
-    default seed where f or flag_h is None).  Each `build` runs one face
-    enumeration from this state; builds share the memoised faces and
-    isomorphisms, which are deterministic functions of the inputs."""
+    target host with its chain cycles filled, and the seed flags (a
+    missing one is the least flag of the given one's colour; neither
+    given is the default seed).  Each `build` runs one face enumeration
+    from this state; builds share the memoised faces and isomorphisms,
+    which are deterministic functions of the inputs."""
 
     def __init__(
         self,
@@ -327,7 +331,13 @@ class CoverRun:
         self.coloring = c = Coloring(patch, i_fundamental_domain(patch, n))
         self.host = c.host_for(h)
         self.host.fill_chain_cycles()
-        if f is None or flag_h is None:
+        # a given flag off the faces of its graph is left to init_cover
+        if flag_h is None and f is not None and f.face in c.patch.face_set:
+            flag_h = _least_target_flag(c, self.host, color(c, f))
+        elif f is None and flag_h is not None and flag_h.face in host_faces_at(self.host, flag_h.vertex):
+            want = color_in_h(c, self.host, flag_h)
+            f = min(g for g, k in c.delta.orbit_index.items() if k == want)
+        elif f is None or flag_h is None:
             df, dfh = default_seed(c, self.host)
             f = df if f is None else f
             flag_h = dfh if flag_h is None else flag_h

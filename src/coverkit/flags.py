@@ -107,19 +107,17 @@ def _flag_cycle(patch: PlanePatch, v: int) -> list[Flag]:
 # Orbits of flags at the root
 # ---------------------------------------------------------------------------
 
+def _walk(f: Flag) -> tuple[int, ...]:
+    """The face of f listed from its vertex along its edge; it fixes f."""
+    return f.face.cycle_from(f.vertex, f.other_end)
+
+
 def _prescription(a: Flag, b: Flag) -> dict[int, int] | None:
-    """Vertex images forced by mapping flag a to flag b: the face cycles
-    correspond pointwise once the roots and edge directions match."""
+    """Vertex images forced by mapping flag a to flag b: the face walks
+    correspond pointwise."""
     if len(a.face) != len(b.face):
         return None
-    ca = a.face.cycle_from(a.vertex, a.other_end)
-    cb = b.face.cycle_from(b.vertex, b.other_end)
-    pres: dict[int, int] = {}
-    for x, y in zip(ca, cb):
-        if pres.get(x, y) != y:
-            return None
-        pres[x] = y
-    return pres
+    return dict(zip(_walk(a), _walk(b)))
 
 
 def flag_orbit_partition(patch: PlanePatch, i: int) -> list[frozenset[Flag]]:
@@ -243,10 +241,6 @@ def stabilize_n(patch: PlanePatch, i_max: int, guard: int) -> int:
 # Colours
 # ---------------------------------------------------------------------------
 
-def _map_flag(iso: Isomorphism, f: Flag) -> Flag:
-    return Flag(iso[f.vertex], iso.map_edge(f.edge), iso.map_cycle(f.face))
-
-
 class Coloring:
     """The colouring context of one run: the patch, its palette delta at
     level n = delta.level, the patch's own Host `g`, the root's depth-n
@@ -258,7 +252,8 @@ class Coloring:
         self.delta = delta
         self.n = delta.level
         self.g = Host(patch)
-        self._isos: dict[tuple[Host, int], Isomorphism] = {}
+        self._palette = {_walk(f): k for f, k in delta.orbit_index.items()}  # by root flag walk
+        self._isos: dict[tuple[Host, int], dict[int, int]] = {}
 
     @cached_property
     def root_core(self) -> FaceCore:
@@ -271,18 +266,22 @@ class Coloring:
         return self.g if h is self.patch else Host(h, self.patch.l_max)
 
 
-def _to_root(c: Coloring, host: Host, f: Flag) -> Flag | None:
-    """f carried to the root through a root-preserving isomorphism of
-    depth-n cores, or None when the core at f's vertex has none."""
+def _to_root(c: Coloring, host: Host, f: Flag) -> tuple[int, ...] | None:
+    """The face walk of f carried to the root through a root-preserving
+    isomorphism of depth-n cores, or None when the core at f's vertex has
+    none.  The walk starts at the root, so it is the walk of a root flag,
+    a key of the palette, exactly when the face it lists is a patch face.
+    A flag is fixed by its walk, so distinct root flags have distinct
+    keys, and the key found is that of the flag f is carried onto."""
     key = (host, f.vertex)
     iso = c._isos.get(key)
     if iso is None:
-        target = face_core(host, f.vertex, c.n)
+        target = c.root_core if key == (c.g, c.patch.root) else face_core(host, f.vertex, c.n)
         found = rooted_isomorphisms(target.rooted, c.root_core.rooted, limit=1)
         if not found:
             return None
-        iso = c._isos[key] = found[0]
-    return _map_flag(iso, f)
+        iso = c._isos[key] = found[0].mapping
+    return tuple(iso[v] for v in _walk(f))
 
 
 def color(c: Coloring, f: Flag) -> int:
@@ -290,27 +289,28 @@ def color(c: Coloring, f: Flag) -> int:
     through any root-preserving isomorphism of depth-n cores.
     Independent of the choice of isomorphism (tested, not assumed), so a
     root flag is pulled through a root automorphism like any other."""
-    g_flag = _to_root(c, c.g, f)
-    if g_flag is None:
+    walk = _to_root(c, c.g, f)
+    if walk is None:
         raise DefectError(f"patch not vertex-transitive at {f.vertex}: no depth-{c.n} isomorphism")
-    if g_flag.face not in c.patch.face_set:
+    if (k := c._palette.get(walk)) is None:
         raise DefectError(f"image of {f.face} at the root is not a face")
-    return c.delta.orbit_index[g_flag]
+    return k
 
 
 def color_in_h(c: Coloring, host: Host, flag_h: Flag) -> int:
     """The colour of a flag of the target graph: pull it back to the root
     through any isomorphism of depth-n cores (the compositions coincide
-    for every choice, which is tested, not assumed)."""
+    for every choice, which is tested, not assumed).  It differs from
+    `color` only in the errors it raises."""
     x = flag_h.vertex
-    g_flag = _to_root(c, host, flag_h)
-    if g_flag is None:
+    walk = _to_root(c, host, flag_h)
+    if walk is None:
         raise HypothesisViolationError(f"h is not {c.n}-locally-G at {x}")
-    if g_flag.face not in c.patch.face_set:
+    if (k := c._palette.get(walk)) is None:
         raise HypothesisViolationError(
             f"face {flag_h.face} at {x} does not pull back to a face at the root"
         )
-    return c.delta.orbit_index[g_flag]
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InputError, PatchTooSmallError
-from .graph import Graph, RootedBall, ball, component_count, edge_key, local_parts
+from .graph import Graph, RootedBall, ball, component_count, local_parts
 from .tessellation import FaceBoundary, PlanePatch
 
 # A peripheral cycle is represented by the same canonical cycle type that
@@ -300,9 +300,6 @@ class Isomorphism:
 
     def __getitem__(self, v: int) -> int:
         return self.mapping[v]
-
-    def map_edge(self, e: tuple[int, int]) -> tuple[int, int]:
-        return edge_key(self.mapping[e[0]], self.mapping[e[1]])
 
     def map_cycle(self, c: FaceBoundary) -> FaceBoundary:
         return FaceBoundary([self.mapping[v] for v in c.cycle])

@@ -113,8 +113,6 @@ def _sample_fiber_pairs(
             pick = rng.randrange(len(pool))
             pairs.append(pool.pop(pick))
         idx += 1
-        if all(not p for p in pools):
-            break
     return pairs
 
 

@@ -1,9 +1,9 @@
 """Independent brute-force oracles.
 
 Everything here but `assert_unique_extension`,
-`intersection_path_by_adjacency` and `extension_by_propagation` is
-deliberately written from scratch against plain adjacency dicts, so it
-shares no code path with the library: coordinate models of the square lattice, exhaustive cycle
+`intersection_path_by_adjacency`, `extension_by_propagation` and
+`map_flag` is deliberately written from scratch against plain adjacency
+dicts, so it shares no code path with the library: coordinate models of the square lattice, exhaustive cycle
 enumeration, 3-connectivity by trying every cut of at most two
 vertices, a naive isomorphism backtracker, a walk round the builder's
 frontier, a trace of every walk of a patch's rotation system, and cycle
@@ -12,6 +12,9 @@ reads the builder's state, but finds the path another way: an adjacency
 dict of the shared edges, walked between its two ends.  The extension
 reference reads the library's face cores, but builds the map another
 way: face by face across shared edges, where the library searches.
+The reference colour pull `map_flag` carries a whole flag, its face
+re-canonicalised, for lookup in the palette's `orbit_index`, where the
+library looks up the carried face walk.
 Expected values asserted in the tests are computed by these oracles, not
 copied from the implementation.  Two helpers build inputs rather than
 check outputs: `hub_patch`, a planar map with long faces, and
@@ -27,8 +30,10 @@ from collections import deque
 from itertools import combinations, product
 
 from coverkit.errors import DefectError, HypothesisViolationError, InputError
+from coverkit.flags import Flag
 from coverkit.graph import edge_key, induced_subgraph
 from coverkit.local import as_rooted, face_core, rooted_isomorphisms
+from coverkit.tessellation import FaceBoundary
 
 Coord = tuple[int, int]
 
@@ -279,6 +284,13 @@ def assert_unique_extension(g, h, f, iso) -> None:
     pres = {s: iso.mapping[s] for s in f.face.cycle}
     found = rooted_isomorphisms(dom, img, limit=2, prescribed=pres)
     assert len(found) == 1, f"{len(found)} extensions carry {f} onto its image; expected exactly one"
+
+
+def map_flag(iso, f):
+    """The reference colour pull: flag f carried through the vertex map
+    `iso` as a new Flag; a root flag of the palette, looked up in
+    `orbit_index`, when the carried face is a face at the root."""
+    return Flag(iso[f.vertex], edge_key(iso[f.edge[0]], iso[f.edge[1]]), FaceBoundary([iso[v] for v in f.face]))
 
 
 def hub_patch(k: int) -> dict:

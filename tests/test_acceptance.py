@@ -35,10 +35,9 @@ from coverkit import (
     stabilize_n,
     trace_faces,
 )
-from coverkit.flags import _map_flag
 from coverkit.verify import _flag_preimage_at, _sample_fiber_pairs
 
-from .oracles import adjacency_of, assert_unique_extension, peripheral_cycles_oracle
+from .oracles import adjacency_of, assert_unique_extension, map_flag, peripheral_cycles_oracle
 
 
 def report(criterion: int, elapsed: float, detail: str) -> None:
@@ -193,7 +192,7 @@ def test_criterion_6_color_well_definedness():
         assert len(isos) >= 2
         flags = flags_at(torus_host, x)
         colorings = {
-            tuple(delta.orbit_index[_map_flag(pi, fl)] for fl in flags) for pi in isos
+            tuple(delta.orbit_index[map_flag(pi, fl)] for fl in flags) for pi in isos
         }
         assert len(colorings) == 1
         total += len(isos)

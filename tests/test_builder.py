@@ -10,10 +10,14 @@ from coverkit import (
     CoverKitError,
     CoverRun,
     FaceBoundary,
+    Graph,
     Host,
     InputError,
     QuotientSpec,
     build_cover,
+    check_cover,
+    color,
+    color_in_h,
     default_seed,
     extend_cover,
     extend_iso,
@@ -24,6 +28,7 @@ from coverkit import (
     make_quotient,
     match_face,
     select_next_face,
+    stabilize_n,
 )
 from coverkit.builder import _intersection_path
 from coverkit.instances import square_lattice_coordinates
@@ -38,6 +43,27 @@ def delta44(patch44_r10):
 
 def seed_flag(patch):
     return flags_at(Host(patch), patch.root)[0]
+
+
+def squareoct_torus(m, n):
+    """The 4.8.8 tiling on an m x n torus: a square per lattice cell, its
+    corners d = 0..3 joined round it and by link edges to the neighbouring
+    cells' squares."""
+    ids = {}
+    for i in range(m):
+        for j in range(n):
+            for d in range(4):
+                ids[(i, j, d)] = len(ids)
+    edges = set()
+    for (i, j, d), v in ids.items():
+        if d in (0, 2):
+            for dd in (1, 3):
+                edges.add(tuple(sorted((v, ids[(i, j, dd)]))))
+        if d == 0:
+            edges.add(tuple(sorted((v, ids[((i + 1) % m, j, 2)]))))
+        elif d == 1:
+            edges.add(tuple(sorted((v, ids[(i, (j + 1) % n, 3)]))))
+    return Graph(range(len(ids)), edges)
 
 
 def face_at_cell(patch, coords, cell):
@@ -296,26 +322,9 @@ class TestBuildCover:
     def test_multi_color_cover_on_squareoct_tiling(self):
         # two face sizes give a three-flag palette; the whole pipeline must
         # run with genuinely distinct colours in play
-        from coverkit import Graph, check_cover, check_normality, stabilize_n
+        from coverkit import check_normality
 
         from .test_flags import build_squareoct_patch
-
-        def squareoct_torus(m, n):
-            ids = {}
-            for i in range(m):
-                for j in range(n):
-                    for d in range(4):
-                        ids[(i, j, d)] = len(ids)
-            edges = set()
-            for (i, j, d), v in ids.items():
-                if d in (0, 2):
-                    for dd in (1, 3):
-                        edges.add(tuple(sorted((v, ids[(i, j, dd)]))))
-                if d == 0:
-                    edges.add(tuple(sorted((v, ids[((i + 1) % m, j, 2)]))))
-                elif d == 1:
-                    edges.add(tuple(sorted((v, ids[(i, (j + 1) % n, 3)]))))
-            return Graph(range(len(ids)), edges)
 
         patch = build_squareoct_patch(9)
         n = stabilize_n(patch, 2, 2)
@@ -375,6 +384,47 @@ class TestBuildCover:
         overlap = set(iso.mapping) & set(cov.vertex_map)
         assert overlap
         assert all(iso.mapping[u] == cov.vertex_map[u] for u in overlap)
+
+
+class TestOneSidedSeed:
+    """A missing seed flag is completed against the colour of the given
+    one, on a 4.8.8 patch whose root flags have colours 0, 1, 0, 1, 2, 2."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from .test_flags import build_squareoct_patch
+
+        patch = build_squareoct_patch(9)
+        n = stabilize_n(patch, 2, 2)
+        c = Coloring(patch, i_fundamental_domain(patch, n))
+        target = squareoct_torus(4, 4)
+        host = Host(target, patch.l_max)
+        root_flags = flags_at(c.g, patch.root)
+        assert [color(c, f) for f in root_flags] == [0, 1, 0, 1, 2, 2]
+        by_color = {}
+        for fh in flags_at(host, 0):
+            by_color.setdefault(color_in_h(c, host, fh), fh)  # the least of each colour
+        return patch, n, target, root_flags, by_color
+
+    def test_given_f_gets_the_least_target_flag_of_its_colour(self, run):
+        patch, n, target, root_flags, by_color = run
+        cov = build_cover(patch, target, f=root_flags[1], n=n)
+        assert cov.seed == (root_flags[1], by_color[1])
+        assert cov.surjective and cov.steps == 420 and check_cover(cov).ok
+
+    def test_given_flag_h_gets_the_least_root_flag_of_its_colour(self, run):
+        patch, n, target, root_flags, by_color = run
+        cov = build_cover(patch, target, flag_h=by_color[1], n=n)
+        assert cov.seed == (root_flags[1], by_color[1])
+        assert cov.surjective and check_cover(cov).ok
+
+    def test_a_flag_of_the_default_colour_gets_the_default_partner(self, run):
+        patch, n, target, root_flags, by_color = run
+        default = CoverRun(patch, target, n=n).seed
+        assert default == (root_flags[0], by_color[0])
+        for f in (root_flags[0], root_flags[2]):
+            assert CoverRun(patch, target, f=f, n=n).seed == (f, by_color[0])
+        assert CoverRun(patch, target, flag_h=by_color[0], n=n).seed == default
 
 
 class TestNegativeDetection:

@@ -161,6 +161,26 @@ class TestPipeline:
         assert code == 0
         assert c1.read_bytes() == c2.read_bytes()
 
+    def test_one_sided_seed_builds_and_verifies(self, tmp_path, capsys):
+        # the 4.8.8 root flags have colours 0, 1, 0, 1, 2, 2: --seed-f alone,
+        # of colour 1, gets a target flag of colour 1 as its partner
+        from coverkit import Host, flags_at
+
+        from .test_builder import squareoct_torus
+        from .test_flags import build_squareoct_patch
+
+        patch = build_squareoct_patch(9)
+        g, t, c = tmp_path / "g.json", tmp_path / "t.json", tmp_path / "c.json"
+        g.write_text(json.dumps(patch.to_json_dict()))
+        t.write_text(json.dumps(squareoct_torus(4, 4).to_json_dict()))
+        f = flags_at(Host(patch), patch.root)[1].to_json_dict()
+        code, _, _ = run(["cover", "--g", str(g), "--h", str(t), "--seed-f", json.dumps(f), "-o", str(c)], capsys)
+        assert code == 0
+        doc = json.loads(c.read_text())
+        assert doc["seed"]["f"] == f and doc["surjective"] is True
+        code, out, _ = run(["verify", "--cover", str(c), "--g", str(g), "--h", str(t)], capsys)
+        assert code == 0 and json.loads(out)["ok"]
+
     def test_inputs_never_mutated(self, artifacts, capsys):
         d, g, t = artifacts
         before = g.read_bytes(), t.read_bytes()

@@ -15,6 +15,7 @@ from coverkit import (
     QuotientSpec,
     color,
     color_in_h,
+    dk_ball,
     extend_iso,
     face_boundaries_at,
     face_core,
@@ -27,7 +28,7 @@ from coverkit import (
     rooted_isomorphisms,
     stabilize_n,
 )
-from coverkit.flags import _flag_cycle, _map_flag
+from coverkit.flags import _flag_cycle
 from coverkit.graph import edge_key
 from coverkit.local import host_faces_at
 
@@ -36,6 +37,7 @@ from .oracles import (
     assert_unique_extension,
     brute_rooted_isomorphisms,
     extension_by_propagation,
+    map_flag,
 )
 
 
@@ -147,7 +149,7 @@ class TestFundamentalDomain:
 
         for m in autos:
             iso = Isomorphism(m, core.root, core.root)
-            orbit.add(_map_flag(iso, flags[0]))
+            orbit.add(map_flag(iso, flags[0]))
         assert orbit == set(flags)  # single orbit, so |Delta| = 1
 
     def test_connected_sequence(self, squareoct):
@@ -294,9 +296,57 @@ class TestColorInH:
         assert len(isos) == 8
         flags = flags_at(Host(torus57.graph, 4), x)
         colorings = {
-            tuple(delta.orbit_index[_map_flag(pi, f)] for f in flags) for pi in isos
+            tuple(delta.orbit_index[map_flag(pi, f)] for f in flags) for pi in isos
         }
         assert len(colorings) == 1
+
+
+class TestWalkPull:
+    """A colour is the palette lookup of the flag's face walk carried to
+    the root; the reference pull carries the whole flag (`map_flag`) and
+    looks it up in `orbit_index`."""
+
+    @staticmethod
+    def reference(c, host, f):
+        core = face_core(host, f.vertex, c.n)
+        iso = rooted_isomorphisms(core.rooted, c.root_core.rooted, limit=1)[0]
+        return c.delta.orbit_index[map_flag(iso, f)]
+
+    def test_agrees_with_the_reference_pull(self, patch44_r10, patch37_r5, patch63_r10, squareoct, torus57, klein66):
+        # every flag at every vertex that can host a depth-n core: patch
+        # flags through color, target flags through color_in_h
+        cases = [(p, None) for p in (patch44_r10, patch37_r5, patch63_r10, squareoct)]
+        cases += [(patch44_r10, torus57.graph), (patch44_r10, klein66.graph)]
+        total = 0
+        for patch, h in cases:
+            n = stabilize_n(patch, 2, 2)
+            c = Coloring(patch, i_fundamental_domain(patch, n))
+            if h is None:
+                host, pull = c.g, lambda f: color(c, f)
+                need = max(dk_ball(c.g, patch.root, n).radius, 2)
+                vertices = [v for v in patch.graph.vertices if patch.complete_radius[v] >= need]
+            else:
+                host = Host(h, patch.l_max)
+                pull, vertices = (lambda f: color_in_h(c, host, f)), h.vertices
+            for v in vertices:
+                for f in flags_at(host, v):
+                    assert pull(f) == self.reference(c, host, f), f
+                    total += 1
+        assert total >= 2000
+
+    def test_non_face_in_h_does_not_pull_back(self, patch44_r10, torus57):
+        # the 6-cycle round two adjacent squares of the torus passes through
+        # vertex 0, but is not a face; a patch cycle of the same kind is
+        # test_root_flag_on_a_non_face_is_a_defect
+        c = Coloring(patch44_r10, i_fundamental_domain(patch44_r10, 1))
+        torus = Host(torus57.graph, 4)
+        x, u = 0, torus57.graph.neighbors(0)[0]
+        f1, f2 = (f for f in host_faces_at(torus, x) if edge_key(x, u) in f.edges)
+        walk = f2.cycle_from(u, x)[1:] + f1.cycle_from(x, u)[1:]  # x first
+        flag = Flag(x, edge_key(x, walk[1]), FaceBoundary(walk))
+        assert len(flag.face) == 6
+        with pytest.raises(HypothesisViolationError, match="does not pull back to a face at the root"):
+            color_in_h(c, torus, flag)
 
 
 class TestHostIdentity:

@@ -71,3 +71,40 @@ def test_property_tests_are_derandomized():
     ]
     if not calls or found:
         raise AssertionError(f"hypothesis settings without derandomize=True: {found or 'no settings found'}")
+
+
+def test_names_traced_by_perfbench_are_defined():
+    # perfbench/tracing.py wraps coverkit functions and methods by name, so
+    # a rename or a merge in the package would pass every other test and
+    # fail only in a traced benchmark run.  Its tables are read as source:
+    # nothing under perfbench/ is imported
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) in ("SPANNED", "COUNTED", "IO_METHODS")
+    }
+
+    def defined(module: str) -> dict:
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        return {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+    def has_method(cls, name: str) -> bool:
+        return isinstance(cls, ast.ClassDef) and any(
+            isinstance(node, ast.FunctionDef) and node.name == name for node in cls.body
+        )
+
+    missing = [
+        f"{module}.{name}"
+        for table in ("SPANNED", "COUNTED")
+        for module, names in tables.get(table, {}).items()
+        for name in names
+        if not isinstance(defined(module).get(name), ast.FunctionDef)
+    ] + [
+        f"{module}.{cls}.{meth}"
+        for module, cls, meth in tables.get("IO_METHODS", ())
+        if not has_method(defined(module).get(cls), meth)
+    ]
+    if len(tables) != 3 or missing:
+        raise AssertionError(f"names traced by perfbench not defined in src/coverkit: {missing or 'tables not found'}")
