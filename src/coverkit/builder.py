@@ -15,12 +15,13 @@ for every mapped edge.  The run stops when no eligible face remains
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import HypothesisViolationError, InputError, PatchTooSmallError
 from .flags import Coloring, Flag, FundamentalDomain, color, color_in_h, flags_at, i_fundamental_domain, stabilize_n
 from .graph import Graph, edge_key
 from .local import Host, dk_ball, host_faces_at
-from .tessellation import FaceBoundary, PlanePatch, face_enumeration
+from .tessellation import FaceBoundary, PlanePatch, enumeration_key
 
 Edge = tuple[int, int]
 
@@ -47,13 +48,13 @@ def _image(state: PartialCover, e: Edge) -> Edge:
 def _eligible_faces(c: Coloring) -> frozenset[FaceBoundary]:
     """Faces all of whose vertices can host depth-n colour computations:
     complete_radius at least the D_n ball radius guarantees every chain
-    vertex of the depth-n core is interior.  A patch with no such face
-    is too small to start a cover at all."""
+    vertex of the depth-n core is interior.  They are read off the faces
+    at the vertices that qualify, not from a pass over every face.  A
+    patch with no such face is too small to start a cover at all."""
     patch = c.patch
     need = max(dk_ball(c.g, patch.root, c.n).radius, 2)
-    eligible = frozenset(
-        f for f in patch.faces if all(patch.complete_radius[v] >= need for v in f)
-    )
+    deep = {v for v, r in patch.complete_radius.items() if r >= need}
+    eligible = frozenset(f for v in deep for f in patch.faces_at(v) if deep.issuperset(f.cycle))
     if not eligible:
         raise PatchTooSmallError(
             f"patch too small: no face has complete_radius >= {need} at all its "
@@ -104,13 +105,20 @@ def init_cover(c: Coloring, host: Host, f: Flag, flag_h: Flag, tie_break: int = 
     """Map the seed face onto the target face in the orientation fixed by
     the flag pair and absorb it like any later face.  The eligible faces
     wait in face enumeration `tie_break` order."""
-    eligible = _eligible_faces(c)
+    return _start(c, host, f, flag_h, _eligible_faces(c), tie_break)
+
+
+def _start(
+    c: Coloring, host: Host, f: Flag, flag_h: Flag, eligible: frozenset[FaceBoundary], tie_break: int
+) -> PartialCover:
+    """init_cover with the eligible faces of c found beforehand; only
+    they are sorted into the ledger."""
     state = PartialCover(
         coloring=c,
         host=host,
         vertex_map={},
         frontier=set(),
-        pending=dict.fromkeys(x for x in face_enumeration(c.patch, tie_break) if x in eligible),
+        pending=dict.fromkeys(sorted(eligible, key=enumeration_key(c.patch, tie_break))),
         face_image={},
         domain_edges_at={},
         eligible=eligible,
@@ -313,8 +321,9 @@ class CoverRun:
     target host with its chain cycles filled, and the seed flags (a
     missing one is the least flag of the given one's colour; neither
     given is the default seed).  Each `build` runs one face enumeration
-    from this state; builds share the memoised faces and isomorphisms,
-    which are deterministic functions of the inputs."""
+    from this state; builds share the eligible faces, found on the first
+    build, and the memoised faces and isomorphisms, which are
+    deterministic functions of the inputs."""
 
     def __init__(
         self,
@@ -343,13 +352,17 @@ class CoverRun:
             flag_h = dfh if flag_h is None else flag_h
         self.seed = (f, flag_h)
 
+    @cached_property
+    def eligible(self) -> frozenset[FaceBoundary]:
+        return _eligible_faces(self.coloring)
+
     def build(self, tie_break: int = 0) -> CoverMap:
         """Drive init/select/match/extend under face enumeration `tie_break`
         until the patch is exhausted.  The map comes with its step log;
         surjectivity onto the target is reported, not required.  Any
         invariant failure raises HypothesisViolationError with the step."""
         c, host = self.coloring, self.host
-        state = init_cover(c, host, *self.seed, tie_break)
+        state = _start(c, host, *self.seed, self.eligible, tie_break)
         while True:
             face = select_next_face(state)
             if face is None:

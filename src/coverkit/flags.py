@@ -27,7 +27,7 @@ from functools import cached_property
 
 from .errors import DefectError, HypothesisViolationError, InputError, PatchTooSmallError
 from .graph import Graph, edge_key, json_int
-from .local import FaceCore, Host, Isomorphism, face_core, host_faces_at, rooted_isomorphisms
+from .local import FaceCore, Host, Isomorphism, Refinement, face_core, host_faces_at, rooted_isomorphisms
 from .tessellation import FaceBoundary, PlanePatch
 
 
@@ -130,7 +130,7 @@ def flag_orbit_partition(patch: PlanePatch, i: int) -> list[frozenset[Flag]]:
     which is polluted by rim symmetries on hyperbolic balls).
     """
     host = Host(patch)
-    core = face_core(host, patch.root, i).rooted
+    core = Refinement(face_core(host, patch.root, i).rooted)
     flags = flags_at(host, patch.root)
     parent = list(range(len(flags)))
 
@@ -147,7 +147,7 @@ def flag_orbit_partition(patch: PlanePatch, i: int) -> list[frozenset[Flag]]:
             pres = _prescription(flags[ia], flags[ib])
             if pres is None:
                 continue
-            if rooted_isomorphisms(core, core, limit=1, prescribed=pres):
+            if rooted_isomorphisms(core.ball, core.ball, limit=1, prescribed=pres, prepared=core):
                 parent[find(ib)] = find(ia)
     groups: dict[int, list[Flag]] = {}
     for idx, f in enumerate(flags):
@@ -244,8 +244,9 @@ def stabilize_n(patch: PlanePatch, i_max: int, guard: int) -> int:
 class Coloring:
     """The colouring context of one run: the patch, its palette delta at
     level n = delta.level, the patch's own Host `g`, the root's depth-n
-    face core, and the depth-n core isomorphisms onto it found so far,
-    keyed by (host, vertex) so that no two hosts share an entry."""
+    face core, refined once for every pull, and the depth-n core
+    isomorphisms onto it found so far, keyed by (host, vertex) so that
+    no two hosts share an entry."""
 
     def __init__(self, patch: PlanePatch, delta: FundamentalDomain):
         self.patch = patch
@@ -258,6 +259,10 @@ class Coloring:
     @cached_property
     def root_core(self) -> FaceCore:
         return face_core(self.g, self.patch.root, self.n)
+
+    @cached_property
+    def _root_side(self) -> Refinement:
+        return Refinement(self.root_core.rooted)
 
     def host_for(self, h: Graph | PlanePatch) -> Host:
         """The host of a cover target: on a self-cover the patch's own host,
@@ -277,7 +282,7 @@ def _to_root(c: Coloring, host: Host, f: Flag) -> tuple[int, ...] | None:
     iso = c._isos.get(key)
     if iso is None:
         target = c.root_core if key == (c.g, c.patch.root) else face_core(host, f.vertex, c.n)
-        found = rooted_isomorphisms(target.rooted, c.root_core.rooted, limit=1)
+        found = rooted_isomorphisms(target.rooted, c.root_core.rooted, limit=1, prepared=c._root_side)
         if not found:
             return None
         iso = c._isos[key] = found[0].mapping

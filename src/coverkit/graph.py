@@ -51,6 +51,16 @@ class Graph:
         self._adj: dict[int, tuple[int, ...]] = {v: tuple(sorted(adj[v])) for v in vs}
         self._edges: frozenset[Edge] = frozenset(es)
 
+    @classmethod
+    def _trusted(cls, adj: dict[int, set[int]]) -> Graph:
+        """A graph read off an adjacency that its caller vouches for:
+        integer vertices, symmetric, no loops.  Nothing is checked."""
+        g = cls.__new__(cls)
+        g._vertices = tuple(sorted(adj))
+        g._adj = {v: tuple(sorted(adj[v])) for v in g._vertices}
+        g._edges = frozenset((u, w) for u, ws in g._adj.items() for w in ws if u < w)
+        return g
+
     @property
     def vertices(self) -> tuple[int, ...]:
         return self._vertices

@@ -140,11 +140,12 @@ class Host:
     A patch host serves the patch's traced faces, at interior vertices
     only, and its completeness guard; the patch brings its own l_max.  A
     plain graph host infers face-boundaries with cycle length bound l_max
-    and has no margin.  A host keeps three memos, so no host ever serves
+    and has no margin.  A host keeps four memos, so no host ever serves
     another graph's faces; a new Host starts empty: the faces at each
     vertex; the chordless cycles through each vertex, each with its
     verdict, from which both the chain cycles and the inferred faces
-    are read; and each cycle's verdict in the whole graph, kept with the
+    are read; the chain cycles through each vertex that was asked for
+    them; and each cycle's verdict in the whole graph, kept with the
     first object found for the cycle, so that a cycle met from several
     vertices is one object and sets of cycles match by identity.  A
     verdict looks only near its cycle (`graph.local_parts`) and adds the
@@ -162,6 +163,7 @@ class Host:
         self.source = source
         self._faces: dict[int, tuple[FaceBoundary, ...]] = {}
         self._cycles: dict[int, tuple[tuple[FaceBoundary, bool], ...]] = {}
+        self._chains: dict[int, tuple[FaceBoundary, ...]] = {}
         self._verdicts: dict[FaceBoundary, tuple[FaceBoundary, bool]] = {}
         if isinstance(source, PlanePatch):
             self.graph, self.l_max = source.graph, source.l_max
@@ -200,7 +202,10 @@ class Host:
         the links of D-ball chains.  On a patch host x must have complete
         surroundings to radius 2 (PatchTooSmallError otherwise)."""
         self.require_complete(x, 2)
-        return tuple(c for c, ok in self._cycles_at(x) if ok)
+        chains = self._chains.get(x)
+        if chains is None:
+            chains = self._chains[x] = tuple(c for c, ok in self._cycles_at(x) if ok)
+        return chains
 
     @cached_property
     def _components(self) -> int:
@@ -265,6 +270,12 @@ def face_core(host: Host, x: int, n: int) -> FaceCore:
     meeting any vertex of level i.  On patches every vertex whose faces
     are consulted must be interior (raises PatchTooSmallError otherwise);
     the enumeration never silently truncates.
+
+    The core's adjacency is read straight off the face cycles, and its
+    Graph skips the checks of Graph(vertices, edges), which cannot fire
+    here: a FaceBoundary is a simple cycle of at least 3 distinct ints,
+    so no edge is a loop, and every vertex and edge end comes from a
+    face.
     """
     if n < 1:
         raise InputError("need n >= 1")
@@ -280,10 +291,13 @@ def face_core(host: Host, x: int, n: int) -> FaceCore:
                     new_faces.add(fb)
         all_faces |= new_faces
         frontier = {w for fb in all_faces for w in fb} - expanded
-    verts = {x} | {w for fb in all_faces for w in fb}
-    edges = [e for fb in all_faces for e in fb.edges]
-    core_graph = Graph(verts, edges)
-    return FaceCore(as_rooted(core_graph, x), frozenset(all_faces))
+    adj: dict[int, set[int]] = {x: set()}
+    for fb in all_faces:
+        c = fb.cycle
+        for u, w in zip(c, c[1:] + c[:1]):
+            adj.setdefault(u, set()).add(w)
+            adj.setdefault(w, set()).add(u)
+    return FaceCore(as_rooted(Graph._trusted(adj), x), frozenset(all_faces))
 
 
 # ---------------------------------------------------------------------------
@@ -323,33 +337,56 @@ def _cyclic_equal(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return any(all(a[(s + i) % k] == b[i] for i in range(k)) for s in range(k))
 
 
-def _joint_refinement(a: RootedBall, b: RootedBall) -> tuple[dict[int, int], dict[int, int]]:
-    """Distance-seeded colour refinement run jointly on both balls.
+def _refine(b: RootedBall, table: dict, last: int | None = None) -> tuple[int, dict] | None:
+    """Distance-seeded colour refinement of one rooted graph: the round at
+    which it is stable and the colours at that round.
 
-    Colours are shared across the two graphs, so equal colour means
-    locally indistinguishable; real isomorphisms preserve them.
+    Round 0 colours a vertex by its distance from the root and its
+    degree; round k by its colour at round k - 1 and the sorted colours
+    of its neighbours then, interned in `table` under (k, signature).
+    So two graphs refined with one table get equal colours exactly where
+    one refinement run on both at once would.  The refinement is stable
+    at the first round that splits no class, and stays so.  With `last`,
+    None when it is not stable by round `last`.
     """
-    ga, gb = a.graph, b.graph
-    col_a = {v: (a.dist[v], ga.degree(v)) for v in ga.vertices}
-    col_b = {v: (b.dist[v], gb.degree(v)) for v in gb.vertices}
+    g = b.graph
+    col = {v: (b.dist[v], g.degree(v)) for v in g.vertices}
+    classes = len(set(col.values()))
+    k = 0
     while True:
-        table: dict[tuple, int] = {}
+        k += 1
+        new = {}
+        for v in g.vertices:
+            sig = (k, col[v], tuple(sorted([col[u] for u in g.neighbors(v)])))
+            c = table.get(sig)
+            if c is None:
+                c = table[sig] = len(table)
+            new[v] = c
+        count = len(set(new.values()))
+        if count == classes:
+            return k, new
+        if k == last:
+            return None
+        col, classes = new, count
 
-        def recolor(g: Graph, col: dict[int, int]) -> dict[int, int]:
-            out = {}
-            for v in g.vertices:
-                sig = (col[v], tuple(sorted(col[u] for u in g.neighbors(v))))
-                if sig not in table:
-                    table[sig] = len(table)
-                out[v] = table[sig]
-            return out
 
-        na, nb = recolor(ga, col_a), recolor(gb, col_b)
-        if len(set(na.values())) == len(set(col_a.values())) and len(
-            set(nb.values())
-        ) == len(set(col_b.values())):
-            return na, nb
-        col_a, col_b = na, nb
+class Refinement:
+    """One side of a rooted-isomorphism search, refined once: its ball,
+    the round at which its refinement is stable, each vertex's colour
+    there, the vertices of each colour in id order and how many there
+    are.  Every graph compared with it is refined with its intern table,
+    so a context that compares many graphs with one reference (the
+    colour pulls of a Coloring, the reference of is_r_locally) refines
+    the reference once."""
+
+    def __init__(self, b: RootedBall):
+        self.ball = b
+        self.table: dict[tuple, int] = {}
+        self.round, self.colors = _refine(b, self.table)
+        self.classes: dict[int, list[int]] = {}
+        for w in b.graph.vertices:
+            self.classes.setdefault(self.colors[w], []).append(w)
+        self.counts = Counter(self.colors.values())
 
 
 def as_rooted(g: Graph, root: int) -> RootedBall:
@@ -366,20 +403,50 @@ def rooted_isomorphisms(
     b: RootedBall,
     limit: int | None = None,
     prescribed: dict[int, int] | None = None,
+    *,
+    prepared: Refinement | None = None,
 ) -> list[Isomorphism]:
     """All root-preserving isomorphisms a -> b, deterministically ordered.
 
     Backtracking over vertices in (distance, id) order, with candidates
-    restricted by joint colour refinement.  `prescribed` pins chosen
-    vertex images in advance (used for orbit searches under partial
+    restricted by colour refinement.  `prescribed` pins chosen vertex
+    images in advance (used for orbit searches under partial
     constraints).  Returns at most `limit` maps; an empty list means no
-    isomorphism satisfies the constraints.
+    isomorphism satisfies the constraints.  `prepared` is b's Refinement
+    from an earlier call, so that b is refined once for many searches;
+    it has no effect on any result.
+
+    Each side is refined alone, a with b's intern table, and the search
+    rejects when the two stable rounds or the colour multisets differ.
+    That is what one refinement run on both graphs at once would decide
+    (the tests keep that joint refinement as the reference), and the
+    candidates are the same:
+    - isomorphic rooted graphs stabilise at the same round with equal
+      colour multisets;
+    - if one side stabilises at round s and the other at a later round
+      t, the joint refinement runs to round t and rejects there: at t
+      one class count grows and the other does not, and a colour at one
+      round fixes the colour at the round before, so equal multisets at
+      t would give equal counts at both t and t - 1;
+    - when the rounds are equal, the joint refinement stops at that same
+      round with the same partition, and the shared table gives two
+      vertices equal colours exactly where the joint run does.
+    So the candidate lists, their order and the first map found are
+    identical.
     """
     ga, gb = a.graph, b.graph
     if a.radius != b.radius or ga.n != gb.n or len(ga.edges) != len(gb.edges):
         return []
-    col_a, col_b = _joint_refinement(a, b)
-    if Counter(col_a.values()) != Counter(col_b.values()):
+    if prepared is None:
+        prepared = Refinement(b)
+    elif prepared.ball is not b:
+        raise InputError("prepared refinement is not of the target ball")
+    col_b = prepared.colors
+    refined = (prepared.round, col_b) if a is b else _refine(a, prepared.table, prepared.round)
+    if refined is None or refined[0] != prepared.round:
+        return []
+    col_a = refined[1]
+    if Counter(col_a.values()) != prepared.counts:
         return []
     if col_a[a.root] != col_b[b.root]:
         return []
@@ -390,9 +457,7 @@ def rooted_isomorphisms(
             return []
     if len(set(pres.values())) != len(pres):
         return []
-    by_color: dict[int, list[int]] = {}
-    for w in gb.vertices:
-        by_color.setdefault(col_b[w], []).append(w)
+    by_color = prepared.classes
     order = sorted(pres) + sorted(
         (v for v in ga.vertices if v not in pres), key=lambda v: (a.dist[v], v)
     )
@@ -467,15 +532,15 @@ def is_r_locally(
         raise InputError("the target graph has no vertices")
     failures = []
     if d_balls:
-        reference = face_core(Host(g_patch), g_patch.root, r).rooted
+        reference = Refinement(face_core(Host(g_patch), g_patch.root, r).rooted)
         host = Host(h, g_patch.l_max)
         for v in h.vertices:
             target = face_core(host, v, r).rooted
-            if not rooted_isomorphisms(target, reference, limit=1):
+            if not rooted_isomorphisms(target, reference.ball, limit=1, prepared=reference):
                 failures.append(v)
     else:
-        reference = g_patch.ball(g_patch.root, r)
+        reference = Refinement(g_patch.ball(g_patch.root, r))
         for v in h.vertices:
-            if not rooted_isomorphisms(ball(h, v, r), reference, limit=1):
+            if not rooted_isomorphisms(ball(h, v, r), reference.ball, limit=1, prepared=reference):
                 failures.append(v)
     return LocalCheckReport(ok=not failures, failures=failures, mode="core" if d_balls else "ball")

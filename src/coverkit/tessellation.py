@@ -441,6 +441,17 @@ def face_enumeration(patch: PlanePatch, tie_break: int = 0) -> list[FaceBoundary
     (0: ascending tuple, 1: descending tuple, 2: reversed tuple); the final
     cover must not depend on the choice, which is tested, not assumed.
     """
+    return sorted(patch.faces, key=enumeration_key(patch, tie_break))
+
+
+def enumeration_key(patch: PlanePatch, tie_break: int):
+    """The sort key of face_enumeration.  It depends on a face's vertex
+    set alone, and no two faces of a patch have the same vertex set: in
+    a plane map, two facial cycles on one vertex set would need a chord
+    of one of them, which cuts a vertex off the other's face; and one
+    cycle bounding two faces is a whole map, one of whose faces is
+    outer.  So the key orders any set of the patch's faces as
+    face_enumeration orders them."""
 
     def key(f: FaceBoundary):
         d = min(patch.root_distance(v) for v in f)
@@ -453,7 +464,7 @@ def face_enumeration(patch: PlanePatch, tie_break: int = 0) -> list[FaceBoundary
             return (d, t[::-1])
         raise InputError(f"unknown tie_break {tie_break}")
 
-    return sorted(patch.faces, key=key)
+    return key
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Independent brute-force oracles.
 
 Everything here but `assert_unique_extension`,
-`intersection_path_by_adjacency`, `extension_by_propagation` and
-`map_flag` is deliberately written from scratch against plain adjacency
+`intersection_path_by_adjacency`, `extension_by_propagation`, `map_flag`
+and `joint_rooted_isomorphisms` is deliberately written from scratch against plain adjacency
 dicts, so it shares no code path with the library: coordinate models of the square lattice, exhaustive cycle
 enumeration, 3-connectivity by trying every cut of at most two
 vertices, a naive isomorphism backtracker, a walk round the builder's
@@ -14,7 +14,10 @@ reference reads the library's face cores, but builds the map another
 way: face by face across shared edges, where the library searches.
 The reference colour pull `map_flag` carries a whole flag, its face
 re-canonicalised, for lookup in the palette's `orbit_index`, where the
-library looks up the carried face walk.
+library looks up the carried face walk.  The joint search
+`joint_rooted_isomorphisms` is the library's former search, which
+refined both graphs at once in every call, where the library refines
+each graph alone and the reference side once per run.
 Expected values asserted in the tests are computed by these oracles, not
 copied from the implementation.  Two helpers build inputs rather than
 check outputs: `hub_patch`, a planar map with long faces, and
@@ -26,13 +29,13 @@ steps.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, product
 
 from coverkit.errors import DefectError, HypothesisViolationError, InputError
 from coverkit.flags import Flag
 from coverkit.graph import edge_key, induced_subgraph
-from coverkit.local import as_rooted, face_core, rooted_isomorphisms
+from coverkit.local import Isomorphism, as_rooted, face_core, rooted_isomorphisms
 from coverkit.tessellation import FaceBoundary
 
 Coord = tuple[int, int]
@@ -421,3 +424,100 @@ def extension_by_propagation(g, h, f, flag_h, r: int) -> dict:
             mapped[face2] = h_others[0]
             queue.append(face2)
     return vmap
+
+
+def joint_refinement(a, b) -> tuple[dict, dict]:
+    """Distance-seeded colour refinement run jointly on both balls.
+
+    Colours are shared across the two graphs, so equal colour means
+    locally indistinguishable; real isomorphisms preserve them.
+    """
+    ga, gb = a.graph, b.graph
+    col_a = {v: (a.dist[v], ga.degree(v)) for v in ga.vertices}
+    col_b = {v: (b.dist[v], gb.degree(v)) for v in gb.vertices}
+    while True:
+        table: dict[tuple, int] = {}
+
+        def recolor(g, col: dict) -> dict:
+            out = {}
+            for v in g.vertices:
+                sig = (col[v], tuple(sorted(col[u] for u in g.neighbors(v))))
+                if sig not in table:
+                    table[sig] = len(table)
+                out[v] = table[sig]
+            return out
+
+        na, nb = recolor(ga, col_a), recolor(gb, col_b)
+        if len(set(na.values())) == len(set(col_a.values())) and len(
+            set(nb.values())
+        ) == len(set(col_b.values())):
+            return na, nb
+        col_a, col_b = na, nb
+
+
+def joint_rooted_isomorphisms(a, b, limit=None, prescribed=None) -> list:
+    """The reference search: the library's backtracking with candidates
+    from `joint_refinement`, refined afresh in every call."""
+    ga, gb = a.graph, b.graph
+    if a.radius != b.radius or ga.n != gb.n or len(ga.edges) != len(gb.edges):
+        return []
+    col_a, col_b = joint_refinement(a, b)
+    if Counter(col_a.values()) != Counter(col_b.values()):
+        return []
+    if col_a[a.root] != col_b[b.root]:
+        return []
+    pres = dict(prescribed) if prescribed else {}
+    pres[a.root] = b.root
+    for v, w in pres.items():
+        if v not in ga or w not in gb or col_a[v] != col_b[w]:
+            return []
+    if len(set(pres.values())) != len(pres):
+        return []
+    by_color: dict = {}
+    for w in gb.vertices:
+        by_color.setdefault(col_b[w], []).append(w)
+    order = sorted(pres) + sorted((v for v in ga.vertices if v not in pres), key=lambda v: (a.dist[v], v))
+    results: list = []
+    mapping: dict = {}
+    used: set = set()
+
+    def candidates(v):
+        mapped_nbrs = [mapping[u] for u in ga.neighbors(v) if u in mapping]
+        for w in [pres[v]] if v in pres else by_color.get(col_a[v], ()):
+            if w in used:
+                continue
+            wn = gb.neighbors(w)
+            if sum(1 for x in wn if x in used) != len(mapped_nbrs):
+                continue
+            if any(x not in wn for x in mapped_nbrs):
+                continue
+            yield w
+
+    stack = [candidates(order[0])]
+    while stack:
+        v = order[len(stack) - 1]
+        if v in mapping:
+            used.remove(mapping.pop(v))
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            continue
+        mapping[v] = w
+        used.add(w)
+        if len(stack) < len(order):
+            stack.append(candidates(order[len(stack)]))
+            continue
+        results.append(Isomorphism(dict(mapping), a.root, b.root))
+        if limit is not None and len(results) >= limit:
+            break
+    return results
+
+
+def assert_same_search(a, b, limit=None, prescribed=None, prepared=None) -> int:
+    """The library's search and the joint reference find the same maps in
+    the same order; returns how many."""
+    got = [i.mapping for i in rooted_isomorphisms(a, b, limit, prescribed, prepared=prepared)]
+    want = [i.mapping for i in joint_rooted_isomorphisms(a, b, limit, prescribed)]
+    if got != want:
+        raise AssertionError(f"{len(got)} maps against the joint reference's {len(want)}, or another order")
+    return len(got)

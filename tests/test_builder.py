@@ -30,8 +30,11 @@ from coverkit import (
     select_next_face,
     stabilize_n,
 )
+import coverkit.builder as builder
 from coverkit.builder import _intersection_path
 from coverkit.instances import square_lattice_coordinates
+from coverkit.local import dk_ball
+from coverkit.tessellation import enumeration_key, face_enumeration
 
 from .oracles import assert_frontier_cycle, intersection_path_by_adjacency
 
@@ -180,6 +183,65 @@ class TestSelectNextFace:
         cov = build_cover(patch, patch, n=1)
         assert cov.steps + 1 == len(cov.face_image)
         assert set(cov.face_image) == cov.eligible  # everything certified got mapped
+
+
+class TestEligibleLedger:
+    """The eligible faces are read off the faces at the vertices deep
+    enough, once per CoverRun, and each build sorts only them: the ledger
+    is the whole face enumeration filtered to the eligible faces, and the
+    eligible set is the filter of every face of the patch."""
+
+    @pytest.fixture(
+        scope="class",
+        params=["{3,7}-R5", "{4,4}-R10", "{6,3}-R10", "imported-4.8.8"],
+    )
+    def patch(self, request):
+        from .test_flags import build_squareoct_patch
+
+        if request.param == "imported-4.8.8":
+            return build_squareoct_patch(6)
+        p, q, radius = {"{3,7}-R5": (3, 7, 5), "{4,4}-R10": (4, 4, 10), "{6,3}-R10": (6, 3, 10)}[request.param]
+        return generate(p, q, radius)
+
+    def test_ledger_is_the_filtered_enumeration(self, patch):
+        n = stabilize_n(patch, 2, 2)
+        f = seed_flag(patch)
+        run = CoverRun(patch, patch, f=f, flag_h=f, n=n)
+        c = run.coloring
+        need = max(dk_ball(c.g, patch.root, n).radius, 2)
+        whole = frozenset(x for x in patch.faces if all(patch.complete_radius[v] >= need for v in x))
+        assert run.eligible == whole and len(whole) > 20
+        for t in (0, 1, 2):
+            want = [x for x in face_enumeration(patch, t) if x in whole]
+            for state in (init_cover(c, run.host, *run.seed, t), builder._start(c, run.host, *run.seed, run.eligible, t)):
+                assert state.eligible == whole
+                assert list(state.pending) == [x for x in want if x != f.face]
+
+    def test_enumeration_key_has_no_ties(self, patch):
+        # the ledger sorts a subset of the faces; with no two keys equal
+        # it comes out in the order of the whole enumeration
+        for t in (0, 1, 2):
+            key = enumeration_key(patch, t)
+            assert len({key(f) for f in patch.faces}) == len(patch.faces)
+
+    def test_uniqueness_builds_find_the_eligible_faces_once(self, patch44_r10, torus57, monkeypatch):
+        from coverkit import check_uniqueness
+
+        calls = []
+        real = builder._eligible_faces
+
+        def counting(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(builder, "_eligible_faces", counting)
+        assert check_uniqueness(patch44_r10, torus57.graph, trials=3).ok
+        assert len(calls) == 1
+        run = CoverRun(patch44_r10, torus57.graph)
+        assert len(calls) == 1  # preparing a run finds none
+        for t in (0, 1, 2, 0):
+            run.build(t)
+        assert len(calls) == 2
 
 
 def _quotient_target(p, q, radius, kind, m, n):

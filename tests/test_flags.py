@@ -28,12 +28,14 @@ from coverkit import (
     rooted_isomorphisms,
     stabilize_n,
 )
-from coverkit.flags import _flag_cycle
+import coverkit.local as local
+from coverkit.flags import _flag_cycle, _prescription
 from coverkit.graph import edge_key
 from coverkit.local import host_faces_at
 
 from .oracles import (
     adjacency_of,
+    assert_same_search,
     assert_unique_extension,
     brute_rooted_isomorphisms,
     extension_by_propagation,
@@ -334,6 +336,48 @@ class TestWalkPull:
                     total += 1
         assert total >= 2000
 
+    def test_pull_searches_equal_the_joint_reference(self, patch44_r10, patch37_r5, patch63_r10, squareoct, torus57, klein66):
+        # the core of every vertex that can host one, searched against the
+        # root core that the Coloring refined once, finds the maps, in
+        # order, of the joint refinement run afresh per call
+        cases = [(p, None) for p in (patch44_r10, patch37_r5, patch63_r10, squareoct)]
+        cases += [(patch44_r10, torus57.graph), (patch44_r10, klein66.graph)]
+        searched = 0
+        for patch, h in cases:
+            n = stabilize_n(patch, 2, 2)
+            c = Coloring(patch, i_fundamental_domain(patch, n))
+            if h is None:
+                host, need = c.g, max(dk_ball(c.g, patch.root, n).radius, 2)
+                vertices = [v for v in patch.graph.vertices if patch.complete_radius[v] >= need]
+            else:
+                host, vertices = Host(h, patch.l_max), h.vertices
+            root = c.root_core.rooted
+            for v in vertices:
+                core = face_core(host, v, n).rooted
+                assert assert_same_search(core, root, limit=1, prepared=c._root_side) == 1
+                assert assert_same_search(core, root, prepared=c._root_side) >= 1
+                searched += 1
+        assert searched >= 500
+
+    def test_root_core_refined_once_per_coloring(self, patch44_r10, patch37_r5, torus57, monkeypatch):
+        refined = []
+        real = local._refine
+
+        def counting(b, table, last=None):
+            refined.append(b)
+            return real(b, table, last)
+
+        monkeypatch.setattr(local, "_refine", counting)
+        for patch, h in ((patch44_r10, torus57.graph), (patch37_r5, patch37_r5)):
+            c = Coloring(patch, i_fundamental_domain(patch, 1))
+            host = c.host_for(h)
+            vertices = [v for v in host.graph.vertices if h is not patch or patch.complete_radius[v] >= 3]
+            for v in vertices:
+                for f in flags_at(host, v):
+                    color(c, f) if host is c.g else color_in_h(c, host, f)
+            assert sum(b is c.root_core.rooted for b in refined) == 1
+            assert len(vertices) > 20
+
     def test_non_face_in_h_does_not_pull_back(self, patch44_r10, torus57):
         # the 6-cycle round two adjacent squares of the torus passes through
         # vertex 0, but is not a face; a patch cycle of the same kind is
@@ -433,6 +477,23 @@ class TestExtendIso:
                     assert extend_iso(c, torus, f, fh, 1).mapping == want
                     compared += 1
         assert compared == 4 * 8 * 8
+
+    @pytest.mark.parametrize(
+        "fixture, vertex_pairs",
+        [("patch44_r10", 4), ("patch37_r5", 1), ("patch63_r10", 4), ("patch45_r5", 2)],
+    )
+    def test_searches_equal_the_joint_reference(self, fixture, vertex_pairs, request):
+        # the flag pairs of test_equals_the_propagation, each prescribed
+        # search against the joint refinement run afresh per call
+        patch = request.getfixturevalue(fixture)
+        host = Host(patch)
+        deep = sorted(v for v in patch.graph.vertices if patch.complete_radius[v] >= 4)
+        for v, w in zip(deep[:vertex_pairs], deep[::-1]):
+            core_v, core_w = face_core(host, v, 2).rooted, face_core(host, w, 2).rooted
+            assert assert_same_search(core_v, core_w) >= 1
+            for f in flags_at(host, v):
+                for fh in flags_at(host, w):
+                    assert assert_same_search(core_v, core_w, prescribed=_prescription(f, fh)) == 1
 
     def test_rewired_target_rejected_by_both(self, patch44_r10):
         # torus 9x9 with (40,41), (49,50) rewired to (40,50), (41,49): the

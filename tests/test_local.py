@@ -10,6 +10,7 @@ import coverkit.local as local
 from coverkit import (
     Graph,
     Host,
+    InputError,
     PatchTooSmallError,
     QuotientSpec,
     ball,
@@ -24,9 +25,10 @@ from coverkit import (
     rooted_isomorphisms,
 )
 from coverkit.graph import is_connected_excluding
-from coverkit.local import host_faces_at
+from coverkit.local import Refinement, host_faces_at
 from .oracles import (
     adjacency_of,
+    assert_same_search,
     bfs_distances,
     brute_rooted_isomorphisms,
     cycle_vertices,
@@ -477,6 +479,21 @@ class TestFacesFromTheHostsCycles:
             assert all(a is b for a, b in shared)
             assert all(a in host_faces_at(host, u) for a, _ in shared)
 
+    def test_chain_cycles_kept_per_vertex(self, patch44_r6):
+        # a D-ball asks for the chain cycles of each frontier vertex, often
+        # again and again: the host hands back the one tuple it kept, and a
+        # patch host still refuses a margin vertex on every call
+        g = make_quotient(QuotientSpec("torus", 9, 9)).graph
+        host = Host(g, 4)
+        for v in g.vertices:
+            assert host.chain_cycles(v) is host.chain_cycles(v)
+            assert host.chain_cycles(v) == tuple(c for c, ok in host._cycles_at(v) if ok)
+        patch = Host(patch44_r6)
+        margin = next(v for v in patch44_r6.graph.vertices if patch44_r6.complete_radius[v] < 2)
+        for _ in range(2):
+            with pytest.raises(PatchTooSmallError):
+                patch.chain_cycles(margin)
+
 
 class TestPatchComponents:
     """A patch host takes its component count from the patch's own BFS
@@ -608,6 +625,69 @@ class TestRootedIsomorphisms:
         assert all(k == v for k, v in isos[0].mapping.items())
 
 
+class TestSearchAgainstTheJointReference:
+    """The search refines each side alone, b once for many searches; the
+    joint refinement it replaced, run afresh in every call, is the
+    reference, and both find the same maps in the same order."""
+
+    def test_random_graphs(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def ball_pair(draw):
+            n = draw(st.integers(min_value=3, max_value=8))
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            edges = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=14, unique=True))
+            v, r = draw(st.integers(min_value=0, max_value=n - 1)), draw(st.integers(min_value=1, max_value=3))
+            if draw(st.booleans()):  # a relabelling, so that maps exist
+                perm = draw(st.permutations(range(n)))
+                other, w = [(perm[x], perm[y]) for x, y in edges], perm[v]
+            else:
+                other = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=14, unique=True))
+                w = draw(st.integers(min_value=0, max_value=n - 1))
+            a, b = ball(Graph(range(n), edges), v, r), ball(Graph(range(n), other), w, r)
+            pin = draw(st.sampled_from(sorted(a.graph.vertices)))
+            return a, b, {pin: draw(st.sampled_from(sorted(b.graph.vertices)))}
+
+        outcomes = Counter()
+
+        @given(ball_pair())
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        def run(case):
+            a, b, pin = case
+            found = assert_same_search(a, b)
+            assert_same_search(a, b, limit=1, prepared=Refinement(b))
+            assert_same_search(a, b, prescribed=pin)
+            outcomes[found > 0] += 1
+
+        run()
+        assert outcomes[True] and outcomes[False]
+
+    def test_rewired_torus_and_other_non_isomorphic_pairs(self, patch44_r10, patch63_r10):
+        # torus 9x9 with (40,41), (49,50) rewired to (40,50), (41,49): the
+        # cores round the rewiring match no core of the lattice, at depth 1
+        # and 2; every core is searched against one prepared reference, as
+        # the colour pulls are
+        g = make_quotient(QuotientSpec("torus", 9, 9)).graph
+        rewired = Host(Graph(range(81), set(g.edges) - {(40, 41), (49, 50)} | {(40, 50), (41, 49)}), 4)
+        found = Counter()
+        for r in (1, 2):
+            reference = Refinement(face_core(Host(patch44_r10), patch44_r10.root, r).rooted)
+            for x in rewired.graph.vertices:
+                found[r, assert_same_search(face_core(rewired, x, r).rooted, reference.ball, prepared=reference) > 0] += 1
+        assert all(found[r, hit] for r in (1, 2) for hit in (True, False))
+        a = ball(patch44_r10.graph, patch44_r10.root, 1)
+        b = ball(patch63_r10.graph, patch63_r10.root, 1)
+        assert assert_same_search(a, b) == assert_same_search(b, a) == 0
+
+    def test_prepared_side_of_another_ball_is_refused(self, patch44_r6):
+        a = ball(patch44_r6.graph, patch44_r6.root, 1)
+        b = ball(patch44_r6.graph, patch44_r6.root, 1)
+        with pytest.raises(InputError, match="not of the target ball"):
+            rooted_isomorphisms(a, b, prepared=Refinement(a))
+
+
 class TestFaceCore:
     def test_lattice_core_is_block(self, patch44_r6):
         core = face_core(Host(patch44_r6), patch44_r6.root, 1)
@@ -623,6 +703,60 @@ class TestFaceCore:
     def test_patch_guard(self, patch44_r6):
         with pytest.raises(PatchTooSmallError):
             face_core(Host(patch44_r6), patch44_r6.outer[0], 1)
+
+
+class TestFaceCoresAgainstNetworkx:
+    """Rooted isomorphism of face cores against networkx's GraphMatcher
+    with the root pinned, on the ladder targets and on a rewired copy of
+    each, whose cores near the rewiring match no core of the lattice."""
+
+    @staticmethod
+    def rooted_nx(nx, core):
+        big = nx.Graph(list(core.graph.edges))
+        big.add_nodes_from(core.graph.vertices)
+        nx.set_node_attributes(big, {v: v == core.root for v in big}, "root")
+        return big
+
+    @staticmethod
+    def rewired(g, l_max):
+        """g with two opposite sides of a face at 0 swapped for its
+        diagonals, as torus 9x9 is rewired in test_flags: face (c0, c1,
+        c2, c3, ...) loses (c0, c1) and (c2, c3) and gains (c0, c2) and
+        (c1, c3), which keeps every degree."""
+        c = host_faces_at(Host(g, l_max), 0)[0].cycle
+        gone = {(min(c[0], c[1]), max(c[0], c[1])), (min(c[2], c[3]), max(c[2], c[3]))}
+        return Graph(g.vertices, set(g.edges) - gone | {(min(c[0], c[2]), max(c[0], c[2])), (min(c[1], c[3]), max(c[1], c[3]))})
+
+    def test_existence_agrees_with_graphmatcher(self, ladder_target, patch44_r10, patch63_r10):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        g, l_max = ladder_target
+        patch = patch44_r10 if l_max == 4 else patch63_r10
+        reference = Refinement(face_core(Host(patch), patch.root, 2).rooted)
+        ref_nx = self.rooted_nx(nx, reference.ball)
+        outcomes = Counter()
+        for graph in (g, self.rewired(g, l_max)):
+            host = Host(graph, l_max)
+            for x in graph.vertices:
+                core = face_core(host, x, 2).rooted
+                got = bool(rooted_isomorphisms(core, reference.ball, limit=1, prepared=reference))
+                want = GraphMatcher(
+                    self.rooted_nx(nx, core), ref_nx, node_match=lambda p, q: p["root"] == q["root"]
+                ).is_isomorphic()
+                assert got == want, x
+                outcomes[got] += 1
+        assert outcomes[True] > graph.n and outcomes[False]
+
+    def test_core_graph_equals_the_validated_graph(self, ladder_target):
+        g, l_max = ladder_target
+        host = Host(g, l_max)
+        for x in g.vertices:
+            core = face_core(host, x, 2)
+            verts = {x} | {v for f in core.faces for v in f}
+            want = Graph(verts, [e for f in core.faces for e in f.edges])
+            assert core.rooted.graph == want
+            assert all(core.rooted.graph.neighbors(v) == want.neighbors(v) for v in verts)
 
 
 class TestIsRLocally:

@@ -50,6 +50,23 @@ def test_faces_are_inferred_through_a_host_only():
         raise AssertionError(f"one-off face queries called in src/coverkit: {found or 'no sources found'}")
 
 
+def test_no_whole_patch_face_pass_in_the_builder():
+    # the builder finds its eligible faces at the vertices deep enough
+    # and sorts only them; face_enumeration keys and sorts every face of
+    # the patch, and reading a patch's .faces walks them all, at a cost
+    # that grows with the patch rather than with the cover
+    path = SRC / "builder.py"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in ("faces", "face_enumeration"))
+        or (isinstance(node, ast.Name) and node.id == "face_enumeration")
+        or (isinstance(node, ast.alias) and node.name == "face_enumeration")
+    ]
+    if not path.is_file() or found:
+        raise AssertionError(f"whole-patch face passes in builder.py: {found or 'no source found'}")
+
+
 def test_property_tests_are_derandomized():
     # a hypothesis test that draws afresh on every run catches a fault on
     # some runs and misses it on others; every settings(...) in the tests
