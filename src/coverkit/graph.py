@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 from .errors import DefectError, InputError
 
@@ -52,7 +52,7 @@ class Graph:
         self._edges: frozenset[Edge] = frozenset(es)
 
     @classmethod
-    def _trusted(cls, adj: dict[int, set[int]]) -> Graph:
+    def _trusted(cls, adj: dict[int, Iterable[int]]) -> Graph:
         """A graph read off an adjacency that its caller vouches for:
         integer vertices, symmetric, no loops.  Nothing is checked."""
         g = cls.__new__(cls)
@@ -184,14 +184,14 @@ def ball(g: Graph, o: int, i: int) -> RootedBall:
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     """Induced subgraph on s, keeping original vertex ids.  Its edges are
-    read off the neighbours of s, so the cost does not grow with g."""
+    read off the neighbours of s, so the cost does not grow with g, and
+    they are not checked again: g is already a valid graph."""
     keep = set(s)
     for v in keep:
         if v not in g:
             raise InputError(f"unknown vertex {v} in subgraph request")
     adj = g._adj
-    edges = [(u, w) for u in keep for w in adj[u] if u < w and w in keep]
-    return Graph(keep, edges)
+    return Graph._trusted({u: [w for w in adj[u] if w in keep] for u in keep})
 
 
 def is_connected_excluding(g: Graph, removed: Iterable[int]) -> bool:
@@ -228,10 +228,18 @@ def component_count(g: Graph) -> int:
     return count
 
 
-def local_parts(g: Graph, removed: Iterable[int]) -> int:
+def local_parts(
+    g: Graph, removed: Iterable[int], *, within: Container[int] | None = None
+) -> int:
     """How many components of g minus `removed` touch `removed`: 0, 1, or
     2 for two or more.  The answer is found near `removed`, without
     scanning the rest of g.
+
+    With `within` (a set or mapping of vertices of g, holding `removed`)
+    every seed and search step stays inside it, so the answer is that
+    for the subgraph of g induced on `within`, without building it: the
+    search meets the same vertices, in the same order, as on that
+    subgraph.
 
     Every component of g - removed that touches `removed` holds a vertex
     of N, the neighbours of `removed` outside it, so the count is that of
@@ -250,11 +258,12 @@ def local_parts(g: Graph, removed: Iterable[int]) -> int:
     is_connected_excluding(g, C) on every graph.
     """
     adj = g._adj
+    inside = adj if within is None else within
     gone = set(removed)
     for v in gone:
         if v not in adj:
             raise InputError(f"unknown vertex {v}")
-    seeds = sorted({u for v in gone for u in adj[v]} - gone)
+    seeds = sorted({u for v in gone for u in adj[v] if u in inside} - gone)
     if len(seeds) < 2:
         return len(seeds)
     # owner[v] is the search that found v; link[i] leads from search i to
@@ -271,7 +280,7 @@ def local_parts(g: Graph, removed: Iterable[int]) -> int:
             if not queue:
                 return 2
             for u in adj[queue.popleft()]:
-                if u in gone:
+                if u in gone or u not in inside:
                     continue
                 j = owner.get(u)
                 if j is None:

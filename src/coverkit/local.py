@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InputError, PatchTooSmallError
-from .graph import Graph, RootedBall, ball, component_count, local_parts
+from .graph import Graph, RootedBall, ball, component_count, induced_subgraph, local_parts
 from .tessellation import FaceBoundary, PlanePatch
 
 # A peripheral cycle is represented by the same canonical cycle type that
@@ -80,6 +80,13 @@ def dk_ball(host: Host, o: int, k: int) -> RootedBall:
     the certified region (PatchTooSmallError otherwise); it never
     silently truncates.
     """
+    j, dist = _dk_dist(host, o, k)
+    return RootedBall(graph=induced_subgraph(host.graph, dist), root=o, radius=j, dist=dist)
+
+
+def _dk_dist(host: Host, o: int, k: int) -> tuple[int, dict[int, int]]:
+    """D_k(o) as a vertex set: its radius j and the distances from o up
+    to j, found by one BFS."""
     g = host.graph
     if o not in g:
         raise InputError(f"unknown vertex {o}")
@@ -99,7 +106,7 @@ def dk_ball(host: Host, o: int, k: int) -> RootedBall:
     dist = g.distances_from(o, limit=k * (host.l_max // 2))
     j = max(dist[x] for x in reach)
     host.require_complete(o, j)
-    return ball(g, o, j)
+    return j, {x: d for x, d in dist.items() if d <= j}
 
 
 def face_boundaries_at(h: Graph, v: int, l_max: int) -> list[FaceBoundary]:
@@ -140,8 +147,10 @@ class Host:
     A patch host serves the patch's traced faces, at interior vertices
     only, and its completeness guard; the patch brings its own l_max.  A
     plain graph host infers face-boundaries with cycle length bound l_max
-    and has no margin.  A host keeps four memos, so no host ever serves
-    another graph's faces; a new Host starts empty: the faces at each
+    and has no margin; it answers each face query on its own graph,
+    with the D_2 ball as a vertex set, and builds no graph of the ball.
+    A host keeps four memos, so no host ever serves another graph's
+    faces; a new Host starts empty: the faces at each
     vertex; the chordless cycles through each vertex, each with its
     verdict, from which both the chain cycles and the inferred faces
     are read; the chain cycles through each vertex that was asked for
@@ -240,13 +249,19 @@ def _inferred_faces(host: Host, v: int) -> tuple[FaceBoundary, ...]:
     That is the answer of peripheral_cycles_through(D_2(v), v, l_max)
     without a second search: D_2(v) is an induced ball, so a cycle
     inside it is chordless there exactly when it is chordless in H; and
-    a ball is connected, so its component count is 1."""
-    d2 = dk_ball(host, v, 2)
-    inside, g = d2.dist, d2.graph
+    a ball is connected, so its component count is 1.
+
+    No graph of the ball is built: the separation search runs on H,
+    confined to D_2(v)'s vertices.  Confined so, it sees the same
+    vertices and the same adjacency as a search on the induced ball,
+    since a vertex's neighbours in the ball are its neighbours in H
+    that lie inside it, in the same id order."""
+    _, inside = _dk_dist(host, v, 2)
+    g = host.graph
     return tuple(
         c
         for c, _ in host._cycles_at(v)
-        if all(x in inside for x in c.cycle) and local_parts(g, c.cycle) <= 1
+        if all(x in inside for x in c.cycle) and local_parts(g, c.cycle, within=inside) <= 1
     )
 
 

@@ -174,3 +174,19 @@ def test_induced_subgraph_keeps_exactly_the_edges_inside(g, s):
     sub = induced_subgraph(g, keep)
     assert set(sub.vertices) == keep
     assert sub.edges == {(u, w) for u, w in g.edges if u in keep and w in keep}
+
+
+@given(small_graphs(), st.sets(st.integers(min_value=0, max_value=8)))
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_induced_subgraph_equals_the_validated_graph(g, s):
+    # induced_subgraph skips the checks of Graph(vertices, edges), as its
+    # edges come from a valid graph; it must build what they would have
+    keep = {v for v in s if v in g}
+    for part in (keep, set()):
+        sub = induced_subgraph(g, part)
+        want = Graph(part, [(u, w) for u, w in g.edges if u in part and w in part])
+        assert sub == want
+        assert sub.vertices == want.vertices
+        assert all(sub.neighbors(v) == want.neighbors(v) for v in part)
+    with pytest.raises(InputError):
+        induced_subgraph(g, keep | {g.n})

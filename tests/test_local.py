@@ -24,7 +24,7 @@ from coverkit import (
     peripheral_cycles_through,
     rooted_isomorphisms,
 )
-from coverkit.graph import is_connected_excluding
+from coverkit.graph import is_connected_excluding, local_parts
 from coverkit.local import Refinement, host_faces_at
 from .oracles import (
     adjacency_of,
@@ -301,10 +301,10 @@ class TestLocalVerdict:
         g._adj = CountingAdjacency(g._adj)
         real = local.local_parts
 
-        def counting(graph, removed):
+        def counting(graph, removed, *, within=None):
             running.append(set())
             try:
-                return real(graph, removed)
+                return real(graph, removed, within=within)
             finally:
                 scanned.append(running.pop())
 
@@ -321,16 +321,17 @@ class TestFaceInferenceWork:
         graphs = []  # keeps every tested graph alive, so its id stays unique
         real = local.local_parts
 
-        def counting(g, removed):
+        def counting(g, removed, *, within=None):
             graphs.append(g)
-            tested[(id(g), frozenset(removed))] += 1
-            return real(g, removed)
+            tested[(id(g), frozenset(within) if within else None, frozenset(removed))] += 1
+            return real(g, removed, within=within)
 
         monkeypatch.setattr(local, "local_parts", counting)
         build_cover(patch44_r10, torus57.graph)
         assert max(tested.values()) == 1
-        # 179 tests on the patch, the torus and its 35 D_2 balls; 1,404
-        # when every D-ball chain retested its cycles on all of H
+        # 179 tests on the patch, the torus and the torus confined to its
+        # 35 D_2 balls; 1,404 when every D-ball chain retested its cycles
+        # on all of H
         assert sum(tested.values()) <= 200
 
     def test_build_work_does_not_depend_on_the_labelling(self, monkeypatch):
@@ -343,9 +344,9 @@ class TestFaceInferenceWork:
         calls = [0]
         real = local.local_parts
 
-        def counting(g, removed):
+        def counting(g, removed, *, within=None):
             calls[0] += 1
-            return real(g, removed)
+            return real(g, removed, within=within)
 
         monkeypatch.setattr(local, "local_parts", counting)
         counts = set()
@@ -356,6 +357,32 @@ class TestFaceInferenceWork:
             build_cover(patch, Graph(klein.vertices, [(perm[u], perm[v]) for u, v in klein.edges]))
             counts.add(calls[0])
         assert len(counts) == 1
+
+    def test_inferred_face_queries_build_no_graph(self, monkeypatch):
+        made: list[str] = []
+        real_init, real_trusted = Graph.__init__, Graph._trusted.__func__
+
+        def init(self, *args, **kwargs):
+            made.append("Graph.__init__")
+            real_init(self, *args, **kwargs)
+
+        def trusted(cls, adj):
+            made.append("Graph._trusted")
+            return real_trusted(cls, adj)
+
+        for spec in (QuotientSpec("torus", 9, 9), QuotientSpec("klein", 12, 12)):
+            g = make_quotient(spec).graph
+            host = Host(g, 4)
+            host.fill_chain_cycles()
+            with monkeypatch.context() as m:
+                m.setattr(Graph, "__init__", init)
+                m.setattr(Graph, "_trusted", classmethod(trusted))
+                faces = [host_faces_at(host, v) for v in g.vertices]
+                assert made == []
+                dk_ball(host, 0, 2)  # the counters do see a ball graph built
+                assert made == ["Graph._trusted"]
+            made.clear()
+            assert all(len(f) == 4 for f in faces)
 
     def test_dropped_host_is_freed_without_the_cycle_collector(self, torus57):
         host = Host(torus57.graph, 4)
@@ -495,6 +522,50 @@ class TestFacesFromTheHostsCycles:
                 patch.chain_cycles(margin)
 
 
+def _confined_answers(g, l_max, cycle_bound):
+    """local_parts on H confined to D_2(v) against local_parts on the
+    ball's own graph, at every vertex v, for every chordless cycle
+    through v that has at most cycle_bound vertices and lies inside
+    D_2(v); returns how often each answer was seen."""
+    host = Host(g, l_max)
+    answers: Counter = Counter()
+    for v in g.vertices:
+        d2 = dk_ball(host, v, 2)
+        for c in local._chordless_cycles_through(g, v, cycle_bound):
+            if set(c.cycle) <= d2.dist.keys():
+                answer = local_parts(g, c.cycle, within=d2.dist)
+                assert answer == local_parts(d2.graph, c.cycle), (v, c)
+                answers[answer] += 1
+    return answers
+
+
+class TestConfinedSearch:
+    """Face inference searches H confined to a D_2 ball's vertex set
+    instead of building the ball's graph; both searches must agree."""
+
+    def test_equals_the_search_on_the_ball_on_the_ladder(self, ladder_target):
+        # cycles up to twice the face length: with l_max alone every
+        # cycle inside a ball is a face, and no answer is 2
+        g, l_max = ladder_target
+        assert _confined_answers(g, l_max, 2 * l_max).keys() == {1, 2}
+
+    def test_equals_the_search_on_the_ball_on_random_graphs(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from .test_graph import small_graphs
+
+        seen: Counter = Counter()
+
+        @given(small_graphs(), st.integers(min_value=3, max_value=8))
+        @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+        def run(g, l_max):
+            seen.update(_confined_answers(g, l_max, l_max))
+
+        run()
+        assert seen[1] and seen[2]
+
+
 class TestPatchComponents:
     """A patch host takes its component count from the patch's own BFS
     from the root when that reached every vertex, and counts only a
@@ -511,9 +582,9 @@ class TestPatchComponents:
             counted.append(g)
             return real_count(g)
 
-        def testing(g, removed):
+        def testing(g, removed, *, within=None):
             tested.append(g)
-            return real_parts(g, removed)
+            return real_parts(g, removed, within=within)
 
         monkeypatch.setattr(local, "component_count", counting)
         monkeypatch.setattr(local, "local_parts", testing)

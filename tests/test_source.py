@@ -50,6 +50,24 @@ def test_faces_are_inferred_through_a_host_only():
         raise AssertionError(f"one-off face queries called in src/coverkit: {found or 'no sources found'}")
 
 
+def test_graphs_are_validated_only_where_input_enters():
+    # Graph(vertices, edges) re-sorts and re-checks every edge; a graph
+    # derived from a valid one (a ball, a core) builds through
+    # Graph._trusted.  Graphs are validated where input enters: read from
+    # JSON (Graph.from_json_dict, through cls), traced in tessellation and
+    # made in instances
+    names = ("graph.py", "local.py", "flags.py", "builder.py", "verify.py")
+    found = [
+        f"{name}:{node.lineno}"
+        for name in names
+        if (SRC / name).is_file()
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name))
+        if isinstance(node, ast.Call) and "Graph" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    if not all((SRC / name).is_file() for name in names) or found:
+        raise AssertionError(f"validating Graph(...) calls: {found or 'sources not found'}")
+
+
 def test_no_whole_patch_face_pass_in_the_builder():
     # the builder finds its eligible faces at the vertices deep enough
     # and sorts only them; face_enumeration keys and sorts every face of
