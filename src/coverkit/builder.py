@@ -18,7 +18,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import HypothesisViolationError, InputError, PatchTooSmallError
-from .flags import Coloring, Flag, FundamentalDomain, color, color_in_h, flags_at, i_fundamental_domain, stabilize_n
+from .flags import (
+    Coloring,
+    Flag,
+    FundamentalDomain,
+    _pull,
+    color,
+    color_in_h,
+    flags_at,
+    i_fundamental_domain,
+    stabilize_n,
+)
 from .graph import Graph, edge_key
 from .local import Host, dk_ball, host_faces_at
 from .tessellation import FaceBoundary, PlanePatch, enumeration_key
@@ -64,16 +74,30 @@ def _eligible_faces(c: Coloring) -> frozenset[FaceBoundary]:
 
 
 def _check_new_flag_colors(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -> None:
-    """Colour preservation (invariant 1) on the flags of the new face."""
+    """Colour preservation (invariant 1) on the flags of the new face.
+    Each flag and its image are pulled from their face walks.  A Flag is
+    built only to report a failure: an image edge off the image face, a
+    pull that fails (`color` or `color_in_h` then raises on the Flag), or
+    two colours that differ."""
+    c, host, vmap = state.coloring, state.host, state.vertex_map
     for y in sorted(face.cycle):
+        x = vmap[y]
         for e in face.edges_at(y):
-            fl = Flag(y, e, face)
-            img = Flag(state.vertex_map[y], _image(state, e), image)
-            cg = color(state.coloring, fl)
-            ch = color_in_h(state.coloring, state.host, img)
+            z = e[1] if e[0] == y else e[0]
+            try:
+                walk_h = image.cycle_from(x, vmap[z])
+            except InputError:
+                Flag(x, _image(state, e), image)  # raises: its edge is not on its face
+                raise
+            cg = _pull(c, c.g, y, face.cycle_from(y, z))
+            if cg is None:
+                cg = color(c, Flag(y, e, face))
+            ch = _pull(c, host, x, walk_h)
+            if ch is None:
+                ch = color_in_h(c, host, Flag(x, _image(state, e), image))
             if cg != ch:
                 raise HypothesisViolationError(
-                    f"step {len(state.log)}: colour of {fl} is {cg} but its image has {ch}; "
+                    f"step {len(state.log)}: colour of {Flag(y, e, face)} is {cg} but its image has {ch}; "
                     f"h violates r-locality"
                 )
 

@@ -271,22 +271,30 @@ class Coloring:
         return self.g if h is self.patch else Host(h, self.patch.l_max)
 
 
-def _to_root(c: Coloring, host: Host, f: Flag) -> tuple[int, ...] | None:
-    """The face walk of f carried to the root through a root-preserving
-    isomorphism of depth-n cores, or None when the core at f's vertex has
-    none.  The walk starts at the root, so it is the walk of a root flag,
-    a key of the palette, exactly when the face it lists is a patch face.
-    A flag is fixed by its walk, so distinct root flags have distinct
-    keys, and the key found is that of the flag f is carried onto."""
-    key = (host, f.vertex)
+def _to_root(c: Coloring, host: Host, x: int, walk: tuple[int, ...]) -> tuple[int, ...] | None:
+    """A face walk from x carried to the root through a root-preserving
+    isomorphism of depth-n cores, or None when the core at x has none.
+    The carried walk starts at the root, so it is the walk of a root
+    flag, a key of the palette, exactly when the face it lists is a patch
+    face.  A flag is fixed by its walk, so distinct root flags have
+    distinct keys, and the key found is that of the root flag onto which
+    the isomorphism carries the flag that the walk fixes."""
+    key = (host, x)
     iso = c._isos.get(key)
     if iso is None:
-        target = c.root_core if key == (c.g, c.patch.root) else face_core(host, f.vertex, c.n)
+        target = c.root_core if key == (c.g, c.patch.root) else face_core(host, x, c.n)
         found = rooted_isomorphisms(target.rooted, c.root_core.rooted, limit=1, prepared=c._root_side)
         if not found:
             return None
         iso = c._isos[key] = found[0].mapping
-    return tuple(iso[v] for v in _walk(f))
+    return tuple(map(iso.__getitem__, walk))
+
+
+def _pull(c: Coloring, host: Host, x: int, walk: tuple[int, ...]) -> int | None:
+    """The colour of the flag that a face walk from x fixes, or None
+    where `color` and `color_in_h` raise on that flag."""
+    root_walk = _to_root(c, host, x, walk)
+    return None if root_walk is None else c._palette.get(root_walk)
 
 
 def color(c: Coloring, f: Flag) -> int:
@@ -294,7 +302,7 @@ def color(c: Coloring, f: Flag) -> int:
     through any root-preserving isomorphism of depth-n cores.
     Independent of the choice of isomorphism (tested, not assumed), so a
     root flag is pulled through a root automorphism like any other."""
-    walk = _to_root(c, c.g, f)
+    walk = _to_root(c, c.g, f.vertex, _walk(f))
     if walk is None:
         raise DefectError(f"patch not vertex-transitive at {f.vertex}: no depth-{c.n} isomorphism")
     if (k := c._palette.get(walk)) is None:
@@ -308,7 +316,7 @@ def color_in_h(c: Coloring, host: Host, flag_h: Flag) -> int:
     for every choice, which is tested, not assumed).  It differs from
     `color` only in the errors it raises."""
     x = flag_h.vertex
-    walk = _to_root(c, host, flag_h)
+    walk = _to_root(c, host, x, _walk(flag_h))
     if walk is None:
         raise HypothesisViolationError(f"h is not {c.n}-locally-G at {x}")
     if (k := c._palette.get(walk)) is None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DefectError, InputError
 from .graph import Graph, ball
-from .local import as_rooted, rooted_isomorphisms
+from .local import Refinement, as_rooted, rooted_isomorphisms
 from .report import VerificationReport
 from .tessellation import PlanePatch
 
@@ -368,10 +368,9 @@ def is_vertex_transitive(g: Graph, size_guard: int = 400) -> bool:
         return True
     if not g.is_connected():
         return False
-    v0 = g.vertices[0]
-    ref = as_rooted(g, v0)
+    ref = Refinement(as_rooted(g, g.vertices[0]))
     for w in g.vertices[1:]:
-        if not rooted_isomorphisms(as_rooted(g, w), ref, limit=1):
+        if not rooted_isomorphisms(as_rooted(g, w), ref.ball, limit=1, prepared=ref):
             return False
     return True
 
@@ -396,9 +395,9 @@ def check_K_ball_claim(l: int, k: int) -> VerificationReport:
     report = VerificationReport()
 
     def all_balls_isomorphic(radius: int) -> tuple[bool, int | None]:
-        ref = ball(g, g.vertices[0], radius)
+        ref = Refinement(ball(g, g.vertices[0], radius))
         for w in g.vertices[1:]:
-            if not rooted_isomorphisms(ball(g, w, radius), ref, limit=1):
+            if not rooted_isomorphisms(ball(g, w, radius), ref.ball, limit=1, prepared=ref):
                 return False, w
         return True, None
 

@@ -286,7 +286,8 @@ def face_core(host: Host, x: int, n: int) -> FaceCore:
     are consulted must be interior (raises PatchTooSmallError otherwise);
     the enumeration never silently truncates.
 
-    The core's adjacency is read straight off the face cycles, and its
+    The core's adjacency is read straight off the face cycles as each
+    face is found, and its vertices are the next level's frontier; its
     Graph skips the checks of Graph(vertices, edges), which cannot fire
     here: a FaceBoundary is a simple cycle of at least 3 distinct ints,
     so no edge is a loop, and every vertex and edge end comes from a
@@ -295,23 +296,21 @@ def face_core(host: Host, x: int, n: int) -> FaceCore:
     if n < 1:
         raise InputError("need n >= 1")
     all_faces: set[FaceBoundary] = set()
+    adj: dict[int, set[int]] = {x: set()}
     expanded: set[int] = set()
-    frontier = {x}
-    for _ in range(n):
-        new_faces: set[FaceBoundary] = set()
-        for w in sorted(frontier):
-            expanded.add(w)
+    frontier = [x]
+    for level in range(n):
+        for w in frontier:
             for fb in host_faces_at(host, w):
                 if fb not in all_faces:
-                    new_faces.add(fb)
-        all_faces |= new_faces
-        frontier = {w for fb in all_faces for w in fb} - expanded
-    adj: dict[int, set[int]] = {x: set()}
-    for fb in all_faces:
-        c = fb.cycle
-        for u, w in zip(c, c[1:] + c[:1]):
-            adj.setdefault(u, set()).add(w)
-            adj.setdefault(w, set()).add(u)
+                    all_faces.add(fb)
+                    c = fb.cycle
+                    for u, v in zip(c, c[1:] + c[:1]):
+                        adj.setdefault(u, set()).add(v)
+                        adj.setdefault(v, set()).add(u)
+        if level < n - 1:
+            expanded.update(frontier)
+            frontier = sorted(adj.keys() - expanded)
     return FaceCore(as_rooted(Graph._trusted(adj), x), frozenset(all_faces))
 
 
@@ -364,15 +363,15 @@ def _refine(b: RootedBall, table: dict, last: int | None = None) -> tuple[int, d
     at the first round that splits no class, and stays so.  With `last`,
     None when it is not stable by round `last`.
     """
-    g = b.graph
-    col = {v: (b.dist[v], g.degree(v)) for v in g.vertices}
+    vertices, adj, dist = b.graph.vertices, b.graph._adj, b.dist
+    col = {v: (dist[v], len(adj[v])) for v in vertices}
     classes = len(set(col.values()))
     k = 0
     while True:
         k += 1
         new = {}
-        for v in g.vertices:
-            sig = (k, col[v], tuple(sorted([col[u] for u in g.neighbors(v)])))
+        for v in vertices:
+            sig = (k, col[v], tuple(sorted([col[u] for u in adj[v]])))
             c = table.get(sig)
             if c is None:
                 c = table[sig] = len(table)
@@ -472,22 +471,21 @@ def rooted_isomorphisms(
             return []
     if len(set(pres.values())) != len(pres):
         return []
-    by_color = prepared.classes
-    order = sorted(pres) + sorted(
-        (v for v in ga.vertices if v not in pres), key=lambda v: (a.dist[v], v)
-    )
+    by_color, adj_a, adj_b = prepared.classes, ga._adj, gb._adj
+    # vertices are in id order, so a stable sort by distance orders them by (distance, id)
+    order = sorted(pres) + sorted((v for v in ga.vertices if v not in pres), key=a.dist.__getitem__)
     results: list[Isomorphism] = []
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
     def candidates(v: int):
         """Images of v consistent with the current partial map, lazily."""
-        mapped_nbrs = [mapping[u] for u in ga.neighbors(v) if u in mapping]
+        mapped_nbrs = [mapping[u] for u in adj_a[v] if u in mapping]
         for w in [pres[v]] if v in pres else by_color.get(col_a[v], ()):
             if w in used:
                 continue
-            wn = gb.neighbors(w)
-            if sum(1 for x in wn if x in used) != len(mapped_nbrs):
+            wn = adj_b[w]
+            if len(used.intersection(wn)) != len(mapped_nbrs):
                 continue
             if any(x not in wn for x in mapped_nbrs):
                 continue

@@ -68,12 +68,15 @@ class FaceBoundary:
 
     def cycle_from(self, v: int, towards: int) -> tuple[int, ...]:
         """The cycle listed starting at v, second vertex `towards`."""
-        k = len(self.cycle)
-        i = self.cycle.index(v)
-        if self.cycle[(i + 1) % k] == towards:
-            return tuple(self.cycle[(i + j) % k] for j in range(k))
-        if self.cycle[(i - 1) % k] == towards:
-            return tuple(self.cycle[(i - j) % k] for j in range(k))
+        c = self.cycle
+        try:
+            i = c.index(v)
+        except ValueError:
+            raise InputError(f"{v} is not on the cycle {c}") from None
+        if c[(i + 1) % len(c)] == towards:
+            return c[i:] + c[:i]
+        if c[i - 1] == towards:
+            return c[i::-1] + c[:i:-1]
         raise InputError(f"{towards} is not a cycle neighbour of {v}")
 
     def __eq__(self, other: object) -> bool:

@@ -501,7 +501,7 @@ class TestNegativeDetection:
         e1, e2 = edge_key(16, 17), edge_key(23, 24)
         bad = Graph(range(35), set(g.edges) - {e1, e2} | {edge_key(16, 24), edge_key(23, 17)})
         assert all(bad.degree(v) == 4 for v in bad.vertices)
-        with pytest.raises(HypothesisViolationError):
+        with pytest.raises(HypothesisViolationError, match=r"^h is not 1-locally-G at 9$"):
             build_cover(patch44_r10, bad)
 
     def test_rewired_torus_detected(self, patch44_r10, torus57):
@@ -524,6 +524,102 @@ class TestNegativeDetection:
             else:
                 detected = not check_cover(cov).ok
         assert detected
+
+
+class TestFlagFreeBuild:
+    @pytest.mark.parametrize("target", ["torus 9x9", "{3,7} self"])
+    def test_a_build_constructs_no_flag(self, target, patch44_r10, monkeypatch):
+        # the seed flags exist before the build; every later flag is
+        # pulled from its face walk, and a Flag is built only to report
+        # a failure
+        from coverkit import Flag
+
+        if target == "torus 9x9":
+            patch, h = patch44_r10, make_quotient(QuotientSpec("torus", 9, 9)).graph
+        else:
+            patch = h = generate(3, 7, 5)
+        run = CoverRun(patch, h)
+        made = []
+        real = Flag.__post_init__
+
+        def counting(flag):
+            made.append(flag)
+            real(flag)
+
+        monkeypatch.setattr(Flag, "__post_init__", counting)
+        cov = run.build()
+        assert cov.steps > 50 and made == []
+
+
+def _hand_built(c, face, image, vertex_map):
+    """A partial cover holding only what the colour check reads: the
+    colouring, its patch as the host, the vertex map and an empty log."""
+    return builder.PartialCover(
+        coloring=c,
+        host=c.g,
+        vertex_map=vertex_map,
+        frontier=set(face.edges),
+        pending={},
+        face_image={face: image},
+        domain_edges_at={},
+        eligible=frozenset({face}),
+    )
+
+
+class TestColorCheckErrors:
+    """The colour check's errors, class and message, on partial covers
+    built by hand on the 4.8.8 patch (three colours at n = 1)."""
+
+    OCTAGON = FaceBoundary((112, 113, 119, 116, 170, 171, 165, 166))
+
+    @pytest.fixture(scope="class")
+    def c(self):
+        from .test_flags import build_squareoct_patch
+
+        patch = build_squareoct_patch()
+        c = Coloring(patch, i_fundamental_domain(patch, 1))
+        assert len(c.delta) == 3 and self.OCTAGON in patch.face_set
+        return c
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_a_rotated_octagon_changes_colour(self, c, step):
+        from coverkit import HypothesisViolationError
+
+        cyc = self.OCTAGON.cycle
+        state = _hand_built(c, self.OCTAGON, self.OCTAGON, {v: cyc[(i + step) % 8] for i, v in enumerate(cyc)})
+        with pytest.raises(HypothesisViolationError) as err:
+            builder._check_new_flag_colors(state, self.OCTAGON, self.OCTAGON)
+        assert str(err.value) == (
+            "step 0: colour of Flag(vertex=112, edge=(112, 113), face=FaceBoundary(112, 113, 119, 116, "
+            "170, 171, 165, 166)) is 1 but its image has 2; h violates r-locality"
+        )
+
+    @pytest.mark.parametrize("off_image", ["vertex", "edge"])
+    def test_an_image_face_without_the_mapped_edge_is_an_input_error(self, c, off_image):
+        # the first image flag is at 112 along (112, 113): its face holds
+        # neither 112, or 112 but not that edge
+        faces = c.patch.faces_at(165) if off_image == "vertex" else c.patch.faces_at(112)
+        image = next(f for f in faces if (112, 113) not in f.edges and (off_image == "edge") == (112 in f))
+        state = _hand_built(c, self.OCTAGON, image, {v: v for v in self.OCTAGON})
+        with pytest.raises(InputError) as err:
+            builder._check_new_flag_colors(state, self.OCTAGON, image)
+        assert str(err.value) == f"flag edge (112, 113) not on its face {image}"
+
+    def test_the_patch_side_fails_first(self):
+        # on a patch that is not vertex-transitive near a merged 14-gon, a
+        # flag of that face and its image under the identity both fail to
+        # pull; the patch side is pulled first, so the error is a defect
+        from coverkit import DefectError
+
+        from .test_flags import build_squareoct_patch
+
+        damaged, ids = build_squareoct_patch(6, drop_link=(2, 0))
+        c = Coloring(damaged, i_fundamental_domain(damaged, stabilize_n(damaged, 1, 1)))
+        face = next(f for f in damaged.faces_at(ids[(2, 0, 1)]) if len(f) == 14)
+        state = _hand_built(c, face, face, {v: v for v in face})
+        with pytest.raises(DefectError) as err:
+            builder._check_new_flag_colors(state, face, face)
+        assert str(err.value) == f"patch not vertex-transitive at {min(face.cycle)}: no depth-1 isomorphism"
 
 
 TAMPER_UNDER_O = """

@@ -29,7 +29,7 @@ from coverkit import (
     stabilize_n,
 )
 import coverkit.local as local
-from coverkit.flags import _flag_cycle, _prescription
+from coverkit.flags import _flag_cycle, _prescription, _pull
 from coverkit.graph import edge_key
 from coverkit.local import host_faces_at
 
@@ -335,6 +335,43 @@ class TestWalkPull:
                     assert pull(f) == self.reference(c, host, f), f
                     total += 1
         assert total >= 2000
+
+    def test_builder_walks_pull_the_flag_colours(self, patch44_r10, patch37_r5, squareoct, torus57, klein66):
+        # the builder pulls each flag from its face walk, listed from the
+        # vertex towards the edge's other end; that pull, on a colouring
+        # of its own, gives the flag's colour at every vertex of each
+        # target, and fails exactly where color or color_in_h raises
+        from coverkit import CoverKitError
+
+        from .test_builder import squareoct_torus
+
+        def outcome(pull):
+            try:
+                return pull()
+            except CoverKitError as exc:
+                return type(exc)
+
+        cases = [(patch44_r10, torus57.graph), (patch44_r10, klein66.graph)]
+        cases += [(squareoct, squareoct_torus(4, 4)), (patch37_r5, patch37_r5)]
+        pulled = 0
+        for patch, h in cases:
+            n = stabilize_n(patch, 2, 2)
+            delta = i_fundamental_domain(patch, n)
+            walks, flags = Coloring(patch, delta), Coloring(patch, delta)
+            host, flag_host = walks.host_for(h), flags.host_for(h)
+            if h is patch:
+                vertices, by_flag = [v for v in patch.graph.vertices if patch.is_interior(v)], color
+            else:
+                vertices, by_flag = h.vertices, lambda c, f: color_in_h(c, flag_host, f)
+            for x in vertices:
+                for face in host_faces_at(host, x):
+                    for e in face.edges_at(x):
+                        z = e[1] if e[0] == x else e[0]
+                        got = outcome(lambda: _pull(walks, host, x, face.cycle_from(x, z)))
+                        want = outcome(lambda: by_flag(flags, Flag(x, e, face)))
+                        assert got == want or (got is None and want in (DefectError, HypothesisViolationError))
+                        pulled += want is not PatchTooSmallError
+        assert pulled >= 2000
 
     def test_pull_searches_equal_the_joint_reference(self, patch44_r10, patch37_r5, patch63_r10, squareoct, torus57, klein66):
         # the core of every vertex that can host one, searched against the

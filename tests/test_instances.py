@@ -149,6 +149,34 @@ class TestExampleK:
         logged = next(c for c in rep.checks if c.name == "maximal isomorphic-ball radius")
         assert logged.info["rho_max"] >= stated.info["rho"]
 
+    @pytest.mark.parametrize("check", ["transitivity", "ball claim"])
+    def test_the_reference_is_refined_once_per_comparison_run(self, check, monkeypatch):
+        # every search against one reference ball passes its Refinement,
+        # so that ball is refined once, however many vertices it meets
+        import coverkit.instances as instances
+        import coverkit.local as local
+
+        refined, references = [], []
+        real_refine, real_search = local._refine, instances.rooted_isomorphisms
+
+        def counting_refine(b, table, last=None):
+            refined.append(b)
+            return real_refine(b, table, last)
+
+        def recording_search(a, b, *args, **kwargs):
+            references.append(b)
+            return real_search(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(local, "_refine", counting_refine)
+        monkeypatch.setattr(instances, "rooted_isomorphisms", recording_search)
+        if check == "transitivity":
+            assert is_vertex_transitive(make_quotient(QuotientSpec("torus", 5, 7)).graph)
+        else:
+            assert check_K_ball_claim(6, 4).ok
+        distinct = {id(b): b for b in references}.values()
+        assert len(references) > 10 * len(distinct)
+        assert all(sum(r is b for r in refined) == 1 for b in distinct)
+
     def test_regular_graphs_have_isomorphic_zero_balls(self):
         K = make_example_K(6, 4)
         ref = ball(K.graph, 0, 0)

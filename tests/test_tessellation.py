@@ -40,6 +40,14 @@ class TestFaceBoundary:
         f = FaceBoundary([0, 1, 2, 3])
         assert f.cycle_from(1, 2) == (1, 2, 3, 0)
         assert f.cycle_from(1, 0) == (1, 0, 3, 2)
+        assert f.cycle_from(0, 3) == (0, 3, 2, 1) and f.cycle_from(3, 0) == (3, 0, 1, 2)
+
+    def test_cycle_from_off_the_cycle_is_an_input_error(self):
+        f = FaceBoundary([0, 1, 2, 3])
+        with pytest.raises(InputError, match="not a cycle neighbour"):
+            f.cycle_from(1, 3)
+        with pytest.raises(InputError, match="not on the cycle"):
+            f.cycle_from(4, 0)
 
     @given(st.lists(st.integers(min_value=-5, max_value=60), min_size=3, max_size=12, unique=True))
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
