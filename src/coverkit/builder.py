@@ -46,7 +46,7 @@ class PartialCover:
     frontier: set[Edge]
     pending: dict[FaceBoundary, None]  # eligible faces not yet absorbed, in enumeration order
     face_image: dict[FaceBoundary, FaceBoundary]
-    domain_edges_at: dict[int, set[Edge]]  # the processed edges at each vertex
+    domain_edges_at: dict[int, dict[Edge, Edge]]  # each processed edge at a vertex, to its fixed image
     eligible: frozenset[FaceBoundary]
     log: list[dict] = field(default_factory=list)  # one entry per step after the seed
 
@@ -103,23 +103,25 @@ def _check_new_flag_colors(state: PartialCover, face: FaceBoundary, image: FaceB
 
 
 def _check_local_injectivity(state: PartialCover, face: FaceBoundary) -> None:
-    """Invariant 2 at the new face's vertices: the mapped edges stay
-    injective and the new co-facial pair lands in one target face."""
+    """Invariant 2 at the new face's vertices: the recorded edge images
+    at each stay distinct, and the face's own two edges there map to
+    edges of its target face.  Any other edge there was checked with its
+    own face, and its image is fixed."""
     h = state.host.graph
+    b = state.face_image[face]
     for y in sorted(face.cycle):
-        images = [_image(state, e) for e in sorted(state.domain_edges_at[y])]
-        if len(set(images)) != len(images):
+        images = state.domain_edges_at[y]
+        if len(set(images.values())) != len(images):
             raise HypothesisViolationError(
                 f"step {len(state.log)}: images of the edges at {y} collide"
             )
-        for img in images:
+        own = [images[e] for e in face.edges_at(y)]
+        for img in own:
             if not h.has_edge(*img):
                 raise HypothesisViolationError(
                     f"step {len(state.log)}: image edge {img} is not an edge of h"
                 )
-        e1, e2 = face.edges_at(y)
-        b = state.face_image[face]
-        if _image(state, e1) not in b.edges or _image(state, e2) not in b.edges:
+        if not b.edges.issuperset(own):
             raise HypothesisViolationError(
                 f"step {len(state.log)}: the edges of {face} at {y} do not map into its image {b}"
             )
@@ -167,13 +169,15 @@ def _start(
 
 
 def _absorb_face(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -> None:
-    """Record a face whose vertices are mapped, swap its edges into the
-    frontier, and re-verify the inductive invariants on its flags."""
+    """Record a face whose vertices are mapped and its edges' images,
+    swap its edges into the frontier, and re-verify the inductive
+    invariants on its flags."""
     del state.pending[face]
     state.face_image[face] = image
     for e in face.edges:
+        img = _image(state, e)
         for y in e:
-            state.domain_edges_at.setdefault(y, set()).add(e)
+            state.domain_edges_at.setdefault(y, {})[e] = img
     state.frontier ^= face.edges
     _check_new_flag_colors(state, face, image)
     _check_local_injectivity(state, face)
@@ -222,7 +226,7 @@ def match_face(state: PartialCover, face: FaceBoundary) -> FaceBoundary:
     w = path[0]
     cw = state.vertex_map[w]
     img_path_edges = {_image(state, e) for e in zip(path, path[1:])}
-    used_at_w = {_image(state, e) for e in state.domain_edges_at[w]}
+    used_at_w = state.domain_edges_at[w].values()
     candidates = []
     for b in host_faces_at(state.host, cw):
         if not img_path_edges <= b.edges:

@@ -125,34 +125,24 @@ def flag_orbit_partition(patch: PlanePatch, i: int) -> list[frozenset[Flag]]:
 
     Two flags are in the same orbit iff some root-preserving automorphism
     of the depth-i face core maps one to the other carrying vertex, edge,
-    and face pointwise; each candidate pair is decided by a single
-    constrained existence search (never by enumerating the full group,
-    which is polluted by rim symmetries on hyperbolic balls).
+    and face pointwise.  Orbits are equivalence classes, so each flag, in
+    order, is compared only with the first flag of each orbit found so
+    far, by a single constrained existence search (never by enumerating
+    the full group, which is polluted by rim symmetries on hyperbolic
+    balls).  The orbits come out ordered by their least flags.
     """
     host = Host(patch)
     core = Refinement(face_core(host, patch.root, i).rooted)
-    flags = flags_at(host, patch.root)
-    parent = list(range(len(flags)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ia in range(len(flags)):
-        for ib in range(ia + 1, len(flags)):
-            if find(ia) == find(ib):
-                continue
-            pres = _prescription(flags[ia], flags[ib])
-            if pres is None:
-                continue
-            if rooted_isomorphisms(core.ball, core.ball, limit=1, prescribed=pres, prepared=core):
-                parent[find(ib)] = find(ia)
-    groups: dict[int, list[Flag]] = {}
-    for idx, f in enumerate(flags):
-        groups.setdefault(find(idx), []).append(f)
-    return sorted((frozenset(fs) for fs in groups.values()), key=lambda s: min(s))
+    orbits: list[list[Flag]] = []
+    for f in flags_at(host, patch.root):
+        for orbit in orbits:
+            pres = _prescription(orbit[0], f)
+            if pres and rooted_isomorphisms(core.ball, core.ball, limit=1, prescribed=pres, prepared=core):
+                orbit.append(f)
+                break
+        else:
+            orbits.append([f])
+    return [frozenset(orbit) for orbit in orbits]
 
 
 @dataclass

@@ -622,6 +622,92 @@ class TestColorCheckErrors:
         assert str(err.value) == f"patch not vertex-transitive at {min(face.cycle)}: no depth-1 isomorphism"
 
 
+class TestLocalInjectivityErrors:
+    """Invariant 2's errors, class and message, on the {4,4} patch.  Two
+    edges folded onto one image are reachable through extend_cover; an
+    image edge off h, or off the image face, is rejected by the colour
+    check first, so those partial covers are built by hand and absorbed
+    with the colour check stubbed out: the builder still writes its own
+    ledger, and the local injectivity check is the one that fails."""
+
+    SEED_FACE = FaceBoundary((0, 1, 2, 3))
+
+    @pytest.fixture(scope="class")
+    def c(self, patch44_r6):
+        c = Coloring(patch44_r6, i_fundamental_domain(patch44_r6, 1))
+        assert patch44_r6.root == 0 and self.SEED_FACE in patch44_r6.faces_at(0)
+        return c
+
+    def _absorb(self, c, image, vertex_map, monkeypatch):
+        state = _hand_built(c, self.SEED_FACE, image, vertex_map)
+        state.pending, state.face_image = {self.SEED_FACE: None}, {}
+        monkeypatch.setattr(builder, "_check_new_flag_colors", lambda *args: None)
+        builder._absorb_face(state, self.SEED_FACE, image)
+
+    def test_a_face_folded_onto_its_neighbour_collides(self, c):
+        # the face across (0, 1) from the seed face, mapped onto the seed
+        # face: its edge (0, 4) lands on the seed face's (0, 3)
+        from coverkit import HypothesisViolationError
+
+        f = flags_at(c.g, 0)[0]
+        assert f.face == self.SEED_FACE and f.edge == (0, 1)
+        state = init_cover(c, c.g, f, f)
+        with pytest.raises(HypothesisViolationError) as err:
+            extend_cover(state, FaceBoundary((0, 1, 5, 4)), self.SEED_FACE)
+        assert type(err.value) is HypothesisViolationError
+        assert str(err.value) == "step 1: images of the edges at 0 collide"
+
+    def test_an_image_edge_off_h(self, c, monkeypatch):
+        from coverkit import HypothesisViolationError
+
+        assert not c.g.graph.has_edge(0, 30)
+        with pytest.raises(HypothesisViolationError) as err:
+            self._absorb(c, self.SEED_FACE, {0: 0, 1: 1, 2: 2, 3: 30}, monkeypatch)
+        assert type(err.value) is HypothesisViolationError
+        assert str(err.value) == "step 0: image edge (0, 30) is not an edge of h"
+
+    def test_an_image_face_without_the_mapped_edges(self, c, monkeypatch):
+        from coverkit import HypothesisViolationError
+
+        image = FaceBoundary((0, 3, 8, 6))
+        with pytest.raises(HypothesisViolationError) as err:
+            self._absorb(c, image, {v: v for v in self.SEED_FACE}, monkeypatch)
+        assert type(err.value) is HypothesisViolationError
+        assert str(err.value) == (
+            "step 0: the edges of FaceBoundary(0, 1, 2, 3) at 0 do not map into its image FaceBoundary(0, 3, 8, 6)"
+        )
+
+
+class TestLocalInjectivityCost:
+    @pytest.mark.parametrize("target", ["{3,7} self", "torus 5x7"])
+    def test_each_absorbed_face_is_checked_on_its_own_edges(self, target, patch44_r10, torus57, monkeypatch):
+        # every processed edge was checked when its face was absorbed, and
+        # its image is fixed from then on, so a whole build tests at most
+        # the two face edges at each vertex of each absorbed face
+        if target == "torus 5x7":
+            patch, h = patch44_r10, torus57.graph
+        else:
+            patch = h = generate(3, 7, 5)
+        inside, calls = [False], [0]
+        real_check, real_has_edge = builder._check_local_injectivity, Graph.has_edge
+
+        def check(state, face):
+            inside[0] = True
+            try:
+                real_check(state, face)
+            finally:
+                inside[0] = False
+
+        def has_edge(graph, u, v):
+            calls[0] += inside[0]
+            return real_has_edge(graph, u, v)
+
+        monkeypatch.setattr(builder, "_check_local_injectivity", check)
+        monkeypatch.setattr(Graph, "has_edge", has_edge)
+        cov = build_cover(patch, h)
+        assert cov.steps > 50 and 0 < calls[0] <= 2 * sum(len(face) for face in cov.face_image)
+
+
 TAMPER_UNDER_O = """
 import sys
 from coverkit import Coloring, HypothesisViolationError, flags_at, generate, i_fundamental_domain, init_cover

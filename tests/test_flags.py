@@ -154,6 +154,19 @@ class TestFundamentalDomain:
             orbit.add(map_flag(iso, flags[0]))
         assert orbit == set(flags)  # single orbit, so |Delta| = 1
 
+    def test_several_orbits_confirmed_by_brute_force(self, squareoct):
+        # the same oracle on the 4.8.8 patch, whose root flags fall into
+        # three orbits at depth 1: each flag's orbit is its images under
+        # every root automorphism of the core, found the slow way
+        from coverkit import Isomorphism
+
+        core = face_core(Host(squareoct), squareoct.root, 1)
+        adj = adjacency_of(core.rooted.graph)
+        autos = [Isomorphism(m, core.root, core.root) for m in brute_rooted_isomorphisms(adj, core.root, adj, core.root)]
+        orbits = {frozenset(map_flag(iso, f) for iso in autos) for f in flags_at(Host(squareoct), squareoct.root)}
+        assert len(orbits) == 3
+        assert orbits == set(flag_orbit_partition(squareoct, 1))
+
     def test_connected_sequence(self, squareoct):
         delta = i_fundamental_domain(squareoct, 1)
         assert len(delta) >= 2  # two face lengths can never merge

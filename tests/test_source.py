@@ -1,4 +1,6 @@
 import ast
+import re
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "coverkit"
@@ -143,3 +145,33 @@ def test_names_traced_by_perfbench_are_defined():
     ]
     if len(tables) != 3 or missing:
         raise AssertionError(f"names traced by perfbench not defined in src/coverkit: {missing or 'tables not found'}")
+
+
+def test_modules_the_tests_import_are_in_the_test_extra():
+    # `pip install .[test]` must bring every third-party module the tests
+    # import, or importorskip skips the tests that need it without a word.
+    # pyproject.toml is read as text: tomllib is not in Python 3.10
+    text = (TESTS.parent / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.partition("[project.optional-dependencies]")[2].split("\n[")[0]
+    listed = re.search(r"^test\s*=\s*\[(.*?)\]", section, re.M | re.S)
+    extra = {
+        re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+        for req in re.findall(r'"([^"]+)"', listed.group(1) if listed else "")
+    }
+    imported = set()
+    for path in sorted(TESTS.glob("**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "importorskip"
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                imported.add(node.args[0].value)
+    third_party = {name.split(".")[0] for name in imported} - set(sys.stdlib_module_names) - {"coverkit", "tests"}
+    missing = sorted(third_party - extra)
+    if not extra or "pytest" not in third_party or missing:
+        raise AssertionError(f"modules imported under tests/ but not in the test extra: {missing or 'none parsed'}")
