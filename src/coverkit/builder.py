@@ -22,7 +22,7 @@ from .flags import (
     Coloring,
     Flag,
     FundamentalDomain,
-    _pull,
+    _colour,
     color,
     color_in_h,
     flags_at,
@@ -75,9 +75,9 @@ def _eligible_faces(c: Coloring) -> frozenset[FaceBoundary]:
 
 def _check_new_flag_colors(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -> None:
     """Colour preservation (invariant 1) on the flags of the new face.
-    Each flag and its image are pulled from their face walks.  A Flag is
-    built only to report a failure: an image edge off the image face, a
-    pull that fails (`color` or `color_in_h` then raises on the Flag), or
+    Each flag and its image are coloured from their face walks, the
+    patch side first, with the errors of `color` and `color_in_h`.  A
+    Flag is built only to report an image edge off the image face, or
     two colours that differ."""
     c, host, vmap = state.coloring, state.host, state.vertex_map
     for y in sorted(face.cycle):
@@ -89,12 +89,8 @@ def _check_new_flag_colors(state: PartialCover, face: FaceBoundary, image: FaceB
             except InputError:
                 Flag(x, _image(state, e), image)  # raises: its edge is not on its face
                 raise
-            cg = _pull(c, c.g, y, face.cycle_from(y, z))
-            if cg is None:
-                cg = color(c, Flag(y, e, face))
-            ch = _pull(c, host, x, walk_h)
-            if ch is None:
-                ch = color_in_h(c, host, Flag(x, _image(state, e), image))
+            cg = _colour(c, c.g, y, face.cycle_from(y, z), True)
+            ch = _colour(c, host, x, walk_h, False)
             if cg != ch:
                 raise HypothesisViolationError(
                     f"step {len(state.log)}: colour of {Flag(y, e, face)} is {cg} but its image has {ch}; "

@@ -261,30 +261,35 @@ class Coloring:
         return self.g if h is self.patch else Host(h, self.patch.l_max)
 
 
-def _to_root(c: Coloring, host: Host, x: int, walk: tuple[int, ...]) -> tuple[int, ...] | None:
-    """A face walk from x carried to the root through a root-preserving
-    isomorphism of depth-n cores, or None when the core at x has none.
-    The carried walk starts at the root, so it is the walk of a root
-    flag, a key of the palette, exactly when the face it lists is a patch
-    face.  A flag is fixed by its walk, so distinct root flags have
-    distinct keys, and the key found is that of the root flag onto which
-    the isomorphism carries the flag that the walk fixes."""
+def _colour(c: Coloring, host: Host, x: int, walk: tuple[int, ...], patch_side: bool) -> int:
+    """The colour of the flag that a face walk from x fixes: the walk
+    carried to the root through a root-preserving isomorphism of depth-n
+    cores, looked up in the palette.  The carried walk starts at the
+    root, so it is the walk of a root flag, a key of the palette, exactly
+    when the face it lists is a patch face.  A flag is fixed by its walk,
+    so distinct root flags have distinct keys, and the key found is that
+    of the root flag onto which the isomorphism carries the flag that the
+    walk fixes.  No isomorphism, or a carried walk that is no key, is a
+    DefectError on the patch side and a HypothesisViolationError on the
+    target side."""
     key = (host, x)
     iso = c._isos.get(key)
     if iso is None:
         target = c.root_core if key == (c.g, c.patch.root) else face_core(host, x, c.n)
         found = rooted_isomorphisms(target.rooted, c.root_core.rooted, limit=1, prepared=c._root_side)
         if not found:
-            return None
+            if patch_side:
+                raise DefectError(f"patch not vertex-transitive at {x}: no depth-{c.n} isomorphism")
+            raise HypothesisViolationError(f"h is not {c.n}-locally-G at {x}")
         iso = c._isos[key] = found[0].mapping
-    return tuple(map(iso.__getitem__, walk))
-
-
-def _pull(c: Coloring, host: Host, x: int, walk: tuple[int, ...]) -> int | None:
-    """The colour of the flag that a face walk from x fixes, or None
-    where `color` and `color_in_h` raise on that flag."""
-    root_walk = _to_root(c, host, x, walk)
-    return None if root_walk is None else c._palette.get(root_walk)
+    k = c._palette.get(tuple(map(iso.__getitem__, walk)))
+    if k is None:
+        if patch_side:
+            raise DefectError(f"image of {FaceBoundary(walk)} at the root is not a face")
+        raise HypothesisViolationError(
+            f"face {FaceBoundary(walk)} at {x} does not pull back to a face at the root"
+        )
+    return k
 
 
 def color(c: Coloring, f: Flag) -> int:
@@ -292,12 +297,7 @@ def color(c: Coloring, f: Flag) -> int:
     through any root-preserving isomorphism of depth-n cores.
     Independent of the choice of isomorphism (tested, not assumed), so a
     root flag is pulled through a root automorphism like any other."""
-    walk = _to_root(c, c.g, f.vertex, _walk(f))
-    if walk is None:
-        raise DefectError(f"patch not vertex-transitive at {f.vertex}: no depth-{c.n} isomorphism")
-    if (k := c._palette.get(walk)) is None:
-        raise DefectError(f"image of {f.face} at the root is not a face")
-    return k
+    return _colour(c, c.g, f.vertex, _walk(f), True)
 
 
 def color_in_h(c: Coloring, host: Host, flag_h: Flag) -> int:
@@ -305,15 +305,7 @@ def color_in_h(c: Coloring, host: Host, flag_h: Flag) -> int:
     through any isomorphism of depth-n cores (the compositions coincide
     for every choice, which is tested, not assumed).  It differs from
     `color` only in the errors it raises."""
-    x = flag_h.vertex
-    walk = _to_root(c, host, x, _walk(flag_h))
-    if walk is None:
-        raise HypothesisViolationError(f"h is not {c.n}-locally-G at {x}")
-    if (k := c._palette.get(walk)) is None:
-        raise HypothesisViolationError(
-            f"face {flag_h.face} at {x} does not pull back to a face at the root"
-        )
-    return k
+    return _colour(c, host, flag_h.vertex, _walk(flag_h), False)
 
 
 # ---------------------------------------------------------------------------

@@ -149,12 +149,11 @@ class Host:
     plain graph host infers face-boundaries with cycle length bound l_max
     and has no margin; it answers each face query on its own graph,
     with the D_2 ball as a vertex set, and builds no graph of the ball.
-    A host keeps four memos, so no host ever serves another graph's
+    A host keeps three memos, so no host ever serves another graph's
     faces; a new Host starts empty: the faces at each
     vertex; the chordless cycles through each vertex, each with its
     verdict, from which both the chain cycles and the inferred faces
-    are read; the chain cycles through each vertex that was asked for
-    them; and each cycle's verdict in the whole graph, kept with the
+    are read; and each cycle's verdict in the whole graph, kept with the
     first object found for the cycle, so that a cycle met from several
     vertices is one object and sets of cycles match by identity.  A
     verdict looks only near its cycle (`graph.local_parts`) and adds the
@@ -172,7 +171,6 @@ class Host:
         self.source = source
         self._faces: dict[int, tuple[FaceBoundary, ...]] = {}
         self._cycles: dict[int, tuple[tuple[FaceBoundary, bool], ...]] = {}
-        self._chains: dict[int, tuple[FaceBoundary, ...]] = {}
         self._verdicts: dict[FaceBoundary, tuple[FaceBoundary, bool]] = {}
         if isinstance(source, PlanePatch):
             self.graph, self.l_max = source.graph, source.l_max
@@ -211,10 +209,7 @@ class Host:
         the links of D-ball chains.  On a patch host x must have complete
         surroundings to radius 2 (PatchTooSmallError otherwise)."""
         self.require_complete(x, 2)
-        chains = self._chains.get(x)
-        if chains is None:
-            chains = self._chains[x] = tuple(c for c, ok in self._cycles_at(x) if ok)
-        return chains
+        return tuple(c for c, ok in self._cycles_at(x) if ok)
 
     @cached_property
     def _components(self) -> int:

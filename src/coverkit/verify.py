@@ -67,25 +67,15 @@ def check_cover(cover: CoverMap, margin: int = 1) -> VerificationReport:
     return report
 
 
-def _flag_image(cover: CoverMap, fl: Flag) -> Flag:
-    b = cover.face_image[fl.face]
-    vmap = cover.vertex_map
-    return Flag(vmap[fl.vertex], edge_key(vmap[fl.edge[0]], vmap[fl.edge[1]]), b)
-
-
-def _flag_preimage_at(cover: CoverMap, v: int, target: Flag) -> Flag:
-    """The unique flag at v mapping onto `target` under the cover."""
-    hits = []
+def _flags_by_image(cover: CoverMap, v: int) -> dict[Flag, list[Flag]]:
+    """The flags at v, grouped by their images under the cover."""
+    vmap, hv = cover.vertex_map, cover.vertex_map[v]
+    by_image: dict[Flag, list[Flag]] = {}
     for face in cover.patch.faces_at(v):
+        b = cover.face_image[face]
         for e in face.edges_at(v):
-            fl = Flag(v, e, face)
-            if _flag_image(cover, fl) == target:
-                hits.append(fl)
-    if len(hits) != 1:
-        raise CoverKitError(
-            f"flag {target} has {len(hits)} preimages at {v}; not a cover"
-        )
-    return hits[0]
+            by_image.setdefault(Flag(hv, edge_key(vmap[e[0]], vmap[e[1]]), b), []).append(Flag(v, e, face))
+    return by_image
 
 
 def _sample_fiber_pairs(
@@ -157,9 +147,13 @@ def check_normality(
             for e in b.edges_at(hv)
         ]
         alpha = None
+        by_v, by_w = _flags_by_image(cover, v), _flags_by_image(cover, w)
         for tf in sorted(target_flags):
-            f_v = _flag_preimage_at(cover, v, tf)
-            f_w = _flag_preimage_at(cover, w, tf)
+            hits = by_v.get(tf, []), by_w.get(tf, [])
+            for u, found in zip((v, w), hits):
+                if len(found) != 1:
+                    raise CoverKitError(f"flag {tf} has {len(found)} preimages at {u}; not a cover")
+            [f_v], [f_w] = hits
             cv = color(c, f_v)
             cw = color(c, f_w)
             ch = color_in_h(c, host, tf)

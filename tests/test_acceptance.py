@@ -35,7 +35,7 @@ from coverkit import (
     stabilize_n,
     trace_faces,
 )
-from coverkit.verify import _flag_preimage_at, _sample_fiber_pairs
+from coverkit.verify import _flags_by_image, _sample_fiber_pairs
 
 from .oracles import adjacency_of, assert_unique_extension, map_flag, peripheral_cycles_oracle
 
@@ -68,8 +68,7 @@ def test_criterion_1_euclidean_end_to_end():
             for b in face_boundaries_at(torus.graph, hv, 4)
             for e in b.edges_at(hv)
         )[0]
-        f_v = _flag_preimage_at(cover, v, tf)
-        f_w = _flag_preimage_at(cover, w, tf)
+        [f_v], [f_w] = _flags_by_image(cover, v)[tf], _flags_by_image(cover, w)[tf]
         alpha = extend_iso(c, c.g, f_v, f_w, 2)
         dx, dy = coords[w][0] - coords[v][0], coords[w][1] - coords[v][1]
         assert dx % 5 == 0 and dy % 7 == 0

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -29,7 +30,7 @@ from coverkit import (
     stabilize_n,
 )
 import coverkit.local as local
-from coverkit.flags import _flag_cycle, _prescription, _pull
+from coverkit.flags import _colour, _flag_cycle, _prescription
 from coverkit.graph import edge_key
 from coverkit.local import host_faces_at
 
@@ -350,10 +351,14 @@ class TestWalkPull:
         assert total >= 2000
 
     def test_builder_walks_pull_the_flag_colours(self, patch44_r10, patch37_r5, squareoct, torus57, klein66):
-        # the builder pulls each flag from its face walk, listed from the
-        # vertex towards the edge's other end; that pull, on a colouring
-        # of its own, gives the flag's colour at every vertex of each
-        # target, and fails exactly where color or color_in_h raises
+        # the builder colours each flag from its face walk, listed from the
+        # vertex towards the edge's other end; on a colouring of its own,
+        # that gives the flag's colour at every vertex of each target, or
+        # raises the class and message that color (patch side) or
+        # color_in_h (target side) raises on the Flag.  A fifth case, the
+        # 4.8.8 patch with a merged 14-gon as its own target, and a walk
+        # round the two faces at each edge, which lists no face, make
+        # every one of their four errors occur
         from coverkit import CoverKitError
 
         from .test_builder import squareoct_torus
@@ -362,29 +367,46 @@ class TestWalkPull:
             try:
                 return pull()
             except CoverKitError as exc:
-                return type(exc)
+                return type(exc), str(exc)
 
+        def walks_at(host, x):
+            faces = host_faces_at(host, x)
+            walks = [f.cycle_from(x, z) for f in faces for e in f.edges_at(x) for z in e if z != x]
+            for u in host.graph.neighbors(x):
+                f1, f2 = (f for f in faces if edge_key(x, u) in f.edges)
+                merged = f2.cycle_from(u, x)[1:] + f1.cycle_from(x, u)[1:]
+                if len(set(merged)) == len(merged):
+                    walks.append(merged)
+            return walks
+
+        damaged, _ = build_squareoct_patch(6, drop_link=(2, 0))
         cases = [(patch44_r10, torus57.graph), (patch44_r10, klein66.graph)]
-        cases += [(squareoct, squareoct_torus(4, 4)), (patch37_r5, patch37_r5)]
-        pulled = 0
+        cases += [(squareoct, squareoct_torus(4, 4)), (patch37_r5, patch37_r5), (damaged, damaged)]
+        pulled, raised = 0, Counter()
         for patch, h in cases:
-            n = stabilize_n(patch, 2, 2)
+            n = stabilize_n(patch, 1, 1) if patch is damaged else stabilize_n(patch, 2, 2)
             delta = i_fundamental_domain(patch, n)
             walks, flags = Coloring(patch, delta), Coloring(patch, delta)
             host, flag_host = walks.host_for(h), flags.host_for(h)
+            sides = [(False, lambda f: color_in_h(flags, flag_host, f))]
             if h is patch:
-                vertices, by_flag = [v for v in patch.graph.vertices if patch.is_interior(v)], color
+                vertices = [v for v in patch.graph.vertices if patch.is_interior(v)]
+                sides.append((True, lambda f: color(flags, f)))
             else:
-                vertices, by_flag = h.vertices, lambda c, f: color_in_h(c, flag_host, f)
+                vertices = h.vertices
             for x in vertices:
-                for face in host_faces_at(host, x):
-                    for e in face.edges_at(x):
-                        z = e[1] if e[0] == x else e[0]
-                        got = outcome(lambda: _pull(walks, host, x, face.cycle_from(x, z)))
-                        want = outcome(lambda: by_flag(flags, Flag(x, e, face)))
-                        assert got == want or (got is None and want in (DefectError, HypothesisViolationError))
-                        pulled += want is not PatchTooSmallError
+                for walk in walks_at(host, x):
+                    for patch_side, by_flag in sides:
+                        got = outcome(lambda: _colour(walks, host, x, walk, patch_side))
+                        want = outcome(lambda: by_flag(Flag(x, edge_key(x, walk[1]), FaceBoundary(walk))))
+                        assert got == want, (x, walk, patch_side)
+                        if isinstance(want, tuple):
+                            raised[want[0], "face" in want[1]] += 1
+                        else:
+                            pulled += 1
         assert pulled >= 2000
+        errors = {(cls, names_face) for cls in (DefectError, HypothesisViolationError) for names_face in (False, True)}
+        assert set(raised) == errors, raised
 
     def test_pull_searches_equal_the_joint_reference(self, patch44_r10, patch37_r5, patch63_r10, squareoct, torus57, klein66):
         # the core of every vertex that can host one, searched against the

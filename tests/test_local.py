@@ -508,13 +508,15 @@ class TestFacesFromTheHostsCycles:
 
     def test_chain_cycles_kept_per_vertex(self, patch44_r6):
         # a D-ball asks for the chain cycles of each frontier vertex, often
-        # again and again: the host hands back the one tuple it kept, and a
-        # patch host still refuses a margin vertex on every call
+        # again and again: each call reads them off the cycles the host kept
+        # for the vertex, as the same cycle objects, and a patch host still
+        # refuses a margin vertex on every call
         g = make_quotient(QuotientSpec("torus", 9, 9)).graph
         host = Host(g, 4)
         for v in g.vertices:
-            assert host.chain_cycles(v) is host.chain_cycles(v)
-            assert host.chain_cycles(v) == tuple(c for c, ok in host._cycles_at(v) if ok)
+            first, again = host.chain_cycles(v), host.chain_cycles(v)
+            assert first == again and all(a is b for a, b in zip(first, again))
+            assert first == tuple(c for c, ok in host._cycles_at(v) if ok)
         patch = Host(patch44_r6)
         margin = next(v for v in patch44_r6.graph.vertices if patch44_r6.complete_radius[v] < 2)
         for _ in range(2):

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -10,7 +12,11 @@ import coverkit.builder as builder
 import coverkit.local as local
 from coverkit import (
     Coloring,
+    CoverKitError,
+    Flag,
+    Host,
     InputError,
+    QuotientSpec,
     build_cover,
     check_cover,
     check_normality,
@@ -18,8 +24,11 @@ from coverkit import (
     closed_form_projection,
     deck_generators,
     extend_iso,
+    generate,
+    make_quotient,
     square_lattice_coordinates,
 )
+from coverkit.verify import _sample_fiber_pairs
 
 
 @pytest.fixture(scope="module")
@@ -79,13 +88,12 @@ class TestCheckNormality:
         patch = torus_cover.patch
         coords = square_lattice_coordinates(patch)
         where = {c: v for v, c in coords.items()}
-        from coverkit.verify import _flag_preimage_at, _sample_fiber_pairs
-        import random
+        from coverkit.verify import _flags_by_image
 
         c = Coloring(patch, torus_cover.delta)
         pairs = _sample_fiber_pairs(torus_cover, c.g, 20, random.Random(0), False)
         assert len(pairs) == 20
-        from coverkit import Flag, face_boundaries_at
+        from coverkit import face_boundaries_at
 
         for v, w in pairs:
             hv = torus_cover.vertex_map[v]
@@ -94,8 +102,7 @@ class TestCheckNormality:
                 for b in face_boundaries_at(torus57.graph, hv, 4)
                 for e in b.edges_at(hv)
             )[0]
-            f_v = _flag_preimage_at(torus_cover, v, tf)
-            f_w = _flag_preimage_at(torus_cover, w, tf)
+            [f_v], [f_w] = _flags_by_image(torus_cover, v)[tf], _flags_by_image(torus_cover, w)[tf]
             alpha = extend_iso(c, c.g, f_v, f_w, 2)
             dx = coords[w][0] - coords[v][0]
             dy = coords[w][1] - coords[v][1]
@@ -116,6 +123,66 @@ class TestCheckNormality:
         rep = check_normality(cov, exhaustive=True)
         assert rep.ok
         assert rep.checks[0].info["pairs"] > 50
+
+    def test_flags_built_once_per_pair(self, monkeypatch):
+        # the flags at both vertices of a pair are grouped by their images
+        # once, not searched again for each target flag
+        cover = build_cover(generate(4, 4, 16), make_quotient(QuotientSpec("torus", 9, 9)).graph)
+        built = []
+        real = Flag.__post_init__
+
+        def counting(flag):
+            built.append(flag)
+            real(flag)
+
+        monkeypatch.setattr(Flag, "__post_init__", counting)
+        assert check_normality(cover, samples=20).ok
+        assert len(built) <= 1000
+
+
+def _fold_two_faces(cover, x):
+    """A copy of the cover in which two faces at x share one image: the
+    third neighbour of x in rotation takes the first one's image, and the
+    two faces at it take the images of the faces beside them, so every
+    flag at x still has an image flag, but no flag at the image of x has
+    exactly one preimage."""
+    vmap, images = dict(cover.vertex_map), dict(cover.face_image)
+    u0, u1, u2, u3 = cover.patch.rotation[x]
+    face = lambda a, b: cover.patch.corner_face(x, a, b)
+    vmap[u2] = vmap[u0]
+    images[face(u1, u2)] = images[face(u0, u1)]
+    images[face(u2, u3)] = images[face(u3, u0)]
+    return dataclasses.replace(cover, vertex_map=vmap, face_image=images)
+
+
+class TestNormalityOnBrokenCovers:
+    """check_normality refuses a map whose flags at a sampled vertex do
+    not correspond one to one with the flags at its image; each target
+    flag is matched at the pair's first vertex, then at its second."""
+
+    @pytest.mark.parametrize("folded", [(0,), (0, 75)])
+    def test_the_first_vertex_fails_first(self, torus_cover, folded):
+        # the first target flag has 2 preimages at 0; where 75 is folded
+        # too, it has none there, but 0 is matched first
+        assert _sample_fiber_pairs(torus_cover, Host(torus_cover.patch), 1, random.Random(0), False) == [(0, 75)]
+        broken = torus_cover
+        for x in folded:
+            broken = _fold_two_faces(broken, x)
+        with pytest.raises(CoverKitError) as err:
+            check_normality(broken, samples=1)
+        assert type(err.value) is CoverKitError
+        assert str(err.value) == (
+            "flag Flag(vertex=0, edge=(0, 1), face=FaceBoundary(0, 1, 8, 7)) has 2 preimages at 0; not a cover"
+        )
+
+    def test_a_target_flag_can_fail_at_the_second_vertex(self, torus_cover):
+        # the first target flag has its one preimage at 0, and none at 75
+        with pytest.raises(CoverKitError) as err:
+            check_normality(_fold_two_faces(torus_cover, 75), samples=1)
+        assert type(err.value) is CoverKitError
+        assert str(err.value) == (
+            "flag Flag(vertex=0, edge=(0, 1), face=FaceBoundary(0, 1, 8, 7)) has 0 preimages at 75; not a cover"
+        )
 
 
 class TestCheckUniqueness:
