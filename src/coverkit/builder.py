@@ -15,9 +15,8 @@ for every mapped edge.  The run stops when no eligible face remains
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .errors import HypothesisViolationError, InputError, PatchTooSmallError
+from .errors import HypothesisViolationError, InputError
 from .flags import (
     Coloring,
     Flag,
@@ -30,7 +29,7 @@ from .flags import (
     stabilize_n,
 )
 from .graph import Graph, edge_key
-from .local import Host, dk_ball, host_faces_at
+from .local import Host, host_faces_at
 from .tessellation import FaceBoundary, PlanePatch, enumeration_key
 
 Edge = tuple[int, int]
@@ -47,30 +46,11 @@ class PartialCover:
     pending: dict[FaceBoundary, None]  # eligible faces not yet absorbed, in enumeration order
     face_image: dict[FaceBoundary, FaceBoundary]
     domain_edges_at: dict[int, dict[Edge, Edge]]  # each processed edge at a vertex, to its fixed image
-    eligible: frozenset[FaceBoundary]
     log: list[dict] = field(default_factory=list)  # one entry per step after the seed
 
 
 def _image(state: PartialCover, e: Edge) -> Edge:
     return edge_key(state.vertex_map[e[0]], state.vertex_map[e[1]])
-
-
-def _eligible_faces(c: Coloring) -> frozenset[FaceBoundary]:
-    """Faces all of whose vertices can host depth-n colour computations:
-    complete_radius at least the D_n ball radius guarantees every chain
-    vertex of the depth-n core is interior.  They are read off the faces
-    at the vertices that qualify, not from a pass over every face.  A
-    patch with no such face is too small to start a cover at all."""
-    patch = c.patch
-    need = max(dk_ball(c.g, patch.root, c.n).radius, 2)
-    deep = {v for v, r in patch.complete_radius.items() if r >= need}
-    eligible = frozenset(f for v in deep for f in patch.faces_at(v) if deep.issuperset(f.cycle))
-    if not eligible:
-        raise PatchTooSmallError(
-            f"patch too small: no face has complete_radius >= {need} at all its "
-            f"vertices; increase radius"
-        )
-    return eligible
 
 
 def _check_new_flag_colors(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -> None:
@@ -125,25 +105,18 @@ def _check_local_injectivity(state: PartialCover, face: FaceBoundary) -> None:
 
 def init_cover(c: Coloring, host: Host, f: Flag, flag_h: Flag, tie_break: int = 0) -> PartialCover:
     """Map the seed face onto the target face in the orientation fixed by
-    the flag pair and absorb it like any later face.  The eligible faces
-    wait in face enumeration `tie_break` order."""
-    return _start(c, host, f, flag_h, _eligible_faces(c), tie_break)
-
-
-def _start(
-    c: Coloring, host: Host, f: Flag, flag_h: Flag, eligible: frozenset[FaceBoundary], tie_break: int
-) -> PartialCover:
-    """init_cover with the eligible faces of c found beforehand; only
-    they are sorted into the ledger."""
+    the flag pair and absorb it like any later face.  Only the eligible
+    faces of c wait in the ledger, in face enumeration `tie_break` order;
+    they are found before the seed is checked, so a patch too small for
+    any is reported first."""
     state = PartialCover(
         coloring=c,
         host=host,
         vertex_map={},
         frontier=set(),
-        pending=dict.fromkeys(sorted(eligible, key=enumeration_key(c.patch, tie_break))),
+        pending=dict.fromkeys(sorted(c.eligible, key=enumeration_key(c.patch, tie_break))),
         face_image={},
         domain_edges_at={},
-        eligible=eligible,
     )
     face, image = f.face, flag_h.face
     if face not in c.patch.face_set or image not in host_faces_at(host, flag_h.vertex):
@@ -154,7 +127,7 @@ def _start(
         raise InputError(f"seed flags have different colours ({cg} vs {ch})")
     if len(face) != len(image):
         raise InputError("seed faces have different lengths")
-    if face not in state.eligible:
+    if face not in c.eligible:
         raise InputError("seed face is too close to the patch margin")
     seq_g = face.cycle_from(f.vertex, f.other_end)
     seq_h = image.cycle_from(flag_h.vertex, flag_h.other_end)
@@ -344,10 +317,11 @@ class CoverRun:
     the stabilisation level n, the palette, the colouring context, the
     target host with its chain cycles filled, and the seed flags (a
     missing one is the least flag of the given one's colour; neither
-    given is the default seed).  Each `build` runs one face enumeration
-    from this state; builds share the eligible faces, found on the first
-    build, and the memoised faces and isomorphisms, which are
-    deterministic functions of the inputs."""
+    given is the default seed).  Each `build` starts through `init_cover`
+    and runs one face enumeration from this state; builds share the
+    colouring's eligible faces, found on the first build, and the
+    memoised faces and isomorphisms, which are deterministic functions of
+    the inputs."""
 
     def __init__(
         self,
@@ -376,17 +350,13 @@ class CoverRun:
             flag_h = dfh if flag_h is None else flag_h
         self.seed = (f, flag_h)
 
-    @cached_property
-    def eligible(self) -> frozenset[FaceBoundary]:
-        return _eligible_faces(self.coloring)
-
     def build(self, tie_break: int = 0) -> CoverMap:
         """Drive init/select/match/extend under face enumeration `tie_break`
         until the patch is exhausted.  The map comes with its step log;
         surjectivity onto the target is reported, not required.  Any
         invariant failure raises HypothesisViolationError with the step."""
         c, host = self.coloring, self.host
-        state = _start(c, host, *self.seed, self.eligible, tie_break)
+        state = init_cover(c, host, *self.seed, tie_break)
         while True:
             face = select_next_face(state)
             if face is None:
@@ -402,7 +372,7 @@ class CoverRun:
             seed=self.seed,
             delta=c.delta,
             face_image=dict(state.face_image),
-            eligible=state.eligible,
+            eligible=c.eligible,
             steps=len(state.log),
             surjective=surjective,
             log=state.log,

@@ -36,7 +36,10 @@ def _dump(obj: dict) -> str:
 
 
 def _write(path: str, obj: dict) -> None:
-    Path(path).write_text(_dump(obj), encoding="utf-8")
+    try:
+        Path(path).write_text(_dump(obj), encoding="utf-8")
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:

@@ -27,7 +27,16 @@ from functools import cached_property
 
 from .errors import DefectError, HypothesisViolationError, InputError, PatchTooSmallError
 from .graph import Graph, edge_key, json_int
-from .local import FaceCore, Host, Isomorphism, Refinement, face_core, host_faces_at, rooted_isomorphisms
+from .local import (
+    FaceCore,
+    Host,
+    Isomorphism,
+    Refinement,
+    dk_ball,
+    face_core,
+    host_faces_at,
+    rooted_isomorphisms,
+)
 from .tessellation import FaceBoundary, PlanePatch
 
 
@@ -236,7 +245,8 @@ class Coloring:
     level n = delta.level, the patch's own Host `g`, the root's depth-n
     face core, refined once for every pull, and the depth-n core
     isomorphisms onto it found so far, keyed by (host, vertex) so that
-    no two hosts share an entry."""
+    no two hosts share an entry.  The faces eligible for a cover, those
+    deep enough for depth-n colours, are found once, when first read."""
 
     def __init__(self, patch: PlanePatch, delta: FundamentalDomain):
         self.patch = patch
@@ -253,6 +263,24 @@ class Coloring:
     @cached_property
     def _root_side(self) -> Refinement:
         return Refinement(self.root_core.rooted)
+
+    @cached_property
+    def eligible(self) -> frozenset[FaceBoundary]:
+        """Faces all of whose vertices can host depth-n colour computations:
+        complete_radius at least the D_n ball radius guarantees every chain
+        vertex of the depth-n core is interior.  They are read off the faces
+        at the vertices that qualify, not from a pass over every face.  A
+        patch with no such face is too small to start a cover at all."""
+        patch = self.patch
+        need = max(dk_ball(self.g, patch.root, self.n).radius, 2)
+        deep = {v for v, r in patch.complete_radius.items() if r >= need}
+        eligible = frozenset(f for v in deep for f in patch.faces_at(v) if deep.issuperset(f.cycle))
+        if not eligible:
+            raise PatchTooSmallError(
+                f"patch too small: no face has complete_radius >= {need} at all its "
+                f"vertices; increase radius"
+            )
+        return eligible
 
     def host_for(self, h: Graph | PlanePatch) -> Host:
         """The host of a cover target: on a self-cover the patch's own host,

@@ -188,23 +188,16 @@ def check_normality(
     return report
 
 
-def check_uniqueness(
-    patch: PlanePatch,
-    h: Graph | PlanePatch,
-    f: Flag | None = None,
-    flag_h: Flag | None = None,
-    trials: int = 3,
-    i_max: int = 4,
-    guard: int = 2,
-) -> VerificationReport:
-    """Rebuild the cover under `trials` different deterministic face
-    enumerations (tie-break variants) from one prepared run and assert
-    identical vertex maps.  There are three enumerations, so `trials`
-    must be 2 or 3: one trial would compare nothing, yet read as passed,
-    and more would repeat a build, yet count it as a trial."""
+def check_uniqueness(patch: PlanePatch, h: Graph | PlanePatch, trials: int = 3) -> VerificationReport:
+    """Rebuild the cover from the default seed under `trials` different
+    deterministic face enumerations (tie-break variants) from one
+    prepared run and assert identical vertex maps.  There are three
+    enumerations, so `trials` must be 2 or 3: one trial would compare
+    nothing, yet read as passed, and more would repeat a build, yet count
+    it as a trial."""
     if not 2 <= trials <= 3:
         raise InputError(f"trials must be 2 or 3, one per face enumeration, got {trials}")
-    run = CoverRun(patch, h, f=f, flag_h=flag_h, i_max=i_max, guard=guard)
+    run = CoverRun(patch, h)
     report = VerificationReport()
     reference = None
     diff: list = []

@@ -26,7 +26,7 @@ def frontier_oracle():
         out = extend(state, face, image)
         assert_frontier_cycle(state.frontier)
         pending, absorbed = set(state.pending), set(state.face_image)
-        if pending & absorbed or pending | absorbed != state.eligible:
+        if pending & absorbed or pending | absorbed != state.coloring.eligible:
             raise AssertionError("the pending and the absorbed faces do not split the eligible ones")
         return out
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -138,7 +139,7 @@ class TestSelectNextFace:
             x
             for x in enum
             if x not in state.face_image
-            and x in state.eligible
+            and x in state.coloring.eligible
             and x.edges & state.frontier
         ]
         assert face == others[0]
@@ -187,9 +188,10 @@ class TestSelectNextFace:
 
 class TestEligibleLedger:
     """The eligible faces are read off the faces at the vertices deep
-    enough, once per CoverRun, and each build sorts only them: the ledger
-    is the whole face enumeration filtered to the eligible faces, and the
-    eligible set is the filter of every face of the patch."""
+    enough, once per Coloring, and each build, started through
+    init_cover, sorts only them: the ledger is the whole face enumeration
+    filtered to the eligible faces, and the eligible set is the filter of
+    every face of the patch."""
 
     @pytest.fixture(
         scope="class",
@@ -210,12 +212,10 @@ class TestEligibleLedger:
         c = run.coloring
         need = max(dk_ball(c.g, patch.root, n).radius, 2)
         whole = frozenset(x for x in patch.faces if all(patch.complete_radius[v] >= need for v in x))
-        assert run.eligible == whole and len(whole) > 20
+        assert c.eligible == whole and len(whole) > 20
         for t in (0, 1, 2):
             want = [x for x in face_enumeration(patch, t) if x in whole]
-            for state in (init_cover(c, run.host, *run.seed, t), builder._start(c, run.host, *run.seed, run.eligible, t)):
-                assert state.eligible == whole
-                assert list(state.pending) == [x for x in want if x != f.face]
+            assert list(init_cover(c, run.host, *run.seed, t).pending) == [x for x in want if x != f.face]
 
     def test_enumeration_key_has_no_ties(self, patch):
         # the ledger sorts a subset of the faces; with no two keys equal
@@ -225,23 +225,33 @@ class TestEligibleLedger:
             assert len({key(f) for f in patch.faces}) == len(patch.faces)
 
     def test_uniqueness_builds_find_the_eligible_faces_once(self, patch44_r10, torus57, monkeypatch):
+        # every build starts through init_cover, and the builds of one run
+        # share its colouring's eligible faces
         from coverkit import check_uniqueness
 
-        calls = []
-        real = builder._eligible_faces
+        starts, found = [], []
+        start, find = builder.init_cover, Coloring.eligible.func
 
-        def counting(c):
-            calls.append(c)
-            return real(c)
+        def counting_start(c, *args):
+            starts.append(c)
+            return start(c, *args)
 
-        monkeypatch.setattr(builder, "_eligible_faces", counting)
+        def counting_find(c):
+            found.append(c)
+            return find(c)
+
+        eligible = cached_property(counting_find)
+        eligible.__set_name__(Coloring, "eligible")
+        monkeypatch.setattr(builder, "init_cover", counting_start)
+        monkeypatch.setattr(Coloring, "eligible", eligible)
         assert check_uniqueness(patch44_r10, torus57.graph, trials=3).ok
-        assert len(calls) == 1
+        assert len(starts) == 3 and len(found) == 1
         run = CoverRun(patch44_r10, torus57.graph)
-        assert len(calls) == 1  # preparing a run finds none
+        assert len(found) == 1  # preparing a run finds none
         for t in (0, 1, 2, 0):
             run.build(t)
-        assert len(calls) == 2
+        assert len(starts) == 7 and len(found) == 2
+        assert starts[3:] == [run.coloring] * 4 and found[1] is run.coloring
 
 
 def _quotient_target(p, q, radius, kind, m, n):
@@ -562,7 +572,6 @@ def _hand_built(c, face, image, vertex_map):
         pending={},
         face_image={face: image},
         domain_edges_at={},
-        eligible=frozenset({face}),
     )
 
 

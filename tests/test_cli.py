@@ -401,6 +401,27 @@ class TestBadInputs:
         assert json.loads(err)["error"] == "input"
 
 
+class TestUnwritableOutput:
+    # an output path in a missing directory, or one that is a directory,
+    # is the caller's mistake: exit 2 with an input diagnostic, not a
+    # traceback
+    @pytest.mark.parametrize("cmd", ["gen", "instance", "cover"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_input_error_exit_2(self, artifacts, tmp_path, capsys, cmd, where):
+        _, g, t = artifacts
+        out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        argv = {
+            "gen": ["gen", "--p", "4", "--q", "4", "--radius", "3"],
+            "instance": ["instance", "torus", "--m", "5", "--n", "7"],
+            "cover": ["cover", "--g", str(g), "--h", str(t)],
+        }[cmd]
+        code, stdout, err = run([*argv, "-o", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        diag = json.loads(err)
+        assert diag["error"] == "input" and "traceback" not in diag
+        assert diag["message"].startswith(f"cannot write {out}: ")
+
+
 class TestMalformedPatch:
     @pytest.mark.parametrize(
         "field, value",

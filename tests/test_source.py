@@ -71,20 +71,51 @@ def test_graphs_are_validated_only_where_input_enters():
 
 
 def test_no_whole_patch_face_pass_in_the_builder():
-    # the builder finds its eligible faces at the vertices deep enough
-    # and sorts only them; face_enumeration keys and sorts every face of
-    # the patch, and reading a patch's .faces walks them all, at a cost
-    # that grows with the patch rather than with the cover
-    path = SRC / "builder.py"
+    # the Coloring finds the eligible faces at the vertices deep enough
+    # and the builder sorts only them; face_enumeration keys and sorts
+    # every face of the patch, and reading a patch's .faces walks them
+    # all, at a cost that grows with the patch rather than with the cover.
+    # flags.py is scanned in the Coloring class only: extend_iso reads the
+    # faces of a core, not of the patch
+    builder_tree = ast.parse((SRC / "builder.py").read_text(encoding="utf-8"), filename="builder.py")
+    flags_tree = ast.parse((SRC / "flags.py").read_text(encoding="utf-8"), filename="flags.py")
+    scanned = [("builder.py", builder_tree)] + [
+        ("flags.py", node) for node in flags_tree.body if isinstance(node, ast.ClassDef) and node.name == "Coloring"
+    ]
     found = [
-        f"{path.name}:{node.lineno}"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in scanned
+        for node in ast.walk(tree)
         if (isinstance(node, ast.Attribute) and node.attr in ("faces", "face_enumeration"))
         or (isinstance(node, ast.Name) and node.id == "face_enumeration")
         or (isinstance(node, ast.alias) and node.name == "face_enumeration")
     ]
-    if not path.is_file() or found:
-        raise AssertionError(f"whole-patch face passes in builder.py: {found or 'no source found'}")
+    if len(scanned) != 2 or found:
+        raise AssertionError(f"whole-patch face passes in the builder: {found or 'no Coloring class in flags.py'}")
+
+
+def test_the_package_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies, yet the test extra brings
+    # networkx into every CI run, so a stray import in the package would
+    # pass CI and fail on a plain install
+    imported: dict[str, str] = {}
+    for path in sorted(SRC.glob("**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], f"{path.name}:{node.lineno}")
+    found = sorted(
+        f"{where} {name}"
+        for name, where in imported.items()
+        if name not in sys.stdlib_module_names and name != "coverkit"
+    )
+    if "json" not in imported or found:
+        raise AssertionError(f"non-stdlib imports in src/coverkit: {found or 'no sources found'}")
 
 
 def test_property_tests_are_derandomized():
