@@ -58,7 +58,7 @@ class Graph:
         g = cls.__new__(cls)
         g._vertices = tuple(sorted(adj))
         g._adj = {v: tuple(sorted(adj[v])) for v in g._vertices}
-        g._edges = frozenset((u, w) for u, ws in g._adj.items() for w in ws if u < w)
+        g._edges = frozenset({(u, w) for u, ws in g._adj.items() for w in ws if u < w})
         return g
 
     @property

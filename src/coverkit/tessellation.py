@@ -40,6 +40,16 @@ class FaceBoundary:
         self._hash = hash(self.cycle)
         self._edges: frozenset[tuple[int, int]] | None = None
 
+    @classmethod
+    def _trusted(cls, cycle: tuple[int, ...]) -> FaceBoundary:
+        """A face whose caller vouches that `cycle` is a simple cycle of at
+        least three integer vertices.  Nothing is checked."""
+        f = cls.__new__(cls)
+        f.cycle = _canonical_cycle(cycle)
+        f._hash = hash(f.cycle)
+        f._edges = None
+        return f
+
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The cycle's edges, built on first use: a run reads the edges of
@@ -92,6 +102,11 @@ class FaceBoundary:
 
     def __repr__(self) -> str:
         return f"FaceBoundary{self.cycle}"
+
+
+def _face_order(f: FaceBoundary) -> tuple[int, tuple[int, ...]]:
+    """FaceBoundary.__lt__'s order, as a sort key."""
+    return len(f.cycle), f.cycle
 
 
 def _canonical_cycle(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -198,9 +213,9 @@ class PlanePatch:
         self.schlafli = schlafli
         at: dict[int, list[FaceBoundary]] = {v: [] for v in graph.vertices}
         for f in self.faces:
-            for v in f:
+            for v in f.cycle:
                 at[v].append(f)
-        self._faces_at = {v: tuple(sorted(fs)) for v, fs in at.items()}
+        self._faces_at = {v: tuple(sorted(fs, key=_face_order)) for v, fs in at.items()}
         self._dist_from_root = graph.distances_from(root)
 
     # -- basic queries ------------------------------------------------------
@@ -293,34 +308,31 @@ class _PatchBuilder:
         self.q = q
         self.arc: list[list[int]] = []
         self.nfaces: list[int] = []
-        self.face_cycles: list[tuple[int, ...]] = []
+        self.faces: list[FaceBoundary] = []
 
     def new_vertex(self) -> int:
         self.arc.append([])
         self.nfaces.append(0)
         return len(self.arc) - 1
 
-    def remaining(self, v: int) -> int:
-        return self.q - self.nfaces[v]
-
     def add_face_at(self, v: int) -> None:
         """Close the next face in the outer corner at v (after arc_v[-1])."""
-        p = self.p
-        arc = self.arc
-        if self.remaining(v) < 1:
+        p, q, arc, nfaces = self.p, self.q, self.arc, self.nfaces
+        last = q - 1  # a vertex with q - 1 faces is absorbed by the next one
+        if nfaces[v] > last:
             raise DefectError(f"vertex {v} already carries all its faces")
         if not arc[v]:
             path = [v]  # the root's first face
         else:
             back = [arc[v][-1]]
-            while self.remaining(back[-1]) == 1:
+            while nfaces[back[-1]] == last:
                 back.append(arc[back[-1]][-1])
                 if len(back) >= p:
                     raise DefectError(f"backward boundary run at {v} reached length {p}")
             fwd: list[int] = []
-            if self.remaining(v) == 1:
+            if nfaces[v] == last:
                 fwd.append(arc[v][0])
-                while self.remaining(fwd[-1]) == 1:
+                while nfaces[fwd[-1]] == last:
                     fwd.append(arc[fwd[-1]][0])
                     if len(fwd) >= p:
                         raise DefectError(f"forward boundary run at {v} reached length {p}")
@@ -328,14 +340,14 @@ class _PatchBuilder:
         if len(path) > p or len(set(path)) != len(path):
             raise DefectError(f"attaching path {path} is not a simple path of <= {p} vertices")
 
-        chain = [self.new_vertex() for _ in range(p - len(path))]
+        chain = list(range(len(arc), len(arc) + p - len(path)))
         left, right = path[0], path[-1]
         cycle = path + chain
         if chain:
-            nodes = [right] + chain + [left]
+            nodes = [right, *chain, left]
+            arc.extend([nodes[i], nodes[i + 2]] for i in range(len(chain)))
+            nfaces.extend([0] * len(chain))
             arc[right].append(chain[0])
-            for i, m in enumerate(chain):
-                arc[m] = [nodes[i], nodes[i + 2]]
             arc[left].insert(0, chain[-1])
         else:
             if left == right or left in arc[right]:
@@ -344,12 +356,13 @@ class _PatchBuilder:
             arc[left].insert(0, right)
 
         for x in cycle:
-            self.nfaces[x] += 1
-            if self.nfaces[x] > self.q:
-                raise DefectError(f"vertex {x} carries more than {self.q} faces")
-            if len(arc[x]) != (self.q if self.nfaces[x] == self.q else self.nfaces[x] + 1):
-                raise DefectError(f"vertex {x} has {len(arc[x])} edges for {self.nfaces[x]} faces")
-        self.face_cycles.append(tuple(cycle))
+            k = nfaces[x] = nfaces[x] + 1
+            if k > q:
+                raise DefectError(f"vertex {x} carries more than {q} faces")
+            if len(arc[x]) != (q if k == q else k + 1):
+                raise DefectError(f"vertex {x} has {len(arc[x])} edges for {k} faces")
+        # the path is simple and the chain is new, so the cycle is simple
+        self.faces.append(FaceBoundary._trusted(tuple(cycle)))
 
     def complete_vertex(self, v: int) -> None:
         while self.nfaces[v] < self.q:
@@ -364,6 +377,16 @@ class _PatchBuilder:
                 raise DefectError("the outer walk does not close")
             walk.append(self.arc[walk[-1]][0])
         return _canonical_walk(tuple(walk))
+
+    def graph(self) -> Graph:
+        """The patch's graph, read off the arcs without re-validation: the
+        ids are arc positions, and add_face_at admits no loop and no
+        repeated neighbour.  That every edge is in the arcs of both its
+        ends is checked, as a trusted Graph takes the arcs as they are."""
+        arc = self.arc
+        if any(v not in arc[u] for v, a in enumerate(arc) for u in a):
+            raise DefectError("the rotation arcs are not symmetric")
+        return Graph._trusted(dict(enumerate(arc)))
 
     def bfs(self, o: int) -> dict[int, int]:
         dist = {o: 0}
@@ -398,15 +421,14 @@ def generate(p: int, q: int, R: int) -> PlanePatch:
             b.complete_vertex(v)
         dist = b.bfs(o)
 
-    nverts = len(b.arc)
-    edges = [(v, u) for v in range(nverts) for u in b.arc[v] if v < u]
-    graph = Graph(range(nverts), edges)
-    rotation = {v: tuple(b.arc[v]) for v in range(nverts)}
-    faces = [FaceBoundary(c) for c in b.face_cycles]
+    graph = b.graph()
+    nverts = graph.n
+    rotation = {v: tuple(arc) for v, arc in enumerate(b.arc)}
+    faces = b.faces
     if len(set(faces)) != len(faces):
         raise DefectError("generation produced a face twice")
 
-    if nverts - len(edges) + len(faces) + 1 != 2:
+    if nverts - len(graph.edges) + len(faces) + 1 != 2:
         raise DefectError("the patch and its outer region do not close up into a sphere")
     outer = b.outer_walk()
     interior = {v for v in range(nverts) if b.nfaces[v] == q}
@@ -484,7 +506,8 @@ def import_patch(source: dict | str | Path) -> PlanePatch:
     A declared schlafli {p,q} must match the face lengths and interior
     degrees.  A source of another type, an unreadable file, and JSON that
     is not an object raise InputError, as does a malformed field of any
-    kind; a map with no interior face raises PatchTooSmallError.
+    kind, including a vertex key not written as str(v); a map with no
+    interior face raises PatchTooSmallError.
     """
     if isinstance(source, (str, os.PathLike)):
         try:
@@ -500,14 +523,20 @@ def import_patch(source: dict | str | Path) -> PlanePatch:
     if "rotation" not in d:
         raise InputError("patch JSON is missing the rotation system")
     try:
-        rotation = {int(v): tuple(json_int(u, "rotation entry") for u in rot) for v, rot in d["rotation"].items()}
+        rotation = {
+            _vertex_key(v, "rotation"): tuple(json_int(u, "rotation entry") for u in rot)
+            for v, rot in d["rotation"].items()
+        }
         root = json_int(d["root"], "patch root")
         declared_outer = None if d.get("outer") is None else [json_int(v, "outer vertex") for v in d["outer"]]
         declared_faces = (
             {FaceBoundary([json_int(v, "face vertex") for v in c]) for c in d["faces"]} if "faces" in d else None
         )
         declared_crad = (
-            {int(v): json_int(r, "complete_radius value") for v, r in d["complete_radius"].items()}
+            {
+                _vertex_key(v, "complete_radius"): json_int(r, "complete_radius value")
+                for v, r in d["complete_radius"].items()
+            }
             if "complete_radius" in d
             else None
         )
@@ -546,6 +575,16 @@ def import_patch(source: dict | str | Path) -> PlanePatch:
     if declared_crad is not None and declared_crad != crad:
         raise InputError("declared complete_radius disagrees with recomputation")
     return PlanePatch(g, root, rotation, faces, outer, crad, schlafli)
+
+
+def _vertex_key(key, what: str) -> int:
+    """A JSON object key naming a vertex: exactly str(v).  `int()` alone
+    would read "1_0" as 10 and " 3", "+5" or "01" as numbers, and "01"
+    would silently overwrite "1"."""
+    v = int(key)
+    if str(v) != key:
+        raise InputError(f"{what} key {key!r} is not a vertex id")
+    return v
 
 
 def _check_schlafli(

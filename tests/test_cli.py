@@ -423,6 +423,22 @@ class TestUnwritableOutput:
 
 
 class TestMalformedPatch:
+    @pytest.mark.parametrize("cmd", ["check-local", "cover"])
+    @pytest.mark.parametrize("field, key", [("rotation", "1_0"), ("rotation", "01"), ("complete_radius", "+5")])
+    def test_non_canonical_vertex_key_exit_2(self, tmp_path, capsys, cmd, field, key):
+        g, t, bad = tmp_path / "g.json", tmp_path / "t.json", tmp_path / "bad.json"
+        assert main(["gen", "--p", "4", "--q", "4", "--radius", "2", "-o", str(g)]) == 0
+        assert main(["instance", "torus", "--m", "5", "--n", "7", "-o", str(t)]) == 0
+        doc = json.loads(g.read_text())
+        entries, vertex = doc[field], str(int(key))
+        entries[key] = entries[vertex] if key == "01" else entries.pop(vertex)
+        bad.write_text(json.dumps(doc))
+        extra = ["-o", str(tmp_path / "c.json")] if cmd == "cover" else ["--r", "1"]
+        code, stdout, err = run([cmd, "--g", str(bad), "--h", str(t), *extra], capsys)
+        assert code == 2 and stdout == ""
+        diag = json.loads(err)
+        assert diag["error"] == "input" and diag["message"] == f"{field} key '{key}' is not a vertex id"
+
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -1,9 +1,12 @@
-"""Golden digests of the lattice quotients and their closed-form oracles.
+"""Golden digests of the lattice quotients, their closed-form oracles and
+the generated patches.
 
-Each digest is the sha256 of an output recorded before the square and
-hexagonal lattices shared one description; any drift in the instance
-files, the projections, the deck maps or the lattice coordinates shows
-here.  `_digest` keeps dict order, so a reordered map fails too.
+Each quotient digest is the sha256 of an output recorded before the
+square and hexagonal lattices shared one description; any drift in the
+instance files, the projections, the deck maps or the lattice
+coordinates shows here.  `_digest` keeps dict order, so a reordered map
+fails too.  The `gen` digests were recorded before the generator built
+its patch through the trusted constructors.
 """
 
 import hashlib
@@ -60,6 +63,25 @@ def test_instance_file_bytes(case, tmp_path):
     out = tmp_path / "inst.json"
     assert main(["instance", *case.split(), "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == INSTANCE_FILES[case]
+
+
+GEN_FILES = {
+    "--p 3 --q 7 --radius 7":
+        "82718a140f9c3faec77b91fa1b1ddd20121139aa15cf590f89ae41a04b6ab576",
+    "--p 4 --q 4 --radius 16":
+        "6563e0b39d5d2958c59bca445427b52f3f93d45d5425031b0cce9ec30b8f5595",
+    "--p 6 --q 3 --radius 12":
+        "e23195d3782870b28dc9dde447dce69a3b15c9664346949f2db8c9971d96bd19",
+    "--p 4 --q 5 --radius 5":
+        "84bad98cca0e6144064593f963e4b053e448796b739996b64188b35593053c1d",
+}
+
+
+@pytest.mark.parametrize("case", list(GEN_FILES))
+def test_gen_file_bytes(case, tmp_path):
+    out = tmp_path / "patch.json"
+    assert main(["gen", *case.split(), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_FILES[case]
 
 
 SQUARE_SPECS = {  # spec: (projection digest, deck maps digest)

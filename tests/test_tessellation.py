@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from coverkit import (
 from coverkit.graph import RootedBall
 from coverkit.tessellation import _is_simple_walk, _PatchBuilder
 
-from .oracles import brute_canonical_cycle, outer_walk_by_tracing, z2_ball
+from .oracles import brute_canonical_cycle, hub_patch, outer_walk_by_tracing, z2_ball
 
 
 class TestFaceBoundary:
@@ -151,6 +152,55 @@ class TestStructuralChecks:
         with pytest.raises(DefectError, match="already carries all its faces"):
             b.add_face_at(v)
 
+    def test_asymmetric_arc_is_a_defect(self):
+        b = _PatchBuilder(4, 4)
+        v = b.new_vertex()
+        b.complete_vertex(v)
+        assert b.graph().n == len(b.arc)
+        b.arc[v].pop()  # v's last neighbour still lists v
+        with pytest.raises(DefectError, match="^the rotation arcs are not symmetric$"):
+            b.graph()
+
+
+class TestTrustedBuild:
+    """A generated patch is built from trusted parts; the order and the
+    content of what it holds are those of the validating constructors."""
+
+    def test_generate_skips_the_validating_constructors(self, monkeypatch):
+        calls = []
+        for cls in (FaceBoundary, Graph):
+            real = cls.__init__
+
+            def counting(self, *args, _real=real, _name=cls.__name__):
+                calls.append(_name)
+                _real(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        patch = generate(3, 7, 5)
+        assert len(patch.faces) > 500 and calls == []
+
+    @pytest.mark.parametrize("case", ["{3,7} R=4", "{4,5} R=3", "{6,3} R=6", "{4,4} R=6", "hub 12", "4.8.8"])
+    def test_faces_at_is_the_sorted_faces_through_the_vertex(self, case):
+        if case == "hub 12":
+            patch = import_patch(hub_patch(12))
+        elif case == "4.8.8":
+            from .test_flags import build_squareoct_patch
+
+            patch = build_squareoct_patch(3)
+        else:
+            p, q = map(int, case[1:4].split(","))
+            patch = generate(p, q, int(case.split("R=")[1]))
+        for v in patch.graph.vertices:
+            assert patch.faces_at(v) == tuple(sorted(f for f in patch.faces if v in f.cycle)), v
+        if case == "4.8.8":
+            assert {len(f) for f in patch.faces} == {4, 8}
+
+    def test_trusted_face_is_the_validated_one(self):
+        for cycle in [(5, 2, 9), (3, 1, 4, 7), (9, 8, 1, 6, 2)]:
+            f = FaceBoundary._trusted(cycle)
+            g = FaceBoundary(cycle)
+            assert (f.cycle, hash(f), f.edges) == (g.cycle, hash(g), g.edges)
+
 
 class TestTraceFaces:
     def test_c4_bounds_two_faces(self):
@@ -263,6 +313,17 @@ class TestImportExport:
         f.write_text(text, encoding="utf-8")
         with pytest.raises(InputError, match="a patch is a JSON object"):
             import_patch(f)
+
+    @pytest.mark.parametrize("key", ["1_0", " 3", "+5", "01"])
+    @pytest.mark.parametrize("field", ["rotation", "complete_radius"])
+    def test_non_canonical_vertex_key_rejected(self, field, key):
+        # int() reads each key as a vertex; "01" is added next to "1",
+        # which it would silently overwrite
+        doc = generate(4, 4, 2).to_json_dict()
+        entries, vertex = doc[field], str(int(key))
+        entries[key] = entries[vertex] if key == "01" else entries.pop(vertex)
+        with pytest.raises(InputError, match=f"^{re.escape(field)} key {re.escape(repr(key))} is not a vertex id$"):
+            import_patch(doc)
 
     def test_declared_faces_checked(self):
         p = generate(4, 4, 2)
