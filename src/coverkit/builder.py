@@ -260,8 +260,10 @@ def extend_cover(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -
 class CoverMap:
     """The finished map on the processed region, with its provenance.
 
-    `h` is a new Host of the target, so the finished map does not keep
-    the faces and isomorphisms memoised during the run alive."""
+    `h` is the run's Host of the target.  A Host keeps only its source
+    and the source's faces, which are a function of the target alone, so
+    the finished map keeps no isomorphism memoised during the run alive:
+    those stay on the run's Coloring."""
 
     patch: PlanePatch
     h: Host
@@ -367,7 +369,7 @@ class CoverRun:
         surjective = set(state.vertex_map.values()) == set(host.graph.vertices)
         return CoverMap(
             patch=c.patch,
-            h=Host(host.source, c.patch.l_max),
+            h=host,
             vertex_map=dict(state.vertex_map),
             seed=self.seed,
             delta=c.delta,

@@ -284,8 +284,9 @@ class Coloring:
 
     def host_for(self, h: Graph | PlanePatch) -> Host:
         """The host of a cover target: on a self-cover the patch's own host,
-        so both sides share its memoised faces and isomorphisms; a new
-        host otherwise."""
+        so both sides share its memoised isomorphisms; a new host
+        otherwise.  Either way the faces are those every Host of the
+        target shares."""
         return self.g if h is self.patch else Host(h, self.patch.l_max)
 
 

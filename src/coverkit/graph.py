@@ -31,9 +31,12 @@ def json_int(value, what: str) -> int:
 
 
 class Graph:
-    """Immutable simple undirected graph over integer vertex ids."""
+    """Immutable simple undirected graph over integer vertex ids.
 
-    __slots__ = ("_vertices", "_adj", "_edges")
+    `_face_memos` holds what the hosts of the graph learn about its
+    faces, by cycle length bound (`local.Host`)."""
+
+    __slots__ = ("_vertices", "_adj", "_edges", "_face_memos")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Edge]):
         vs = sorted({int(v) for v in vertices})
@@ -50,6 +53,7 @@ class Graph:
         self._vertices: tuple[int, ...] = tuple(vs)
         self._adj: dict[int, tuple[int, ...]] = {v: tuple(sorted(adj[v])) for v in vs}
         self._edges: frozenset[Edge] = frozenset(es)
+        self._face_memos: dict = {}
 
     @classmethod
     def _trusted(cls, adj: dict[int, Iterable[int]]) -> Graph:
@@ -59,6 +63,7 @@ class Graph:
         g._vertices = tuple(sorted(adj))
         g._adj = {v: tuple(sorted(adj[v])) for v in g._vertices}
         g._edges = frozenset({(u, w) for u, ws in g._adj.items() for w in ws if u < w})
+        g._face_memos = {}
         return g
 
     @property

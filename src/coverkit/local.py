@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import InputError, PatchTooSmallError
 from .graph import Graph, RootedBall, ball, component_count, induced_subgraph, local_parts
@@ -111,10 +110,10 @@ def _dk_dist(host: Host, o: int, k: int) -> tuple[int, dict[int, int]]:
 
 def face_boundaries_at(h: Graph, v: int, l_max: int) -> list[FaceBoundary]:
     """The face-boundaries of H at v: peripheral cycles of D_2(v;H) through
-    v, found on a new Host (repeated queries belong on one Host, through
-    host_faces_at).  With peripheral_cycles_through it is the tests'
-    reference for face inference; the package itself infers faces only
-    through a Host."""
+    v, as host_faces_at finds them on a Host of (h, l_max), which shares
+    the faces that every other Host of them has found.  With
+    peripheral_cycles_through it is the tests' reference for face
+    inference; the package itself infers faces only through a Host."""
     return list(host_faces_at(Host(h, l_max), v))
 
 
@@ -149,41 +148,39 @@ class Host:
     plain graph host infers face-boundaries with cycle length bound l_max
     and has no margin; it answers each face query on its own graph,
     with the D_2 ball as a vertex set, and builds no graph of the ball.
-    A host keeps three memos, so no host ever serves another graph's
-    faces; a new Host starts empty: the faces at each
-    vertex; the chordless cycles through each vertex, each with its
-    verdict, from which both the chain cycles and the inferred faces
-    are read; and each cycle's verdict in the whole graph, kept with the
-    first object found for the cycle, so that a cycle met from several
-    vertices is one object and sets of cycles match by identity.  A
-    verdict looks only near its cycle (`graph.local_parts`) and adds the
-    graph's component count, counted once per host on the first verdict
-    (a patch whose BFS from the root reached every vertex needs no
-    count), so its cost does not grow with the graph.  The memos fill
-    lazily: a run touches only the vertices it asks about, which on a
-    large patch host is a small part of the graph; a cover build fills
-    a graph host's chain cycles at once (`fill_chain_cycles`).  Nothing
-    in a Host refers back to it, so a dropped Host is freed at once,
-    without the cyclic garbage collector.
+
+    What a host finds is a function of its source and l_max alone, so
+    it is kept on the source, one _FaceMemo per l_max, shared by every
+    Host of that source and l_max: the Host each public call makes finds
+    the faces earlier calls found.  A memo refers to neither its source
+    nor a Host, so a dropped Host is freed at once and a dropped source
+    frees its memo, both without the cyclic garbage collector.  A patch
+    and its graph keep separate memos, so a patch host and a graph host
+    never serve each other's faces.  The memos fill lazily: a run touches only the vertices it asks
+    about, which on a large patch host is a small part of the graph; a
+    cover build fills a graph host's chain cycles at once
+    (`fill_chain_cycles`).
     """
 
     def __init__(self, source: Graph | PlanePatch, l_max: int | None = None):
         self.source = source
-        self._faces: dict[int, tuple[FaceBoundary, ...]] = {}
-        self._cycles: dict[int, tuple[tuple[FaceBoundary, bool], ...]] = {}
-        self._verdicts: dict[FaceBoundary, tuple[FaceBoundary, bool]] = {}
+        components = None
         if isinstance(source, PlanePatch):
             self.graph, self.l_max = source.graph, source.l_max
             self.require_complete = source.require_complete
             self._find_faces, self._fill_from = _traced_faces, ()
             if len(source._dist_from_root) == source.graph.n:
-                self._components = 1  # the root's BFS reached every vertex
+                components = 1  # the root's BFS reached every vertex
         else:
             if l_max is None:
                 raise InputError("face enumeration on a Graph needs l_max")
             self.graph, self.l_max = source, l_max
             self.require_complete = _no_margin
             self._find_faces, self._fill_from = _inferred_faces, source.vertices
+        memos = source._face_memos
+        self._memo = memos.get(self.l_max)
+        if self._memo is None:
+            self._memo = memos[self.l_max] = _FaceMemo(components)
 
     def _cycles_at(self, x: int) -> tuple[tuple[FaceBoundary, bool], ...]:
         """The chordless cycles through x with at most l_max vertices,
@@ -192,16 +189,19 @@ class Host:
         once.  C is non-separating when H - C
         has at most one component: the parts of H's component around C,
         plus H's other components, which C leaves whole."""
-        cycles = self._cycles.get(x)
+        memo = self._memo
+        cycles = memo.cycles.get(x)
         if cycles is None:
-            g, verdicts = self.graph, self._verdicts
+            g, verdicts = self.graph, memo.verdicts
             found = []
             for c in sorted(_chordless_cycles_through(g, x, self.l_max)):
                 entry = verdicts.get(c)
                 if entry is None:
-                    entry = verdicts[c] = (c, local_parts(g, c.cycle) + self._components - 1 <= 1)
+                    if memo.components is None:
+                        memo.components = component_count(g)
+                    entry = verdicts[c] = (c, local_parts(g, c.cycle) + memo.components - 1 <= 1)
                 found.append(entry)
-            cycles = self._cycles[x] = tuple(found)
+            cycles = memo.cycles[x] = tuple(found)
         return cycles
 
     def chain_cycles(self, x: int) -> tuple[PeripheralCycle, ...]:
@@ -210,10 +210,6 @@ class Host:
         surroundings to radius 2 (PatchTooSmallError otherwise)."""
         self.require_complete(x, 2)
         return tuple(c for c, ok in self._cycles_at(x) if ok)
-
-    @cached_property
-    def _components(self) -> int:
-        return component_count(self.graph)
 
     def fill_chain_cycles(self) -> None:
         """Find the chain cycles of every vertex of a graph host now.  A
@@ -224,6 +220,25 @@ class Host:
         and a run asks for few of its vertices."""
         for x in self._fill_from:
             self._cycles_at(x)
+
+
+class _FaceMemo:
+    """What the hosts of one source learn at one l_max: the faces at
+    each vertex; the chordless cycles through each vertex, each with its
+    verdict, from which both the chain cycles and the inferred faces are
+    read; each cycle's verdict in the whole graph, kept with the first
+    object found for the cycle, so that a cycle met from several
+    vertices is one object and sets of cycles match by identity; and the
+    graph's component count.  A verdict looks only near its cycle
+    (`graph.local_parts`) and adds the component count, counted on the
+    first verdict (a patch whose BFS from the root reached every vertex
+    needs no count), so its cost does not grow with the graph."""
+
+    def __init__(self, components: int | None):
+        self.faces: dict[int, tuple[FaceBoundary, ...]] = {}
+        self.cycles: dict[int, tuple[tuple[FaceBoundary, bool], ...]] = {}
+        self.verdicts: dict[FaceBoundary, tuple[FaceBoundary, bool]] = {}
+        self.components = components
 
 
 def _traced_faces(host: Host, v: int) -> tuple[FaceBoundary, ...]:
@@ -267,9 +282,10 @@ def _no_margin(v: int, radius: int) -> None:
 def host_faces_at(host: Host, v: int) -> tuple[FaceBoundary, ...]:
     """Face-boundaries at v: traced faces on a patch host (v must be
     interior), inferred peripheral cycles on a graph host."""
-    faces = host._faces.get(v)
+    known = host._memo.faces
+    faces = known.get(v)
     if faces is None:
-        faces = host._faces[v] = host._find_faces(host, v)
+        faces = known[v] = host._find_faces(host, v)
     return faces
 
 

@@ -217,6 +217,7 @@ class PlanePatch:
                 at[v].append(f)
         self._faces_at = {v: tuple(sorted(fs, key=_face_order)) for v, fs in at.items()}
         self._dist_from_root = graph.distances_from(root)
+        self._face_memos: dict = {}  # what its hosts learn (local.Host)
 
     # -- basic queries ------------------------------------------------------
 
@@ -388,17 +389,6 @@ class _PatchBuilder:
             raise DefectError("the rotation arcs are not symmetric")
         return Graph._trusted(dict(enumerate(arc)))
 
-    def bfs(self, o: int) -> dict[int, int]:
-        dist = {o: 0}
-        queue = deque([o])
-        while queue:
-            x = queue.popleft()
-            for u in self.arc[x]:
-                if u not in dist:
-                    dist[u] = dist[x] + 1
-                    queue.append(u)
-        return dist
-
 
 def generate(p: int, q: int, R: int) -> PlanePatch:
     """A patch of {p,q} containing the complete ball of radius R at the root.
@@ -415,11 +405,15 @@ def generate(p: int, q: int, R: int) -> PlanePatch:
 
     b = _PatchBuilder(p, q)
     o = b.new_vertex()
-    dist = {o: 0}
-    for layer in range(R + 1):
-        for v in sorted(w for w, d in dist.items() if d == layer):
+    # layer d + 1 is read off layer d: the layers before it are complete,
+    # and a complete vertex gains no edge (add_face_at), so no vertex of
+    # a later layer can come closer to the root
+    layer, seen = [o], {o}
+    for _ in range(R + 1):
+        for v in layer:
             b.complete_vertex(v)
-        dist = b.bfs(o)
+        layer = sorted({u for v in layer for u in b.arc[v]} - seen)
+        seen.update(layer)
 
     graph = b.graph()
     nverts = graph.n

@@ -119,7 +119,9 @@ def check_normality(
     transformation reconstructed from one matched flag pair commutes
     with the cover wherever both sides are defined.  Each reconstructed
     transformation is classified as orientation-preserving or reversing.
-    Colours and faces are computed afresh, not taken from the build.
+    Colours are computed afresh, not taken from the build.  The faces of
+    the target are a function of the target alone, so they are read from
+    what every Host of it has found.
     A sample of fewer than one pair is an input error: it would check
     nothing, yet read as trivial normality.
     """

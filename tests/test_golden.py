@@ -5,8 +5,10 @@ Each quotient digest is the sha256 of an output recorded before the
 square and hexagonal lattices shared one description; any drift in the
 instance files, the projections, the deck maps or the lattice
 coordinates shows here.  `_digest` keeps dict order, so a reordered map
-fails too.  The `gen` digests were recorded before the generator built
-its patch through the trusted constructors.
+fails too.  The first four `gen` digests were recorded before the
+generator built its patch through the trusted constructors, the other
+five before it grew each layer from the one before instead of a BFS
+over the whole patch.
 """
 
 import hashlib
@@ -74,6 +76,16 @@ GEN_FILES = {
         "e23195d3782870b28dc9dde447dce69a3b15c9664346949f2db8c9971d96bd19",
     "--p 4 --q 5 --radius 5":
         "84bad98cca0e6144064593f963e4b053e448796b739996b64188b35593053c1d",
+    "--p 5 --q 4 --radius 4":
+        "3c0e29e97caa1392f49016a56c27d6d6fb2e624a17c1f2289a17d948d1bcb79b",
+    "--p 7 --q 3 --radius 6":
+        "91059525329b75a10d7e0f670b9c4dead6a030fa1f88bc64673e8f3d47e70f0a",
+    "--p 3 --q 8 --radius 4":
+        "8aa4bfd140a8bbdc00911e8514ac042f95cabac183fc82bb97eba67d5a44db7c",
+    "--p 4 --q 4 --radius 1":
+        "db79b62cc045ba3298d3f9f93a68b502ff2a159ee82f7c2973488fe10a825981",
+    "--p 3 --q 7 --radius 1":
+        "d8c45a457b7d768dc38c3d280bb1d7e4b2fbf82a1ff0cf2097bf858b32b62840",
 }
 
 

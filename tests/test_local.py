@@ -15,6 +15,7 @@ from coverkit import (
     QuotientSpec,
     ball,
     build_cover,
+    check_uniqueness,
     dk_ball,
     face_boundaries_at,
     face_core,
@@ -316,7 +317,12 @@ class TestLocalVerdict:
 
 
 class TestFaceInferenceWork:
-    def test_each_cycle_tested_once_per_graph(self, patch44_r10, torus57, monkeypatch):
+    # Each test counts the work on graphs and patches of its own: the
+    # faces found are kept on their source, so a session fixture would
+    # come with the faces that earlier tests found.
+
+    def test_each_cycle_tested_once_per_graph(self, monkeypatch):
+        patch, torus = generate(4, 4, 10), make_quotient(QuotientSpec("torus", 5, 7)).graph
         tested: Counter = Counter()
         graphs = []  # keeps every tested graph alive, so its id stays unique
         real = local.local_parts
@@ -327,7 +333,7 @@ class TestFaceInferenceWork:
             return real(g, removed, within=within)
 
         monkeypatch.setattr(local, "local_parts", counting)
-        build_cover(patch44_r10, torus57.graph)
+        build_cover(patch, torus)
         assert max(tested.values()) == 1
         # 179 tests on the patch, the torus and the torus confined to its
         # 35 D_2 balls; 1,404 when every D-ball chain retested its cycles
@@ -339,7 +345,6 @@ class TestFaceInferenceWork:
         # a Klein bottle; how many chain vertices surround it depends on
         # where it lies, so only a filled target host makes the work the
         # same for every labelling (468, 466 and 462 tests when lazy)
-        patch = generate(4, 4, 8)
         klein = make_quotient(QuotientSpec("klein", 12, 12)).graph
         calls = [0]
         real = local.local_parts
@@ -354,7 +359,7 @@ class TestFaceInferenceWork:
             perm = list(klein.vertices)
             random.Random(seed).shuffle(perm)
             calls[0] = 0
-            build_cover(patch, Graph(klein.vertices, [(perm[u], perm[v]) for u, v in klein.edges]))
+            build_cover(generate(4, 4, 8), Graph(klein.vertices, [(perm[u], perm[v]) for u, v in klein.edges]))
             counts.add(calls[0])
         assert len(counts) == 1
 
@@ -396,6 +401,114 @@ class TestFaceInferenceWork:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def _counting_face_work(monkeypatch) -> Counter:
+    """Count the chordless-cycle searches, separation tests and inferred
+    face queries that hosts make from now on."""
+    calls: Counter = Counter()
+    for name in ("_chordless_cycles_through", "local_parts", "_inferred_faces"):
+
+        def counting(*args, _real=getattr(local, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(local, name, counting)
+    return calls
+
+
+class TestSharedFaceMemo:
+    """Every Host of one source and l_max shares what any of them has
+    found, through a memo kept on the source itself."""
+
+    def test_two_hosts_of_a_graph_share_their_faces(self, monkeypatch):
+        g = make_quotient(QuotientSpec("torus", 6, 6)).graph
+        first = Host(g, 4)
+        faces = [host_faces_at(first, v) for v in g.vertices]
+        chains = [first.chain_cycles(v) for v in g.vertices]
+        calls = _counting_face_work(monkeypatch)
+        second = Host(g, 4)
+        for v in g.vertices:
+            assert host_faces_at(second, v) is faces[v]
+            assert second.chain_cycles(v) == chains[v]
+        dk_ball(second, 0, 3)
+        assert face_boundaries_at(g, 5, 4) == list(faces[5])
+        assert calls == {}
+
+    def test_two_hosts_of_a_patch_share_their_cycles(self, monkeypatch):
+        patch = generate(3, 7, 4)
+        interior = [v for v in patch.graph.vertices if patch.complete_radius[v] >= 2]
+        chains = [Host(patch).chain_cycles(v) for v in interior]
+        calls = _counting_face_work(monkeypatch)
+        assert [Host(patch).chain_cycles(v) for v in interior] == chains
+        assert calls == {}
+
+    def test_another_l_max_shares_nothing(self, monkeypatch):
+        g = make_quotient(QuotientSpec("torus", 6, 6)).graph
+        short = Host(g, 4)
+        for v in g.vertices:
+            host_faces_at(short, v)
+        calls = _counting_face_work(monkeypatch)
+        long = Host(g, 6)
+        assert long._memo is not short._memo
+        for v in g.vertices:
+            host_faces_at(long, v)
+        assert calls["_chordless_cycles_through"] == calls["_inferred_faces"] == g.n
+
+    def test_a_patch_host_and_a_graph_host_keep_apart(self, monkeypatch):
+        # each way round, the second host does its own work
+        patch = generate(4, 4, 6)
+        g, margin = patch.graph, patch.outer[0]
+        interior = [v for v in g.vertices if patch.complete_radius[v] >= 2]
+        on_graph = Host(g, patch.l_max)
+        assert host_faces_at(on_graph, margin)  # the graph has faces at a margin vertex
+        for v in interior:
+            host_faces_at(on_graph, v)
+        on_patch = Host(patch)
+        with pytest.raises(PatchTooSmallError):
+            host_faces_at(on_patch, margin)
+        calls = _counting_face_work(monkeypatch)
+        for v in interior:
+            on_patch.chain_cycles(v)
+        assert calls["_chordless_cycles_through"] == len(interior)
+
+        other = generate(4, 4, 6)
+        for v in interior:
+            host_faces_at(Host(other), v)
+            Host(other).chain_cycles(v)
+        calls.clear()
+        host_faces_at(Host(other.graph, other.l_max), interior[0])
+        assert calls["_inferred_faces"] == 1
+
+    def test_a_dropped_graph_frees_its_memo_without_the_cycle_collector(self):
+        g = make_quotient(QuotientSpec("torus", 5, 7)).graph
+        host = Host(g, 4)
+        for v in g.vertices:
+            host_faces_at(host, v)
+        dk_ball(host, 0, 3)
+        memo_ref = weakref.ref(host._memo)
+        gc.disable()
+        try:
+            del host
+            assert memo_ref() is not None  # the graph keeps it
+            del g
+            assert memo_ref() is None
+        finally:
+            gc.enable()
+
+    def test_locality_cover_and_uniqueness_find_each_face_once(self, monkeypatch):
+        # the wide-target pipeline on one Klein 12x12: 434 cycle searches,
+        # 1,664 separation tests and 306 inferred face queries when every
+        # call started from an empty host
+        patch = generate(4, 4, 8)
+        h = make_quotient(QuotientSpec("klein", 12, 12)).graph
+        calls = _counting_face_work(monkeypatch)
+        assert is_r_locally(h, patch, 2, d_balls=True).ok
+        build_cover(patch, h)
+        assert check_uniqueness(patch, h, trials=3).ok
+        assert calls["_chordless_cycles_through"] <= 146
+        assert calls["local_parts"] <= 728
+        assert calls["_inferred_faces"] <= h.n
 
 
 def _reference_faces(g, v, l_max):

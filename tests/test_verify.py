@@ -209,7 +209,12 @@ class TestCheckUniqueness:
         with pytest.raises(InputError, match="trials"):
             check_uniqueness(patch44_r10, torus57.graph, trials=trials)
 
-    def test_prepares_once(self, patch44_r10, klein66, monkeypatch):
+    def test_prepares_once(self, monkeypatch):
+        # a patch and a target for each call: the faces found are kept on
+        # them, so a second call on the same ones would find none
+        def fresh():
+            return generate(4, 4, 10), make_quotient(QuotientSpec("klein", 6, 6)).graph
+
         calls: Counter = Counter()
 
         def counting(module, name):
@@ -224,10 +229,10 @@ class TestCheckUniqueness:
         counting(builder, "stabilize_n")
         counting(builder, "i_fundamental_domain")
         counting(local, "local_parts")
-        build_cover(patch44_r10, klein66.graph)
+        build_cover(*fresh())
         one_build = calls["local_parts"]
         calls.clear()
-        assert check_uniqueness(patch44_r10, klein66.graph, trials=3).ok
+        assert check_uniqueness(*fresh(), trials=3).ok
         assert calls == {
             "stabilize_n": 1,
             "i_fundamental_domain": 1,
