@@ -217,7 +217,9 @@ class PlanePatch:
                 at[v].append(f)
         self._faces_at = {v: tuple(sorted(fs, key=_face_order)) for v, fs in at.items()}
         self._dist_from_root = graph.distances_from(root)
-        self._face_memos: dict = {}  # what its hosts learn (local.Host)
+        # what its hosts learn (local.Host): keyed by l_max like a Graph's,
+        # so it holds one entry, at the patch's own l_max
+        self._face_memos: dict = {}
 
     # -- basic queries ------------------------------------------------------
 
