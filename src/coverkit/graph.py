@@ -33,6 +33,9 @@ def json_int(value, what: str) -> int:
 class Graph:
     """Immutable simple undirected graph over integer vertex ids.
 
+    Queries read the adjacency.  The edge set is built on the first read
+    of `edges` (or of what derives from it: `sorted_edges` and the hash),
+    except by `Graph(...)`, which collects it while checking the edges.
     `_face_memos` holds what the hosts of the graph learn about its
     faces, by cycle length bound (`local.Host`)."""
 
@@ -52,17 +55,20 @@ class Graph:
             es.add(edge_key(u, w))
         self._vertices: tuple[int, ...] = tuple(vs)
         self._adj: dict[int, tuple[int, ...]] = {v: tuple(sorted(adj[v])) for v in vs}
-        self._edges: frozenset[Edge] = frozenset(es)
+        self._edges: frozenset[Edge] | None = frozenset(es)
         self._face_memos: dict = {}
 
     @classmethod
     def _trusted(cls, adj: dict[int, Iterable[int]]) -> Graph:
         """A graph read off an adjacency that its caller vouches for:
-        integer vertices, symmetric, no loops.  Nothing is checked."""
+        integer vertices, symmetric, no loops, no repeated neighbour.
+        Nothing is checked, and no edge set is built until `edges` is
+        read: generated patches, face cores and balls are walked, seldom
+        listed."""
         g = cls.__new__(cls)
         g._vertices = tuple(sorted(adj))
         g._adj = {v: tuple(sorted(adj[v])) for v in g._vertices}
-        g._edges = frozenset({(u, w) for u, ws in g._adj.items() for w in ws if u < w})
+        g._edges = None
         g._face_memos = {}
         return g
 
@@ -90,14 +96,16 @@ class Graph:
         return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self._edges
+        return v in self._adj.get(u, ())
 
     @property
     def edges(self) -> frozenset[Edge]:
+        if self._edges is None:
+            self._edges = frozenset({(u, w) for u, ws in self._adj.items() for w in ws if u < w})
         return self._edges
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self._edges)
+        return sorted(self.edges)
 
     def distances_from(self, o: int, limit: int | None = None) -> dict[int, int]:
         """BFS distances from o; vertices beyond `limit` are omitted."""
@@ -124,13 +132,13 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._edges))
+        return hash((self._vertices, self.edges))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self._edges)})"
+        return f"Graph(n={self.n}, m={sum(map(len, self._adj.values())) // 2})"
 
     # -- JSON interchange ---------------------------------------------------
 

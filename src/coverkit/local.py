@@ -457,10 +457,12 @@ def rooted_isomorphisms(
       round with the same partition, and the shared table gives two
       vertices equal colours exactly where the joint run does.
     So the candidate lists, their order and the first map found are
-    identical.
+    identical.  Equal colour multisets at the stable round give equal
+    (distance, degree) multisets at round 0, so equal edge counts: no
+    edge set is needed to reject.
     """
     ga, gb = a.graph, b.graph
-    if a.radius != b.radius or ga.n != gb.n or len(ga.edges) != len(gb.edges):
+    if a.radius != b.radius or ga.n != gb.n:
         return []
     if prepared is None:
         prepared = Refinement(b)

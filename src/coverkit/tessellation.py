@@ -190,6 +190,8 @@ class PlanePatch:
         complete_radius: v -> largest i such that B_i(v) of the infinite
             tessellation is certified to sit inside the patch.
         schlafli: (p, q) for generated patches, None for imports.
+        l_max: maximum co-degree, the length bound for peripheral-cycle
+            search: p, or the longest face of an import.
     """
 
     def __init__(
@@ -211,24 +213,21 @@ class PlanePatch:
         self._outer_set = frozenset(outer)
         self.complete_radius = complete_radius
         self.schlafli = schlafli
-        at: dict[int, list[FaceBoundary]] = {v: [] for v in graph.vertices}
+        self.l_max = schlafli[0] if schlafli is not None else max(len(f) for f in self.faces)
+        at: dict = {v: [] for v in graph.vertices}
         for f in self.faces:
             for v in f.cycle:
                 at[v].append(f)
-        self._faces_at = {v: tuple(sorted(fs, key=_face_order)) for v, fs in at.items()}
+        for v, fs in at.items():  # each list goes as its tuple comes
+            fs.sort(key=_face_order)
+            at[v] = tuple(fs)
+        self._faces_at: dict[int, tuple[FaceBoundary, ...]] = at
         self._dist_from_root = graph.distances_from(root)
         # what its hosts learn (local.Host): keyed by l_max like a Graph's,
         # so it holds one entry, at the patch's own l_max
         self._face_memos: dict = {}
 
     # -- basic queries ------------------------------------------------------
-
-    @property
-    def l_max(self) -> int:
-        """Maximum co-degree: the length bound for peripheral-cycle search."""
-        if self.schlafli is not None:
-            return self.schlafli[0]
-        return max(len(f) for f in self.faces)
 
     def faces_at(self, v: int) -> tuple[FaceBoundary, ...]:
         return self._faces_at[v]
@@ -409,32 +408,35 @@ def generate(p: int, q: int, R: int) -> PlanePatch:
     o = b.new_vertex()
     # layer d + 1 is read off layer d: the layers before it are complete,
     # and a complete vertex gains no edge (add_face_at), so no vertex of
-    # a later layer can come closer to the root
-    layer, seen = [o], {o}
+    # a later layer can come closer to the root, and the neighbours of
+    # layer d lie in layers d - 1, d and d + 1
+    prev, layer = [], [o]
     for _ in range(R + 1):
         for v in layer:
             b.complete_vertex(v)
-        layer = sorted({u for v in layer for u in b.arc[v]} - seen)
-        seen.update(layer)
+        prev, layer = layer, sorted({u for v in layer for u in b.arc[v]}.difference(prev, layer))
 
     graph = b.graph()
     nverts = graph.n
     rotation = {v: tuple(arc) for v, arc in enumerate(b.arc)}
+    nedges = sum(map(len, b.arc)) // 2
     faces = b.faces
-    if len(set(faces)) != len(faces):
-        raise DefectError("generation produced a face twice")
-
-    if nverts - len(graph.edges) + len(faces) + 1 != 2:
-        raise DefectError("the patch and its outer region do not close up into a sphere")
     outer = b.outer_walk()
     interior = {v for v in range(nverts) if b.nfaces[v] == q}
     if interior != set(range(nverts)) - set(outer):
         raise DefectError("the complete vertices are not exactly those off the outer walk")
+    del b  # its arcs go before the patch builds its tables
 
     crad = _complete_radius_from_boundary(graph, set(outer))
     if crad[o] < R:
         raise DefectError(f"root complete_radius {crad[o]} < requested radius {R}")
     patch = PlanePatch(graph, o, rotation, faces, outer, crad, (p, q))
+    # a face made twice shows in the patch's own face set; it is named
+    # before the Euler count, which it also throws off
+    if len(patch.face_set) != len(faces):
+        raise DefectError("generation produced a face twice")
+    if nverts - nedges + len(faces) + 1 != 2:
+        raise DefectError("the patch and its outer region do not close up into a sphere")
     return patch
 
 

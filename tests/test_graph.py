@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from coverkit import (
     induced_subgraph,
     is_connected_excluding,
 )
+from coverkit.graph import edge_key
 
 from .oracles import adjacency_of, connected_after_removal, is_three_connected, z2_ball
 
@@ -42,6 +45,37 @@ class TestGraph:
     def test_json_round_trip(self):
         g = Graph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert Graph.from_json_dict(g.to_json_dict()) == g
+
+
+class TestTrustedGraph:
+    """Graph._trusted builds no edge set until `edges` is read; every
+    answer is that of the validating Graph(vertices, edges)."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_trusted_and_validated_graphs_agree(self, seed):
+        rng = random.Random(seed)
+        vs = rng.sample(range(-4, 40), rng.randint(1, 14))  # ids need not be dense
+        pairs = [(a, b) for a in vs for b in vs if a < b]
+        es = rng.sample(pairs, rng.randint(0, len(pairs)))
+        validated = Graph(vs, [(b, a) if rng.random() < 0.5 else (a, b) for a, b in es])
+        adj = {v: [] for v in vs}
+        for a, b in es:
+            adj[a].append(b)
+            adj[b].append(a)
+        trusted = Graph._trusted(adj)
+        probes = [*vs, min(vs) - 1, max(vs) + 1, 1000]  # and ids that are not vertices
+        edges = set(es)
+        for u in probes:
+            for w in probes:  # u == w included
+                assert trusted.has_edge(u, w) == validated.has_edge(u, w) == (edge_key(u, w) in edges)
+        assert trusted._edges is None  # has_edge reads the adjacency
+        assert trusted == validated and validated == trusted
+        assert repr(trusted) == repr(validated) == f"Graph(n={len(vs)}, m={len(es)})"
+        assert hash(trusted) == hash(validated)
+        assert trusted.edges == validated.edges == edges
+        assert trusted.sorted_edges() == validated.sorted_edges() == sorted(edges)
+        if es:
+            assert trusted != Graph(vs, es[1:])
 
 
 class TestBall:

@@ -11,6 +11,9 @@ from coverkit import (
     Graph,
     InputError,
     ball,
+    build_cover,
+    check_cover,
+    check_normality,
     face_enumeration,
     generate,
     import_patch,
@@ -161,6 +164,29 @@ class TestStructuralChecks:
         with pytest.raises(DefectError, match="^the rotation arcs are not symmetric$"):
             b.graph()
 
+    @staticmethod
+    def _plant(monkeypatch, defect):
+        """Run `defect` on the builder's faces once, after the fifth face."""
+        real, planted = _PatchBuilder.add_face_at, []
+
+        def add_face_at(self, v):
+            real(self, v)
+            if len(self.faces) == 5 and not planted:
+                planted.append(defect(self.faces))
+
+        monkeypatch.setattr(_PatchBuilder, "add_face_at", add_face_at)
+
+    def test_a_face_made_twice_is_named_before_the_euler_count(self, monkeypatch):
+        # the duplicate throws the Euler count off by one as well
+        self._plant(monkeypatch, lambda faces: faces.append(faces[-1]))
+        with pytest.raises(DefectError, match="^generation produced a face twice$"):
+            generate(3, 7, 3)
+
+    def test_a_lost_face_breaks_the_euler_count(self, monkeypatch):
+        self._plant(monkeypatch, lambda faces: faces.pop())
+        with pytest.raises(DefectError, match="^the patch and its outer region do not close up into a sphere$"):
+            generate(3, 7, 3)
+
 
 class TestTrustedBuild:
     """A generated patch is built from trusted parts; the order and the
@@ -200,6 +226,22 @@ class TestTrustedBuild:
             f = FaceBoundary._trusted(cycle)
             g = FaceBoundary(cycle)
             assert (f.cycle, hash(f), f.edges) == (g.cycle, hash(g), g.edges)
+
+    def test_the_hyperbolic_path_builds_no_edge_set(self):
+        # generation, a self-cover and its checks walk the adjacency only:
+        # the edge set, about a fifth of what a {3,7} patch keeps, is
+        # built on the first read of Graph.edges
+        patch = generate(3, 7, 6)
+        cov = build_cover(patch, patch)
+        assert check_cover(cov).ok and check_normality(cov).ok
+        assert patch.graph._edges is None
+        assert len(patch.graph.edges) == sum(map(len, patch.rotation.values())) // 2
+
+    def test_l_max_is_kept_by_the_patch(self):
+        imported = import_patch(hub_patch(12))
+        assert imported.schlafli is None
+        assert vars(imported)["l_max"] == max(len(f) for f in imported.faces)
+        assert vars(generate(4, 5, 2))["l_max"] == 4
 
 
 class TestTraceFaces:
