@@ -316,7 +316,8 @@ def _least_target_flag(c: Coloring, host: Host, want: int) -> Flag:
 
 class CoverRun:
     """One cover construction from a patch onto a target, prepared once:
-    the stabilisation level n, the palette, the colouring context, the
+    the stabilisation level n (`stabilize_n`'s default window finds it
+    when it is not given), the palette, the colouring context, the
     target host with its chain cycles filled, and the seed flags (a
     missing one is the least flag of the given one's colour; neither
     given is the default seed).  Each `build` starts through `init_cover`
@@ -332,11 +333,9 @@ class CoverRun:
         f: Flag | None = None,
         flag_h: Flag | None = None,
         n: int | None = None,
-        i_max: int = 4,
-        guard: int = 2,
     ):
         if n is None:
-            n = stabilize_n(patch, i_max, guard)
+            n = stabilize_n(patch)
         self.coloring = c = Coloring(patch, i_fundamental_domain(patch, n))
         self.host = c.host_for(h)
         self.host.fill_chain_cycles()
@@ -370,10 +369,10 @@ class CoverRun:
         return CoverMap(
             patch=c.patch,
             h=host,
-            vertex_map=dict(state.vertex_map),
+            vertex_map=state.vertex_map,
             seed=self.seed,
             delta=c.delta,
-            face_image=dict(state.face_image),
+            face_image=state.face_image,
             eligible=c.eligible,
             steps=len(state.log),
             surjective=surjective,
@@ -387,12 +386,10 @@ def build_cover(
     f: Flag | None = None,
     flag_h: Flag | None = None,
     n: int | None = None,
-    i_max: int = 4,
-    guard: int = 2,
 ) -> CoverMap:
     """Prepare a CoverRun and build the cover under the default face
     enumeration."""
-    return CoverRun(patch, h, f=f, flag_h=flag_h, n=n, i_max=i_max, guard=guard).build()
+    return CoverRun(patch, h, f=f, flag_h=flag_h, n=n).build()
 
 
 def _assert_no_holes(state: PartialCover) -> None:

@@ -1,6 +1,8 @@
 """Command-line entry point: cover-kit.
 
-Subcommands: gen, check-local, flags, cover, verify, instance.  All
+Subcommands: gen, check-local, flags, cover, verify, instance.  `cover`
+stabilises n over the default window unless given --n; `flags
+--stabilize --i-max I --guard K` finds n over another window.  All
 artifacts are JSON, written with sorted keys so identical inputs produce
 byte-identical outputs.  Exit codes: 0 success / checks passed, 1
 verification failure or hypothesis violation, 2 input error, 3 patch too
@@ -95,8 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--seed-f", default=None, help="flag JSON in G")
     cov.add_argument("--seed-h", default=None, help="flag JSON in H")
     cov.add_argument("--n", type=int, default=None)
-    cov.add_argument("--i-max", type=int, default=4)
-    cov.add_argument("--guard", type=int, default=2)
     cov.add_argument("-o", "--out", required=True)
 
     ver = sub.add_parser("verify", help="verify a built cover")
@@ -163,9 +163,7 @@ def _cmd_cover(args) -> int:
     h = Graph.from_json_dict(_load_json(args.h_path))
     f = _flag_arg(args.seed_f, "--seed-f")
     flag_h = _flag_arg(args.seed_h, "--seed-h")
-    cov = build_cover(
-        patch, h, f=f, flag_h=flag_h, n=args.n, i_max=args.i_max, guard=args.guard
-    )
+    cov = build_cover(patch, h, f=f, flag_h=flag_h, n=args.n)
     _write(args.out, cov.to_json_dict())
     return EXIT_OK
 

@@ -31,7 +31,6 @@ from .local import (
     FaceCore,
     Host,
     Isomorphism,
-    Refinement,
     dk_ball,
     face_core,
     host_faces_at,
@@ -141,12 +140,12 @@ def flag_orbit_partition(patch: PlanePatch, i: int) -> list[frozenset[Flag]]:
     balls).  The orbits come out ordered by their least flags.
     """
     host = Host(patch)
-    core = Refinement(face_core(host, patch.root, i).rooted)
+    core = face_core(host, patch.root, i).rooted
     orbits: list[list[Flag]] = []
     for f in flags_at(host, patch.root):
         for orbit in orbits:
             pres = _prescription(orbit[0], f)
-            if pres and rooted_isomorphisms(core.ball, core.ball, limit=1, prescribed=pres, prepared=core):
+            if pres and rooted_isomorphisms(core, core, limit=1, prescribed=pres):
                 orbit.append(f)
                 break
         else:
@@ -206,9 +205,10 @@ def i_fundamental_domain(patch: PlanePatch, i: int) -> FundamentalDomain:
     raise DefectError("no connected traversal: impossible for a plane vertex")
 
 
-def stabilize_n(patch: PlanePatch, i_max: int, guard: int) -> int:
+def stabilize_n(patch: PlanePatch, i_max: int = 4, guard: int = 2) -> int:
     """The least n <= i_max whose orbit partition repeats for `guard`
-    consecutive levels (n, n+1, ..., n+guard-1).
+    consecutive levels (n, n+1, ..., n+guard-1).  The defaults are the
+    window of every cover build that is not given n.
 
     The partition can only refine as the depth grows and its size is
     bounded by twice the root degree, so a stable window certifies
@@ -243,10 +243,11 @@ def stabilize_n(patch: PlanePatch, i_max: int, guard: int) -> int:
 class Coloring:
     """The colouring context of one run: the patch, its palette delta at
     level n = delta.level, the patch's own Host `g`, the root's depth-n
-    face core, refined once for every pull, and the depth-n core
-    isomorphisms onto it found so far, keyed by (host, vertex) so that
-    no two hosts share an entry.  The faces eligible for a cover, those
-    deep enough for depth-n colours, are found once, when first read."""
+    face core, the one reference of every pull (so refined once), and
+    the depth-n core isomorphisms onto it found so far, keyed by (host,
+    vertex) so that no two hosts share an entry.  The faces eligible for
+    a cover, those deep enough for depth-n colours, are found once, when
+    first read."""
 
     def __init__(self, patch: PlanePatch, delta: FundamentalDomain):
         self.patch = patch
@@ -259,10 +260,6 @@ class Coloring:
     @cached_property
     def root_core(self) -> FaceCore:
         return face_core(self.g, self.patch.root, self.n)
-
-    @cached_property
-    def _root_side(self) -> Refinement:
-        return Refinement(self.root_core.rooted)
 
     @cached_property
     def eligible(self) -> frozenset[FaceBoundary]:
@@ -305,7 +302,7 @@ def _colour(c: Coloring, host: Host, x: int, walk: tuple[int, ...], patch_side: 
     iso = c._isos.get(key)
     if iso is None:
         target = c.root_core if key == (c.g, c.patch.root) else face_core(host, x, c.n)
-        found = rooted_isomorphisms(target.rooted, c.root_core.rooted, limit=1, prepared=c._root_side)
+        found = rooted_isomorphisms(target.rooted, c.root_core.rooted, limit=1)
         if not found:
             if patch_side:
                 raise DefectError(f"patch not vertex-transitive at {x}: no depth-{c.n} isomorphism")

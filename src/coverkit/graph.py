@@ -34,8 +34,8 @@ class Graph:
     """Immutable simple undirected graph over integer vertex ids.
 
     Queries read the adjacency.  The edge set is built on the first read
-    of `edges` (or of what derives from it: `sorted_edges` and the hash),
-    except by `Graph(...)`, which collects it while checking the edges.
+    of `edges` (or of the hash, which derives from it), except by
+    `Graph(...)`, which collects it while checking the edges.
     `_face_memos` holds what the hosts of the graph learn about its
     faces, by cycle length bound (`local.Host`)."""
 
@@ -105,7 +105,9 @@ class Graph:
         return self._edges
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        """The edges (u, w) with u < w, in order, read off the sorted
+        adjacency: no edge set is built."""
+        return [(u, w) for u in self._vertices for w in self._adj[u] if u < w]
 
     def distances_from(self, o: int, limit: int | None = None) -> dict[int, int]:
         """BFS distances from o; vertices beyond `limit` are omitted."""

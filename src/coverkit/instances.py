@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DefectError, InputError
 from .graph import Graph, ball
-from .local import Refinement, as_rooted, rooted_isomorphisms
+from .local import as_rooted, rooted_isomorphisms
 from .report import VerificationReport
 from .tessellation import PlanePatch
 
@@ -360,19 +360,20 @@ def example_cover_formula(l: int, k: int, z_range: tuple[int, int]) -> tuple[Exa
 # Transitivity and the ball claim
 # ---------------------------------------------------------------------------
 
-def is_vertex_transitive(g: Graph, size_guard: int = 400) -> bool:
+# the largest graph is_vertex_transitive searches, one vertex at a time
+_TRANSITIVITY_LIMIT = 400
+
+
+def is_vertex_transitive(g: Graph) -> bool:
     """Brute force: does some automorphism move vertex 0 to every vertex?"""
-    if g.n > size_guard:
-        raise InputError(f"graph too large for brute-force transitivity ({g.n} > {size_guard})")
+    if g.n > _TRANSITIVITY_LIMIT:
+        raise InputError(f"graph too large for brute-force transitivity ({g.n} > {_TRANSITIVITY_LIMIT})")
     if g.n <= 1:
         return True
     if not g.is_connected():
         return False
-    ref = Refinement(as_rooted(g, g.vertices[0]))
-    for w in g.vertices[1:]:
-        if not rooted_isomorphisms(as_rooted(g, w), ref.ball, limit=1, prepared=ref):
-            return False
-    return True
+    ref = as_rooted(g, g.vertices[0])
+    return all(rooted_isomorphisms(as_rooted(g, w), ref, limit=1) for w in g.vertices[1:])
 
 
 def graph_diameter(g: Graph) -> int:
@@ -395,11 +396,10 @@ def check_K_ball_claim(l: int, k: int) -> VerificationReport:
     report = VerificationReport()
 
     def all_balls_isomorphic(radius: int) -> tuple[bool, int | None]:
-        ref = Refinement(ball(g, g.vertices[0], radius))
-        for w in g.vertices[1:]:
-            if not rooted_isomorphisms(ball(g, w, radius), ref.ball, limit=1, prepared=ref):
-                return False, w
-        return True, None
+        ref = ball(g, g.vertices[0], radius)
+        unlike = (w for w in g.vertices[1:] if not rooted_isomorphisms(ball(g, w, radius), ref, limit=1))
+        witness = next(unlike, None)
+        return witness is None, witness
 
     if rho >= 0:
         ok, witness = all_balls_isomorphic(rho)

@@ -396,22 +396,32 @@ def _refine(b: RootedBall, table: dict, last: int | None = None) -> tuple[int, d
 
 
 class Refinement:
-    """One side of a rooted-isomorphism search, refined once: its ball,
-    the round at which its refinement is stable, each vertex's colour
-    there, the vertices of each colour in id order and how many there
-    are.  Every graph compared with it is refined with its intern table,
-    so a context that compares many graphs with one reference (the
-    colour pulls of a Coloring, the reference of is_r_locally) refines
-    the reference once."""
+    """One side of a rooted-isomorphism search, refined once: the round
+    at which its refinement is stable, each vertex's colour there, the
+    vertices of each colour in id order and how many there are.  Every
+    graph compared with it is refined with its intern table.  A ball is
+    immutable, so its Refinement is made on the first search against it
+    and kept with it (`_refinement`): a context that compares many
+    graphs with one reference ball (the colour pulls of a Coloring, the
+    reference of is_r_locally) refines that ball once."""
 
     def __init__(self, b: RootedBall):
-        self.ball = b
         self.table: dict[tuple, int] = {}
         self.round, self.colors = _refine(b, self.table)
         self.classes: dict[int, list[int]] = {}
         for w in b.graph.vertices:
             self.classes.setdefault(self.colors[w], []).append(w)
         self.counts = Counter(self.colors.values())
+
+
+def _refinement(b: RootedBall) -> Refinement:
+    """b's Refinement, made on the first call and kept in b's own
+    attributes.  It does not refer back to b, so a dropped ball is freed
+    at once, without the cyclic garbage collector."""
+    ref = b.__dict__.get("_refinement")
+    if ref is None:
+        ref = b.__dict__["_refinement"] = Refinement(b)
+    return ref
 
 
 def as_rooted(g: Graph, root: int) -> RootedBall:
@@ -428,8 +438,6 @@ def rooted_isomorphisms(
     b: RootedBall,
     limit: int | None = None,
     prescribed: dict[int, int] | None = None,
-    *,
-    prepared: Refinement | None = None,
 ) -> list[Isomorphism]:
     """All root-preserving isomorphisms a -> b, deterministically ordered.
 
@@ -437,9 +445,9 @@ def rooted_isomorphisms(
     restricted by colour refinement.  `prescribed` pins chosen vertex
     images in advance (used for orbit searches under partial
     constraints).  Returns at most `limit` maps; an empty list means no
-    isomorphism satisfies the constraints.  `prepared` is b's Refinement
-    from an earlier call, so that b is refined once for many searches;
-    it has no effect on any result.
+    isomorphism satisfies the constraints.  b is refined on the first
+    search against it only (`_refinement`), so one reference searched
+    against many graphs is refined once.
 
     Each side is refined alone, a with b's intern table, and the search
     rejects when the two stable rounds or the colour multisets differ.
@@ -464,16 +472,13 @@ def rooted_isomorphisms(
     ga, gb = a.graph, b.graph
     if a.radius != b.radius or ga.n != gb.n:
         return []
-    if prepared is None:
-        prepared = Refinement(b)
-    elif prepared.ball is not b:
-        raise InputError("prepared refinement is not of the target ball")
-    col_b = prepared.colors
-    refined = (prepared.round, col_b) if a is b else _refine(a, prepared.table, prepared.round)
-    if refined is None or refined[0] != prepared.round:
+    ref = _refinement(b)
+    col_b = ref.colors
+    refined = (ref.round, col_b) if a is b else _refine(a, ref.table, ref.round)
+    if refined is None or refined[0] != ref.round:
         return []
     col_a = refined[1]
-    if Counter(col_a.values()) != prepared.counts:
+    if Counter(col_a.values()) != ref.counts:
         return []
     if col_a[a.root] != col_b[b.root]:
         return []
@@ -484,7 +489,7 @@ def rooted_isomorphisms(
             return []
     if len(set(pres.values())) != len(pres):
         return []
-    by_color, adj_a, adj_b = prepared.classes, ga._adj, gb._adj
+    by_color, adj_a, adj_b = ref.classes, ga._adj, gb._adj
     # vertices are in id order, so a stable sort by distance orders them by (distance, id)
     order = sorted(pres) + sorted((v for v in ga.vertices if v not in pres), key=a.dist.__getitem__)
     results: list[Isomorphism] = []
@@ -556,17 +561,12 @@ def is_r_locally(
         raise InputError("need r >= 1")
     if not h.vertices:
         raise InputError("the target graph has no vertices")
-    failures = []
     if d_balls:
-        reference = Refinement(face_core(Host(g_patch), g_patch.root, r).rooted)
+        reference = face_core(Host(g_patch), g_patch.root, r).rooted
         host = Host(h, g_patch.l_max)
-        for v in h.vertices:
-            target = face_core(host, v, r).rooted
-            if not rooted_isomorphisms(target, reference.ball, limit=1, prepared=reference):
-                failures.append(v)
+        balls = (face_core(host, v, r).rooted for v in h.vertices)
     else:
-        reference = Refinement(g_patch.ball(g_patch.root, r))
-        for v in h.vertices:
-            if not rooted_isomorphisms(ball(h, v, r), reference.ball, limit=1, prepared=reference):
-                failures.append(v)
+        reference = g_patch.ball(g_patch.root, r)
+        balls = (ball(h, v, r) for v in h.vertices)
+    failures = [b.root for b in balls if not rooted_isomorphisms(b, reference, limit=1)]
     return LocalCheckReport(ok=not failures, failures=failures, mode="core" if d_balls else "ball")

@@ -513,10 +513,10 @@ def joint_rooted_isomorphisms(a, b, limit=None, prescribed=None) -> list:
     return results
 
 
-def assert_same_search(a, b, limit=None, prescribed=None, prepared=None) -> int:
+def assert_same_search(a, b, limit=None, prescribed=None) -> int:
     """The library's search and the joint reference find the same maps in
     the same order; returns how many."""
-    got = [i.mapping for i in rooted_isomorphisms(a, b, limit, prescribed, prepared=prepared)]
+    got = [i.mapping for i in rooted_isomorphisms(a, b, limit, prescribed)]
     want = [i.mapping for i in joint_rooted_isomorphisms(a, b, limit, prescribed)]
     if got != want:
         raise AssertionError(f"{len(got)} maps against the joint reference's {len(want)}, or another order")

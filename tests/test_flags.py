@@ -426,8 +426,8 @@ class TestWalkPull:
             root = c.root_core.rooted
             for v in vertices:
                 core = face_core(host, v, n).rooted
-                assert assert_same_search(core, root, limit=1, prepared=c._root_side) == 1
-                assert assert_same_search(core, root, prepared=c._root_side) >= 1
+                assert assert_same_search(core, root, limit=1) == 1
+                assert assert_same_search(core, root) >= 1
                 searched += 1
         assert searched >= 500
 

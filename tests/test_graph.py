@@ -63,12 +63,14 @@ class TestTrustedGraph:
             adj[a].append(b)
             adj[b].append(a)
         trusted = Graph._trusted(adj)
+        assert trusted.sorted_edges() == sorted(es)
+        assert trusted._edges is None  # sorted_edges reads the adjacency
         probes = [*vs, min(vs) - 1, max(vs) + 1, 1000]  # and ids that are not vertices
         edges = set(es)
         for u in probes:
             for w in probes:  # u == w included
                 assert trusted.has_edge(u, w) == validated.has_edge(u, w) == (edge_key(u, w) in edges)
-        assert trusted._edges is None  # has_edge reads the adjacency
+        assert trusted._edges is None  # and so does has_edge
         assert trusted == validated and validated == trusted
         assert repr(trusted) == repr(validated) == f"Graph(n={len(vs)}, m={len(es)})"
         assert hash(trusted) == hash(validated)

@@ -149,10 +149,10 @@ class TestExampleK:
         logged = next(c for c in rep.checks if c.name == "maximal isomorphic-ball radius")
         assert logged.info["rho_max"] >= stated.info["rho"]
 
-    @pytest.mark.parametrize("check", ["transitivity", "ball claim"])
-    def test_the_reference_is_refined_once_per_comparison_run(self, check, monkeypatch):
-        # every search against one reference ball passes its Refinement,
-        # so that ball is refined once, however many vertices it meets
+    @pytest.mark.parametrize("check", ["transitivity", "ball claim", "locality in balls", "locality in cores"])
+    def test_the_reference_is_refined_once_per_comparison_run(self, check, patch44_r10, monkeypatch):
+        # a reference ball keeps the Refinement of its first search, so it
+        # is refined once, however many vertices it meets
         import coverkit.instances as instances
         import coverkit.local as local
 
@@ -169,10 +169,14 @@ class TestExampleK:
 
         monkeypatch.setattr(local, "_refine", counting_refine)
         monkeypatch.setattr(instances, "rooted_isomorphisms", recording_search)
+        monkeypatch.setattr(local, "rooted_isomorphisms", recording_search)
         if check == "transitivity":
             assert is_vertex_transitive(make_quotient(QuotientSpec("torus", 5, 7)).graph)
-        else:
+        elif check == "ball claim":
             assert check_K_ball_claim(6, 4).ok
+        else:
+            torus = make_quotient(QuotientSpec("torus", 7, 7)).graph
+            assert is_r_locally(torus, patch44_r10, 2, d_balls=check == "locality in cores").ok
         distinct = {id(b): b for b in references}.values()
         assert len(references) > 10 * len(distinct)
         assert all(sum(r is b for r in refined) == 1 for b in distinct)

@@ -10,7 +10,6 @@ import coverkit.local as local
 from coverkit import (
     Graph,
     Host,
-    InputError,
     PatchTooSmallError,
     QuotientSpec,
     ball,
@@ -26,7 +25,7 @@ from coverkit import (
     rooted_isomorphisms,
 )
 from coverkit.graph import is_connected_excluding, local_parts
-from coverkit.local import Refinement, host_faces_at
+from coverkit.local import host_faces_at
 from .oracles import (
     adjacency_of,
     assert_same_search,
@@ -853,7 +852,7 @@ class TestSearchAgainstTheJointReference:
         def run(case):
             a, b, pin = case
             found = assert_same_search(a, b)
-            assert_same_search(a, b, limit=1, prepared=Refinement(b))
+            assert_same_search(a, b, limit=1)
             assert_same_search(a, b, prescribed=pin)
             outcomes[found > 0] += 1
 
@@ -863,25 +862,19 @@ class TestSearchAgainstTheJointReference:
     def test_rewired_torus_and_other_non_isomorphic_pairs(self, patch44_r10, patch63_r10):
         # torus 9x9 with (40,41), (49,50) rewired to (40,50), (41,49): the
         # cores round the rewiring match no core of the lattice, at depth 1
-        # and 2; every core is searched against one prepared reference, as
+        # and 2; every core is searched against one reference ball, as
         # the colour pulls are
         g = make_quotient(QuotientSpec("torus", 9, 9)).graph
         rewired = Host(Graph(range(81), set(g.edges) - {(40, 41), (49, 50)} | {(40, 50), (41, 49)}), 4)
         found = Counter()
         for r in (1, 2):
-            reference = Refinement(face_core(Host(patch44_r10), patch44_r10.root, r).rooted)
+            reference = face_core(Host(patch44_r10), patch44_r10.root, r).rooted
             for x in rewired.graph.vertices:
-                found[r, assert_same_search(face_core(rewired, x, r).rooted, reference.ball, prepared=reference) > 0] += 1
+                found[r, assert_same_search(face_core(rewired, x, r).rooted, reference) > 0] += 1
         assert all(found[r, hit] for r in (1, 2) for hit in (True, False))
         a = ball(patch44_r10.graph, patch44_r10.root, 1)
         b = ball(patch63_r10.graph, patch63_r10.root, 1)
         assert assert_same_search(a, b) == assert_same_search(b, a) == 0
-
-    def test_prepared_side_of_another_ball_is_refused(self, patch44_r6):
-        a = ball(patch44_r6.graph, patch44_r6.root, 1)
-        b = ball(patch44_r6.graph, patch44_r6.root, 1)
-        with pytest.raises(InputError, match="not of the target ball"):
-            rooted_isomorphisms(a, b, prepared=Refinement(a))
 
 
 class TestFaceCore:
@@ -929,14 +922,14 @@ class TestFaceCoresAgainstNetworkx:
 
         g, l_max = ladder_target
         patch = patch44_r10 if l_max == 4 else patch63_r10
-        reference = Refinement(face_core(Host(patch), patch.root, 2).rooted)
-        ref_nx = self.rooted_nx(nx, reference.ball)
+        reference = face_core(Host(patch), patch.root, 2).rooted
+        ref_nx = self.rooted_nx(nx, reference)
         outcomes = Counter()
         for graph in (g, self.rewired(g, l_max)):
             host = Host(graph, l_max)
             for x in graph.vertices:
                 core = face_core(host, x, 2).rooted
-                got = bool(rooted_isomorphisms(core, reference.ball, limit=1, prepared=reference))
+                got = bool(rooted_isomorphisms(core, reference, limit=1))
                 want = GraphMatcher(
                     self.rooted_nx(nx, core), ref_nx, node_match=lambda p, q: p["root"] == q["root"]
                 ).is_isomorphic()

@@ -206,3 +206,44 @@ def test_modules_the_tests_import_are_in_the_test_extra():
     missing = sorted(third_party - extra)
     if not extra or "pytest" not in third_party or missing:
         raise AssertionError(f"modules imported under tests/ but not in the test extra: {missing or 'none parsed'}")
+
+
+def test_search_references_refine_themselves():
+    # a reference ball keeps the Refinement of its first search, so no
+    # caller makes one or hands one back: local alone builds it, and no
+    # function takes or is passed a prepared= keyword
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("**/*.py"))
+    }
+    nodes = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)]
+    found = [
+        f"{name}:{node.lineno} Refinement(...)"
+        for name, node in nodes
+        if name != "local.py"
+        and isinstance(node, ast.Call)
+        and "Refinement" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ] + [
+        f"{name}:{node.lineno} prepared="
+        for name, node in nodes
+        if isinstance(node, (ast.arg, ast.keyword)) and node.arg == "prepared"
+    ]
+    if "local.py" not in trees or found:
+        raise AssertionError(f"search references prepared outside local: {found or 'no sources found'}")
+
+
+def test_the_build_path_sets_no_stabilisation_window():
+    # a cover build that is not given n finds it over stabilize_n's
+    # default window; the builder and the verifier name no window of
+    # their own (`flags --stabilize` is where another one is chosen)
+    found = []
+    for name in ("builder.py", "verify.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)):
+            named = (
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+                node.arg if isinstance(node, (ast.arg, ast.keyword)) else None,
+            )
+            found += [f"{name}:{node.lineno} {n}" for n in named if n in ("i_max", "guard")]
+    if not (SRC / "builder.py").is_file() or found:
+        raise AssertionError(f"stabilisation window named on the build path: {found or 'no sources found'}")

@@ -237,6 +237,12 @@ class TestTrustedBuild:
         assert patch.graph._edges is None
         assert len(patch.graph.edges) == sum(map(len, patch.rotation.values())) // 2
 
+    def test_exporting_a_patch_builds_no_edge_set(self):
+        # to_json_dict lists the edges off the sorted adjacency
+        patch = generate(3, 7, 5)
+        patch.to_json_dict()
+        assert patch.graph._edges is None
+
     def test_l_max_is_kept_by_the_patch(self):
         imported = import_patch(hub_patch(12))
         assert imported.schlafli is None
