@@ -14,7 +14,7 @@ for every mapped edge.  The run stops when no eligible face remains
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import HypothesisViolationError, InputError
 from .flags import (
@@ -44,9 +44,8 @@ class PartialCover:
     vertex_map: dict[int, int]
     frontier: set[Edge]
     pending: dict[FaceBoundary, None]  # eligible faces not yet absorbed, in enumeration order
-    face_image: dict[FaceBoundary, FaceBoundary]
+    face_image: dict[FaceBoundary, FaceBoundary]  # in the order absorbed, the seed first: step k is entry k + 1
     domain_edges_at: dict[int, dict[Edge, Edge]]  # each processed edge at a vertex, to its fixed image
-    log: list[dict] = field(default_factory=list)  # one entry per step after the seed
 
 
 def _image(state: PartialCover, e: Edge) -> Edge:
@@ -73,7 +72,7 @@ def _check_new_flag_colors(state: PartialCover, face: FaceBoundary, image: FaceB
             ch = _colour(c, host, x, walk_h, False)
             if cg != ch:
                 raise HypothesisViolationError(
-                    f"step {len(state.log)}: colour of {Flag(y, e, face)} is {cg} but its image has {ch}; "
+                    f"step {len(state.face_image) - 1}: colour of {Flag(y, e, face)} is {cg} but its image has {ch}; "
                     f"h violates r-locality"
                 )
 
@@ -89,17 +88,17 @@ def _check_local_injectivity(state: PartialCover, face: FaceBoundary) -> None:
         images = state.domain_edges_at[y]
         if len(set(images.values())) != len(images):
             raise HypothesisViolationError(
-                f"step {len(state.log)}: images of the edges at {y} collide"
+                f"step {len(state.face_image) - 1}: images of the edges at {y} collide"
             )
         own = [images[e] for e in face.edges_at(y)]
         for img in own:
             if not h.has_edge(*img):
                 raise HypothesisViolationError(
-                    f"step {len(state.log)}: image edge {img} is not an edge of h"
+                    f"step {len(state.face_image) - 1}: image edge {img} is not an edge of h"
                 )
         if not b.edges.issuperset(own):
             raise HypothesisViolationError(
-                f"step {len(state.log)}: the edges of {face} at {y} do not map into its image {b}"
+                f"step {len(state.face_image) - 1}: the edges of {face} at {y} do not map into its image {b}"
             )
 
 
@@ -119,7 +118,7 @@ def init_cover(c: Coloring, host: Host, f: Flag, flag_h: Flag, tie_break: int = 
         domain_edges_at={},
     )
     face, image = f.face, flag_h.face
-    if face not in c.patch.face_set or image not in host_faces_at(host, flag_h.vertex):
+    if not c.patch.has_face(face) or image not in host_faces_at(host, flag_h.vertex):
         raise InputError("a seed flag's face is not a face of its graph")
     cg = color(c, f)
     ch = color_in_h(c, host, flag_h)
@@ -207,7 +206,7 @@ def match_face(state: PartialCover, face: FaceBoundary) -> FaceBoundary:
         candidates.append(b)
     if len(candidates) != 1:
         raise HypothesisViolationError(
-            f"step {len(state.log) + 1}: {len(candidates)} candidate faces at target "
+            f"step {len(state.face_image)}: {len(candidates)} candidate faces at target "
             f"vertex {cw}; h is not r-locally-G here"
         )
     return candidates[0]
@@ -241,17 +240,16 @@ def extend_cover(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -
         if i < len(path):
             if a != path[i] or state.vertex_map[a] != b:
                 raise HypothesisViolationError(
-                    f"step {len(state.log) + 1}: image face does not align with the shared path"
+                    f"step {len(state.face_image)}: image face does not align with the shared path"
                 )
         elif a in state.vertex_map:
             if state.vertex_map[a] != b:
                 raise HypothesisViolationError(
-                    f"step {len(state.log) + 1}: vertex {a} already mapped to "
+                    f"step {len(state.face_image)}: vertex {a} already mapped to "
                     f"{state.vertex_map[a]}, face image forces {b}"
                 )
         else:
             state.vertex_map[a] = b
-    state.log.append({"step": len(state.log) + 1, "face": list(face.cycle), "image": list(image.cycle)})
     _absorb_face(state, face, image)
     return state
 
@@ -263,7 +261,7 @@ class CoverMap:
     `h` is the run's Host of the target.  A Host keeps only its source
     and the source's faces, which are a function of the target alone, so
     the finished map keeps no isomorphism memoised during the run alive:
-    those stay on the run's Coloring."""
+    those stay on the run's Coloring.  `steps` and `log` read `face_image`."""
 
     patch: PlanePatch
     h: Host
@@ -272,20 +270,23 @@ class CoverMap:
     delta: FundamentalDomain
     face_image: dict[FaceBoundary, FaceBoundary]
     eligible: frozenset[FaceBoundary]
-    steps: int
     surjective: bool
-    log: list[dict]
+
+    @property
+    def steps(self) -> int:
+        return len(self.face_image) - 1  # the seed is no step
+
+    @property
+    def log(self) -> list[dict]:
+        absorbed = list(self.face_image.items())[1:]
+        return [{"step": k, "face": list(f.cycle), "image": list(b.cycle)} for k, (f, b) in enumerate(absorbed, 1)]
 
     def region_interior(self) -> list[int]:
         """Vertices all of whose faces are processed (their whole flag
         neighbourhood is mapped)."""
-        out = []
-        for v in sorted(self.vertex_map):
-            if self.patch.is_interior(v) and all(
-                f in self.face_image for f in self.patch.faces_at(v)
-            ):
-                out.append(v)
-        return out
+        patch, done = self.patch, self.face_image
+        inner = (v for v in sorted(self.vertex_map) if patch.is_interior(v))
+        return [v for v in inner if all(f in done for f in patch.faces_at(v))]
 
     def to_json_dict(self) -> dict:
         return {
@@ -340,7 +341,7 @@ class CoverRun:
         self.host = c.host_for(h)
         self.host.fill_chain_cycles()
         # a given flag off the faces of its graph is left to init_cover
-        if flag_h is None and f is not None and f.face in c.patch.face_set:
+        if flag_h is None and f is not None and c.patch.has_face(f.face):
             flag_h = _least_target_flag(c, self.host, color(c, f))
         elif f is None and flag_h is not None and flag_h.face in host_faces_at(self.host, flag_h.vertex):
             want = color_in_h(c, self.host, flag_h)
@@ -374,9 +375,7 @@ class CoverRun:
             delta=c.delta,
             face_image=state.face_image,
             eligible=c.eligible,
-            steps=len(state.log),
             surjective=surjective,
-            log=state.log,
         )
 
 

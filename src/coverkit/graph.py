@@ -33,18 +33,16 @@ def json_int(value, what: str) -> int:
 class Graph:
     """Immutable simple undirected graph over integer vertex ids.
 
-    Queries read the adjacency.  The edge set is built on the first read
-    of `edges` (or of the hash, which derives from it), except by
-    `Graph(...)`, which collects it while checking the edges.
+    A graph is its sorted adjacency: every query, `==` and the hash read
+    it, and `edges` is a new set read off it each time it is asked for.
     `_face_memos` holds what the hosts of the graph learn about its
     faces, by cycle length bound (`local.Host`)."""
 
-    __slots__ = ("_vertices", "_adj", "_edges", "_face_memos")
+    __slots__ = ("_vertices", "_adj", "_face_memos")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Edge]):
         vs = sorted({int(v) for v in vertices})
         adj: dict[int, set[int]] = {v: set() for v in vs}
-        es: set[Edge] = set()
         for u, w in edges:
             if u == w:
                 raise InputError(f"loop edge at vertex {u}")
@@ -52,23 +50,19 @@ class Graph:
                 raise InputError(f"edge ({u},{w}) uses an unknown vertex")
             adj[u].add(w)
             adj[w].add(u)
-            es.add(edge_key(u, w))
         self._vertices: tuple[int, ...] = tuple(vs)
         self._adj: dict[int, tuple[int, ...]] = {v: tuple(sorted(adj[v])) for v in vs}
-        self._edges: frozenset[Edge] | None = frozenset(es)
         self._face_memos: dict = {}
 
     @classmethod
     def _trusted(cls, adj: dict[int, Iterable[int]]) -> Graph:
         """A graph read off an adjacency that its caller vouches for:
         integer vertices, symmetric, no loops, no repeated neighbour.
-        Nothing is checked, and no edge set is built until `edges` is
-        read: generated patches, face cores and balls are walked, seldom
-        listed."""
+        Nothing is checked: generated patches, face cores and balls are
+        built this way."""
         g = cls.__new__(cls)
         g._vertices = tuple(sorted(adj))
         g._adj = {v: tuple(sorted(adj[v])) for v in g._vertices}
-        g._edges = None
         g._face_memos = {}
         return g
 
@@ -100,13 +94,12 @@ class Graph:
 
     @property
     def edges(self) -> frozenset[Edge]:
-        if self._edges is None:
-            self._edges = frozenset({(u, w) for u, ws in self._adj.items() for w in ws if u < w})
-        return self._edges
+        """The edge set, built anew on each read: the graph keeps none."""
+        return frozenset(self.sorted_edges())
 
     def sorted_edges(self) -> list[Edge]:
         """The edges (u, w) with u < w, in order, read off the sorted
-        adjacency: no edge set is built."""
+        adjacency."""
         return [(u, w) for u in self._vertices for w in self._adj[u] if u < w]
 
     def distances_from(self, o: int, limit: int | None = None) -> dict[int, int]:
@@ -137,7 +130,7 @@ class Graph:
         return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self.edges))
+        return hash((self._vertices, tuple(self._adj.values())))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={sum(map(len, self._adj.values())) // 2})"

@@ -347,7 +347,7 @@ def example_cover_formula(l: int, k: int, z_range: tuple[int, int]) -> tuple[Exa
         else:
             cover[v] = kk.y(z % l, (j + crossings(z)) % k)
 
-    for (u, w) in gpatch.graph.edges:
+    for u, w in gpatch.graph.sorted_edges():
         if not kk.graph.has_edge(cover[u], cover[w]):
             raise DefectError(
                 f"cover formula broken: edge ({gpatch.labels[u]},{gpatch.labels[w]}) "

@@ -192,6 +192,7 @@ class PlanePatch:
         schlafli: (p, q) for generated patches, None for imports.
         l_max: maximum co-degree, the length bound for peripheral-cycle
             search: p, or the longest face of an import.
+    The sorted faces at each vertex answer `has_face` and `is_interior`.
     """
 
     def __init__(
@@ -208,9 +209,7 @@ class PlanePatch:
         self.root = root
         self.rotation = rotation
         self.faces: tuple[FaceBoundary, ...] = tuple(faces)
-        self.face_set: frozenset[FaceBoundary] = frozenset(faces)
         self.outer = outer
-        self._outer_set = frozenset(outer)
         self.complete_radius = complete_radius
         self.schlafli = schlafli
         self.l_max = schlafli[0] if schlafli is not None else max(len(f) for f in self.faces)
@@ -232,10 +231,14 @@ class PlanePatch:
     def faces_at(self, v: int) -> tuple[FaceBoundary, ...]:
         return self._faces_at[v]
 
+    def has_face(self, f: FaceBoundary) -> bool:
+        """Whether f is a face: a canonical cycle starts at its least vertex."""
+        return f in self._faces_at.get(f.cycle[0], ())
+
     def is_interior(self, v: int) -> bool:
-        """Interior vertices carry all their faces; the rest lie on the
-        outer boundary walk."""
-        return v not in self._outer_set
+        """Interior vertices have a face in every corner: a face, a simple
+        cycle, takes one corner of a vertex, and the outer walk one or more."""
+        return len(self._faces_at[v]) == len(self.rotation[v])
 
     def root_distance(self, v: int) -> int:
         return self._dist_from_root[v]
@@ -267,7 +270,7 @@ class PlanePatch:
             self.graph == other.graph
             and self.root == other.root
             and self.rotation == other.rotation
-            and self.face_set == other.face_set
+            and self._faces_at == other._faces_at
             and self.outer == other.outer
             and self.complete_radius == other.complete_radius
         )
@@ -431,10 +434,14 @@ def generate(p: int, q: int, R: int) -> PlanePatch:
     if crad[o] < R:
         raise DefectError(f"root complete_radius {crad[o]} < requested radius {R}")
     patch = PlanePatch(graph, o, rotation, faces, outer, crad, (p, q))
-    # a face made twice shows in the patch's own face set; it is named
-    # before the Euler count, which it also throws off
-    if len(patch.face_set) != len(faces):
-        raise DefectError("generation produced a face twice")
+    # a face made twice sits side by side in the sorted faces at its
+    # vertices; it is named before the Euler count, which it also throws off
+    for fs in patch._faces_at.values():
+        prev = None
+        for f in fs:
+            if f.cycle == prev:
+                raise DefectError("generation produced a face twice")
+            prev = f.cycle
     if nverts - nedges + len(faces) + 1 != 2:
         raise DefectError("the patch and its outer region do not close up into a sphere")
     return patch

@@ -177,7 +177,7 @@ class TestSelectNextFace:
         before = set(state.frontier)
         with pytest.raises(InputError, match="is not pending"):
             extend_cover(state, f.face, f.face)
-        assert state.frontier == before and len(state.log) == 1
+        assert state.frontier == before and len(state.face_image) == 2
 
     def test_exhaustion_on_small_patch(self):
         patch = generate(4, 4, 4)
@@ -292,7 +292,7 @@ class TestSharedPath:
                 if face is None:
                     break
                 extend_cover(state, face, match_face(state, face))
-            assert len(state.log) > 10
+            assert len(state.face_image) > 11
 
 
 class TestMatchFace:
@@ -561,6 +561,41 @@ class TestFlagFreeBuild:
         assert cov.steps > 50 and made == []
 
 
+class TestColourSearchCount:
+    """The colour check's scaling rule, as counts: a build makes one core
+    search per distinct patch vertex and one per distinct image vertex,
+    and nothing else that grows with the target; the run keeps them, so a
+    second build makes none."""
+
+    @pytest.mark.parametrize(
+        "build, want",
+        [
+            (_quotient_target(4, 4, 16, "torus", 9, 9), 417 + 81),
+            (_quotient_target(4, 4, 8, "klein", 12, 12), 81 + 81),
+            (_self_cover(3, 7, 7), 617),
+            (_quotient_target(4, 4, 16, "torus", 60, 60), 417 + 417),
+        ],
+        ids=["torus 9x9", "klein 12x12", "{3,7} self", "torus 60x60"],
+    )
+    def test_one_search_per_distinct_vertex(self, build, want, monkeypatch):
+        import coverkit.flags as flags
+
+        patch, h = build()
+        run = CoverRun(patch, h)
+        cov = run.build()
+        mapped = {y for face in cov.face_image for y in face}
+        images = {x for face in cov.face_image.values() for x in face}
+        if h is patch:  # one host: a vertex is searched once, on either side
+            assert len(run.coloring._isos) == len(mapped | images) == want
+        else:
+            assert len(run.coloring._isos) == len(mapped) + len(images) == want
+        searches = []
+        real = flags.rooted_isomorphisms
+        monkeypatch.setattr(flags, "rooted_isomorphisms", lambda *a, **k: searches.append(a) or real(*a, **k))
+        assert run.build().vertex_map == cov.vertex_map
+        assert searches == []
+
+
 def _hand_built(c, face, image, vertex_map):
     """A partial cover holding only what the colour check reads: the
     colouring, its patch as the host, the vertex map and an empty log."""
@@ -587,7 +622,7 @@ class TestColorCheckErrors:
 
         patch = build_squareoct_patch()
         c = Coloring(patch, i_fundamental_domain(patch, 1))
-        assert len(c.delta) == 3 and self.OCTAGON in patch.face_set
+        assert len(c.delta) == 3 and patch.has_face(self.OCTAGON)
         return c
 
     @pytest.mark.parametrize("step", [1, -1])

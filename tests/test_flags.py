@@ -257,7 +257,7 @@ class TestColor:
         f1, f2 = (f for f in patch.faces_at(root) if edge_key(root, u) in f.edges)
         walk = f2.cycle_from(u, root)[1:] + f1.cycle_from(root, u)[1:]  # root first
         merged = FaceBoundary(walk)
-        assert merged not in patch.face_set
+        assert not patch.has_face(merged)
         with pytest.raises(DefectError, match="not a face"):
             color(c, Flag(root, edge_key(root, walk[1]), merged))
 
@@ -508,7 +508,7 @@ class TestExtendIso:
         assert iso.map_cycle(f.face) == g2.face
         for face in patch44_r10.faces_at(patch44_r10.root):
             if all(u in iso.mapping for u in face):
-                assert iso.map_cycle(face) in patch44_r10.face_set
+                assert patch44_r10.has_face(iso.map_cycle(face))
 
     def test_onto_torus_at_depth_one(self, patch44_r10, torus57):
         delta = i_fundamental_domain(patch44_r10, 1)

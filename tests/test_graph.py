@@ -48,8 +48,8 @@ class TestGraph:
 
 
 class TestTrustedGraph:
-    """Graph._trusted builds no edge set until `edges` is read; every
-    answer is that of the validating Graph(vertices, edges)."""
+    """A Graph is its sorted adjacency and keeps no edge set; every answer
+    of Graph._trusted is that of the validating Graph(vertices, edges)."""
 
     @pytest.mark.parametrize("seed", range(16))
     def test_trusted_and_validated_graphs_agree(self, seed):
@@ -63,18 +63,18 @@ class TestTrustedGraph:
             adj[a].append(b)
             adj[b].append(a)
         trusted = Graph._trusted(adj)
+        assert Graph.__slots__ == ("_vertices", "_adj", "_face_memos")  # no edge set is kept
         assert trusted.sorted_edges() == sorted(es)
-        assert trusted._edges is None  # sorted_edges reads the adjacency
         probes = [*vs, min(vs) - 1, max(vs) + 1, 1000]  # and ids that are not vertices
         edges = set(es)
         for u in probes:
             for w in probes:  # u == w included
                 assert trusted.has_edge(u, w) == validated.has_edge(u, w) == (edge_key(u, w) in edges)
-        assert trusted._edges is None  # and so does has_edge
         assert trusted == validated and validated == trusted
         assert repr(trusted) == repr(validated) == f"Graph(n={len(vs)}, m={len(es)})"
         assert hash(trusted) == hash(validated)
         assert trusted.edges == validated.edges == edges
+        assert len(trusted.edges) == len(es)
         assert trusted.sorted_edges() == validated.sorted_edges() == sorted(edges)
         if es:
             assert trusted != Graph(vs, es[1:])

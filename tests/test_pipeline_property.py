@@ -12,19 +12,27 @@ which every drawn target is 2-locally-G (face cores) for the patch
 used, and the draws are derandomized, so the suite stays deterministic.
 """
 
+import random
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverkit import (
+    CoverKitError,
     CoverRun,
     Graph,
+    HypothesisViolationError,
     QuotientSpec,
+    build_cover,
     check_cover,
     closed_form_projection,
     hex_lattice_coordinates,
+    is_r_locally,
     make_quotient,
     square_lattice_coordinates,
 )
+from coverkit.graph import edge_key
 
 from .oracles import lattice_projections, relabelled
 
@@ -58,5 +66,52 @@ def test_built_map_is_the_closed_form_projection(patch44_r10, patch63_r10):
         assert check_cover(cov).ok
         covered = {projection[v] for v in cov.vertex_map}
         assert cov.surjective == (covered == set(inst.graph.vertices))
+
+    run()
+
+
+def _switched(g: Graph, switches: int, seed: int) -> Graph:
+    """g after up to `switches` degree-preserving edge switches: ab and cd
+    become ad and bc, when those are four vertices and not edges already."""
+    rng = random.Random(seed)
+    edges = set(g.sorted_edges())
+    for _ in range(switches):
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        if len({a, b, c, d}) == 4 and edge_key(a, d) not in edges and edge_key(b, c) not in edges:
+            edges -= {(a, b), (c, d)}
+            edges |= {edge_key(a, d), edge_key(b, c)}
+    return Graph(g.vertices, edges)
+
+
+def test_the_theorem_on_switched_targets(patch44_r10):
+    """The theorem against the builder's verdict.  A 2-locally-G target
+    (face cores) is covered, surjectively; a failed build means the target
+    is not locally-G, and says so with a HypothesisViolationError (the CLI
+    exits 1), never another error; and a target vertex the error names is
+    one that is_r_locally flags."""
+
+    @given(
+        st.sampled_from(["torus", "klein"]),
+        st.integers(6, 8),
+        st.integers(6, 8),
+        st.integers(0, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def run(kind, m, n, switches, seed):
+        h = _switched(make_quotient(QuotientSpec(kind, m, n)).graph, switches, seed)
+        local = is_r_locally(h, patch44_r10, 2, d_balls=True)
+        try:
+            cov = build_cover(patch44_r10, h)
+        except CoverKitError as exc:
+            assert type(exc) is HypothesisViolationError, exc
+            assert not local.ok
+            named = re.search(r"locally-G at (\d+)|target vertex (\d+)", str(exc))
+            if named is not None:
+                assert int(named.group(1) or named.group(2)) in local.failures, exc
+            return
+        assert check_cover(cov).ok
+        if local.ok:
+            assert cov.surjective
 
     run()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from coverkit import (
     DefectError,
     FaceBoundary,
+    Flag,
     Graph,
     InputError,
     ball,
@@ -188,6 +189,14 @@ class TestStructuralChecks:
             generate(3, 7, 3)
 
 
+def _count_edge_set_reads(monkeypatch) -> list:
+    """From now on, each read of any Graph's `edges` adds an entry."""
+    reads: list = []
+    edges = Graph.edges.fget
+    monkeypatch.setattr(Graph, "edges", property(lambda g: reads.append(g) or edges(g)))
+    return reads
+
+
 class TestTrustedBuild:
     """A generated patch is built from trusted parts; the order and the
     content of what it holds are those of the validating constructors."""
@@ -227,27 +236,103 @@ class TestTrustedBuild:
             g = FaceBoundary(cycle)
             assert (f.cycle, hash(f), f.edges) == (g.cycle, hash(g), g.edges)
 
-    def test_the_hyperbolic_path_builds_no_edge_set(self):
-        # generation, a self-cover and its checks walk the adjacency only:
-        # the edge set, about a fifth of what a {3,7} patch keeps, is
-        # built on the first read of Graph.edges
+    def test_the_hyperbolic_path_builds_no_edge_set(self, monkeypatch):
+        # a Graph keeps no edge set, and generation, a self-cover and its
+        # checks walk the adjacency only: none of them asks for one
+        assert "_edges" not in Graph.__slots__
+        reads = _count_edge_set_reads(monkeypatch)
         patch = generate(3, 7, 6)
         cov = build_cover(patch, patch)
         assert check_cover(cov).ok and check_normality(cov).ok
-        assert patch.graph._edges is None
+        assert reads == []
         assert len(patch.graph.edges) == sum(map(len, patch.rotation.values())) // 2
 
-    def test_exporting_a_patch_builds_no_edge_set(self):
+    def test_exporting_a_patch_builds_no_edge_set(self, monkeypatch):
         # to_json_dict lists the edges off the sorted adjacency
         patch = generate(3, 7, 5)
-        patch.to_json_dict()
-        assert patch.graph._edges is None
+        reads = _count_edge_set_reads(monkeypatch)
+        d = patch.to_json_dict()
+        assert reads == [] and len(d["edges"]) == len(patch.graph.edges)
 
     def test_l_max_is_kept_by_the_patch(self):
         imported = import_patch(hub_patch(12))
         assert imported.schlafli is None
         assert vars(imported)["l_max"] == max(len(f) for f in imported.faces)
         assert vars(generate(4, 5, 2))["l_max"] == 4
+
+
+def _derived_case(case):
+    if case == "hub 12":
+        return import_patch(hub_patch(12))
+    if case == "4.8.8":
+        from .test_flags import build_squareoct_patch
+
+        return build_squareoct_patch(3)
+    p, q = map(int, case[1:4].split(","))
+    return generate(p, q, int(case.split("R=")[1]))
+
+
+def _merged_cycle(f1, f2):
+    """The boundary of two faces that share one path: the edges of either
+    face but not both, walked round."""
+    nxt: dict = {}
+    for u, w in f1.edges ^ f2.edges:
+        nxt.setdefault(u, []).append(w)
+        nxt.setdefault(w, []).append(u)
+    walk = [min(nxt)]
+    while len(walk) < len(nxt):
+        walk.append(next(u for u in nxt[walk[-1]] if u not in walk[-2:]))
+    return FaceBoundary(walk)
+
+
+class TestDerivedAnswers:
+    """A patch keeps one per-vertex face table, and face membership and
+    interiority are read off it: each answer is that of the sets it
+    replaced."""
+
+    CASES = ["{3,7} R=5", "{4,4} R=8", "{6,3} R=6", "{4,5} R=4", "hub 12", "4.8.8"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_interior_is_off_the_outer_walk(self, case):
+        patch = _derived_case(case)
+        outer = set(patch.outer)
+        for v in patch.graph.vertices:
+            assert patch.is_interior(v) == (v not in outer), v
+        assert 0 < len(outer) < patch.graph.n
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_has_face_answers_as_the_face_set(self, case):
+        patch = _derived_case(case)
+        assert all(patch.has_face(f) for f in patch.faces)
+        assert all(patch.has_face(FaceBoundary(f.cycle[::-1])) for f in patch.faces)
+        # two faces sharing one path: the boundary of their union is a
+        # cycle of the patch, and no face
+        f1 = patch.faces_at(patch.root)[0]
+        f2 = next(
+            f for v in f1 for f in patch.faces_at(v)
+            if f != f1 and len(set(f1.cycle) & set(f.cycle)) == len(f1.edges & f.edges) + 1
+        )
+        merged = _merged_cycle(f1, f2)
+        assert all(patch.graph.has_edge(*e) for e in merged.edges)
+        assert not patch.has_face(merged)
+        # a cycle through an id that is not a vertex, least or not
+        top = max(patch.graph.vertices)
+        assert not patch.has_face(FaceBoundary((-1, *f1.cycle[:2])))
+        assert not patch.has_face(FaceBoundary((*f1.cycle[:2], top + 1)))
+        assert not patch.has_face(FaceBoundary((top + 1, top + 2, top + 3)))
+
+    def test_a_seed_flag_off_the_patch_is_refused(self):
+        patch = generate(4, 4, 6)
+        far = max(patch.graph.vertices) + 1
+        off = Flag(far, (far, far + 1), FaceBoundary((far, far + 1, far + 2, far + 3)))
+        with pytest.raises(InputError, match="^a seed flag's face is not a face of its graph$"):
+            build_cover(patch, patch, f=off, n=1)
+
+    def test_patches_equal_by_their_faces(self):
+        a, b = generate(4, 5, 3), generate(4, 5, 3)
+        assert a == b and a._faces_at is not b._faces_at
+        imported = import_patch(a.to_json_dict())
+        assert imported == a
 
 
 class TestTraceFaces:
