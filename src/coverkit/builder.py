@@ -258,10 +258,11 @@ def extend_cover(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -
 class CoverMap:
     """The finished map on the processed region, with its provenance.
 
-    `h` is the run's Host of the target.  A Host keeps only its source
-    and the source's faces, which are a function of the target alone, so
-    the finished map keeps no isomorphism memoised during the run alive:
-    those stay on the run's Coloring.  `steps` and `log` read `face_image`."""
+    `h` is the run's Host of the target.  A Host keeps only its source;
+    what the run learnt of the patch and the target (faces and core
+    isomorphisms, functions of them alone) is kept on them, so it lives
+    as long as they do, not as long as the map.  `steps` and `log` read
+    `face_image`."""
 
     patch: PlanePatch
     h: Host
@@ -323,9 +324,9 @@ class CoverRun:
     missing one is the least flag of the given one's colour; neither
     given is the default seed).  Each `build` starts through `init_cover`
     and runs one face enumeration from this state; builds share the
-    colouring's eligible faces, found on the first build, and the
-    memoised faces and isomorphisms, which are deterministic functions of
-    the inputs."""
+    colouring's eligible faces, found on the first build.  The memoised
+    faces and isomorphisms, deterministic functions of the inputs, are
+    kept on the inputs, so every run on them shares those."""
 
     def __init__(
         self,

@@ -242,12 +242,13 @@ def stabilize_n(patch: PlanePatch, i_max: int = 4, guard: int = 2) -> int:
 
 class Coloring:
     """The colouring context of one run: the patch, its palette delta at
-    level n = delta.level, the patch's own Host `g`, the root's depth-n
-    face core, the one reference of every pull (so refined once), and
-    the depth-n core isomorphisms onto it found so far, keyed by (host,
-    vertex) so that no two hosts share an entry.  The faces eligible for
-    a cover, those deep enough for depth-n colours, are found once, when
-    first read."""
+    level n = delta.level, the patch's own Host `g`, and the root's
+    depth-n face core, the one reference of every pull (so refined
+    once).  The core isomorphisms onto it are kept on each host's source
+    (`local._FaceMemo.isos`), shared by every Coloring of the patch at
+    level n, on both sides; a Coloring finds a host's table once
+    (`_isos`).  The faces eligible for a cover, those deep enough for
+    depth-n colours, are found once, when first read."""
 
     def __init__(self, patch: PlanePatch, delta: FundamentalDomain):
         self.patch = patch
@@ -255,7 +256,7 @@ class Coloring:
         self.n = delta.level
         self.g = Host(patch)
         self._palette = {_walk(f): k for f, k in delta.orbit_index.items()}  # by root flag walk
-        self._isos: dict[tuple[Host, int], dict[int, int]] = {}
+        self._isos: dict[Host, dict[int, dict[int, int]]] = {}
 
     @cached_property
     def root_core(self) -> FaceCore:
@@ -281,9 +282,9 @@ class Coloring:
 
     def host_for(self, h: Graph | PlanePatch) -> Host:
         """The host of a cover target: on a self-cover the patch's own host,
-        so both sides share its memoised isomorphisms; a new host
-        otherwise.  Either way the faces are those every Host of the
-        target shares."""
+        so both sides read one table of isomorphisms; a new host
+        otherwise.  Either way the faces and the isomorphisms are those
+        every Host of the target shares."""
         return self.g if h is self.patch else Host(h, self.patch.l_max)
 
 
@@ -297,17 +298,21 @@ def _colour(c: Coloring, host: Host, x: int, walk: tuple[int, ...], patch_side: 
     of the root flag onto which the isomorphism carries the flag that the
     walk fixes.  No isomorphism, or a carried walk that is no key, is a
     DefectError on the patch side and a HypothesisViolationError on the
-    target side."""
-    key = (host, x)
-    iso = c._isos.get(key)
+    target side.  Only found isomorphisms are kept, so a failed search
+    fails the same way each time."""
+    isos = c._isos.get(host)
+    if isos is None:  # the table of host's source for a root core of this content
+        ref = (c.n, c.patch.root, c.root_core.rooted.graph)
+        isos = c._isos[host] = host._memo.isos.setdefault(ref, {})
+    iso = isos.get(x)
     if iso is None:
-        target = c.root_core if key == (c.g, c.patch.root) else face_core(host, x, c.n)
+        target = c.root_core if host is c.g and x == c.patch.root else face_core(host, x, c.n)
         found = rooted_isomorphisms(target.rooted, c.root_core.rooted, limit=1)
         if not found:
             if patch_side:
                 raise DefectError(f"patch not vertex-transitive at {x}: no depth-{c.n} isomorphism")
             raise HypothesisViolationError(f"h is not {c.n}-locally-G at {x}")
-        iso = c._isos[key] = found[0].mapping
+        iso = isos[x] = found[0].mapping
     k = c._palette.get(tuple(map(iso.__getitem__, walk)))
     if k is None:
         if patch_side:

@@ -232,13 +232,22 @@ class _FaceMemo:
     graph's component count.  A verdict looks only near its cycle
     (`graph.local_parts`) and adds the component count, counted on the
     first verdict (a patch whose BFS from the root reached every vertex
-    needs no count), so its cost does not grow with the graph."""
+    needs no count), so its cost does not grow with the graph.
+
+    It also keeps the colour pulls of every Coloring (`flags._colour`):
+    the depth-n core isomorphism found at each vertex, onto a root core
+    named by its content, (n, root, root-core graph).  A search is a
+    function of the two cores alone, so every Coloring whose reference
+    has that content reads the map that the first one found.  The key
+    holds the root core's own graph, never a patch, so the memo still
+    refers to no source."""
 
     def __init__(self, components: int | None):
         self.faces: dict[int, tuple[FaceBoundary, ...]] = {}
         self.cycles: dict[int, tuple[tuple[FaceBoundary, bool], ...]] = {}
         self.verdicts: dict[FaceBoundary, tuple[FaceBoundary, bool]] = {}
         self.components = components
+        self.isos: dict[tuple[int, int, Graph], dict[int, dict[int, int]]] = {}
 
 
 def _traced_faces(host: Host, v: int) -> tuple[FaceBoundary, ...]:

@@ -119,9 +119,11 @@ def check_normality(
     transformation reconstructed from one matched flag pair commutes
     with the cover wherever both sides are defined.  Each reconstructed
     transformation is classified as orientation-preserving or reversing.
-    Colours are computed afresh, not taken from the build.  The faces of
-    the target are a function of the target alone, so they are read from
-    what every Host of it has found.
+    The faces of the target and the core isomorphisms that colours are
+    pulled through are functions of the inputs alone, so they are read
+    from what earlier calls found and kept on the patch and the target
+    (a build's, say); a vertex no call has searched is searched here.
+    Tier (b)'s extension isomorphism is searched afresh for every pair.
     A sample of fewer than one pair is an input error: it would check
     nothing, yet read as trivial normality.
     """

@@ -17,6 +17,7 @@ from coverkit import (
     QuotientSpec,
     build_cover,
     check_cover,
+    check_uniqueness,
     color,
     color_in_h,
     default_seed,
@@ -561,11 +562,35 @@ class TestFlagFreeBuild:
         assert cov.steps > 50 and made == []
 
 
+def _pulled(host):
+    """The vertices of host's source whose core isomorphism is kept, for
+    the one reference a fresh input has met."""
+    [table] = host._memo.isos.values()
+    return set(table)
+
+
+def _counting_pulls(monkeypatch):
+    """The colour pulls' core searches from now on: those in flags that
+    pin no vertex (orbit partitions and extend_iso always do)."""
+    import coverkit.flags as flags
+
+    pulls = []
+    real = flags.rooted_isomorphisms
+
+    def counting(a, b, limit=None, prescribed=None):
+        if prescribed is None:
+            pulls.append(a.root)
+        return real(a, b, limit, prescribed)
+
+    monkeypatch.setattr(flags, "rooted_isomorphisms", counting)
+    return pulls
+
+
 class TestColourSearchCount:
     """The colour check's scaling rule, as counts: a build makes one core
     search per distinct patch vertex and one per distinct image vertex,
-    and nothing else that grows with the target; the run keeps them, so a
-    second build makes none."""
+    and nothing else that grows with the target.  The inputs keep them,
+    so a second build, a second run and check_uniqueness make none."""
 
     @pytest.mark.parametrize(
         "build, want",
@@ -578,22 +603,29 @@ class TestColourSearchCount:
         ids=["torus 9x9", "klein 12x12", "{3,7} self", "torus 60x60"],
     )
     def test_one_search_per_distinct_vertex(self, build, want, monkeypatch):
-        import coverkit.flags as flags
-
         patch, h = build()
         run = CoverRun(patch, h)
         cov = run.build()
         mapped = {y for face in cov.face_image for y in face}
         images = {x for face in cov.face_image.values() for x in face}
         if h is patch:  # one host: a vertex is searched once, on either side
-            assert len(run.coloring._isos) == len(mapped | images) == want
+            assert _pulled(run.host) == mapped | images and len(mapped | images) == want
         else:
-            assert len(run.coloring._isos) == len(mapped) + len(images) == want
-        searches = []
-        real = flags.rooted_isomorphisms
-        monkeypatch.setattr(flags, "rooted_isomorphisms", lambda *a, **k: searches.append(a) or real(*a, **k))
+            assert (_pulled(run.coloring.g), _pulled(run.host)) == (mapped, images)
+            assert len(mapped) + len(images) == want
+        pulls = _counting_pulls(monkeypatch)
         assert run.build().vertex_map == cov.vertex_map
-        assert searches == []
+        assert CoverRun(patch, h).build().vertex_map == cov.vertex_map
+        assert pulls == []
+
+    def test_uniqueness_after_a_build_searches_no_vertex_again(self, monkeypatch):
+        # the wide-target pipeline: 162 colour searches in check_uniqueness
+        # when each run kept its own
+        patch, h = _quotient_target(4, 4, 8, "klein", 12, 12)()
+        build_cover(patch, h)
+        pulls = _counting_pulls(monkeypatch)
+        assert check_uniqueness(patch, h, trials=3).ok
+        assert pulls == []
 
 
 def _hand_built(c, face, image, vertex_map):

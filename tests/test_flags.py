@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import Counter
 
 import pytest
@@ -14,6 +16,8 @@ from coverkit import (
     InputError,
     PatchTooSmallError,
     QuotientSpec,
+    build_cover,
+    check_normality,
     color,
     color_in_h,
     dk_ball,
@@ -431,7 +435,9 @@ class TestWalkPull:
                 searched += 1
         assert searched >= 500
 
-    def test_root_core_refined_once_per_coloring(self, patch44_r10, patch37_r5, torus57, monkeypatch):
+    def test_root_core_refined_once_per_coloring(self, monkeypatch):
+        # inputs of its own: a session fixture's pulls may be kept already,
+        # and a kept pull searches nothing, so it refines nothing
         refined = []
         real = local._refine
 
@@ -440,7 +446,8 @@ class TestWalkPull:
             return real(b, table, last)
 
         monkeypatch.setattr(local, "_refine", counting)
-        for patch, h in ((patch44_r10, torus57.graph), (patch37_r5, patch37_r5)):
+        patch44, patch37 = generate(4, 4, 10), generate(3, 7, 5)
+        for patch, h in ((patch44, make_quotient(QuotientSpec("torus", 5, 7)).graph), (patch37, patch37)):
             c = Coloring(patch, i_fundamental_domain(patch, 1))
             host = c.host_for(h)
             vertices = [v for v in host.graph.vertices if h is not patch or patch.complete_radius[v] >= 3]
@@ -483,9 +490,100 @@ class TestHostIdentity:
             assert {f.face for f in flags} == faces[name]
             fresh = Coloring(patch44_r10, c.delta)
             assert [color_in_h(c, host, f) for f in flags] == [
-                color_in_h(fresh, Host(inst.graph, 4), f) for f in flags
+                color_in_h(fresh, Host(cold, 4), f) for f in flags
             ] == [0] * 8
         assert faces["torus"] != faces["klein"]
+
+
+def _cold_pull(h, l_max, c, x):
+    """The core isomorphism at x found the long way: on a graph equal to
+    h, so from a memo no other host has touched."""
+    cold = Graph(h.vertices, h.edges)
+    [iso] = rooted_isomorphisms(face_core(Host(cold, l_max), x, c.n).rooted, c.root_core.rooted, limit=1)
+    return iso.mapping
+
+
+class TestSharedPulls:
+    """The colour pulls are kept on the source of each host, by the
+    content of the reference: every Coloring of the patch at one level
+    reads them, on every run, and nothing else does."""
+
+    def test_dropped_inputs_free_their_pulls_without_the_cycle_collector(self):
+        patch = generate(4, 4, 10)
+        g = make_quotient(QuotientSpec("torus", 5, 7)).graph
+        cov = build_cover(patch, g)
+        patch_memo, target_memo = weakref.ref(Host(patch)._memo), weakref.ref(Host(g, patch.l_max)._memo)
+        assert patch_memo().isos and target_memo().isos
+        gc.disable()
+        try:
+            del cov
+            assert target_memo() is not None  # the target keeps it
+            del g
+            assert target_memo() is None
+            assert patch_memo() is not None
+            del patch
+            assert patch_memo() is None
+        finally:
+            gc.enable()
+
+    def test_targets_freed_and_rebuilt_read_only_their_own_pulls(self, patch44_r10):
+        # vertex ids repeat from one target to the next, and a freed
+        # target's memory is reused for the next; every kept map must be
+        # the search of its own target's core
+        from .test_pipeline_property import _switched
+
+        delta = i_fundamental_domain(patch44_r10, 1)
+        for seed in range(6):
+            kind = ("torus", "klein")[seed % 2]
+            h = _switched(make_quotient(QuotientSpec(kind, 6, 6)).graph, seed % 3, seed)
+            c, host = Coloring(patch44_r10, delta), Host(h, 4)
+            assert host._memo.isos == {}
+            for v in h.vertices:
+                for f in flags_at(host, v):
+                    try:
+                        color_in_h(c, host, f)
+                    except HypothesisViolationError:
+                        break
+            kept = c._isos[host]
+            assert kept and all(iso == _cold_pull(h, 4, c, x) for x, iso in kept.items())
+            del c, host, h, kept
+
+    def test_levels_never_share_a_pull(self):
+        patch = generate(4, 4, 10)
+        h = make_quotient(QuotientSpec("torus", 5, 7)).graph
+        host = Host(h, 4)
+        colourings = [Coloring(patch, i_fundamental_domain(patch, n)) for n in (1, 2)]
+        for c in colourings:
+            for f in flags_at(host, 0) + flags_at(host, 9):
+                color_in_h(c, host, f)
+            for f in flags_at(c.g, 12):
+                color(c, f)
+        for side in (host, Host(patch)):
+            assert sorted(n for n, _, _ in side._memo.isos) == [1, 2]
+        one, two = (c._isos[host] for c in colourings)
+        assert one is not two and set(one) == set(two) == {0, 9}
+        for c, kept in zip(colourings, (one, two)):
+            assert all(iso == _cold_pull(h, 4, c, x) for x, iso in kept.items())
+            assert all(set(iso) == set(face_core(host, x, c.n).rooted.graph.vertices) for x, iso in kept.items())
+
+    def test_a_failed_search_is_not_kept(self, patch44_r10, hex55):
+        c = Coloring(patch44_r10, i_fundamental_domain(patch44_r10, 1))
+        host = Host(hex55.graph, 6)
+        f = flags_at(host, 0)[0]
+        for _ in range(2):
+            with pytest.raises(HypothesisViolationError, match="h is not 1-locally-G at 0"):
+                color_in_h(c, host, f)
+        assert c._isos[host] == {}
+
+    def test_normality_reports_alike_cold_and_warm(self):
+        patch = generate(4, 4, 10)
+        h = make_quotient(QuotientSpec("torus", 5, 7)).graph
+        cov = build_cover(patch, h)
+        warm = check_normality(cov, samples=20).to_json_dict()
+        for memo in (Host(patch)._memo, cov.h._memo):
+            memo.isos.clear()
+        assert check_normality(cov, samples=20).to_json_dict() == warm
+        assert warm["ok"]
 
 
 class TestExtendIso:
