@@ -37,7 +37,7 @@ Edge = tuple[int, int]
 
 @dataclass
 class PartialCover:
-    """The in-progress map with its frontier and verification ledger."""
+    """The in-progress map with its frontier, verification ledger and step."""
 
     coloring: Coloring
     host: Host
@@ -46,6 +46,7 @@ class PartialCover:
     pending: dict[FaceBoundary, None]  # eligible faces not yet absorbed, in enumeration order
     face_image: dict[FaceBoundary, FaceBoundary]  # in the order absorbed, the seed first: step k is entry k + 1
     domain_edges_at: dict[int, dict[Edge, Edge]]  # each processed edge at a vertex, to its fixed image
+    step: tuple[FaceBoundary, list[int]] | None = None  # the step in progress: its face and shared path
 
 
 def _image(state: PartialCover, e: Edge) -> Edge:
@@ -138,8 +139,9 @@ def init_cover(c: Coloring, host: Host, f: Flag, flag_h: Flag, tie_break: int = 
 
 def _absorb_face(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -> None:
     """Record a face whose vertices are mapped and its edges' images,
-    swap its edges into the frontier, and re-verify the inductive
-    invariants on its flags."""
+    swap its edges into the frontier, end the step record, and re-verify
+    the inductive invariants on its flags."""
+    state.step = None
     del state.pending[face]
     state.face_image[face] = image
     for e in face.edges:
@@ -176,21 +178,31 @@ def _intersection_path(face: FaceBoundary, state: PartialCover) -> list[int] | N
     return path if path[0] < path[-1] else path[::-1]
 
 
+def _step_path(state: PartialCover, face: FaceBoundary) -> list[int]:
+    """The face's shared path: the step record's, or found now and recorded."""
+    if state.step is None or state.step[0] != face:
+        path = _intersection_path(face, state)
+        if path is None:
+            raise InputError("face does not meet the frontier in a path")
+        state.step = (face, path)
+    return state.step[1]
+
+
 def select_next_face(state: PartialCover) -> FaceBoundary | None:
-    """The least pending face sharing a path with the frontier.  None
-    means patch exhaustion (normal termination for patch-bounded runs)."""
+    """The least pending face sharing a path with the frontier, recorded
+    with its path as the step.  None means patch exhaustion, a normal end."""
     for face in state.pending:
-        if _intersection_path(face, state) is not None:
+        path = _intersection_path(face, state)
+        if path is not None:
+            state.step = (face, path)
             return face
     return None
 
 
 def match_face(state: PartialCover, face: FaceBoundary) -> FaceBoundary:
-    """The unique target face that contains the image of the shared path,
-    offers a fresh edge at the path's endpoint, and has the right length."""
-    path = _intersection_path(face, state)
-    if path is None:
-        raise InputError("face does not meet the frontier in a path")
+    """The unique target face that contains the image of the step's shared
+    path, offers a fresh edge at its endpoint, and has the right length."""
+    path = _step_path(state, face)
     w = path[0]
     cw = state.vertex_map[w]
     img_path_edges = {_image(state, e) for e in zip(path, path[1:])}
@@ -213,8 +225,8 @@ def match_face(state: PartialCover, face: FaceBoundary) -> FaceBoundary:
 
 
 def extend_cover(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -> PartialCover:
-    """Map the face onto its image in the forced orientation, advance the
-    frontier, and re-verify the inductive invariants on the new flags.
+    """Map the face onto its image in the orientation the step's shared path
+    forces, advance the frontier, and re-verify the inductive invariants.
 
     The frontier stays one simple cycle, with no whole-frontier check:
     - the seed frontier is a face cycle;
@@ -231,9 +243,7 @@ def extend_cover(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -
     """
     if face not in state.pending:
         raise InputError(f"face {face} is not pending")
-    path = _intersection_path(face, state)
-    if path is None:
-        raise InputError("face does not meet the frontier in a path")
+    path = _step_path(state, face)
     seq_g = face.cycle_from(path[0], path[1])
     seq_h = image.cycle_from(state.vertex_map[path[0]], state.vertex_map[path[1]])
     for i, (a, b) in enumerate(zip(seq_g, seq_h)):

@@ -137,20 +137,24 @@ def flag_orbit_partition(patch: PlanePatch, i: int) -> list[frozenset[Flag]]:
     order, is compared only with the first flag of each orbit found so
     far, by a single constrained existence search (never by enumerating
     the full group, which is polluted by rim symmetries on hyperbolic
-    balls).  The orbits come out ordered by their least flags.
+    balls).  The orbits come out ordered by their least flags.  Each
+    level's partition is kept on the patch (`local._FaceMemo.orbits`).
     """
     host = Host(patch)
-    core = face_core(host, patch.root, i).rooted
-    orbits: list[list[Flag]] = []
-    for f in flags_at(host, patch.root):
-        for orbit in orbits:
-            pres = _prescription(orbit[0], f)
-            if pres and rooted_isomorphisms(core, core, limit=1, prescribed=pres):
-                orbit.append(f)
-                break
-        else:
-            orbits.append([f])
-    return [frozenset(orbit) for orbit in orbits]
+    known = host._memo.orbits.get(i)
+    if known is None:
+        core = face_core(host, patch.root, i).rooted
+        orbits: list[list[Flag]] = []
+        for f in flags_at(host, patch.root):
+            for orbit in orbits:
+                pres = _prescription(orbit[0], f)
+                if pres and rooted_isomorphisms(core, core, limit=1, prescribed=pres):
+                    orbit.append(f)
+                    break
+            else:
+                orbits.append([f])
+        known = host._memo.orbits[i] = tuple(frozenset(orbit) for orbit in orbits)
+    return list(known)
 
 
 @dataclass
@@ -220,15 +224,8 @@ def stabilize_n(patch: PlanePatch, i_max: int = 4, guard: int = 2) -> int:
         raise InputError("guard must be >= 1")
     if i_max < 1:
         raise InputError("i_max must be >= 1")
-    partitions: list[frozenset[frozenset[Flag]]] = []
-
-    def part(i: int) -> frozenset[frozenset[Flag]]:
-        while len(partitions) < i:
-            partitions.append(frozenset(flag_orbit_partition(patch, len(partitions) + 1)))
-        return partitions[i - 1]
-
-    for n in range(1, i_max + 1):
-        if all(part(n + t) == part(n) for t in range(1, guard)):
+    for n in range(1, i_max + 1):  # levels first found in ascending order; orbits listed by least flag
+        if all(flag_orbit_partition(patch, n) == flag_orbit_partition(patch, n + t) for t in range(1, guard)):
             return n
     raise PatchTooSmallError(
         f"orbit partition did not stabilise for {guard} consecutive levels "

@@ -240,7 +240,8 @@ class _FaceMemo:
     function of the two cores alone, so every Coloring whose reference
     has that content reads the map that the first one found.  The key
     holds the root core's own graph, never a patch, so the memo still
-    refers to no source."""
+    refers to no source.  On a patch it keeps each level's flag orbit
+    partition of the root (`flags.flag_orbit_partition`)."""
 
     def __init__(self, components: int | None):
         self.faces: dict[int, tuple[FaceBoundary, ...]] = {}
@@ -248,6 +249,7 @@ class _FaceMemo:
         self.verdicts: dict[FaceBoundary, tuple[FaceBoundary, bool]] = {}
         self.components = components
         self.isos: dict[tuple[int, int, Graph], dict[int, dict[int, int]]] = {}
+        self.orbits: dict[int, tuple[frozenset, ...]] = {}
 
 
 def _traced_faces(host: Host, v: int) -> tuple[FaceBoundary, ...]:

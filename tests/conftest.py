@@ -11,27 +11,27 @@ from .oracles import assert_frontier_cycle, intersection_path_by_adjacency  # no
 @pytest.fixture(autouse=True, scope="session")
 def frontier_oracle():
     """Every build in the suite checks the whole frontier after every
-    step; the builder itself checks only the absorbed face's shared path,
-    which must first agree with the adjacency-walk reference.  The same
+    absorbed face, the seed included; the builder itself checks only the
+    absorbed face's shared path.  The step record must hold that face
+    with the adjacency-walk reference path (none for the seed, whose
+    frontier is empty), so a stale or missing record fails.  The same
     check holds the ledger to account: the pending and the absorbed faces
     split the eligible ones.  Explicit raises, so the checks stay live
     under python -O."""
-    extend = builder.extend_cover
+    absorb = builder._absorb_face
 
     def checked(state, face, image):
         want = intersection_path_by_adjacency(face, state)
-        got = builder._intersection_path(face, state)
-        if got != want:
-            raise AssertionError(f"shared path of {face} is {got}; the reference gives {want}")
-        out = extend(state, face, image)
+        if state.step != (None if want is None else (face, want)):
+            raise AssertionError(f"the step record is {state.step}; the reference path of {face} is {want}")
+        absorb(state, face, image)
         assert_frontier_cycle(state.frontier)
         pending, absorbed = set(state.pending), set(state.face_image)
         if pending & absorbed or pending | absorbed != state.coloring.eligible:
             raise AssertionError("the pending and the absorbed faces do not split the eligible ones")
-        return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(builder, "extend_cover", checked)
+        mp.setattr(builder, "_absorb_face", checked)
         yield
 
 

@@ -13,6 +13,7 @@ from coverkit import (
     FaceBoundary,
     Graph,
     Host,
+    HypothesisViolationError,
     InputError,
     QuotientSpec,
     build_cover,
@@ -23,6 +24,7 @@ from coverkit import (
     default_seed,
     extend_cover,
     extend_iso,
+    flag_orbit_partition,
     flags_at,
     generate,
     i_fundamental_domain,
@@ -35,7 +37,7 @@ from coverkit import (
 import coverkit.builder as builder
 from coverkit.builder import _intersection_path
 from coverkit.instances import square_lattice_coordinates
-from coverkit.local import dk_ball
+from coverkit.local import dk_ball, host_faces_at
 from coverkit.tessellation import enumeration_key, face_enumeration
 
 from .oracles import assert_frontier_cycle, intersection_path_by_adjacency
@@ -334,6 +336,98 @@ class TestMatchFace:
         assert saw_long_path
 
 
+class TestStepRecord:
+    """A step's shared path is found once, where the step chooses its
+    face, and read from the step record until a face is absorbed."""
+
+    @pytest.mark.parametrize(
+        "build, steps",
+        [
+            (_quotient_target(4, 4, 16, "torus", 9, 9), 363),
+            (_quotient_target(4, 4, 8, "klein", 12, 12), 59),
+            (_self_cover(3, 7, 7), 846),
+        ],
+        ids=["torus 9x9", "klein 12x12", "{3,7} self"],
+    )
+    def test_one_walk_per_step(self, build, steps, monkeypatch):
+        # three walks per step when select, match and extend each found the path
+        run = CoverRun(*build())
+        calls = dict.fromkeys(["_intersection_path", "select_next_face", "match_face", "extend_cover"], 0)
+
+        def counting(name):
+            real = getattr(builder, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(builder, name, counting(name))
+        assert run.build().steps == steps
+        assert calls == {
+            "_intersection_path": steps,
+            "select_next_face": steps + 1,
+            "match_face": steps,
+            "extend_cover": steps,
+        }
+
+    def test_match_face_refuses_a_face_off_the_frontier(self, patch44_r10, torus57):
+        run = CoverRun(patch44_r10, torus57.graph)
+        state = init_cover(run.coloring, run.host, *run.seed)
+        chosen = select_next_face(state)
+        record = state.step
+        far = next(x for x in state.pending if not set(x.cycle) & set(state.vertex_map))
+        with pytest.raises(InputError) as err:
+            match_face(state, far)
+        assert str(err.value) == "face does not meet the frontier in a path"
+        assert state.step == record and record[0] == chosen
+
+    def test_an_image_off_the_shared_path_is_refused(self, patch44_r10, torus57):
+        # the first three-vertex path, and the other square at the image of
+        # its first edge: the one the earlier steps mapped
+        run = CoverRun(patch44_r10, torus57.graph)
+        state = init_cover(run.coloring, run.host, *run.seed)
+        for _ in range(2):
+            face = select_next_face(state)
+            extend_cover(state, face, match_face(state, face))
+        face = select_next_face(state)
+        assert state.step == (face, [4, 0, 6])
+        right = match_face(state, face)
+        first = builder._image(state, (0, 4))
+        [wrong] = [b for b in host_faces_at(run.host, state.vertex_map[4]) if first in b.edges and b != right]
+        assert len(wrong) == len(face)
+        before = dict(state.vertex_map)
+        with pytest.raises(HypothesisViolationError) as err:
+            extend_cover(state, face, wrong)
+        assert str(err.value) == "step 3: image face does not align with the shared path"
+        assert state.vertex_map == before and face in state.pending
+
+    @pytest.mark.parametrize("then", ["match_face", "extend_cover"])
+    def test_a_stale_record_is_never_used(self, then, patch44_r10, torus57):
+        # face a is chosen with path [0, 3]; face b, absorbed by hand
+        # instead, puts the edge (0, 6) on the frontier, so a's path is
+        # then [3, 0, 6].  The twin absorbs b without choosing a first.
+        run = CoverRun(patch44_r10, torus57.graph)
+        state, twin = (init_cover(run.coloring, run.host, *run.seed) for _ in range(2))
+        for s in (state, twin):
+            first = select_next_face(s)
+            extend_cover(s, first, match_face(s, first))
+        a, b = select_next_face(state), FaceBoundary((0, 4, 7, 6))
+        assert state.step == (a, [0, 3]) and b.edges & a.edges
+        for s in (state, twin):
+            extend_cover(s, b, match_face(s, b))
+        assert state.step is None
+        image = match_face(twin, a)
+        if then == "match_face":
+            assert match_face(state, a) == image
+            assert state.step == (a, [3, 0, 6])
+        extend_cover(state, a, image)
+        extend_cover(twin, a, image)
+        assert state.vertex_map == twin.vertex_map and state.frontier == twin.frontier
+
+
 class TestBuildCover:
     def test_identity_cover_is_identity(self, patch44_r10):
         cov = build_cover(patch44_r10, patch44_r10)
@@ -569,16 +663,17 @@ def _pulled(host):
     return set(table)
 
 
-def _counting_pulls(monkeypatch):
+def _counting_pulls(monkeypatch, pinned=False):
     """The colour pulls' core searches from now on: those in flags that
-    pin no vertex (orbit partitions and extend_iso always do)."""
+    pin no vertex (orbit partitions and extend_iso always do).  With
+    `pinned`, those that do."""
     import coverkit.flags as flags
 
     pulls = []
     real = flags.rooted_isomorphisms
 
     def counting(a, b, limit=None, prescribed=None):
-        if prescribed is None:
+        if (prescribed is not None) == pinned:
             pulls.append(a.root)
         return real(a, b, limit, prescribed)
 
@@ -626,6 +721,22 @@ class TestColourSearchCount:
         pulls = _counting_pulls(monkeypatch)
         assert check_uniqueness(patch, h, trials=3).ok
         assert pulls == []
+
+
+class TestOrbitPartitionCount:
+    def test_each_level_is_partitioned_once_per_patch(self, monkeypatch):
+        # the wide-target inputs: each run partitioned levels 1, 2 and 1
+        # again, 21 pinned searches, and check_uniqueness another 21
+        patch, h = _quotient_target(4, 4, 8, "klein", 12, 12)()
+        searches = _counting_pulls(monkeypatch, pinned=True)
+        cov = build_cover(patch, h)
+        assert len(searches) == 14  # levels 1 and 2, once each
+        searches.clear()
+        assert CoverRun(patch, h).build().vertex_map == cov.vertex_map
+        assert check_uniqueness(patch, h, trials=3).ok
+        assert searches == []
+        kept = flag_orbit_partition(patch, 1)
+        assert flag_orbit_partition(patch, 1) == kept and flag_orbit_partition(patch, 1) is not kept
 
 
 def _hand_built(c, face, image, vertex_map):
