@@ -201,7 +201,11 @@ def select_next_face(state: PartialCover) -> FaceBoundary | None:
 
 def match_face(state: PartialCover, face: FaceBoundary) -> FaceBoundary:
     """The unique target face that contains the image of the step's shared
-    path, offers a fresh edge at its endpoint, and has the right length."""
+    path, offers a fresh edge at its endpoint, and has the right length.
+    A face that is not pending is refused first, as `extend_cover` refuses
+    it: an absorbed face can meet the frontier in a path again."""
+    if face not in state.pending:
+        raise InputError(f"face {face} is not pending")
     path = _step_path(state, face)
     w = path[0]
     cw = state.vertex_map[w]

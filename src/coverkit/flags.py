@@ -31,6 +31,8 @@ from .local import (
     FaceCore,
     Host,
     Isomorphism,
+    _assemble,
+    _core_faces,
     dk_ball,
     face_core,
     host_faces_at,
@@ -244,8 +246,11 @@ class Coloring:
     once).  The core isomorphisms onto it are kept on each host's source
     (`local._FaceMemo.isos`), shared by every Coloring of the patch at
     level n, on both sides; a Coloring finds a host's table once
-    (`_isos`).  The faces eligible for a cover, those deep enough for
-    depth-n colours, are found once, when first read."""
+    (`_isos`).  A vertex met first is pulled through the search of its
+    core's shape, made once per Coloring on either side and kept, found
+    or failed, in `_shapes` (`_core_map`).  The faces eligible for a
+    cover, those deep enough for depth-n colours, are found once, when
+    first read."""
 
     def __init__(self, patch: PlanePatch, delta: FundamentalDomain):
         self.patch = patch
@@ -254,6 +259,7 @@ class Coloring:
         self.g = Host(patch)
         self._palette = {_walk(f): k for f, k in delta.orbit_index.items()}  # by root flag walk
         self._isos: dict[Host, dict[int, dict[int, int]]] = {}
+        self._shapes: dict[tuple, tuple[tuple[int, int], ...] | None] = {}
 
     @cached_property
     def root_core(self) -> FaceCore:
@@ -295,21 +301,16 @@ def _colour(c: Coloring, host: Host, x: int, walk: tuple[int, ...], patch_side: 
     of the root flag onto which the isomorphism carries the flag that the
     walk fixes.  No isomorphism, or a carried walk that is no key, is a
     DefectError on the patch side and a HypothesisViolationError on the
-    target side.  Only found isomorphisms are kept, so a failed search
-    fails the same way each time."""
+    target side.  Only found isomorphisms are kept per vertex; a failed
+    shape is kept on the Coloring, so a failure is found once per shape
+    and raised, naming its vertex, each time."""
     isos = c._isos.get(host)
     if isos is None:  # the table of host's source for a root core of this content
         ref = (c.n, c.patch.root, c.root_core.rooted.graph)
         isos = c._isos[host] = host._memo.isos.setdefault(ref, {})
     iso = isos.get(x)
     if iso is None:
-        target = c.root_core if host is c.g and x == c.patch.root else face_core(host, x, c.n)
-        found = rooted_isomorphisms(target.rooted, c.root_core.rooted, limit=1)
-        if not found:
-            if patch_side:
-                raise DefectError(f"patch not vertex-transitive at {x}: no depth-{c.n} isomorphism")
-            raise HypothesisViolationError(f"h is not {c.n}-locally-G at {x}")
-        iso = isos[x] = found[0].mapping
+        iso = isos[x] = _core_map(c, host, x, patch_side)
     k = c._palette.get(tuple(map(iso.__getitem__, walk)))
     if k is None:
         if patch_side:
@@ -318,6 +319,37 @@ def _colour(c: Coloring, host: Host, x: int, walk: tuple[int, ...], patch_side: 
             f"face {FaceBoundary(walk)} at {x} does not pull back to a face at the root"
         )
     return k
+
+
+def _core_map(c: Coloring, host: Host, x: int, patch_side: bool) -> dict[int, int]:
+    """The isomorphism of x's depth-n core onto the root core, searched
+    once per core shape (`Coloring._shapes`): x's rank and the core's
+    face cycles in ranks, sorted, a rank being a vertex's place in id
+    order.  A rank keeps the order, so each cycle stays canonical, and
+    the faces span the core.  The answer carries over exactly, because
+    `rooted_isomorphisms` reads the searched core's ids only through
+    their order: it refines the core in id order with the reference's
+    intern table, orders its search by (distance, id), and tries
+    candidates in the reference's id order.  The intern table, the one
+    shared state, gains entries only in searches that end rejected, and
+    no accepted search reads them.  So the map kept in ranks, put back
+    into x's ids in its kept order, is the map a search of x's own core
+    finds, item for item; a failed shape fails at each of its vertices,
+    each error naming its own.  The faces are collected by face_core's
+    traversal, so a margin is met where face_core meets it."""
+    vertices, faces = _core_faces(host, x, c.n)
+    ids = sorted(vertices)
+    rank = {v: i for i, v in enumerate(ids)}
+    shape = (rank[x], tuple(sorted(tuple(map(rank.__getitem__, f.cycle)) for f in faces)))
+    if shape not in c._shapes:
+        found = rooted_isomorphisms(_assemble(x, faces).rooted, c.root_core.rooted, limit=1)
+        c._shapes[shape] = tuple((rank[v], w) for v, w in found[0].mapping.items()) if found else None
+    pairs = c._shapes[shape]
+    if pairs is None:
+        if patch_side:
+            raise DefectError(f"patch not vertex-transitive at {x}: no depth-{c.n} isomorphism")
+        raise HypothesisViolationError(f"h is not {c.n}-locally-G at {x}")
+    return {ids[r]: w for r, w in pairs}
 
 
 def color(c: Coloring, f: Flag) -> int:
@@ -365,8 +397,15 @@ def extend_iso(c: Coloring, host: Host, f: Flag, flag_h: Flag, r: int) -> Isomor
 
 
 def _verify_partial_isomorphism(ga: Graph, gb: Graph, vmap: dict[int, int]) -> None:
-    if len(set(vmap.values())) != len(vmap):
+    """vmap is injective and carries the edges among its keys onto the
+    edges among its images, in time linear in the edges; a mismatch is
+    named by the first pair of keys, in sorted order, that it breaks."""
+    images = set(vmap.values())
+    if len(images) != len(vmap):
         raise HypothesisViolationError("extension is not injective on its core")
+    carried = {edge_key(vmap[a], vmap[b]) for a in vmap for b in ga._adj.get(a, ()) if b in vmap}
+    if carried == {edge_key(w, z) for w in images for z in gb._adj.get(w, ()) if z in images}:
+        return
     keys = sorted(vmap)
     for i, a in enumerate(keys):
         for b in keys[i + 1 :]:

@@ -238,7 +238,8 @@ class _FaceMemo:
     the depth-n core isomorphism found at each vertex, onto a root core
     named by its content, (n, root, root-core graph).  A search is a
     function of the two cores alone, so every Coloring whose reference
-    has that content reads the map that the first one found.  The key
+    has that content reads the map that the first one found, through
+    the search of the vertex's core shape (`flags._core_map`).  The key
     holds the root core's own graph, never a patch, so the memo still
     refers to no source.  On a patch it keeps each level's flag orbit
     partition of the root (`flags.flag_orbit_partition`)."""
@@ -306,34 +307,49 @@ def face_core(host: Host, x: int, n: int) -> FaceCore:
     Level 1 holds the faces containing x; level i+1 holds the faces
     meeting any vertex of level i.  On patches every vertex whose faces
     are consulted must be interior (raises PatchTooSmallError otherwise);
-    the enumeration never silently truncates.
-
-    The core's adjacency is read straight off the face cycles as each
-    face is found, and its vertices are the next level's frontier; its
-    Graph skips the checks of Graph(vertices, edges), which cannot fire
-    here: a FaceBoundary is a simple cycle of at least 3 distinct ints,
-    so no edge is a loop, and every vertex and edge end comes from a
-    face.
+    the enumeration never silently truncates.  It is two steps, one
+    traversal: `_core_faces` finds the faces and `_assemble` builds the
+    core from them (a colour pull runs the first step alone, and the
+    second only for a core shape it has not met, `flags._core_map`).
     """
+    return _assemble(x, _core_faces(host, x, n)[1])
+
+
+def _core_faces(host: Host, x: int, n: int) -> tuple[set[int], set[FaceBoundary]]:
+    """The vertices and the faces of x's depth-n core.  Each level's
+    faces are asked for at its vertices in id order, so the first vertex
+    too near a patch margin is the one reported."""
     if n < 1:
         raise InputError("need n >= 1")
-    all_faces: set[FaceBoundary] = set()
-    adj: dict[int, set[int]] = {x: set()}
+    faces: set[FaceBoundary] = set()
+    vertices = {x}
     expanded: set[int] = set()
     frontier = [x]
     for level in range(n):
         for w in frontier:
             for fb in host_faces_at(host, w):
-                if fb not in all_faces:
-                    all_faces.add(fb)
-                    c = fb.cycle
-                    for u, v in zip(c, c[1:] + c[:1]):
-                        adj.setdefault(u, set()).add(v)
-                        adj.setdefault(v, set()).add(u)
+                if fb not in faces:
+                    faces.add(fb)
+                    vertices.update(fb.cycle)
         if level < n - 1:
             expanded.update(frontier)
-            frontier = sorted(adj.keys() - expanded)
-    return FaceCore(as_rooted(Graph._trusted(adj), x), frozenset(all_faces))
+            frontier = sorted(vertices - expanded)
+    return vertices, faces
+
+
+def _assemble(x: int, faces: set[FaceBoundary]) -> FaceCore:
+    """The core rooted at x that the faces span.  Its adjacency is read
+    straight off the face cycles; its Graph skips the checks of
+    Graph(vertices, edges), which cannot fire here: a FaceBoundary is a
+    simple cycle of at least 3 distinct ints, so no edge is a loop, and
+    every vertex and edge end comes from a face."""
+    adj: dict[int, set[int]] = {x: set()}
+    for fb in faces:
+        c = fb.cycle
+        for u, v in zip(c, c[1:] + c[:1]):
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+    return FaceCore(as_rooted(Graph._trusted(adj), x), frozenset(faces))
 
 
 # ---------------------------------------------------------------------------

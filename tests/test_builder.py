@@ -37,10 +37,10 @@ from coverkit import (
 import coverkit.builder as builder
 from coverkit.builder import _intersection_path
 from coverkit.instances import square_lattice_coordinates
-from coverkit.local import dk_ball, host_faces_at
+from coverkit.local import dk_ball, face_core, host_faces_at, rooted_isomorphisms
 from coverkit.tessellation import enumeration_key, face_enumeration
 
-from .oracles import assert_frontier_cycle, intersection_path_by_adjacency
+from .oracles import assert_frontier_cycle, intersection_path_by_adjacency, relabelled
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +261,23 @@ def _quotient_target(p, q, radius, kind, m, n):
     return lambda: (generate(p, q, radius), make_quotient(QuotientSpec(kind, m, n)).graph)
 
 
+def _relabelled_target(p, q, radius, kind, m, n, seed):
+    def build():
+        g = make_quotient(QuotientSpec(kind, m, n)).graph
+        return generate(p, q, radius), Graph(g.vertices, relabelled(g, seed)[1])
+
+    return build
+
+
+def _switched_target(p, q, radius, kind, m, n, switches, seed):
+    def build():
+        from .test_pipeline_property import _switched
+
+        return generate(p, q, radius), _switched(make_quotient(QuotientSpec(kind, m, n)).graph, switches, seed)
+
+    return build
+
+
 def _self_cover(p, q, radius):
     def build():
         patch = generate(p, q, radius)
@@ -383,6 +400,20 @@ class TestStepRecord:
             match_face(state, far)
         assert str(err.value) == "face does not meet the frontier in a path"
         assert state.step == record and record[0] == chosen
+
+    def test_match_face_refuses_an_absorbed_face(self, patch44_r10, torus57):
+        # after one step the seed face meets the frontier in a path again,
+        # so only its absorption can refuse it, as a caller's error
+        run = CoverRun(patch44_r10, torus57.graph)
+        state = init_cover(run.coloring, run.host, *run.seed)
+        face = select_next_face(state)
+        extend_cover(state, face, match_face(state, face))
+        seed_face = run.seed[0].face
+        assert _intersection_path(seed_face, state) is not None
+        with pytest.raises(InputError) as err:
+            match_face(state, seed_face)
+        assert str(err.value) == f"face {seed_face} is not pending"
+        assert state.step is None
 
     def test_an_image_off_the_shared_path_is_refused(self, patch44_r10, torus57):
         # the first three-vertex path, and the other square at the image of
@@ -682,36 +713,113 @@ def _counting_pulls(monkeypatch, pinned=False):
 
 
 class TestColourSearchCount:
-    """The colour check's scaling rule, as counts: a build makes one core
-    search per distinct patch vertex and one per distinct image vertex,
-    and nothing else that grows with the target.  The inputs keep them,
-    so a second build, a second run and check_uniqueness make none."""
+    """The colour check's scaling rule, as counts: a first build makes one
+    core search per distinct core shape (the core in ranks, rooted), and
+    keeps one map per distinct patch vertex and one per distinct image
+    vertex, and nothing else that grows with the target.  The inputs keep
+    the maps, so a second build, a second run and check_uniqueness make
+    no search."""
 
     @pytest.mark.parametrize(
-        "build, want",
+        "build, shapes, want",
         [
-            (_quotient_target(4, 4, 16, "torus", 9, 9), 417 + 81),
-            (_quotient_target(4, 4, 8, "klein", 12, 12), 81 + 81),
-            (_self_cover(3, 7, 7), 617),
-            (_quotient_target(4, 4, 16, "torus", 60, 60), 417 + 417),
+            (_quotient_target(4, 4, 16, "torus", 9, 9), 20, 417 + 81),
+            (_quotient_target(4, 4, 8, "klein", 12, 12), 22, 81 + 81),
+            (_self_cover(3, 7, 7), 5, 617),
+            (_quotient_target(4, 4, 16, "torus", 60, 60), 20, 417 + 417),
         ],
         ids=["torus 9x9", "klein 12x12", "{3,7} self", "torus 60x60"],
     )
-    def test_one_search_per_distinct_vertex(self, build, want, monkeypatch):
+    def test_one_search_per_distinct_core_shape(self, build, shapes, want, monkeypatch):
+        # one search per distinct vertex (498, 162, 617 and 834) when each
+        # vertex searched its own core
         patch, h = build()
+        pulls = _counting_pulls(monkeypatch)
         run = CoverRun(patch, h)
         cov = run.build()
+        assert len(pulls) == shapes
         mapped = {y for face in cov.face_image for y in face}
         images = {x for face in cov.face_image.values() for x in face}
-        if h is patch:  # one host: a vertex is searched once, on either side
+        if h is patch:  # one host: a vertex is pulled once, on either side
             assert _pulled(run.host) == mapped | images and len(mapped | images) == want
         else:
             assert (_pulled(run.coloring.g), _pulled(run.host)) == (mapped, images)
             assert len(mapped) + len(images) == want
-        pulls = _counting_pulls(monkeypatch)
+        pulls.clear()
         assert run.build().vertex_map == cov.vertex_map
         assert CoverRun(patch, h).build().vertex_map == cov.vertex_map
         assert pulls == []
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _quotient_target(4, 4, 10, "torus", 5, 7),
+            _quotient_target(4, 4, 16, "torus", 9, 9),
+            _quotient_target(4, 4, 16, "klein", 8, 8),
+            _quotient_target(6, 3, 12, "hex_torus", 5, 5),
+            _quotient_target(6, 3, 20, "hex_torus", 8, 8),
+            _self_cover(3, 7, 7),
+            _relabelled_target(4, 4, 16, "torus", 9, 9, 1),
+            _switched_target(4, 4, 10, "klein", 7, 8, 1, 0),
+        ],
+        ids=["torus 5x7", "torus 9x9", "klein 8x8", "hex 5x5", "hex 8x8", "{3,7} self", "relabelled 9x9", "switched klein"],
+    )
+    def test_every_kept_map_is_the_search_of_its_own_core(self, build):
+        # a map carried over from another vertex of the same shape equals
+        # the search of the vertex's own core, items in the same order
+        patch, h = build()
+        run = CoverRun(patch, h)
+        try:
+            run.build()
+        except HypothesisViolationError as exc:
+            assert h is not patch and str(exc).startswith("h is not 1-locally-G at ")
+        c = run.coloring
+        kept = [(host, x, iso) for host, table in c._isos.items() for x, iso in table.items()]
+        assert len(kept) > 2 * len(c._shapes)
+        for host, x, iso in kept:
+            [found] = rooted_isomorphisms(face_core(host, x, c.n).rooted, c.root_core.rooted, limit=1)
+            assert list(iso.items()) == list(found.mapping.items()), x
+
+    @pytest.mark.parametrize(
+        "build, fails",
+        [(_quotient_target(4, 4, 16, "torus", 9, 9), False), (_switched_target(4, 4, 10, "klein", 7, 8, 1, 0), True)],
+        ids=["torus 9x9", "switched klein"],
+    )
+    def test_pulls_in_reverse_order_keep_the_same_maps(self, build, fails):
+        # on cold inputs each vertex's map, or its error, does not depend
+        # on which vertex of its shape was searched first
+        def pull_all(order):
+            patch, h = build()
+            c = Coloring(patch, i_fundamental_domain(patch, 1))
+            host = c.host_for(h)
+            errors = {}
+            for x in order(host.graph.vertices):
+                try:
+                    for f in flags_at(host, x):
+                        color_in_h(c, host, f)
+                except HypothesisViolationError as exc:
+                    errors[x] = str(exc)
+            maps = {x: list(iso.items()) for x, iso in c._isos[host].items()}
+            return maps, errors, len(c._shapes)
+
+        forward, backward = pull_all(list), pull_all(lambda vs: vs[::-1])
+        assert forward == backward
+        maps, errors, shapes = forward
+        assert shapes < len(maps) and bool(errors) == fails
+
+    def test_the_root_is_part_of_the_shape(self, patch44_r10, monkeypatch):
+        # on a 4 x 4 torus every vertex's depth-2 core is the whole torus,
+        # one face set in one set of ranks; rooted at each vertex it is a
+        # shape of its own, and each vertex fails with its own message
+        c = Coloring(patch44_r10, i_fundamental_domain(patch44_r10, 2))
+        host = Host(make_quotient(QuotientSpec("torus", 4, 4)).graph, 4)
+        assert len({face_core(host, x, 2).faces for x in host.graph.vertices}) == 1
+        pulls = _counting_pulls(monkeypatch)
+        for x in host.graph.vertices:
+            with pytest.raises(HypothesisViolationError) as err:
+                color_in_h(c, host, flags_at(host, x)[0])
+            assert str(err.value) == f"h is not 2-locally-G at {x}"
+        assert len(pulls) == len(c._shapes) == 16 and c._isos[host] == {}
 
     def test_uniqueness_after_a_build_searches_no_vertex_again(self, monkeypatch):
         # the wide-target pipeline: 162 colour searches in check_uniqueness

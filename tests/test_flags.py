@@ -34,7 +34,7 @@ from coverkit import (
     stabilize_n,
 )
 import coverkit.local as local
-from coverkit.flags import _colour, _flag_cycle, _prescription
+from coverkit.flags import _colour, _flag_cycle, _prescription, _verify_partial_isomorphism
 from coverkit.graph import edge_key
 from coverkit.local import host_faces_at
 
@@ -575,6 +575,26 @@ class TestSharedPulls:
                 color_in_h(c, host, f)
         assert c._isos[host] == {}
 
+    @pytest.mark.parametrize("patch_side", [False, True])
+    def test_vertices_of_one_failing_shape_each_raise_their_own_error(self, patch_side, patch44_r10, hex55, monkeypatch):
+        # vertices 2, 4 and 6 of a hex torus have cores of one shape, and
+        # no square core matches it: one search, kept as a failure, and
+        # each vertex raises its side's class with a message naming it
+        import coverkit.flags as flags
+
+        c = Coloring(patch44_r10, i_fundamental_domain(patch44_r10, 1))
+        host = Host(hex55.graph, 6)
+        searched = []
+        real = flags.rooted_isomorphisms
+        monkeypatch.setattr(flags, "rooted_isomorphisms", lambda a, b, limit: searched.append(a.root) or real(a, b, limit))
+        for x in (2, 4, 6):
+            f = flags_at(host, x)[0]
+            with pytest.raises(DefectError if patch_side else HypothesisViolationError) as err:
+                _colour(c, host, x, f.face.cycle_from(x, f.other_end), patch_side)
+            want = f"patch not vertex-transitive at {x}: no depth-1 isomorphism" if patch_side else f"h is not 1-locally-G at {x}"
+            assert str(err.value) == want
+        assert searched == [2] and c._isos[host] == {}
+
     def test_normality_reports_alike_cold_and_warm(self):
         patch = generate(4, 4, 10)
         h = make_quotient(QuotientSpec("torus", 5, 7)).graph
@@ -584,6 +604,69 @@ class TestSharedPulls:
             memo.isos.clear()
         assert check_normality(cov, samples=20).to_json_dict() == warm
         assert warm["ok"]
+
+
+def _pairwise_check(ga, gb, vmap):
+    """The reference: every pair of keys, in sorted order."""
+    if len(set(vmap.values())) != len(vmap):
+        return "extension is not injective on its core"
+    keys = sorted(vmap)
+    for i, a in enumerate(keys):
+        for b in keys[i + 1 :]:
+            if ga.has_edge(a, b) != gb.has_edge(vmap[a], vmap[b]):
+                return f"extension does not preserve adjacency on ({a},{b})"
+    return None
+
+
+class TestPartialIsomorphismCheck:
+    """extend_iso's last check, called directly: no build or drawn
+    target has reached its raises."""
+
+    SQUARE = Graph(range(5), [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])  # a 4-cycle with a pendant at 3
+
+    @staticmethod
+    def outcome(vmap, gb=SQUARE):
+        try:
+            _verify_partial_isomorphism(TestPartialIsomorphismCheck.SQUARE, gb, vmap)
+        except HypothesisViolationError as exc:
+            return str(exc)
+        return None
+
+    def test_a_rotation_of_the_square_passes(self):
+        assert self.outcome({0: 1, 1: 2, 2: 3, 3: 0}) is None
+
+    def test_a_map_that_is_not_injective(self):
+        assert self.outcome({0: 1, 1: 1}) == "extension is not injective on its core"
+        assert self.outcome({0: 0, 1: 2, 2: 2}) == "extension is not injective on its core"
+
+    def test_an_edge_onto_a_non_edge(self):
+        assert self.outcome({0: 0, 1: 2}) == "extension does not preserve adjacency on (0,1)"
+
+    def test_a_non_edge_onto_an_edge(self):
+        assert self.outcome({0: 0, 2: 1}) == "extension does not preserve adjacency on (0,2)"
+
+    def test_the_first_pair_in_sorted_order_is_named(self):
+        # (0,1) is the first of several pairs whose adjacency changes, in
+        # sorted order; in the map's own order (2,3) comes first
+        assert self.outcome({0: 0, 1: 2, 2: 1, 3: 3, 4: 4}) == "extension does not preserve adjacency on (0,1)"
+        assert self.outcome({2: 2, 3: 0, 0: 3, 1: 1}) == "extension does not preserve adjacency on (0,1)"
+
+    def test_agrees_with_every_pair(self):
+        import random
+
+        rng = random.Random(7)
+        for trial in range(400):
+            n = rng.randint(2, 7)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+            ga, gb = Graph(range(n), edges), Graph(range(n), [e for e in edges if rng.random() < 0.9])
+            keys = rng.sample(range(n), rng.randint(1, n))
+            vmap = {k: rng.randrange(n) if rng.random() < 0.1 else v for k, v in zip(keys, rng.sample(range(n), len(keys)))}
+            try:
+                _verify_partial_isomorphism(ga, gb, vmap)
+                got = None
+            except HypothesisViolationError as exc:
+                got = str(exc)
+            assert got == _pairwise_check(ga, gb, vmap), (edges, vmap)
 
 
 class TestExtendIso:
