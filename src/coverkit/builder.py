@@ -257,6 +257,12 @@ def extend_cover(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -
                     f"step {len(state.face_image)}: image face does not align with the shared path"
                 )
         elif a in state.vertex_map:
+            # Unreachable from a build, kept as a guard: the absorbed
+            # faces form a disk bounded by the frontier, so a mapped
+            # vertex off the frontier has every face absorbed, and
+            # `_intersection_path` refuses a face with a frontier vertex
+            # off its path.  So no off-path vertex of a pending face is
+            # mapped yet.
             if state.vertex_map[a] != b:
                 raise HypothesisViolationError(
                     f"step {len(state.face_image)}: vertex {a} already mapped to "
@@ -334,13 +340,14 @@ class CoverRun:
     """One cover construction from a patch onto a target, prepared once:
     the stabilisation level n (`stabilize_n`'s default window finds it
     when it is not given), the palette, the colouring context, the
-    target host with its chain cycles filled, and the seed flags (a
-    missing one is the least flag of the given one's colour; neither
-    given is the default seed).  Each `build` starts through `init_cover`
-    and runs one face enumeration from this state; builds share the
-    colouring's eligible faces, found on the first build.  The memoised
-    faces and isomorphisms, deterministic functions of the inputs, are
-    kept on the inputs, so every run on them shares those."""
+    target host (which finds faces only where a build asks), and the
+    seed flags (a missing one is the least flag of the given one's
+    colour; neither given is the default seed).  Each `build` starts
+    through `init_cover` and runs one face enumeration from this state;
+    builds share the colouring's eligible faces, found on the first
+    build.  The memoised faces and isomorphisms, deterministic functions
+    of the inputs, are kept on the inputs, so every run on them shares
+    those."""
 
     def __init__(
         self,
@@ -354,7 +361,6 @@ class CoverRun:
             n = stabilize_n(patch)
         self.coloring = c = Coloring(patch, i_fundamental_domain(patch, n))
         self.host = c.host_for(h)
-        self.host.fill_chain_cycles()
         # a given flag off the faces of its graph is left to init_cover
         if flag_h is None and f is not None and c.patch.has_face(f.face):
             flag_h = _least_target_flag(c, self.host, color(c, f))
@@ -381,7 +387,8 @@ class CoverRun:
             image = match_face(state, face)
             extend_cover(state, face, image)
         _assert_no_holes(state)
-        surjective = set(state.vertex_map.values()) == set(host.graph.vertices)
+        # every image is a vertex of a host face, so counting them suffices
+        surjective = len(set(state.vertex_map.values())) == host.graph.n
         return CoverMap(
             patch=c.patch,
             h=host,

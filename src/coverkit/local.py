@@ -156,10 +156,10 @@ class Host:
     nor a Host, so a dropped Host is freed at once and a dropped source
     frees its memo, both without the cyclic garbage collector.  A patch
     and its graph keep separate memos, so a patch host and a graph host
-    never serve each other's faces.  The memos fill lazily: a run touches only the vertices it asks
-    about, which on a large patch host is a small part of the graph; a
-    cover build fills a graph host's chain cycles at once
-    (`fill_chain_cycles`).
+    never serve each other's faces.  The memos fill lazily, on patch and
+    graph hosts alike: a run touches only the vertices it asks about, so
+    a cover build's face work follows its image, not the host's size
+    (one component count aside).
     """
 
     def __init__(self, source: Graph | PlanePatch, l_max: int | None = None):
@@ -168,7 +168,7 @@ class Host:
         if isinstance(source, PlanePatch):
             self.graph, self.l_max = source.graph, source.l_max
             self.require_complete = source.require_complete
-            self._find_faces, self._fill_from = _traced_faces, ()
+            self._find_faces = _traced_faces
             if len(source._dist_from_root) == source.graph.n:
                 components = 1  # the root's BFS reached every vertex
         else:
@@ -176,7 +176,7 @@ class Host:
                 raise InputError("face enumeration on a Graph needs l_max")
             self.graph, self.l_max = source, l_max
             self.require_complete = _no_margin
-            self._find_faces, self._fill_from = _inferred_faces, source.vertices
+            self._find_faces = _inferred_faces
         memos = source._face_memos
         self._memo = memos.get(self.l_max)
         if self._memo is None:
@@ -210,16 +210,6 @@ class Host:
         surroundings to radius 2 (PatchTooSmallError otherwise)."""
         self.require_complete(x, 2)
         return tuple(c for c, ok in self._cycles_at(x) if ok)
-
-    def fill_chain_cycles(self) -> None:
-        """Find the chain cycles of every vertex of a graph host now.  A
-        cover is onto its target, so building one asks for nearly all of
-        them anyway, and finding them first makes the build's work depend
-        on the target graph alone, not on where in it the image lies.  A
-        patch host does nothing: its margin has no complete chain cycles,
-        and a run asks for few of its vertices."""
-        for x in self._fill_from:
-            self._cycles_at(x)
 
 
 class _FaceMemo:

@@ -348,28 +348,25 @@ class TestFaceInferenceWork:
         # on all of H
         assert sum(tested.values()) <= 200
 
-    def test_build_work_does_not_depend_on_the_labelling(self, monkeypatch):
-        # the image of a {4,4} R=8 patch covers 81 of the 144 vertices of
-        # a Klein bottle; how many chain vertices surround it depends on
-        # where it lies, so only a filled target host makes the work the
-        # same for every labelling (468, 466 and 462 tests when lazy)
-        klein = make_quotient(QuotientSpec("klein", 12, 12)).graph
-        calls = [0]
-        real = local.local_parts
-
-        def counting(g, removed, *, within=None):
-            calls[0] += 1
-            return real(g, removed, within=within)
-
-        monkeypatch.setattr(local, "local_parts", counting)
+    def test_build_work_does_not_grow_with_the_target(self, monkeypatch):
+        # a {4,4} R=16 build maps 363 faces, and its target host searches
+        # only the vertices the build asks about; so relabelled targets
+        # of 3,600 and 14,400 vertices, a Klein bottle among them, cost
+        # it the same (3,600 and 14,400 searches when a build searched
+        # every target vertex first)
+        patch = generate(4, 4, 16)
+        build_cover(patch, make_quotient(QuotientSpec("torus", 9, 9)).graph)  # finds the patch's own cycles
+        calls = _counting_face_work(monkeypatch)
         counts = set()
-        for seed in (1, 3, 5):
-            perm = list(klein.vertices)
-            random.Random(seed).shuffle(perm)
-            calls[0] = 0
-            build_cover(generate(4, 4, 8), Graph(klein.vertices, [(perm[u], perm[v]) for u, v in klein.edges]))
-            counts.add(calls[0])
-        assert len(counts) == 1
+        for kind, m in (("torus", 60), ("klein", 60), ("torus", 120)):
+            target = make_quotient(QuotientSpec(kind, m, m)).graph
+            for seed in (1, 3):
+                perm = list(target.vertices)
+                random.Random(seed).shuffle(perm)
+                calls.clear()
+                build_cover(patch, Graph(target.vertices, [(perm[u], perm[v]) for u, v in target.edges]))
+                counts.add((calls["_chordless_cycles_through"], calls["local_parts"]))
+        assert counts == {(529, 2256)}
 
     def test_inferred_face_queries_build_no_graph(self, monkeypatch):
         made: list[str] = []
@@ -386,7 +383,8 @@ class TestFaceInferenceWork:
         for spec in (QuotientSpec("torus", 9, 9), QuotientSpec("klein", 12, 12)):
             g = make_quotient(spec).graph
             host = Host(g, 4)
-            host.fill_chain_cycles()
+            for v in g.vertices:
+                host.chain_cycles(v)
             with monkeypatch.context() as m:
                 m.setattr(Graph, "__init__", init)
                 m.setattr(Graph, "_trusted", classmethod(trusted))
