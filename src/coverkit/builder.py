@@ -103,6 +103,12 @@ def _check_local_injectivity(state: PartialCover, face: FaceBoundary) -> None:
             )
 
 
+def _require_seed_faces(c: Coloring, host: Host, f: Flag | None, flag_h: Flag | None) -> None:
+    """Each given seed flag's face must be a face of its graph."""
+    if f and not c.patch.has_face(f.face) or flag_h and flag_h.face not in host_faces_at(host, flag_h.vertex):
+        raise InputError("a seed flag's face is not a face of its graph")
+
+
 def init_cover(c: Coloring, host: Host, f: Flag, flag_h: Flag, tie_break: int = 0) -> PartialCover:
     """Map the seed face onto the target face in the orientation fixed by
     the flag pair and absorb it like any later face.  Only the eligible
@@ -119,8 +125,7 @@ def init_cover(c: Coloring, host: Host, f: Flag, flag_h: Flag, tie_break: int = 
         domain_edges_at={},
     )
     face, image = f.face, flag_h.face
-    if not c.patch.has_face(face) or image not in host_faces_at(host, flag_h.vertex):
-        raise InputError("a seed flag's face is not a face of its graph")
+    _require_seed_faces(c, host, f, flag_h)
     cg = color(c, f)
     ch = color_in_h(c, host, flag_h)
     if cg != ch:
@@ -278,11 +283,11 @@ def extend_cover(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -
 class CoverMap:
     """The finished map on the processed region, with its provenance.
 
-    `h` is the run's Host of the target.  A Host keeps only its source;
-    what the run learnt of the patch and the target (faces and core
-    isomorphisms, functions of them alone) is kept on them, so it lives
-    as long as they do, not as long as the map.  `steps` and `log` read
-    `face_image`."""
+    `h` is the run's Host of the target, on a self-cover too.  A Host
+    keeps only its source; what the run learnt of the patch and the
+    target (faces and core isomorphisms, functions of them alone) is kept
+    on them, so it lives as long as they do, not as long as the map.
+    `steps` and `log` read `face_image`."""
 
     patch: PlanePatch
     h: Host
@@ -340,14 +345,14 @@ class CoverRun:
     """One cover construction from a patch onto a target, prepared once:
     the stabilisation level n (`stabilize_n`'s default window finds it
     when it is not given), the palette, the colouring context, the
-    target host (which finds faces only where a build asks), and the
-    seed flags (a missing one is the least flag of the given one's
-    colour; neither given is the default seed).  Each `build` starts
-    through `init_cover` and runs one face enumeration from this state;
-    builds share the colouring's eligible faces, found on the first
-    build.  The memoised faces and isomorphisms, deterministic functions
-    of the inputs, are kept on the inputs, so every run on them shares
-    those."""
+    target host (`Host(h, patch.l_max)`, a self-cover's too, which finds
+    faces only where a build asks), and the seed flags: neither given is
+    the default seed, a lone flag off its graph's faces is an InputError
+    at once, and one on them is paired with the least flag of its colour
+    on the other side (`init_cover` checks two given flags).  Each
+    `build` runs one face enumeration from this state, through
+    `init_cover`; builds share the eligible faces, and every run on the
+    inputs shares the faces and isomorphisms kept on them."""
 
     def __init__(
         self,
@@ -360,17 +365,16 @@ class CoverRun:
         if n is None:
             n = stabilize_n(patch)
         self.coloring = c = Coloring(patch, i_fundamental_domain(patch, n))
-        self.host = c.host_for(h)
-        # a given flag off the faces of its graph is left to init_cover
-        if flag_h is None and f is not None and c.patch.has_face(f.face):
-            flag_h = _least_target_flag(c, self.host, color(c, f))
-        elif f is None and flag_h is not None and flag_h.face in host_faces_at(self.host, flag_h.vertex):
-            want = color_in_h(c, self.host, flag_h)
+        self.host = host = Host(h, patch.l_max)
+        if f is None and flag_h is None:
+            f, flag_h = default_seed(c, host)
+        elif flag_h is None:
+            _require_seed_faces(c, host, f, None)
+            flag_h = _least_target_flag(c, host, color(c, f))
+        elif f is None:
+            _require_seed_faces(c, host, None, flag_h)
+            want = color_in_h(c, host, flag_h)
             f = min(g for g, k in c.delta.orbit_index.items() if k == want)
-        elif f is None or flag_h is None:
-            df, dfh = default_seed(c, self.host)
-            f = df if f is None else f
-            flag_h = dfh if flag_h is None else flag_h
         self.seed = (f, flag_h)
 
     def build(self, tie_break: int = 0) -> CoverMap:
@@ -419,4 +423,12 @@ def _assert_no_holes(state: PartialCover) -> None:
     processed_edges = {e for es in state.domain_edges_at.values() for e in es}
     for face in state.pending:
         if face.edges <= processed_edges:
+            # Unreachable from a build, kept as a guard: the absorbed
+            # faces form a disk D bounded by the frontier cycle C (see
+            # `extend_cover`).  An edge inside D already lies on two
+            # absorbed faces, and a traced map puts each edge on at most
+            # two faces, so a pending face, which is not absorbed, with
+            # every edge processed has all its edges on C, and its cycle
+            # is C.  That face would then fill the whole other side of C,
+            # leaving no room for the patch's outer face.
             raise HypothesisViolationError(f"face {face} was skipped but fully surrounded")

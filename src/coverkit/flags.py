@@ -246,11 +246,11 @@ class Coloring:
     once).  The core isomorphisms onto it are kept on each host's source
     (`local._FaceMemo.isos`), shared by every Coloring of the patch at
     level n, on both sides; a Coloring finds a host's table once
-    (`_isos`).  A vertex met first is pulled through the search of its
-    core's shape, made once per Coloring on either side and kept, found
-    or failed, in `_shapes` (`_core_map`).  The faces eligible for a
-    cover, those deep enough for depth-n colours, are found once, when
-    first read."""
+    (`_isos`), and two Hosts of one source find the same table.  A
+    vertex met first is pulled through the search of its core's shape,
+    made once per Coloring on either side and kept, found or failed, in
+    `_shapes` (`_core_map`).  The faces eligible for a cover, those deep
+    enough for depth-n colours, are found once, when first read."""
 
     def __init__(self, patch: PlanePatch, delta: FundamentalDomain):
         self.patch = patch
@@ -282,13 +282,6 @@ class Coloring:
                 f"vertices; increase radius"
             )
         return eligible
-
-    def host_for(self, h: Graph | PlanePatch) -> Host:
-        """The host of a cover target: on a self-cover the patch's own host,
-        so both sides read one table of isomorphisms; a new host
-        otherwise.  Either way the faces and the isomorphisms are those
-        every Host of the target shares."""
-        return self.g if h is self.patch else Host(h, self.patch.l_max)
 
 
 def _colour(c: Coloring, host: Host, x: int, walk: tuple[int, ...], patch_side: bool) -> int:
@@ -382,7 +375,7 @@ def extend_iso(c: Coloring, host: Host, f: Flag, flag_h: Flag, r: int) -> Isomor
     faces onto exactly the target core's faces; no map, or one that does
     not, is a hypothesis violation."""
     # a self-cover colours both flags as patch flags (a DefectError on failure)
-    if color(c, f) != (color(c, flag_h) if host is c.g else color_in_h(c, host, flag_h)):
+    if color(c, f) != (color(c, flag_h) if host.source is c.patch else color_in_h(c, host, flag_h)):
         raise InputError("colour mismatch between seed flags")
     core_g, core_h = face_core(c.g, f.vertex, r), face_core(host, flag_h.vertex, r)
     pres = _prescription(f, flag_h)

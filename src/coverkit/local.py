@@ -245,6 +245,8 @@ class _FaceMemo:
 
 def _traced_faces(host: Host, v: int) -> tuple[FaceBoundary, ...]:
     patch = host.source
+    if v not in patch.graph:
+        raise InputError(f"unknown vertex {v}")
     if not patch.is_interior(v):
         raise PatchTooSmallError(
             f"patch too small: faces at boundary vertex {v} are not all known"

@@ -244,6 +244,8 @@ class PlanePatch:
         return self._dist_from_root[v]
 
     def require_complete(self, v: int, radius: int) -> None:
+        if v not in self.graph:
+            raise InputError(f"unknown vertex {v}")
         if self.complete_radius[v] < radius:
             raise PatchTooSmallError(
                 f"patch too small: vertex {v} has complete_radius "

@@ -119,13 +119,13 @@ def check_normality(
     transformation reconstructed from one matched flag pair commutes
     with the cover wherever both sides are defined.  Each reconstructed
     transformation is classified as orientation-preserving or reversing.
-    The faces of the target and the core isomorphisms that colours are
-    pulled through are functions of the inputs alone, so they are read
-    from what earlier calls found and kept on the patch and the target
-    (a build's, say); a vertex no call has searched is searched here.
-    Tier (b)'s extension isomorphism is searched afresh for every pair.
-    A sample of fewer than one pair is an input error: it would check
-    nothing, yet read as trivial normality.
+    The target is read through `cover.h`, on a self-cover too.  Its
+    faces and the core isomorphisms that colours are pulled through,
+    functions of the inputs alone, are read from what earlier calls
+    kept on the patch and the target; a vertex no call has searched is
+    searched here.  Tier (b)'s extension isomorphism is searched afresh
+    for every pair.  A sample of fewer than one pair is an input error:
+    it would check nothing, yet read as trivial normality.
     """
     if samples < 1 and not exhaustive:
         raise InputError("samples must be >= 1")
@@ -139,7 +139,7 @@ def check_normality(
         # all fibers in the checked region are singletons: trivially normal
         report.add("fiber pairs sampled", True, note="all fibers singletons; trivially normal")
         return report
-    host = c.host_for(cover.h.source)
+    host = cover.h
     color_bad: list = []
     commute_bad: list = []
     orientations: list[bool] = []

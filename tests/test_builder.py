@@ -791,7 +791,7 @@ class TestColourSearchCount:
         def pull_all(order):
             patch, h = build()
             c = Coloring(patch, i_fundamental_domain(patch, 1))
-            host = c.host_for(h)
+            host = Host(h, patch.l_max)
             errors = {}
             for x in order(host.graph.vertices):
                 try:

@@ -400,6 +400,21 @@ class TestBadInputs:
         assert code == 2
         assert json.loads(err)["error"] == "input"
 
+    @pytest.mark.parametrize("option", ["--seed-h", "--seed-f"])
+    def test_a_lone_seed_flag_off_its_faces_exit_2(self, artifacts, capsys, option):
+        # no flag of the hex torus has a colour of the {4,4} patch, so
+        # looking up the missing seed flag would fail (exit 1); a lone
+        # flag off its graph's faces is refused before any lookup
+        d, g, _ = artifacts
+        hex_torus = d / "hex55.json"
+        if not hex_torus.exists():
+            assert main(["instance", "hex-torus", "--m", "5", "--n", "5", "-o", str(hex_torus)]) == 0
+        flag = json.dumps({"v": 0, "e": [0, 1], "face": [0, 1, 2]})
+        argv = ["cover", "--g", str(g), "--h", str(hex_torus), option, flag, "-o", str(d / "x.json")]
+        code, stdout, err = run(argv, capsys)
+        assert code == 2 and stdout == ""
+        assert json.loads(err) == {"error": "input", "message": "a seed flag's face is not a face of its graph"}
+
 
 class TestUnwritableOutput:
     # an output path in a missing directory, or one that is a directory,

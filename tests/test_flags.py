@@ -391,7 +391,7 @@ class TestWalkPull:
             n = stabilize_n(patch, 1, 1) if patch is damaged else stabilize_n(patch, 2, 2)
             delta = i_fundamental_domain(patch, n)
             walks, flags = Coloring(patch, delta), Coloring(patch, delta)
-            host, flag_host = walks.host_for(h), flags.host_for(h)
+            host, flag_host = Host(h, patch.l_max), Host(h, patch.l_max)
             sides = [(False, lambda f: color_in_h(flags, flag_host, f))]
             if h is patch:
                 vertices = [v for v in patch.graph.vertices if patch.is_interior(v)]
@@ -449,11 +449,11 @@ class TestWalkPull:
         patch44, patch37 = generate(4, 4, 10), generate(3, 7, 5)
         for patch, h in ((patch44, make_quotient(QuotientSpec("torus", 5, 7)).graph), (patch37, patch37)):
             c = Coloring(patch, i_fundamental_domain(patch, 1))
-            host = c.host_for(h)
+            host = Host(h, patch.l_max)
             vertices = [v for v in host.graph.vertices if h is not patch or patch.complete_radius[v] >= 3]
             for v in vertices:
                 for f in flags_at(host, v):
-                    color(c, f) if host is c.g else color_in_h(c, host, f)
+                    color(c, f) if host.source is c.patch else color_in_h(c, host, f)
             assert sum(b is c.root_core.rooted for b in refined) == 1
             assert len(vertices) > 20
 

@@ -8,9 +8,13 @@ import pytest
 
 import coverkit.local as local
 from coverkit import (
+    FaceBoundary,
+    Flag,
     Graph,
     Host,
+    InputError,
     PatchTooSmallError,
+    PlanePatch,
     QuotientSpec,
     ball,
     build_cover,
@@ -18,6 +22,7 @@ from coverkit import (
     dk_ball,
     face_boundaries_at,
     face_core,
+    flags_at,
     generate,
     is_r_locally,
     make_quotient,
@@ -890,6 +895,32 @@ class TestFaceCore:
     def test_patch_guard(self, patch44_r6):
         with pytest.raises(PatchTooSmallError):
             face_core(Host(patch44_r6), patch44_r6.outer[0], 1)
+
+
+FAR = 99999  # a vertex of neither the patch nor the torus
+
+
+class TestUnknownVertex:
+    # a patch host refuses a vertex it does not have as a graph host
+    # does, with InputError, not a bare KeyError from one of its tables
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda patch, s: flags_at(Host(s, 4), FAR),
+            lambda patch, s: face_core(Host(s, 4), FAR, 1),
+            lambda patch, s: host_faces_at(Host(s, 4), FAR),
+            lambda patch, s: s.ball(FAR, 1) if isinstance(s, PlanePatch) else ball(s, FAR, 1),
+            lambda patch, s: build_cover(
+                patch, s, flag_h=Flag(FAR, (FAR, FAR + 1), FaceBoundary((FAR, FAR + 1, FAR + 2, FAR + 3))), n=1
+            ),
+        ],
+        ids=["flags_at", "face_core", "host_faces_at", "ball", "build_cover"],
+    )
+    @pytest.mark.parametrize("side", ["patch", "graph"])
+    def test_is_an_input_error(self, patch44_r6, torus57, call, side):
+        source = patch44_r6 if side == "patch" else torus57.graph
+        with pytest.raises(InputError, match=f"^unknown vertex {FAR}$"):
+            call(patch44_r6, source)
 
 
 class TestFaceCoresAgainstNetworkx:

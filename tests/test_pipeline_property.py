@@ -108,6 +108,8 @@ def test_the_theorem_on_switched_targets(patch44_r10):
             assert not local.ok
             # extend_cover's re-mapping check cannot fire (its comment argues why)
             assert "already mapped to" not in str(exc), exc
+            # nor can _assert_no_holes (its comment argues why)
+            assert "was skipped but fully surrounded" not in str(exc), exc
             named = re.search(r"locally-G at (\d+)|target vertex (\d+)", str(exc))
             if named is not None:
                 assert int(named.group(1) or named.group(2)) in local.failures, exc
