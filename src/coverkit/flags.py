@@ -105,8 +105,14 @@ def _flag_cycle(patch: PlanePatch, v: int) -> list[Flag]:
         e_i = edge_key(v, rot[i])
         cyc.append(Flag(v, e_i, corner[i - 1]))
         cyc.append(Flag(v, e_i, corner[i]))
+    # Unreachable: the root, the one v passed here, is interior with complete
+    # radius >= 2 (`flag_orbit_partition`).  A repeat needs corner[i-1] ==
+    # corner[i], one face with e_{i-1}, e_i and e_{i+1}, three edges at v
+    # when deg v >= 3; but a face is a simple cycle, with two.  At an
+    # interior vertex of degree 2, `corner_face` has raised "has 2 faces".
     if len(set(cyc)) != 2 * d:
         raise DefectError(f"flags at {v} repeat around its rotation")
+    # By construction: cyc[2i], cyc[2i+1] share e_i; cyc[2i+1], cyc[2i+2] corner[i] (mod 2d)
     for i, f in enumerate(cyc):
         if not f.incident(cyc[(i + 1) % (2 * d)]):
             raise DefectError(f"consecutive flags at {v} are not incident")

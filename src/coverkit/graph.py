@@ -35,10 +35,10 @@ class Graph:
 
     A graph is its sorted adjacency: every query, `==` and the hash read
     it, and `edges` is a new set read off it each time it is asked for.
-    `_face_memos` holds what the hosts of the graph learn about its
-    faces, by cycle length bound (`local.Host`)."""
+    `components` is counted where the graph is made; `_face_memos` holds
+    what its hosts learn of its faces, by cycle length bound (`local.Host`)."""
 
-    __slots__ = ("_vertices", "_adj", "_face_memos")
+    __slots__ = ("_vertices", "_adj", "_face_memos", "components")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Edge]):
         vs = sorted({int(v) for v in vertices})
@@ -53,6 +53,7 @@ class Graph:
         self._vertices: tuple[int, ...] = tuple(vs)
         self._adj: dict[int, tuple[int, ...]] = {v: tuple(sorted(adj[v])) for v in vs}
         self._face_memos: dict = {}
+        self.components: int = component_count(self)
 
     @classmethod
     def _trusted(cls, adj: dict[int, Iterable[int]]) -> Graph:
@@ -64,6 +65,7 @@ class Graph:
         g._vertices = tuple(sorted(adj))
         g._adj = {v: tuple(sorted(adj[v])) for v in g._vertices}
         g._face_memos = {}
+        g.components = component_count(g)
         return g
 
     @property
@@ -120,9 +122,7 @@ class Graph:
         return dist
 
     def is_connected(self) -> bool:
-        if not self._vertices:
-            return True
-        return len(self.distances_from(self._vertices[0])) == self.n
+        return self.components <= 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -261,7 +261,7 @@ def local_parts(
     searches merge within a few dozen vertices.
 
     With a connected set C removed (a cycle, say), g - C is connected
-    exactly when local_parts(g, C) + component_count(g) - 1 <= 1: the
+    exactly when local_parts(g, C) + g.components - 1 <= 1: the
     components of g that miss C survive whole.  That equals
     is_connected_excluding(g, C) on every graph.
     """

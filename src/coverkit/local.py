@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InputError, PatchTooSmallError
-from .graph import Graph, RootedBall, ball, component_count, induced_subgraph, local_parts
+from .graph import Graph, RootedBall, ball, induced_subgraph, local_parts
 from .tessellation import FaceBoundary, PlanePatch
 
 # A peripheral cycle is represented by the same canonical cycle type that
@@ -158,19 +158,16 @@ class Host:
     and its graph keep separate memos, so a patch host and a graph host
     never serve each other's faces.  The memos fill lazily, on patch and
     graph hosts alike: a run touches only the vertices it asks about, so
-    a cover build's face work follows its image, not the host's size
-    (one component count aside).
+    a cover build's face work follows its image, not the host's size:
+    the component count a verdict adds is the graph's (`Graph.components`).
     """
 
     def __init__(self, source: Graph | PlanePatch, l_max: int | None = None):
         self.source = source
-        components = None
         if isinstance(source, PlanePatch):
             self.graph, self.l_max = source.graph, source.l_max
             self.require_complete = source.require_complete
             self._find_faces = _traced_faces
-            if len(source._dist_from_root) == source.graph.n:
-                components = 1  # the root's BFS reached every vertex
         else:
             if l_max is None:
                 raise InputError("face enumeration on a Graph needs l_max")
@@ -180,7 +177,7 @@ class Host:
         memos = source._face_memos
         self._memo = memos.get(self.l_max)
         if self._memo is None:
-            self._memo = memos[self.l_max] = _FaceMemo(components)
+            self._memo = memos[self.l_max] = _FaceMemo()
 
     def _cycles_at(self, x: int) -> tuple[tuple[FaceBoundary, bool], ...]:
         """The chordless cycles through x with at most l_max vertices,
@@ -197,9 +194,7 @@ class Host:
             for c in sorted(_chordless_cycles_through(g, x, self.l_max)):
                 entry = verdicts.get(c)
                 if entry is None:
-                    if memo.components is None:
-                        memo.components = component_count(g)
-                    entry = verdicts[c] = (c, local_parts(g, c.cycle) + memo.components - 1 <= 1)
+                    entry = verdicts[c] = (c, local_parts(g, c.cycle) + g.components - 1 <= 1)
                 found.append(entry)
             cycles = memo.cycles[x] = tuple(found)
         return cycles
@@ -218,11 +213,10 @@ class _FaceMemo:
     verdict, from which both the chain cycles and the inferred faces are
     read; each cycle's verdict in the whole graph, kept with the first
     object found for the cycle, so that a cycle met from several
-    vertices is one object and sets of cycles match by identity; and the
-    graph's component count.  A verdict looks only near its cycle
-    (`graph.local_parts`) and adds the component count, counted on the
-    first verdict (a patch whose BFS from the root reached every vertex
-    needs no count), so its cost does not grow with the graph.
+    vertices is one object and sets of cycles match by identity.  A
+    verdict looks only near its cycle (`graph.local_parts`) and adds the
+    graph's own component count (`Graph.components`), so its cost does
+    not grow with the graph.
 
     It also keeps the colour pulls of every Coloring (`flags._colour`):
     the depth-n core isomorphism found at each vertex, onto a root core
@@ -234,11 +228,10 @@ class _FaceMemo:
     refers to no source.  On a patch it keeps each level's flag orbit
     partition of the root (`flags.flag_orbit_partition`)."""
 
-    def __init__(self, components: int | None):
+    def __init__(self):
         self.faces: dict[int, tuple[FaceBoundary, ...]] = {}
         self.cycles: dict[int, tuple[tuple[FaceBoundary, bool], ...]] = {}
         self.verdicts: dict[FaceBoundary, tuple[FaceBoundary, bool]] = {}
-        self.components = components
         self.isos: dict[tuple[int, int, Graph], dict[int, dict[int, int]]] = {}
         self.orbits: dict[int, tuple[frozenset, ...]] = {}
 

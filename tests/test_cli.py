@@ -4,6 +4,7 @@ import json
 import pytest
 
 import coverkit.cli as cli
+from coverkit import generate
 from coverkit.cli import main
 
 from .oracles import hub_patch
@@ -131,6 +132,22 @@ class TestPipeline:
             "08332b20f57c76526ed11e9abc612c5ebd2ab5845300d741a35709052b52948e"
         )
 
+    def test_a_disconnected_target_has_no_faces(self, artifacts, capsys):
+        # two disjoint 5x7 tori: every short cycle leaves the other torus
+        # as a second part, so no cycle is peripheral and no vertex has a
+        # face; the cover finds no seed and every vertex fails its check
+        d, g, t = artifacts
+        torus = json.loads(t.read_text())
+        n = torus["n"]
+        two = d / "two_tori.json"
+        two.write_text(json.dumps({"n": 2 * n, "edges": torus["edges"] + [[u + n, w + n] for u, w in torus["edges"]]}))
+        code, _, err = run(["cover", "--g", str(g), "--h", str(two), "-o", str(d / "two_cover.json")], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "verification", "message": "no flag at target vertex 0 matches colour 0"}
+        code, out, _ = run(["check-local", "--h", str(two), "--g", str(g), "--r", "2", "--d-balls"], capsys)
+        assert code == 1
+        assert json.loads(out)["failures"] == list(range(70))
+
     def test_flags_stabilize(self, artifacts, capsys):
         d, g, t = artifacts
         code, out, _ = run(["flags", "--g", str(g), "--stabilize"], capsys)
@@ -230,6 +247,26 @@ class TestPipeline:
         assert doc["delta_size"] == 3
         lengths = sorted(len(f["face"]) for f in doc["delta"])
         assert lengths == [4, 8, 8]
+
+    def test_a_degree_2_root_fails_at_its_corner(self, tmp_path, capsys):
+        # a new vertex 141 on the root edge (0,3) of a {4,4} R=6 patch, as
+        # the root: both of its faces hold both of its edges, so the
+        # corner check refuses it before the flag cycle could repeat a flag
+        doc = generate(4, 4, 6).to_json_dict()
+        new, rotation = doc["n"], doc["rotation"]
+        rotation["0"] = [new if u == 3 else u for u in rotation["0"]]
+        rotation["3"] = [new if u == 0 else u for u in rotation["3"]]
+        rotation[str(new)] = [0, 3]
+        sub = tmp_path / "subdivided.json"
+        sub.write_text(json.dumps({
+            "n": new + 1,
+            "edges": [e for e in doc["edges"] if e != [0, 3]] + [[0, new], [3, new]],
+            "rotation": rotation,
+            "root": new,
+        }))
+        code, out, err = run(["flags", "--g", str(sub)], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "verification", "message": "corner (0,3) at 141 has 2 faces"}
 
     def test_no_eligible_face_exit_3(self, artifacts, tmp_path, capsys):
         # every face of a {4,4} R=3 patch touches a vertex of complete_radius < 2

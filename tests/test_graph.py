@@ -63,7 +63,8 @@ class TestTrustedGraph:
             adj[a].append(b)
             adj[b].append(a)
         trusted = Graph._trusted(adj)
-        assert Graph.__slots__ == ("_vertices", "_adj", "_face_memos")  # no edge set is kept
+        assert Graph.__slots__ == ("_vertices", "_adj", "_face_memos", "components")  # no edge set is kept
+        assert trusted.components == validated.components == len({frozenset(validated.distances_from(v)) for v in vs})
         assert trusted.sorted_edges() == sorted(es)
         probes = [*vs, min(vs) - 1, max(vs) + 1, 1000]  # and ids that are not vertices
         edges = set(es)

@@ -8,6 +8,7 @@ import pytest
 
 import coverkit.local as local
 from coverkit import (
+    CoverRun,
     FaceBoundary,
     Flag,
     Graph,
@@ -258,8 +259,8 @@ def _verdicts(g, l_max):
 
 class TestLocalVerdict:
     """Host.chain_cycles decides each cycle's separation near the cycle
-    (graph.local_parts and the host's component count); the BFS over the
-    whole graph, is_connected_excluding, is the reference."""
+    (graph.local_parts and the graph's own component count); the BFS over
+    the whole graph, is_connected_excluding, is the reference."""
 
     def test_agrees_with_whole_graph_bfs(self):
         torus = make_quotient(QuotientSpec("torus", 5, 5)).graph
@@ -372,6 +373,45 @@ class TestFaceInferenceWork:
                 build_cover(patch, Graph(target.vertices, [(perm[u], perm[v]) for u, v in target.edges]))
                 counts.add((calls["_chordless_cycles_through"], calls["local_parts"]))
         assert counts == {(529, 2256)}
+
+    def test_a_cover_reads_only_the_target_it_reaches(self):
+        # the target vertices whose neighbours a {4,4} R=16 cover reads,
+        # from preparing its run to the end of its build: the component
+        # count comes with the graph, so no whole-target pass is left,
+        # and tori of 3,600 and 57,600 vertices are read alike (3,600
+        # and 57,600 when the first verdict counted the target)
+        patch = generate(4, 4, 16)
+        build_cover(patch, make_quotient(QuotientSpec("torus", 9, 9)).graph)  # finds the patch's own cycles
+
+        def reads(h):
+            read: set[int] = set()
+
+            class CountingAdjacency(dict):
+                def __getitem__(self, v):
+                    read.add(v)
+                    return dict.__getitem__(self, v)
+
+                def get(self, v, default=None):
+                    read.add(v)
+                    return dict.get(self, v, default)
+
+            h._adj = CountingAdjacency(h._adj)
+            CoverRun(patch, h).build()
+            return len(read)
+
+        def relabelled(target, seed):
+            perm = list(target.vertices)
+            random.Random(seed).shuffle(perm)
+            return Graph(target.vertices, [(perm[u], perm[v]) for u, v in target.edges])
+
+        torus60, klein60, torus240 = (
+            make_quotient(QuotientSpec(kind, m, m)).graph for kind, m in (("torus", 60), ("klein", 60), ("torus", 240))
+        )
+        moved = [reads(relabelled(torus60, 1)), reads(relabelled(klein60, 1)), reads(relabelled(torus240, 3))]
+        assert reads(torus60) == reads(torus240)
+        # the reads on a relabelled target follow its labelling, which
+        # orders the searches, but not its size
+        assert max(moved) < 1000
 
     def test_inferred_face_queries_build_no_graph(self, monkeypatch):
         made: list[str] = []
@@ -694,31 +734,33 @@ class TestConfinedSearch:
 
 
 class TestPatchComponents:
-    """A patch host takes its component count from the patch's own BFS
-    from the root when that reached every vertex, and counts only a
-    disconnected patch."""
+    """A graph's component count is counted where the graph is made, a
+    patch's graph when the patch is traced, so a patch host's verdicts
+    count nothing; on a disconnected patch they stay exact."""
 
     def test_a_self_cover_never_counts_the_patch(self, monkeypatch):
+        import coverkit.graph as graph
         from coverkit import check_normality
 
         patch = generate(3, 7, 5)
         counted, tested = [], []
-        real_count, real_parts = local.component_count, local.local_parts
+        real_count, real_parts = graph.component_count, local.local_parts
 
         def counting(g):
-            counted.append(g)
+            counted.append(g.n)
             return real_count(g)
 
         def testing(g, removed, *, within=None):
             tested.append(g)
             return real_parts(g, removed, within=within)
 
-        monkeypatch.setattr(local, "component_count", counting)
+        monkeypatch.setattr(graph, "component_count", counting)
         monkeypatch.setattr(local, "local_parts", testing)
         cov = build_cover(patch, patch)
         assert check_normality(cov).ok
         assert any(g is patch.graph for g in tested)  # verdicts were taken on the patch
-        assert not any(g is patch.graph for g in counted)
+        assert counted  # the balls and cores made on the way are counted as they are made
+        assert patch.graph.n not in counted
 
     def test_two_patches_keep_exact_verdicts(self, patch44_r6):
         from coverkit import FaceBoundary, PlanePatch

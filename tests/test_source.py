@@ -21,19 +21,22 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_no_whole_graph_separation_verdicts_outside_graph():
-    # is_connected_excluding scans all of the graph; a step or a verdict
-    # that called it would cost more the larger the host is.  Separation
-    # near a set is graph.local_parts; the BFS stays as the tests' oracle
+    # is_connected_excluding and component_count scan all of the graph; a
+    # step or a verdict that called one would cost more the larger the
+    # host is.  Separation near a set is graph.local_parts, and the
+    # component count is Graph.components, counted where the graph is
+    # made; the BFS stays as the tests' oracle
+    whole = {"is_connected_excluding", "component_count"}
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("**/*.py"))
         if path.name != "graph.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         if isinstance(node, ast.Call)
-        and "is_connected_excluding" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & whole
     ]
     if not SRC.is_dir() or found:
-        raise AssertionError(f"is_connected_excluding called in src/coverkit: {found or 'no sources found'}")
+        raise AssertionError(f"whole-graph passes called in src/coverkit: {found or 'no sources found'}")
 
 
 def test_faces_are_inferred_through_a_host_only():
