@@ -14,8 +14,6 @@ for every mapped edge.  The run stops when no eligible face remains
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import HypothesisViolationError, InputError
 from .flags import (
     Coloring,
@@ -29,24 +27,37 @@ from .flags import (
     stabilize_n,
 )
 from .graph import Graph, edge_key
-from .local import Host, host_faces_at
+from .local import Host, host_faces_at, require_connected
+from .record import Record
 from .tessellation import FaceBoundary, PlanePatch, enumeration_key
 
 Edge = tuple[int, int]
 
 
-@dataclass
-class PartialCover:
+class PartialCover(Record):
     """The in-progress map with its frontier, verification ledger and step."""
 
-    coloring: Coloring
-    host: Host
-    vertex_map: dict[int, int]
-    frontier: set[Edge]
-    pending: dict[FaceBoundary, None]  # eligible faces not yet absorbed, in enumeration order
-    face_image: dict[FaceBoundary, FaceBoundary]  # in the order absorbed, the seed first: step k is entry k + 1
-    domain_edges_at: dict[int, dict[Edge, Edge]]  # each processed edge at a vertex, to its fixed image
-    step: tuple[FaceBoundary, list[int]] | None = None  # the step in progress: its face and shared path
+    _fields = ("coloring", "host", "vertex_map", "frontier", "pending", "face_image", "domain_edges_at", "step")
+
+    def __init__(
+        self,
+        coloring: Coloring,
+        host: Host,
+        vertex_map: dict[int, int],
+        frontier: set[Edge],
+        pending: dict[FaceBoundary, None],
+        face_image: dict[FaceBoundary, FaceBoundary],
+        domain_edges_at: dict[int, dict[Edge, Edge]],
+        step: tuple[FaceBoundary, list[int]] | None = None,
+    ):
+        self.coloring = coloring
+        self.host = host
+        self.vertex_map = vertex_map
+        self.frontier = frontier
+        self.pending = pending  # eligible faces not yet absorbed, in enumeration order
+        self.face_image = face_image  # in the order absorbed, the seed first: step k is entry k + 1
+        self.domain_edges_at = domain_edges_at  # each processed edge at a vertex, to its fixed image
+        self.step = step  # the step in progress: its face and shared path
 
 
 def _image(state: PartialCover, e: Edge) -> Edge:
@@ -279,8 +290,7 @@ def extend_cover(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -
     return state
 
 
-@dataclass
-class CoverMap:
+class CoverMap(Record):
     """The finished map on the processed region, with its provenance.
 
     `h` is the run's Host of the target, on a self-cover too.  A Host
@@ -289,14 +299,27 @@ class CoverMap:
     on them, so it lives as long as they do, not as long as the map.
     `steps` and `log` read `face_image`."""
 
-    patch: PlanePatch
-    h: Host
-    vertex_map: dict[int, int]
-    seed: tuple[Flag, Flag]
-    delta: FundamentalDomain
-    face_image: dict[FaceBoundary, FaceBoundary]
-    eligible: frozenset[FaceBoundary]
-    surjective: bool
+    _fields = ("patch", "h", "vertex_map", "seed", "delta", "face_image", "eligible", "surjective")
+
+    def __init__(
+        self,
+        patch: PlanePatch,
+        h: Host,
+        vertex_map: dict[int, int],
+        seed: tuple[Flag, Flag],
+        delta: FundamentalDomain,
+        face_image: dict[FaceBoundary, FaceBoundary],
+        eligible: frozenset[FaceBoundary],
+        surjective: bool,
+    ):
+        self.patch = patch
+        self.h = h
+        self.vertex_map = vertex_map
+        self.seed = seed
+        self.delta = delta
+        self.face_image = face_image
+        self.eligible = eligible
+        self.surjective = surjective
 
     @property
     def steps(self) -> int:
@@ -346,7 +369,8 @@ class CoverRun:
     the stabilisation level n (`stabilize_n`'s default window finds it
     when it is not given), the palette, the colouring context, the
     target host (`Host(h, patch.l_max)`, a self-cover's too, which finds
-    faces only where a build asks), and the seed flags: neither given is
+    faces only where a build asks; a disconnected target is an
+    InputError), and the seed flags: neither given is
     the default seed, a lone flag off its graph's faces is an InputError
     at once, and one on them is paired with the least flag of its colour
     on the other side (`init_cover` checks two given flags).  Each
@@ -366,6 +390,7 @@ class CoverRun:
             n = stabilize_n(patch)
         self.coloring = c = Coloring(patch, i_fundamental_domain(patch, n))
         self.host = host = Host(h, patch.l_max)
+        require_connected(host.graph)
         if f is None and flag_h is None:
             f, flag_h = default_seed(c, host)
         elif flag_h is None:

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .builder import build_cover
@@ -37,9 +38,11 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write(path: str, obj: dict) -> None:
+def _write(path: str, pieces: Iterable[str]) -> None:
+    """Write the text `pieces` to the file `path`, one piece at a time."""
     try:
-        Path(path).write_text(_dump(obj), encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
     except OSError as exc:  # a missing directory, a directory, no permission
         raise InputError(f"cannot write {path}: {exc}") from exc
 
@@ -127,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     patch = generate(args.p, args.q, args.radius)
-    _write(args.out, patch.to_json_dict())
+    _write(args.out, patch.json_chunks())
     return EXIT_OK
 
 
@@ -164,7 +167,7 @@ def _cmd_cover(args) -> int:
     f = _flag_arg(args.seed_f, "--seed-f")
     flag_h = _flag_arg(args.seed_h, "--seed-h")
     cov = build_cover(patch, h, f=f, flag_h=flag_h, n=args.n)
-    _write(args.out, cov.to_json_dict())
+    _write(args.out, [_dump(cov.to_json_dict())])
     return EXIT_OK
 
 
@@ -197,11 +200,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_instance(args) -> int:
     if args.kind == "paper-k":
-        _write(args.out, make_example_K(args.l, args.k).to_json_dict())
+        _write(args.out, [_dump(make_example_K(args.l, args.k).to_json_dict())])
         return EXIT_OK
     kind = {"torus": "torus", "klein": "klein", "twisted": "twisted_torus", "hex-torus": "hex_torus"}[args.kind]
     spec = QuotientSpec(kind, args.m, args.n, getattr(args, "s", 0))
-    _write(args.out, make_quotient(spec).to_json_dict())
+    _write(args.out, [_dump(make_quotient(spec).to_json_dict())])
     return EXIT_OK
 
 

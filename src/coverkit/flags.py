@@ -22,7 +22,6 @@ information as the corresponding ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DefectError, HypothesisViolationError, InputError, PatchTooSmallError
@@ -38,16 +37,36 @@ from .local import (
     host_faces_at,
     rooted_isomorphisms,
 )
+from .record import FrozenRecord, Record
 from .tessellation import FaceBoundary, PlanePatch
 
 
-@dataclass(frozen=True, order=True)
-class Flag:
-    """An incident triple: vertex u, edge e with u in e, face F with e in F."""
+class Flag(FrozenRecord):
+    """An incident triple: vertex u, edge e with u in e, face F with e in F.
+    Flags of one class order by (vertex, edge, face)."""
 
-    vertex: int
-    edge: tuple[int, int]
-    face: FaceBoundary
+    _fields = ("vertex", "edge", "face")
+
+    def __init__(self, vertex: int, edge: tuple[int, int], face: FaceBoundary):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "face", face)
+        self.__post_init__()
+
+    def _key(self) -> tuple:
+        return (self.vertex, self.edge, self.face)
+
+    def __lt__(self, other: object) -> bool:
+        return self._key() < other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        return self._key() <= other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        return self._key() > other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        return self._key() >= other._key() if other.__class__ is self.__class__ else NotImplemented
 
     def __post_init__(self) -> None:
         if self.vertex not in self.edge:
@@ -165,14 +184,22 @@ def flag_orbit_partition(patch: PlanePatch, i: int) -> list[frozenset[Flag]]:
     return list(known)
 
 
-@dataclass
-class FundamentalDomain:
+class FundamentalDomain(Record):
     """The palette: one flag per orbit, consecutive flags incident."""
 
-    flags: tuple[Flag, ...]
-    level: int
-    orbits: tuple[frozenset[Flag], ...]
-    orbit_index: dict[Flag, int]
+    _fields = ("flags", "level", "orbits", "orbit_index")
+
+    def __init__(
+        self,
+        flags: tuple[Flag, ...],
+        level: int,
+        orbits: tuple[frozenset[Flag], ...],
+        orbit_index: dict[Flag, int],
+    ):
+        self.flags = flags
+        self.level = level
+        self.orbits = orbits
+        self.orbit_index = orbit_index
 
     def __len__(self) -> int:
         return len(self.flags)

@@ -9,10 +9,10 @@ which makes every operation in the package deterministic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Container, Iterable, Iterator
 
 from .errors import DefectError, InputError
+from .record import FrozenRecord
 
 Edge = tuple[int, int]
 
@@ -164,18 +164,23 @@ class Graph:
         return cls(range(n), edges)
 
 
-@dataclass(frozen=True)
-class RootedBall:
-    """B_i(o): the induced subgraph on vertices at distance <= i from o."""
+class RootedBall(FrozenRecord):
+    """B_i(o): the induced subgraph on vertices at distance <= i from o.
+    `==` and the hash leave `dist` out.  A ball keeps an instance
+    `__dict__`, where `local` stores its colour refinement."""
 
-    graph: Graph
-    root: int
-    radius: int
-    dist: dict[int, int] = field(compare=False)
+    _fields = ("graph", "root", "radius", "dist")
 
-    def __post_init__(self) -> None:
-        if any(d > self.radius for d in self.dist.values()):
-            raise DefectError(f"ball of radius {self.radius} holds a vertex farther out")
+    def __init__(self, graph: Graph, root: int, radius: int, dist: dict[int, int]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "dist", dist)
+        if any(d > radius for d in dist.values()):
+            raise DefectError(f"ball of radius {radius} holds a vertex farther out")
+
+    def _key(self) -> tuple:
+        return (self.graph, self.root, self.radius)
 
     @property
     def n(self) -> int:

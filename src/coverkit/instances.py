@@ -13,45 +13,47 @@ double cylinder.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import DefectError, InputError
 from .graph import Graph, ball
 from .local import as_rooted, rooted_isomorphisms
+from .record import FrozenRecord, Record
 from .report import VerificationReport
 from .tessellation import PlanePatch
 
 
-@dataclass(frozen=True)
-class _Lattice:
+class _Lattice(FrozenRecord):
     """A planar lattice, described once.  `steps[c][t]` is the coordinate
     step (dx, dy) taken from a vertex of class c across rotation position
     t.  A lattice point is (x, y, class), and a step from class c lands in
     class c + 1 (mod the number of classes): the square lattice has one
     class, and every hexagonal edge joins the two classes."""
 
-    name: str
-    schlafli: tuple[int, int]
-    steps: tuple[tuple[tuple[int, int], ...], ...]
+    _fields = ("name", "schlafli", "steps")
+
+    def __init__(self, name: str, schlafli: tuple[int, int], steps: tuple[tuple[tuple[int, int], ...], ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "schlafli", schlafli)
+        object.__setattr__(self, "steps", steps)
 
 
 _SQUARE = _Lattice("square", (4, 4), (((1, 0), (0, 1), (-1, 0), (0, -1)),))
 _HEX = _Lattice("hex", (6, 3), (((0, 0), (-1, 0), (0, -1)), ((0, 0), (1, 0), (0, 1))))
 
 
-@dataclass(frozen=True)
-class QuotientSpec:
+class QuotientSpec(FrozenRecord):
     """A flat quotient of the square or hexagonal lattice."""
 
-    kind: str  # torus | twisted_torus | klein | hex_torus
-    m: int
-    n: int
-    s: int = 0
+    _fields = ("kind", "m", "n", "s")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("torus", "twisted_torus", "klein", "hex_torus"):
-            raise InputError(f"unknown quotient kind {self.kind!r}")
-        if self.m < 3 or self.n < 3:
+    def __init__(self, kind: str, m: int, n: int, s: int = 0):
+        object.__setattr__(self, "kind", kind)  # torus | twisted_torus | klein | hex_torus
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s", s)
+        if kind not in ("torus", "twisted_torus", "klein", "hex_torus"):
+            raise InputError(f"unknown quotient kind {kind!r}")
+        if m < 3 or n < 3:
             raise InputError("quotient dimensions must be at least 3 to stay simple")
 
 
@@ -234,15 +236,17 @@ def deck_generators(inst: QuotientInstance, patch: PlanePatch) -> list[dict[int,
 # The counterexample family K(l, k)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExampleK:
+class ExampleK(Record):
     """Two toroidal l-by-k grids, the second with one rerouted level,
     cross-joined completely at every level."""
 
-    l: int
-    k: int
-    graph: Graph
-    labels: dict[int, tuple[str, int, int]]
+    _fields = ("l", "k", "graph", "labels")
+
+    def __init__(self, l: int, k: int, graph: Graph, labels: dict[int, tuple[str, int, int]]):
+        self.l = l
+        self.k = k
+        self.graph = graph
+        self.labels = labels
 
     def x(self, i: int, j: int) -> int:
         return (i % self.l) * self.k + (j % self.k)
@@ -275,16 +279,18 @@ def make_example_K(l: int, k: int) -> ExampleK:
     return kk
 
 
-@dataclass
-class ExampleG:
+class ExampleG(Record):
     """A window of the double cylinder: two copies of the Z x Z/k grid,
     cross-joined at equal heights."""
 
-    k: int
-    z_lo: int
-    z_hi: int
-    graph: Graph
-    labels: dict[int, tuple[int, int, int]]
+    _fields = ("k", "z_lo", "z_hi", "graph", "labels")
+
+    def __init__(self, k: int, z_lo: int, z_hi: int, graph: Graph, labels: dict[int, tuple[int, int, int]]):
+        self.k = k
+        self.z_lo = z_lo
+        self.z_hi = z_hi
+        self.graph = graph
+        self.labels = labels
 
     def vid(self, c: int, z: int, j: int) -> int:
         if not (self.z_lo <= z <= self.z_hi):

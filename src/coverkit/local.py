@@ -11,10 +11,10 @@ backtracking search and the r-locally-G certification.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .errors import InputError, PatchTooSmallError
 from .graph import Graph, RootedBall, ball, induced_subgraph, local_parts
+from .record import Record
 from .tessellation import FaceBoundary, PlanePatch
 
 # A peripheral cycle is represented by the same canonical cycle type that
@@ -121,8 +121,7 @@ def face_boundaries_at(h: Graph, v: int, l_max: int) -> list[FaceBoundary]:
 # Face cores
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FaceCore:
+class FaceCore(Record):
     """The subgraph spanned by the faces within n chain steps of a vertex.
 
     Vertices are the vertices of those faces, edges are the union of
@@ -132,8 +131,11 @@ class FaceCore:
     a small quotient.
     """
 
-    rooted: RootedBall
-    faces: frozenset[FaceBoundary]
+    _fields = ("rooted", "faces")
+
+    def __init__(self, rooted: RootedBall, faces: frozenset[FaceBoundary]):
+        self.rooted = rooted
+        self.faces = faces
 
     @property
     def root(self) -> int:
@@ -341,13 +343,15 @@ def _assemble(x: int, faces: set[FaceBoundary]) -> FaceCore:
 # Rooted isomorphism search
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Isomorphism:
+class Isomorphism(Record):
     """A root-preserving graph isomorphism, stored as a vertex map."""
 
-    mapping: dict[int, int]
-    source_root: int
-    target_root: int
+    _fields = ("mapping", "source_root", "target_root")
+
+    def __init__(self, mapping: dict[int, int], source_root: int, target_root: int):
+        self.mapping = mapping
+        self.source_root = source_root
+        self.target_root = target_root
 
     def __getitem__(self, v: int) -> int:
         return self.mapping[v]
@@ -547,14 +551,26 @@ def rooted_isomorphisms(
 # r-locally-G certification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LocalCheckReport:
-    ok: bool
-    failures: list[int] = field(default_factory=list)
-    mode: str = "ball"
+class LocalCheckReport(Record):
+    _fields = ("ok", "failures", "mode")
+
+    def __init__(self, ok: bool, failures: list[int] | None = None, mode: str = "ball"):
+        self.ok = ok
+        self.failures = [] if failures is None else failures
+        self.mode = mode
 
     def to_json_dict(self) -> dict:
         return {"ok": self.ok, "failures": list(self.failures), "mode": self.mode}
+
+
+def require_connected(h: Graph) -> None:
+    """Refuse a target of several components (InputError).  A face is a
+    cycle C that leaves H - C connected, so on such a target a cycle is
+    a face only where it is a whole component and the rest of H is
+    connected: the vertices of a connected part would have no faces, and
+    every colour check there would fail."""
+    if h.components > 1:
+        raise InputError(f"the target graph is not connected: it has {h.components} components")
 
 
 def is_r_locally(
@@ -567,12 +583,14 @@ def is_r_locally(
     variant the flag machinery and the cover builder rely on, and the one
     that stays meaningful on quotients small enough for induced balls to
     pick up wrap chords.  A target with no vertices is an input error:
-    a check of nothing would read as passed.
+    a check of nothing would read as passed; so is a disconnected one
+    (`require_connected`).
     """
     if r < 1:
         raise InputError("need r >= 1")
     if not h.vertices:
         raise InputError("the target graph has no vertices")
+    require_connected(h)
     if d_balls:
         reference = face_core(Host(g_patch), g_patch.root, r).rooted
         host = Host(h, g_patch.l_max)

@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import DefectError
+from .record import Record
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    witnesses: list = field(default_factory=list)
-    info: dict = field(default_factory=dict)
+class CheckResult(Record):
+    _fields = ("name", "passed", "witnesses", "info")
+
+    def __init__(self, name: str, passed: bool, witnesses: list | None = None, info: dict | None = None):
+        self.name = name
+        self.passed = passed
+        self.witnesses = [] if witnesses is None else witnesses
+        self.info = {} if info is None else info
 
     def to_json_dict(self) -> dict:
         return {
@@ -23,9 +24,11 @@ class CheckResult:
         }
 
 
-@dataclass
-class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
+class VerificationReport(Record):
+    _fields = ("checks",)
+
+    def __init__(self, checks: list[CheckResult] | None = None):
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:

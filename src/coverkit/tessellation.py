@@ -19,8 +19,9 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import DefectError, InputError, PatchTooSmallError
 from .graph import Graph, RootedBall, ball, edge_key, json_int
@@ -292,6 +293,62 @@ class PlanePatch:
         if self.schlafli is not None:
             d["schlafli"] = list(self.schlafli)
         return d
+
+    def json_chunks(self) -> Iterator[str]:
+        """The text of `json.dumps(self.to_json_dict(), indent=2,
+        sort_keys=True) + "\n"`, piece by piece: each piece holds at most
+        `_BATCH` vertices, edges or faces, so that neither `to_json_dict`
+        nor the whole text is built.  Vertex keys are ordered as strings,
+        as `sort_keys` orders them ("10" before "2").  A graph without
+        dense 0-based ids raises InputError at the first piece."""
+        g, crad, rot = self.graph, self.complete_radius, self.rotation
+        if g.vertices != tuple(range(g.n)):
+            raise InputError("only graphs with dense 0-based ids are serialisable")
+        top, inner = _int_lists("  "), _int_lists("    ")
+        yield '{\n  "complete_radius": '
+        yield from _json_block("{}", (f'"{v}": {crad[v]}' for v in sorted(crad, key=str)))
+        yield ',\n  "edges": '
+        edge = "[\n      %d,\n      %d\n    ]"
+        yield from _json_block("[]", (edge % (u, w) for u in g.vertices for w in g.neighbors(u) if u < w))
+        yield ',\n  "faces": '
+        yield from _json_block("[]", (inner(c) for c in sorted(f.cycle for f in self.faces)))
+        yield f',\n  "n": {g.n},\n  "outer": {top(self.outer)},\n  "root": {self.root},\n  "rotation": '
+        yield from _json_block("{}", (f'"{v}": {inner(rot[v])}' for v in sorted(g.vertices, key=str)))
+        if self.schlafli is not None:
+            yield f',\n  "schlafli": {top(self.schlafli)}'
+        yield "\n}\n"
+
+
+_BATCH = 1024
+
+
+def _json_block(brackets: str, items: Iterator[str]) -> Iterator[str]:
+    """A JSON array or object (`brackets` "[]" or "{}") of encoded items,
+    laid out as `json.dumps(indent=2)` lays out a value of a top-level
+    object, `_BATCH` items to a piece."""
+    sep = ",\n    "
+    batch = list(islice(items, _BATCH))
+    if not batch:
+        yield brackets
+        return
+    yield brackets[0] + "\n    " + sep.join(batch)
+    while batch := list(islice(items, _BATCH)):
+        yield sep + sep.join(batch)
+    yield "\n  " + brackets[1]
+
+
+def _int_lists(pad: str) -> Callable[[tuple[int, ...]], str]:
+    """A function that lays out a tuple of ints as `json.dumps(indent=2)`
+    lays out a list at indentation `pad`, by one %-template per length."""
+    layouts: dict[int, str] = {}
+
+    def layout(xs: tuple[int, ...]) -> str:
+        t = layouts.get(len(xs))
+        if t is None:
+            t = layouts[len(xs)] = "[\n" + ",\n".join([pad + "  %d"] * len(xs)) + "\n" + pad + "]" if xs else "[]"
+        return t % xs
+
+    return layout
 
 
 # ---------------------------------------------------------------------------

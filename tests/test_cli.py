@@ -135,18 +135,20 @@ class TestPipeline:
     def test_a_disconnected_target_has_no_faces(self, artifacts, capsys):
         # two disjoint 5x7 tori: every short cycle leaves the other torus
         # as a second part, so no cycle is peripheral and no vertex has a
-        # face; the cover finds no seed and every vertex fails its check
+        # face; both commands refuse the target as an input error, which
+        # names its component count, before any colour is compared
         d, g, t = artifacts
         torus = json.loads(t.read_text())
         n = torus["n"]
         two = d / "two_tori.json"
         two.write_text(json.dumps({"n": 2 * n, "edges": torus["edges"] + [[u + n, w + n] for u, w in torus["edges"]]}))
-        code, _, err = run(["cover", "--g", str(g), "--h", str(two), "-o", str(d / "two_cover.json")], capsys)
-        assert code == 1
-        assert json.loads(err) == {"error": "verification", "message": "no flag at target vertex 0 matches colour 0"}
-        code, out, _ = run(["check-local", "--h", str(two), "--g", str(g), "--r", "2", "--d-balls"], capsys)
-        assert code == 1
-        assert json.loads(out)["failures"] == list(range(70))
+        refused = {"error": "input", "message": "the target graph is not connected: it has 2 components"}
+        code, out, err = run(["cover", "--g", str(g), "--h", str(two), "-o", str(d / "two_cover.json")], capsys)
+        assert (code, out, json.loads(err)) == (2, "", refused)
+        assert not (d / "two_cover.json").exists()
+        for d_balls in ([], ["--d-balls"]):
+            code, out, err = run(["check-local", "--h", str(two), "--g", str(g), "--r", "2", *d_balls], capsys)
+            assert (code, out, json.loads(err)) == (2, "", refused)
 
     def test_flags_stabilize(self, artifacts, capsys):
         d, g, t = artifacts

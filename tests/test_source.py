@@ -1,5 +1,6 @@
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -119,6 +120,37 @@ def test_the_package_imports_only_the_standard_library():
     )
     if "json" not in imported or found:
         raise AssertionError(f"non-stdlib imports in src/coverkit: {found or 'no sources found'}")
+
+
+def test_the_package_does_not_import_dataclasses():
+    # every cover-kit command pays for the package's imports before its
+    # work; dataclasses pulls in inspect, ast, dis and tokenize, and each
+    # decorator compiles code as its module loads (coverkit.record holds
+    # the plain records that replace them)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("**/*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "dataclasses")
+    ]
+    if not SRC.is_dir() or found:
+        raise AssertionError(f"dataclasses imported in src/coverkit: {found or 'no sources found'}")
+
+
+def test_the_command_line_starts_without_inspect():
+    # a fresh interpreter without site-packages, as close as Python gets
+    # to what `cover-kit` itself loads; neither module may come in
+    # through the package or anything it imports
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import coverkit.cli; "
+        "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC.parent)], capture_output=True, text=True, timeout=60
+    )
+    if done.returncode != 0 or done.stdout.strip():
+        raise AssertionError(f"import coverkit.cli loads {done.stdout.strip() or done.stderr}")
 
 
 def test_property_tests_are_derandomized():

@@ -22,9 +22,10 @@ from coverkit import (
     trace_faces,
 )
 from coverkit.graph import RootedBall
-from coverkit.tessellation import _is_simple_walk, _PatchBuilder
+from coverkit.tessellation import _BATCH, _is_simple_walk, _json_block, _PatchBuilder
 
 from .oracles import brute_canonical_cycle, hub_patch, outer_walk_by_tracing, z2_ball
+from .test_golden import GEN_FILES
 
 
 class TestFaceBoundary:
@@ -464,6 +465,48 @@ class TestImportExport:
         doc["faces"] = doc["faces"][:-1]
         with pytest.raises(InputError):
             import_patch(doc)
+
+
+def _written_patch(case):
+    if case in GEN_FILES:
+        args = case.split()
+        return generate(int(args[1]), int(args[3]), int(args[5]))
+    if case == "no schlafli":
+        doc = generate(4, 4, 3).to_json_dict()
+        del doc["schlafli"]
+        return import_patch(doc)
+    return _derived_case(case)
+
+
+class TestPatchWriter:
+    """`gen` writes a patch through `PlanePatch.json_chunks`, whose text is
+    that of the dict `to_json_dict` would build, dumped as the CLI dumps
+    every other artifact."""
+
+    @pytest.mark.parametrize("case", [*GEN_FILES, "hub 12", "4.8.8", "no schlafli"])
+    def test_the_text_is_the_dumped_dict(self, case):
+        patch = _written_patch(case)
+        pieces = list(patch.json_chunks())
+        assert "".join(pieces) == json.dumps(patch.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        items = 2 * patch.graph.n + len(patch.faces) + len(patch.graph.sorted_edges())
+        assert len(pieces) >= items / _BATCH  # streamed in batches, not one string
+        assert ('\n  "schlafli": ' in pieces[-2]) == (patch.schlafli is not None)
+
+    @pytest.mark.parametrize("count", [0, 1, _BATCH, _BATCH + 1, 2 * _BATCH + 5])
+    def test_a_block_of_any_length(self, count):
+        items = list(range(count))
+        text = "".join(_json_block("[]", (str(i) for i in items)))
+        assert text == json.dumps({"a": items}, indent=2)[len('{\n  "a": ') : -len("\n}")]
+
+    def test_vertex_keys_are_ordered_as_strings(self):
+        # "10" sorts before "2", in complete_radius and rotation alike
+        patch = generate(4, 4, 2)
+        text = "".join(patch.json_chunks())
+        assert patch.graph.n > 10
+        for field in ("complete_radius", "rotation"):
+            section = text[text.index(f'"{field}": {{'):]
+            keys = re.findall(r'^    "(\d+)": ', section[: section.index("\n  }")], flags=re.M)
+            assert keys == sorted(map(str, patch.graph.vertices)) and keys.index("10") < keys.index("2")
 
 
 @given(st.integers(min_value=3, max_value=6), st.data())

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 import subprocess
@@ -152,7 +151,9 @@ def _fold_two_faces(cover, x):
     vmap[u2] = vmap[u0]
     images[face(u1, u2)] = images[face(u0, u1)]
     images[face(u2, u3)] = images[face(u3, u0)]
-    return dataclasses.replace(cover, vertex_map=vmap, face_image=images)
+    return builder.CoverMap(
+        cover.patch, cover.h, vmap, cover.seed, cover.delta, images, cover.eligible, cover.surjective
+    )
 
 
 class TestNormalityOnBrokenCovers:
