@@ -37,27 +37,14 @@ Edge = tuple[int, int]
 class PartialCover(Record):
     """The in-progress map with its frontier, verification ledger and step."""
 
-    _fields = ("coloring", "host", "vertex_map", "frontier", "pending", "face_image", "domain_edges_at", "step")
-
-    def __init__(
-        self,
-        coloring: Coloring,
-        host: Host,
-        vertex_map: dict[int, int],
-        frontier: set[Edge],
-        pending: dict[FaceBoundary, None],
-        face_image: dict[FaceBoundary, FaceBoundary],
-        domain_edges_at: dict[int, dict[Edge, Edge]],
-        step: tuple[FaceBoundary, list[int]] | None = None,
-    ):
-        self.coloring = coloring
-        self.host = host
-        self.vertex_map = vertex_map
-        self.frontier = frontier
-        self.pending = pending  # eligible faces not yet absorbed, in enumeration order
-        self.face_image = face_image  # in the order absorbed, the seed first: step k is entry k + 1
-        self.domain_edges_at = domain_edges_at  # each processed edge at a vertex, to its fixed image
-        self.step = step  # the step in progress: its face and shared path
+    coloring: Coloring
+    host: Host
+    vertex_map: dict[int, int]
+    frontier: set[Edge]
+    pending: dict[FaceBoundary, None]  # eligible faces not yet absorbed, in enumeration order
+    face_image: dict[FaceBoundary, FaceBoundary]  # in the order absorbed, the seed first: step k is entry k + 1
+    domain_edges_at: dict[int, dict[Edge, Edge]]  # each processed edge at a vertex, to its fixed image
+    step: tuple[FaceBoundary, list[int]] | None = None  # the step in progress: its face and shared path
 
 
 def _image(state: PartialCover, e: Edge) -> Edge:
@@ -299,27 +286,14 @@ class CoverMap(Record):
     on them, so it lives as long as they do, not as long as the map.
     `steps` and `log` read `face_image`."""
 
-    _fields = ("patch", "h", "vertex_map", "seed", "delta", "face_image", "eligible", "surjective")
-
-    def __init__(
-        self,
-        patch: PlanePatch,
-        h: Host,
-        vertex_map: dict[int, int],
-        seed: tuple[Flag, Flag],
-        delta: FundamentalDomain,
-        face_image: dict[FaceBoundary, FaceBoundary],
-        eligible: frozenset[FaceBoundary],
-        surjective: bool,
-    ):
-        self.patch = patch
-        self.h = h
-        self.vertex_map = vertex_map
-        self.seed = seed
-        self.delta = delta
-        self.face_image = face_image
-        self.eligible = eligible
-        self.surjective = surjective
+    patch: PlanePatch
+    h: Host
+    vertex_map: dict[int, int]
+    seed: tuple[Flag, Flag]
+    delta: FundamentalDomain
+    face_image: dict[FaceBoundary, FaceBoundary]
+    eligible: frozenset[FaceBoundary]
+    surjective: bool
 
     @property
     def steps(self) -> int:

@@ -22,7 +22,7 @@ information as the corresponding ball.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, total_ordering
 
 from .errors import DefectError, HypothesisViolationError, InputError, PatchTooSmallError
 from .graph import Graph, edge_key, json_int
@@ -41,32 +41,20 @@ from .record import FrozenRecord, Record
 from .tessellation import FaceBoundary, PlanePatch
 
 
+@total_ordering
 class Flag(FrozenRecord):
     """An incident triple: vertex u, edge e with u in e, face F with e in F.
     Flags of one class order by (vertex, edge, face)."""
 
-    _fields = ("vertex", "edge", "face")
-
-    def __init__(self, vertex: int, edge: tuple[int, int], face: FaceBoundary):
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "edge", edge)
-        object.__setattr__(self, "face", face)
-        self.__post_init__()
+    vertex: int
+    edge: tuple[int, int]
+    face: FaceBoundary
 
     def _key(self) -> tuple:
         return (self.vertex, self.edge, self.face)
 
     def __lt__(self, other: object) -> bool:
         return self._key() < other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        return self._key() <= other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        return self._key() > other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        return self._key() >= other._key() if other.__class__ is self.__class__ else NotImplemented
 
     def __post_init__(self) -> None:
         if self.vertex not in self.edge:
@@ -187,19 +175,10 @@ def flag_orbit_partition(patch: PlanePatch, i: int) -> list[frozenset[Flag]]:
 class FundamentalDomain(Record):
     """The palette: one flag per orbit, consecutive flags incident."""
 
-    _fields = ("flags", "level", "orbits", "orbit_index")
-
-    def __init__(
-        self,
-        flags: tuple[Flag, ...],
-        level: int,
-        orbits: tuple[frozenset[Flag], ...],
-        orbit_index: dict[Flag, int],
-    ):
-        self.flags = flags
-        self.level = level
-        self.orbits = orbits
-        self.orbit_index = orbit_index
+    flags: tuple[Flag, ...]
+    level: int
+    orbits: tuple[frozenset[Flag], ...]
+    orbit_index: dict[Flag, int]
 
     def __len__(self) -> int:
         return len(self.flags)

@@ -169,15 +169,14 @@ class RootedBall(FrozenRecord):
     `==` and the hash leave `dist` out.  A ball keeps an instance
     `__dict__`, where `local` stores its colour refinement."""
 
-    _fields = ("graph", "root", "radius", "dist")
+    graph: Graph
+    root: int
+    radius: int
+    dist: dict[int, int]
 
-    def __init__(self, graph: Graph, root: int, radius: int, dist: dict[int, int]):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "dist", dist)
-        if any(d > radius for d in dist.values()):
-            raise DefectError(f"ball of radius {radius} holds a vertex farther out")
+    def __post_init__(self) -> None:
+        if any(d > self.radius for d in self.dist.values()):
+            raise DefectError(f"ball of radius {self.radius} holds a vertex farther out")
 
     def _key(self) -> tuple:
         return (self.graph, self.root, self.radius)

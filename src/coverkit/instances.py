@@ -29,12 +29,9 @@ class _Lattice(FrozenRecord):
     class c + 1 (mod the number of classes): the square lattice has one
     class, and every hexagonal edge joins the two classes."""
 
-    _fields = ("name", "schlafli", "steps")
-
-    def __init__(self, name: str, schlafli: tuple[int, int], steps: tuple[tuple[tuple[int, int], ...], ...]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "schlafli", schlafli)
-        object.__setattr__(self, "steps", steps)
+    name: str
+    schlafli: tuple[int, int]
+    steps: tuple[tuple[tuple[int, int], ...], ...]
 
 
 _SQUARE = _Lattice("square", (4, 4), (((1, 0), (0, 1), (-1, 0), (0, -1)),))
@@ -44,16 +41,15 @@ _HEX = _Lattice("hex", (6, 3), (((0, 0), (-1, 0), (0, -1)), ((0, 0), (1, 0), (0,
 class QuotientSpec(FrozenRecord):
     """A flat quotient of the square or hexagonal lattice."""
 
-    _fields = ("kind", "m", "n", "s")
+    kind: str  # torus | twisted_torus | klein | hex_torus
+    m: int
+    n: int
+    s: int = 0
 
-    def __init__(self, kind: str, m: int, n: int, s: int = 0):
-        object.__setattr__(self, "kind", kind)  # torus | twisted_torus | klein | hex_torus
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s", s)
-        if kind not in ("torus", "twisted_torus", "klein", "hex_torus"):
-            raise InputError(f"unknown quotient kind {kind!r}")
-        if m < 3 or n < 3:
+    def __post_init__(self) -> None:
+        if self.kind not in ("torus", "twisted_torus", "klein", "hex_torus"):
+            raise InputError(f"unknown quotient kind {self.kind!r}")
+        if self.m < 3 or self.n < 3:
             raise InputError("quotient dimensions must be at least 3 to stay simple")
 
 
@@ -240,13 +236,10 @@ class ExampleK(Record):
     """Two toroidal l-by-k grids, the second with one rerouted level,
     cross-joined completely at every level."""
 
-    _fields = ("l", "k", "graph", "labels")
-
-    def __init__(self, l: int, k: int, graph: Graph, labels: dict[int, tuple[str, int, int]]):
-        self.l = l
-        self.k = k
-        self.graph = graph
-        self.labels = labels
+    l: int
+    k: int
+    graph: Graph
+    labels: dict[int, tuple[str, int, int]]
 
     def x(self, i: int, j: int) -> int:
         return (i % self.l) * self.k + (j % self.k)
@@ -283,14 +276,11 @@ class ExampleG(Record):
     """A window of the double cylinder: two copies of the Z x Z/k grid,
     cross-joined at equal heights."""
 
-    _fields = ("k", "z_lo", "z_hi", "graph", "labels")
-
-    def __init__(self, k: int, z_lo: int, z_hi: int, graph: Graph, labels: dict[int, tuple[int, int, int]]):
-        self.k = k
-        self.z_lo = z_lo
-        self.z_hi = z_hi
-        self.graph = graph
-        self.labels = labels
+    k: int
+    z_lo: int
+    z_hi: int
+    graph: Graph
+    labels: dict[int, tuple[int, int, int]]
 
     def vid(self, c: int, z: int, j: int) -> int:
         if not (self.z_lo <= z <= self.z_hi):

@@ -131,11 +131,8 @@ class FaceCore(Record):
     a small quotient.
     """
 
-    _fields = ("rooted", "faces")
-
-    def __init__(self, rooted: RootedBall, faces: frozenset[FaceBoundary]):
-        self.rooted = rooted
-        self.faces = faces
+    rooted: RootedBall
+    faces: frozenset[FaceBoundary]
 
     @property
     def root(self) -> int:
@@ -346,12 +343,9 @@ def _assemble(x: int, faces: set[FaceBoundary]) -> FaceCore:
 class Isomorphism(Record):
     """A root-preserving graph isomorphism, stored as a vertex map."""
 
-    _fields = ("mapping", "source_root", "target_root")
-
-    def __init__(self, mapping: dict[int, int], source_root: int, target_root: int):
-        self.mapping = mapping
-        self.source_root = source_root
-        self.target_root = target_root
+    mapping: dict[int, int]
+    source_root: int
+    target_root: int
 
     def __getitem__(self, v: int) -> int:
         return self.mapping[v]
@@ -552,12 +546,13 @@ def rooted_isomorphisms(
 # ---------------------------------------------------------------------------
 
 class LocalCheckReport(Record):
-    _fields = ("ok", "failures", "mode")
+    ok: bool
+    failures: list[int] | None = None
+    mode: str = "ball"
 
-    def __init__(self, ok: bool, failures: list[int] | None = None, mode: str = "ball"):
-        self.ok = ok
-        self.failures = [] if failures is None else failures
-        self.mode = mode
+    def __post_init__(self) -> None:
+        if self.failures is None:
+            self.failures = []
 
     def to_json_dict(self) -> dict:
         return {"ok": self.ok, "failures": list(self.failures), "mode": self.mode}

@@ -3,22 +3,54 @@
 The package's record types derive from these instead of using
 `dataclasses`, whose import pulls in `inspect` and whose decorators
 compile code when a module loads: a cost every `cover-kit` command
-would pay before its work.  Each subclass writes its own `__init__`.
+would pay before its work.  A subclass declares each field once, as an
+annotation in its own body, with its default as the class-level value;
+`Record.__init__` takes the fields in that order.
 """
 
 from __future__ import annotations
 
 
 class Record:
-    """A class whose `_fields` name its fields in constructor order.
+    """A class whose annotated fields are its constructor's arguments.
 
-    `repr` has the dataclass format, `Name(field=value, ...)`.  Two
-    records are `==` when they are of one class and their `_key`s are
-    equal.  Defining `__eq__` makes a record unhashable unless a
-    subclass defines `__hash__`."""
+    `_fields` names them in declaration order and `_defaults` holds
+    those given a class-level value, both read once per class.  The
+    constructor sets the fields, then calls `__post_init__`.  `repr` has
+    the dataclass format, `Name(field=value, ...)`.  Two records are `==`
+    when they are of one class and their `_key`s are equal.  Defining
+    `__eq__` makes a record unhashable unless a subclass defines
+    `__hash__`."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(names)} arguments, got {len(args)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__qualname__}() missing argument {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(f"{type(self).__qualname__}() got unexpected or repeated arguments {sorted(kwargs)}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Checks and derived values, once every field is set."""
 
     def _key(self) -> tuple:
         """What `==` and the hash compare: every field, unless a subclass
@@ -37,7 +69,7 @@ class Record:
 
 class FrozenRecord(Record):
     """A hashable record whose attributes cannot be assigned or deleted
-    (AttributeError).  Its `__init__` sets them with `object.__setattr__`."""
+    (AttributeError); its constructor sets them with `object.__setattr__`."""
 
     __slots__ = ()
 

@@ -7,13 +7,16 @@ from .record import Record
 
 
 class CheckResult(Record):
-    _fields = ("name", "passed", "witnesses", "info")
+    name: str
+    passed: bool
+    witnesses: list | None = None
+    info: dict | None = None
 
-    def __init__(self, name: str, passed: bool, witnesses: list | None = None, info: dict | None = None):
-        self.name = name
-        self.passed = passed
-        self.witnesses = [] if witnesses is None else witnesses
-        self.info = {} if info is None else info
+    def __post_init__(self) -> None:
+        if self.witnesses is None:
+            self.witnesses = []
+        if self.info is None:
+            self.info = {}
 
     def to_json_dict(self) -> dict:
         return {
@@ -25,10 +28,11 @@ class CheckResult(Record):
 
 
 class VerificationReport(Record):
-    _fields = ("checks",)
+    checks: list[CheckResult] | None = None
 
-    def __init__(self, checks: list[CheckResult] | None = None):
-        self.checks = [] if checks is None else checks
+    def __post_init__(self) -> None:
+        if self.checks is None:
+            self.checks = []
 
     @property
     def ok(self) -> bool:

@@ -128,6 +128,13 @@ class TestFlagsAt:
             with pytest.raises(InputError):
                 Flag(patch44_r6.root, e, other)
 
+    def test_flags_that_differ_only_in_face_compare_every_way(self):
+        # <= and >= derive from <, so a tie on (vertex, edge) falls to the
+        # faces' own order, which defines < alone
+        lo, hi = Flag(0, (0, 1), FaceBoundary([0, 1, 2])), Flag(0, (0, 1), FaceBoundary([0, 1, 3]))
+        assert lo < hi and lo <= hi and hi > lo and hi >= lo
+        assert not (hi < lo or hi <= lo or lo > hi or lo >= hi)
+
     def test_flag_json_round_trip(self, patch44_r6):
         f = flags_at(Host(patch44_r6), patch44_r6.root)[0]
         assert Flag.from_json_dict(f.to_json_dict()) == f
@@ -776,6 +783,33 @@ class TestExtendIso:
         oc = next(f for f in root_flags if len(f.face) == 8)
         with pytest.raises(InputError):
             extend_iso(c, c.g, sq, oc, n + 1)
+
+    @pytest.mark.parametrize(
+        "m, r, message",
+        [
+            (
+                5,
+                3,
+                "h is not 3-locally-G at 0: no isomorphism of depth-3 cores carries the flag at 0 onto it, "
+                "faces onto faces",
+            ),
+            (5, 2, "extension does not preserve adjacency on (9,18)"),
+            (7, 3, "extension does not preserve adjacency on (25,34)"),
+        ],
+    )
+    def test_rejections_reached_through_the_public_api(self, patch44_r10, m, r, message):
+        # a small torus at a depth its cores do not fit: at r = 3 on 5x5 no
+        # core isomorphism carries faces onto faces; where one does, a chord
+        # among core vertices that is no core edge reaches the final
+        # adjacency check, which reads the whole graphs
+        n = stabilize_n(patch44_r10)
+        c = Coloring(patch44_r10, i_fundamental_domain(patch44_r10, n))
+        host = Host(make_quotient(QuotientSpec("torus", m, m)).graph, 4)
+        f = c.delta.flags[0]
+        fh = min(x for x in flags_at(host, 0) if color_in_h(c, host, x) == color(c, f))
+        with pytest.raises(HypothesisViolationError) as exc:
+            extend_iso(c, host, f, fh, r)
+        assert (n, str(exc.value)) == (1, message)
 
     def test_unique_extension_sample(self, patch45_r5):
         delta = i_fundamental_domain(patch45_r5, 1)

@@ -138,6 +138,39 @@ def test_the_package_does_not_import_dataclasses():
         raise AssertionError(f"dataclasses imported in src/coverkit: {found or 'no sources found'}")
 
 
+def test_records_declare_each_field_once():
+    # a record's fields are its annotations, read by Record's one
+    # constructor; a subclass that wrote its own __init__ or _fields would
+    # name each field again, and the two lists could drift apart
+    classes = [
+        (path.name, node)
+        for path in sorted(SRC.glob("**/*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+    ]
+    records = {"Record"}
+    while True:
+        more = {
+            node.name
+            for _, node in classes
+            if any(getattr(base, "id", getattr(base, "attr", None)) in records for base in node.bases)
+        }
+        if more <= records:
+            break
+        records |= more
+    found = [
+        f"{name}:{stmt.lineno} {node.name}"
+        for name, node in classes
+        if node.name in records - {"Record"}
+        for stmt in node.body
+        if (isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__")
+        or (isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "_fields" for t in stmt.targets))
+        or (isinstance(stmt, ast.AnnAssign) and getattr(stmt.target, "id", None) == "_fields")
+    ]
+    if not {"FrozenRecord", "Flag"} <= records or found:
+        raise AssertionError(f"records that name their fields again: {found or sorted(records)}")
+
+
 def test_the_command_line_starts_without_inspect():
     # a fresh interpreter without site-packages, as close as Python gets
     # to what `cover-kit` itself loads; neither module may come in
