@@ -54,7 +54,7 @@ def _image(state: PartialCover, e: Edge) -> Edge:
 def _check_new_flag_colors(state: PartialCover, face: FaceBoundary, image: FaceBoundary) -> None:
     """Colour preservation (invariant 1) on the flags of the new face.
     Each flag and its image are coloured from their face walks, the
-    patch side first, with the errors of `color` and `color_in_h`.  A
+    patch's flag first, with the errors of `color` and `color_in_h`.  A
     Flag is built only to report an image edge off the image face, or
     two colours that differ."""
     c, host, vmap = state.coloring, state.host, state.vertex_map
@@ -67,8 +67,8 @@ def _check_new_flag_colors(state: PartialCover, face: FaceBoundary, image: FaceB
             except InputError:
                 Flag(x, _image(state, e), image)  # raises: its edge is not on its face
                 raise
-            cg = _colour(c, c.g, y, face.cycle_from(y, z), True)
-            ch = _colour(c, host, x, walk_h, False)
+            cg = _colour(c, c.g, y, face.cycle_from(y, z))
+            ch = _colour(c, host, x, walk_h)
             if cg != ch:
                 raise HypothesisViolationError(
                     f"step {len(state.face_image) - 1}: colour of {Flag(y, e, face)} is {cg} but its image has {ch}; "

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Iterable
 
 from . import __version__
@@ -49,7 +48,8 @@ def _write(path: str, pieces: Iterable[str]) -> None:
 
 def _load_json(path: str) -> dict:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # unreadable, not JSON, or nested too deep
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -90,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     flg = sub.add_parser("flags", help="stabilisation level and fundamental domain")
     flg.add_argument("--g", dest="g_path", required=True)
     flg.add_argument("--stabilize", action="store_true")
-    flg.add_argument("--i-max", type=int, default=4)
-    flg.add_argument("--guard", type=int, default=2)
+    flg.add_argument("--i-max", type=int, default=argparse.SUPPRESS)
+    flg.add_argument("--guard", type=int, default=argparse.SUPPRESS)
     flg.add_argument("--n", type=int, default=None, help="override the stabilisation level")
 
     cov = sub.add_parser("cover", help="build a cover from a patch onto a target graph")
@@ -110,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--samples", type=int, default=20)
     ver.add_argument("--exhaustive", action="store_true")
     ver.add_argument("--rng-seed", type=int, default=0)
-    ver.add_argument("--margin", type=int, default=1)
 
     inst = sub.add_parser("instance", help="generate a finite test target")
     isub = inst.add_subparsers(dest="kind", required=True)
@@ -147,7 +146,7 @@ def _cmd_flags(args) -> int:
     if args.n is not None:
         n = args.n
     elif args.stabilize:
-        n = stabilize_n(patch, args.i_max, args.guard)
+        n = stabilize_n(patch, **{k: v for k, v in vars(args).items() if k in ("i_max", "guard")})
     else:
         n = 1
     delta = i_fundamental_domain(patch, n)
@@ -184,7 +183,7 @@ def _cmd_verify(args) -> int:
         raise InputError(f"malformed cover JSON: {exc}") from exc
     cov = build_cover(patch, h, f=seed_f, flag_h=seed_h, n=n)
     reports = {"rebuild_matches_file": cov.vertex_map == stored}
-    rep = check_cover(cov, margin=args.margin)
+    rep = check_cover(cov)
     reports["cover"] = rep.to_json_dict()
     ok = rep.ok and reports["rebuild_matches_file"]
     if args.normality:

@@ -255,14 +255,14 @@ class Coloring:
     """The colouring context of one run: the patch, its palette delta at
     level n = delta.level, the patch's own Host `g`, and the root's
     depth-n face core, the one reference of every pull (so refined
-    once).  The core isomorphisms onto it are kept on each host's source
+    once).  A host whose source is the patch is the patch side.  The
+    core isomorphisms onto the root core are kept on each host's source
     (`local._FaceMemo.isos`), shared by every Coloring of the patch at
-    level n, on both sides; a Coloring finds a host's table once
-    (`_isos`), and two Hosts of one source find the same table.  A
-    vertex met first is pulled through the search of its core's shape,
-    made once per Coloring on either side and kept, found or failed, in
-    `_shapes` (`_core_map`).  The faces eligible for a cover, those deep
-    enough for depth-n colours, are found once, when first read."""
+    level n; a Coloring finds a host's table once (`_isos`), and two
+    Hosts of one source find the same table.  A vertex met first is
+    pulled through the search of its core's shape, made once per
+    Coloring for both sides and kept, found or failed, in `_shapes`
+    (`_core_map`).  The eligible faces are found once, when first read."""
 
     def __init__(self, patch: PlanePatch, delta: FundamentalDomain):
         self.patch = patch
@@ -296,7 +296,7 @@ class Coloring:
         return eligible
 
 
-def _colour(c: Coloring, host: Host, x: int, walk: tuple[int, ...], patch_side: bool) -> int:
+def _colour(c: Coloring, host: Host, x: int, walk: tuple[int, ...]) -> int:
     """The colour of the flag that a face walk from x fixes: the walk
     carried to the root through a root-preserving isomorphism of depth-n
     cores, looked up in the palette.  The carried walk starts at the
@@ -304,21 +304,21 @@ def _colour(c: Coloring, host: Host, x: int, walk: tuple[int, ...], patch_side: 
     when the face it lists is a patch face.  A flag is fixed by its walk,
     so distinct root flags have distinct keys, and the key found is that
     of the root flag onto which the isomorphism carries the flag that the
-    walk fixes.  No isomorphism, or a carried walk that is no key, is a
-    DefectError on the patch side and a HypothesisViolationError on the
-    target side.  Only found isomorphisms are kept per vertex; a failed
-    shape is kept on the Coloring, so a failure is found once per shape
-    and raised, naming its vertex, each time."""
+    walk fixes.  No isomorphism, or a carried walk that is no key, blames
+    x's graph: a DefectError when host's source is the patch, else a
+    HypothesisViolationError.  Only found isomorphisms are kept per
+    vertex; a failed shape is kept on the Coloring, so a failure is found
+    once per shape and raised, naming its vertex, each time."""
     isos = c._isos.get(host)
     if isos is None:  # the table of host's source for a root core of this content
         ref = (c.n, c.patch.root, c.root_core.rooted.graph)
         isos = c._isos[host] = host._memo.isos.setdefault(ref, {})
     iso = isos.get(x)
     if iso is None:
-        iso = isos[x] = _core_map(c, host, x, patch_side)
+        iso = isos[x] = _core_map(c, host, x)
     k = c._palette.get(tuple(map(iso.__getitem__, walk)))
     if k is None:
-        if patch_side:
+        if host.source is c.patch:
             raise DefectError(f"image of {FaceBoundary(walk)} at the root is not a face")
         raise HypothesisViolationError(
             f"face {FaceBoundary(walk)} at {x} does not pull back to a face at the root"
@@ -326,7 +326,7 @@ def _colour(c: Coloring, host: Host, x: int, walk: tuple[int, ...], patch_side: 
     return k
 
 
-def _core_map(c: Coloring, host: Host, x: int, patch_side: bool) -> dict[int, int]:
+def _core_map(c: Coloring, host: Host, x: int) -> dict[int, int]:
     """The isomorphism of x's depth-n core onto the root core, searched
     once per core shape (`Coloring._shapes`): x's rank and the core's
     face cycles in ranks, sorted, a rank being a vertex's place in id
@@ -340,8 +340,8 @@ def _core_map(c: Coloring, host: Host, x: int, patch_side: bool) -> dict[int, in
     no accepted search reads them.  So the map kept in ranks, put back
     into x's ids in its kept order, is the map a search of x's own core
     finds, item for item; a failed shape fails at each of its vertices,
-    each error naming its own.  The faces are collected by face_core's
-    traversal, so a margin is met where face_core meets it."""
+    each error naming its own and its side.  The faces are collected by
+    face_core's traversal, so a margin is met where face_core meets it."""
     vertices, faces = _core_faces(host, x, c.n)
     ids = sorted(vertices)
     rank = {v: i for i, v in enumerate(ids)}
@@ -351,7 +351,7 @@ def _core_map(c: Coloring, host: Host, x: int, patch_side: bool) -> dict[int, in
         c._shapes[shape] = tuple((rank[v], w) for v, w in found[0].mapping.items()) if found else None
     pairs = c._shapes[shape]
     if pairs is None:
-        if patch_side:
+        if host.source is c.patch:
             raise DefectError(f"patch not vertex-transitive at {x}: no depth-{c.n} isomorphism")
         raise HypothesisViolationError(f"h is not {c.n}-locally-G at {x}")
     return {ids[r]: w for r, w in pairs}
@@ -362,15 +362,15 @@ def color(c: Coloring, f: Flag) -> int:
     through any root-preserving isomorphism of depth-n cores.
     Independent of the choice of isomorphism (tested, not assumed), so a
     root flag is pulled through a root automorphism like any other."""
-    return _colour(c, c.g, f.vertex, _walk(f), True)
+    return _colour(c, c.g, f.vertex, _walk(f))
 
 
 def color_in_h(c: Coloring, host: Host, flag_h: Flag) -> int:
     """The colour of a flag of the target graph: pull it back to the root
     through any isomorphism of depth-n cores (the compositions coincide
     for every choice, which is tested, not assumed).  It differs from
-    `color` only in the errors it raises."""
-    return _colour(c, host, flag_h.vertex, _walk(flag_h), False)
+    `color` only in taking a host, whose source names the side it blames."""
+    return _colour(c, host, flag_h.vertex, _walk(flag_h))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +386,7 @@ def extend_iso(c: Coloring, host: Host, f: Flag, flag_h: Flag, r: int) -> Isomor
     So the search stops at its first map (limit=1), which must carry the
     faces onto exactly the target core's faces; no map, or one that does
     not, is a hypothesis violation."""
-    # a self-cover colours both flags as patch flags (a DefectError on failure)
-    if color(c, f) != (color(c, flag_h) if host.source is c.patch else color_in_h(c, host, flag_h)):
+    if color(c, f) != color_in_h(c, host, flag_h):
         raise InputError("colour mismatch between seed flags")
     core_g, core_h = face_core(c.g, f.vertex, r), face_core(host, flag_h.vertex, r)
     pres = _prescription(f, flag_h)

@@ -20,7 +20,6 @@ import json
 import os
 from collections import deque
 from itertools import islice
-from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from .errors import DefectError, InputError, PatchTooSmallError
@@ -560,7 +559,7 @@ def enumeration_key(patch: PlanePatch, tie_break: int):
 # Import / export
 # ---------------------------------------------------------------------------
 
-def import_patch(source: dict | str | Path) -> PlanePatch:
+def import_patch(source: dict | str | os.PathLike) -> PlanePatch:
     """Load a patch from JSON: a dict, or the name or path of a file.
 
     Needs vertices, edges, a rotation for every vertex, and a root.  Faces
@@ -615,7 +614,7 @@ def import_patch(source: dict | str | Path) -> PlanePatch:
         raise InputError("rotation must cover every vertex")
 
     walks = trace_faces(g, rotation)
-    euler = g.n - len(g.edges) + len(walks)
+    euler = g.n - sum(map(len, walks)) // 2 + len(walks)  # the walks hold each edge twice
     if euler != 2:
         raise InputError(
             f"non-planar rotation: closed-up Euler count {euler} != 2 (genus > 0)"
@@ -627,7 +626,9 @@ def import_patch(source: dict | str | Path) -> PlanePatch:
             continue
         if not _is_simple_walk(w):
             raise InputError(f"interior walk {w} is not a simple cycle")
-        faces.append(FaceBoundary(w))
+        if len(w) < 3:  # a lone edge's walk, traced beside a component of higher genus
+            raise InputError(f"not a simple cycle: {w}")
+        faces.append(FaceBoundary._trusted(w))
     if not faces:
         raise PatchTooSmallError("patch too small: the traced map has no interior face")
     if declared_faces is not None and declared_faces != set(faces):

@@ -23,23 +23,21 @@ from .report import VerificationReport
 from .tessellation import PlanePatch
 
 
-def check_cover(cover: CoverMap, margin: int = 1) -> VerificationReport:
-    """The cover property: at every certified vertex with fully mapped
-    neighbourhood, the edge map to the image neighbourhood is a bijection.
-    Also reports fiber sizes over the checked region.  A margin that no
-    mapped vertex reaches is an input error: it would check nothing, yet
-    read as passed."""
-    if margin < 1:
-        raise InputError("margin must be >= 1")
+def check_cover(cover: CoverMap) -> VerificationReport:
+    """The cover property: at every mapped vertex of complete radius 1 or
+    more with fully mapped neighbourhood, the edge map to the image
+    neighbourhood is a bijection.  Also reports fiber sizes over the
+    checked region.  A map with no such radius is an input error: it
+    would check nothing, yet read as passed."""
     patch, h = cover.patch, cover.h.graph
     vmap = cover.vertex_map
-    if all(patch.complete_radius[v] < margin for v in vmap):
-        raise InputError(f"no mapped vertex has complete radius {margin} or more")
+    if all(patch.complete_radius[v] < 1 for v in vmap):
+        raise InputError("no mapped vertex has complete radius 1 or more")
     report = VerificationReport()
     checked = []
     bad = []
     for v in sorted(vmap):
-        if patch.complete_radius[v] < margin:
+        if patch.complete_radius[v] < 1:
             continue
         nbrs = patch.graph.neighbors(v)
         if any(u not in vmap for u in nbrs):
@@ -53,7 +51,7 @@ def check_cover(cover: CoverMap, margin: int = 1) -> VerificationReport:
         not bad,
         witnesses=bad,
         checked=len(checked),
-        margin=margin,
+        margin=1,
     )
     fibers: dict[int, int] = {}
     for v in checked:

@@ -902,19 +902,24 @@ class TestColorCheckErrors:
 
     def test_the_patch_side_fails_first(self):
         # on a patch that is not vertex-transitive near a merged 14-gon, a
-        # flag of that face and its image under the identity both fail to
-        # pull; the patch side is pulled first, so the error is a defect
+        # flag of that face and its image under the identity in the
+        # patch's graph both fail to pull; the patch side is pulled first,
+        # so the error is a defect, not the graph target's violation
         from coverkit import DefectError
 
         from .test_flags import build_squareoct_patch
 
-        damaged, ids = build_squareoct_patch(6, drop_link=(2, 0))
+        damaged, ids = build_squareoct_patch(6, drop_links=[(2, 0)])
         c = Coloring(damaged, i_fundamental_domain(damaged, stabilize_n(damaged, 1, 1)))
         face = next(f for f in damaged.faces_at(ids[(2, 0, 1)]) if len(f) == 14)
         state = _hand_built(c, face, face, {v: v for v in face})
+        state.host = Host(damaged.graph, damaged.l_max)
         with pytest.raises(DefectError) as err:
             builder._check_new_flag_colors(state, face, face)
-        assert str(err.value) == f"patch not vertex-transitive at {min(face.cycle)}: no depth-1 isomorphism"
+        x = min(face.cycle)
+        assert str(err.value) == f"patch not vertex-transitive at {x}: no depth-1 isomorphism"
+        with pytest.raises(HypothesisViolationError, match=f"^h is not 1-locally-G at {x}$"):
+            builder._colour(Coloring(damaged, c.delta), state.host, x, face.cycle_from(x, face.cycle[1]))
 
 
 class TestLocalInjectivityErrors:

@@ -213,6 +213,19 @@ class TestPipeline:
         assert code == 3
         assert "patch" in err or "increase" in err
 
+    @pytest.mark.parametrize("window", [[], ["--i-max", "3"], ["--guard", "3"], ["--i-max", "3", "--guard", "1"]])
+    def test_flags_leaves_an_omitted_bound_to_stabilize_n(self, artifacts, capsys, monkeypatch, window):
+        # the default window is written once, in stabilize_n's signature:
+        # flags passes on only the bounds it is given
+        _, g, _ = artifacts
+        seen, real = [], cli.stabilize_n
+        monkeypatch.setattr(cli, "stabilize_n", lambda patch, **kw: seen.append(kw) or real(patch, **kw))
+        code, out, _ = run(["flags", "--g", str(g), "--stabilize", *window], capsys)
+        assert code == 0 and json.loads(out)["n"] == 1
+        assert seen == [{k[2:].replace("-", "_"): int(v) for k, v in zip(window[::2], window[1::2])}]
+        if not window:
+            assert run(["flags", "--g", str(g), "--stabilize", "--i-max", "4", "--guard", "2"], capsys)[1] == out
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -339,14 +352,6 @@ def _verify_with_negative_samples(d, g, t):
     return _verify_argv(d, g, t, "--normality", "--samples", "-1")
 
 
-def _verify_with_zero_margin(d, g, t):
-    return _verify_argv(d, g, t, "--margin", "0")
-
-
-def _verify_with_margin_beyond_the_patch(d, g, t):
-    return _verify_argv(d, g, t, "--margin", "100")
-
-
 def _with(path, out, change):
     """A copy of the JSON file at path, written to out after change(doc)."""
     doc = json.loads(path.read_text())
@@ -421,8 +426,6 @@ class TestBadInputs:
             _cover_onto_empty_graph,
             _verify_with_zero_samples,
             _verify_with_negative_samples,
-            _verify_with_zero_margin,
-            _verify_with_margin_beyond_the_patch,
             _verify_with_float_n,
             _verify_with_bool_n,
             _verify_with_float_seed_vertex,
@@ -453,6 +456,23 @@ class TestBadInputs:
         code, stdout, err = run(argv, capsys)
         assert code == 2 and stdout == ""
         assert json.loads(err) == {"error": "input", "message": "a seed flag's face is not a face of its graph"}
+
+
+class TestVerifyMargin:
+    @pytest.mark.parametrize("margin", ["0", "1", "100"])
+    def test_the_margin_is_not_an_option(self, artifacts, capsys, margin):
+        # check_cover checks every vertex of complete radius 1 or more; the
+        # option that set another margin is gone, so argparse refuses it
+        with pytest.raises(SystemExit) as done:
+            main(_verify_argv(*artifacts, "--margin", margin))
+        assert done.value.code == 2
+        assert "unrecognized arguments: --margin" in capsys.readouterr().err
+
+    def test_the_report_keeps_margin_1(self, artifacts, capsys):
+        code, out, _ = run(_verify_argv(*artifacts), capsys)
+        bijections = json.loads(out)["cover"]["checks"][0]
+        assert code == 0 and bijections["name"] == "neighbourhood bijections"
+        assert bijections["info"]["margin"] == 1 and bijections["info"]["checked"] > 100
 
 
 class TestUnwritableOutput:

@@ -48,13 +48,14 @@ from .oracles import (
 )
 
 
-def build_squareoct_patch(window=6, drop_link=None):
+def build_squareoct_patch(window=6, drop_links=()):
     """A window of the truncated square tiling (vertex configuration
     4.8.8): every lattice cell carries a small square, squares joined by
     link edges, leaving octagonal faces.  Rotations come from the planar
     coordinates, so this is a genuine vertex-transitive plane graph with
-    two face sizes.  `drop_link` removes one horizontal link edge, which
-    merges its two octagons and breaks vertex-transitivity."""
+    two face sizes.  `drop_links` names cells (i, j) whose horizontal link
+    edge to the right is removed, which merges its two octagons and
+    breaks vertex-transitivity; the vertex ids are then returned too."""
     offs = ((0.35, 0.0), (0.0, 0.35), (-0.35, 0.0), (0.0, -0.35))
     ids = {}
     pos = {}
@@ -68,7 +69,7 @@ def build_squareoct_patch(window=6, drop_link=None):
         if d == 0:
             for dd in (1, 3):
                 edges.add(tuple(sorted((v, ids[(i, j, dd)]))))
-            if (i + 1, j, 2) in ids and (i, j) != drop_link:
+            if (i + 1, j, 2) in ids and (i, j) not in drop_links:
                 edges.add(tuple(sorted((v, ids[(i + 1, j, 2)]))))
         elif d == 2:
             for dd in (1, 3):
@@ -91,7 +92,7 @@ def build_squareoct_patch(window=6, drop_link=None):
             "root": ids[(0, 0, 0)],
         }
     )
-    return patch if drop_link is None else (patch, ids)
+    return (patch, ids) if drop_links else patch
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +277,7 @@ class TestColor:
         # dropping one link edge merges two octagons into a 14-gon; the
         # import still succeeds (trusted), but colouring a flag near the
         # damage reports the patch as not vertex-transitive there
-        damaged, ids = build_squareoct_patch(6, drop_link=(2, 0))
+        damaged, ids = build_squareoct_patch(6, drop_links=[(2, 0)])
         n = stabilize_n(damaged, 1, 1)  # the root area is intact
         delta = i_fundamental_domain(damaged, n)
         victim = ids[(2, 0, 1)]  # on the merged 14-gon
@@ -303,6 +304,29 @@ class TestColorInH:
         v = 7
         for f in flags_at(c.g, v):
             assert color_in_h(c, Host(patch44_r10), f) == color(c, f)
+
+    def test_a_self_cover_blames_the_patch_on_every_path(self):
+        # vertex 436 of the damaged 4.8.8 patch has a core that matches no
+        # root core.  On the patch as its own target, a host whose source
+        # is the patch is the patch side, so color, color_in_h on a Host of
+        # the patch, a build seeded there and extend_iso onto it all raise
+        # the patch's DefectError
+        from coverkit import CoverKitError, CoverRun
+
+        damaged, _ = build_squareoct_patch(6, drop_links=[(2, 0)])
+        delta = i_fundamental_domain(damaged, 1)
+        at_436, at_root = flags_at(Host(damaged), 436)[0], flags_at(Host(damaged), damaged.root)[0]
+        paths = {
+            "color": lambda: color(Coloring(damaged, delta), at_436),
+            "color_in_h": lambda: color_in_h(Coloring(damaged, delta), Host(damaged, damaged.l_max), at_436),
+            "build": lambda: CoverRun(damaged, damaged, f=at_root, flag_h=at_436, n=1).build(),
+            "extend_iso": lambda: extend_iso(Coloring(damaged, delta), Host(damaged, damaged.l_max), at_root, at_436, 1),
+        }
+        for name, path in paths.items():
+            with pytest.raises(CoverKitError) as err:
+                path()
+            want = (DefectError, "patch not vertex-transitive at 436: no depth-1 isomorphism")
+            assert (type(err.value), str(err.value)) == want, name
 
     def test_torus_flags_all_color_zero(self, torus57, patch44_r10):
         delta = i_fundamental_domain(patch44_r10, 1)
@@ -365,11 +389,12 @@ class TestWalkPull:
         # the builder colours each flag from its face walk, listed from the
         # vertex towards the edge's other end; on a colouring of its own,
         # that gives the flag's colour at every vertex of each target, or
-        # raises the class and message that color (patch side) or
-        # color_in_h (target side) raises on the Flag.  A fifth case, the
-        # 4.8.8 patch with a merged 14-gon as its own target, and a walk
-        # round the two faces at each edge, which lists no face, make
-        # every one of their four errors occur
+        # raises the class and message that color_in_h raises on the Flag,
+        # and on a self-cover color too: the host's source names the side,
+        # so a self-cover's failures are the patch's DefectErrors.  The
+        # 4.8.8 patch with a merged 14-gon, as its own target and as a
+        # plain graph, and a walk round the two faces at each edge, which
+        # lists no face, make every one of the four errors occur
         from coverkit import CoverKitError
 
         from .test_builder import squareoct_torus
@@ -390,28 +415,34 @@ class TestWalkPull:
                     walks.append(merged)
             return walks
 
-        damaged, _ = build_squareoct_patch(6, drop_link=(2, 0))
+        damaged, _ = build_squareoct_patch(6, drop_links=[(2, 0)])
         cases = [(patch44_r10, torus57.graph), (patch44_r10, klein66.graph)]
-        cases += [(squareoct, squareoct_torus(4, 4)), (patch37_r5, patch37_r5), (damaged, damaged)]
+        cases += [(squareoct, squareoct_torus(4, 4)), (patch37_r5, patch37_r5)]
+        cases += [(damaged, damaged), (damaged, damaged.graph)]
         pulled, raised = 0, Counter()
         for patch, h in cases:
             n = stabilize_n(patch, 1, 1) if patch is damaged else stabilize_n(patch, 2, 2)
             delta = i_fundamental_domain(patch, n)
             walks, flags = Coloring(patch, delta), Coloring(patch, delta)
             host, flag_host = Host(h, patch.l_max), Host(h, patch.l_max)
-            sides = [(False, lambda f: color_in_h(flags, flag_host, f))]
+            pulls = [lambda f: color_in_h(flags, flag_host, f)]
+            if h is patch:
+                pulls.append(lambda f: color(flags, f))
             if h is patch:
                 vertices = [v for v in patch.graph.vertices if patch.is_interior(v)]
-                sides.append((True, lambda f: color(flags, f)))
+            elif h is patch.graph:  # a graph host finds one face at an edge of the patch's rim
+                vertices = [v for v in h.vertices if patch.complete_radius[v] >= 2]
             else:
                 vertices = h.vertices
+            blamed = DefectError if h is patch else HypothesisViolationError
             for x in vertices:
                 for walk in walks_at(host, x):
-                    for patch_side, by_flag in sides:
-                        got = outcome(lambda: _colour(walks, host, x, walk, patch_side))
+                    got = outcome(lambda: _colour(walks, host, x, walk))
+                    for by_flag in pulls:
                         want = outcome(lambda: by_flag(Flag(x, edge_key(x, walk[1]), FaceBoundary(walk))))
-                        assert got == want, (x, walk, patch_side)
+                        assert got == want, (x, walk)
                         if isinstance(want, tuple):
+                            assert want[0] is blamed, (x, walk, want)
                             raised[want[0], "face" in want[1]] += 1
                         else:
                             pulled += 1
@@ -582,25 +613,32 @@ class TestSharedPulls:
                 color_in_h(c, host, f)
         assert c._isos[host] == {}
 
-    @pytest.mark.parametrize("patch_side", [False, True])
-    def test_vertices_of_one_failing_shape_each_raise_their_own_error(self, patch_side, patch44_r10, hex55, monkeypatch):
+    @pytest.mark.parametrize("on_the_patch", [False, True])
+    def test_vertices_of_one_failing_shape_each_raise_their_own_error(self, on_the_patch, patch44_r10, hex55, monkeypatch):
         # vertices 2, 4 and 6 of a hex torus have cores of one shape, and
-        # no square core matches it: one search, kept as a failure, and
-        # each vertex raises its side's class with a message naming it
+        # no square core matches it; so do vertices 176 and 436 of a 4.8.8
+        # patch with two links dropped five cells apart, and its root core
+        # matches neither.  One search, kept as a failure, and each vertex
+        # raises its host's side's class with a message naming it
         import coverkit.flags as flags
 
-        c = Coloring(patch44_r10, i_fundamental_domain(patch44_r10, 1))
-        host = Host(hex55.graph, 6)
+        if on_the_patch:
+            patch, _ = build_squareoct_patch(6, drop_links=[(2, 0), (-3, 0)])
+            c = Coloring(patch, i_fundamental_domain(patch, 1))
+            host, vertices = Host(patch), (176, 436)
+        else:
+            c = Coloring(patch44_r10, i_fundamental_domain(patch44_r10, 1))
+            host, vertices = Host(hex55.graph, 6), (2, 4, 6)
         searched = []
         real = flags.rooted_isomorphisms
         monkeypatch.setattr(flags, "rooted_isomorphisms", lambda a, b, limit: searched.append(a.root) or real(a, b, limit))
-        for x in (2, 4, 6):
+        for x in vertices:
             f = flags_at(host, x)[0]
-            with pytest.raises(DefectError if patch_side else HypothesisViolationError) as err:
-                _colour(c, host, x, f.face.cycle_from(x, f.other_end), patch_side)
-            want = f"patch not vertex-transitive at {x}: no depth-1 isomorphism" if patch_side else f"h is not 1-locally-G at {x}"
+            with pytest.raises(DefectError if on_the_patch else HypothesisViolationError) as err:
+                _colour(c, host, x, f.face.cycle_from(x, f.other_end))
+            want = f"patch not vertex-transitive at {x}: no depth-1 isomorphism" if on_the_patch else f"h is not 1-locally-G at {x}"
             assert str(err.value) == want
-        assert searched == [2] and c._isos[host] == {}
+        assert searched == [vertices[0]] and c._isos[host] == {}
 
     def test_normality_reports_alike_cold_and_warm(self):
         patch = generate(4, 4, 10)

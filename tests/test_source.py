@@ -171,19 +171,35 @@ def test_records_declare_each_field_once():
         raise AssertionError(f"records that name their fields again: {found or sorted(records)}")
 
 
-def test_the_command_line_starts_without_inspect():
-    # a fresh interpreter without site-packages, as close as Python gets
-    # to what `cover-kit` itself loads; neither module may come in
-    # through the package or anything it imports
+def _loaded_by_the_command_line(names: set[str]) -> str:
+    """Which of `names` a fresh interpreter without site-packages, as
+    close as Python gets to what `cover-kit` itself loads, has loaded
+    once it has imported coverkit.cli."""
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import coverkit.cli; "
-        "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+        "print(' '.join(sorted(set(sys.argv[2:]) & set(sys.modules))))"
     )
     done = subprocess.run(
-        [sys.executable, "-S", "-c", probe, str(SRC.parent)], capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", probe, str(SRC.parent), *names], capture_output=True, text=True, timeout=60
     )
-    if done.returncode != 0 or done.stdout.strip():
-        raise AssertionError(f"import coverkit.cli loads {done.stdout.strip() or done.stderr}")
+    if done.returncode != 0:
+        raise AssertionError(f"import coverkit.cli failed: {done.stderr}")
+    return done.stdout.strip()
+
+
+def test_the_command_line_starts_without_inspect():
+    # neither module may come in through the package or anything it imports
+    loaded = _loaded_by_the_command_line({"dataclasses", "inspect"})
+    if loaded:
+        raise AssertionError(f"import coverkit.cli loads {loaded}")
+
+
+def test_the_command_line_starts_without_pathlib():
+    # pathlib brings urllib.parse and ipaddress; the package reads files
+    # with open, which takes a str or any os.PathLike
+    loaded = _loaded_by_the_command_line({"pathlib"})
+    if loaded:
+        raise AssertionError(f"import coverkit.cli loads {loaded}")
 
 
 def test_property_tests_are_derandomized():
@@ -298,6 +314,31 @@ def test_search_references_refine_themselves():
     ]
     if "local.py" not in trees or found:
         raise AssertionError(f"search references prepared outside local: {found or 'no sources found'}")
+
+
+def test_a_colour_pull_takes_its_side_from_its_host():
+    # a failed pull blames the graph whose vertex it is, read off the host
+    # (its source is the patch or not); no caller names a side, by a
+    # patch_side parameter or keyword or by an extra argument to the pull
+    arity = {"_colour": 4, "_core_map": 3}
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("**/*.py"))
+    }
+    nodes = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)]
+    found = [
+        f"{name}:{node.lineno} patch_side"
+        for name, node in nodes
+        if isinstance(node, (ast.arg, ast.keyword)) and node.arg == "patch_side"
+    ] + [
+        f"{name}:{node.lineno} {node.func.id}(...)"
+        for name, node in nodes
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in arity
+        and (node.keywords or len(node.args) != arity[node.func.id])
+    ]
+    if "flags.py" not in trees or found:
+        raise AssertionError(f"colour pulls told their side: {found or 'no sources found'}")
 
 
 def test_the_build_path_sets_no_stabilisation_window():

@@ -215,6 +215,37 @@ class TestTrustedBuild:
         patch = generate(3, 7, 5)
         assert len(patch.faces) > 500 and calls == []
 
+    def test_import_builds_each_traced_face_once_and_no_edge_set(self, monkeypatch):
+        # a traced walk is checked simple where it is traced, so its face is
+        # built trusted, and the Euler count reads the walk lengths; only
+        # declared faces, which are input, go through the validating
+        # constructor, and a quotient counts its degrees, not its edges
+        from coverkit import QuotientSpec, make_quotient
+
+        p = generate(3, 7, 4)
+        doc = p.to_json_dict()
+        del doc["faces"]
+        built = []
+        real = FaceBoundary.__init__
+        monkeypatch.setattr(FaceBoundary, "__init__", lambda f, cycle: built.append(cycle) or real(f, cycle))
+        reads = _count_edge_set_reads(monkeypatch)
+        assert import_patch(doc) == p
+        make_quotient(QuotientSpec("klein", 6, 6))
+        assert built == [] and reads == []
+
+    def test_a_lone_edge_beside_a_torus_is_no_face(self):
+        # a 3x3 torus grid (V - E + F = 0) and a lone edge (2) pass the
+        # Euler count together; the edge's walk is simple, but two
+        # vertices are no cycle
+        at = lambda x, y: x % 3 * 3 + y % 3
+        rotation = {at(x, y): [at(x + 1, y), at(x, y + 1), at(x - 1, y), at(x, y - 1)] for x in range(3) for y in range(3)}
+        rotation.update({9: [10], 10: [9]})
+        edges = sorted({tuple(sorted((v, u))) for v, rot in rotation.items() for u in rot})
+        doc = {"n": 11, "edges": edges, "rotation": {str(v): r for v, r in rotation.items()}, "root": 0}
+        with pytest.raises(InputError) as err:
+            import_patch(doc)
+        assert str(err.value) == "not a simple cycle: (9, 10)"
+
     @pytest.mark.parametrize("case", ["{3,7} R=4", "{4,5} R=3", "{6,3} R=6", "{4,4} R=6", "hub 12", "4.8.8"])
     def test_faces_at_is_the_sorted_faces_through_the_vertex(self, case):
         if case == "hub 12":

@@ -53,6 +53,18 @@ class TestCheckCover:
         assert rep.ok
         assert rep.checks[0].info["checked"] > 100
 
+    def test_a_cover_of_margin_vertices_alone_is_refused(self, torus_cover):
+        # a build maps only faces deep in the patch, so a map of vertices
+        # of complete radius 0 alone is built by hand: it would check
+        # nothing, yet read as passed
+        c = torus_cover
+        rim = c.patch.outer[:3]
+        assert all(c.patch.complete_radius[v] == 0 for v in rim)
+        bare = builder.CoverMap(c.patch, c.h, dict(zip(rim, range(3))), c.seed, c.delta, {}, c.eligible, False)
+        with pytest.raises(InputError) as err:
+            check_cover(bare)
+        assert str(err.value) == "no mapped vertex has complete radius 1 or more"
+
     def test_perturbed_map_fails_with_witness(self, torus_cover):
         import copy
 
