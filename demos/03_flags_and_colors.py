@@ -26,8 +26,8 @@ flags = flags_at(Host(patch), patch.root)
 print("flags at the root:", len(flags), "(4 edges x 2 faces)")
 
 # The orbit partition stabilises once the observed symmetry group stops
-# shrinking; the guard window certifies two consecutive equal levels.
-n = stabilize_n(patch, i_max=4, guard=2)
+# shrinking; stabilize_n certifies two consecutive equal levels.
+n = stabilize_n(patch)
 delta = i_fundamental_domain(patch, n)
 print("stabilisation level n =", n, " palette size |Delta| =", len(delta))
 
@@ -45,5 +45,5 @@ print("colours of torus flags at 11:", sorted({color_in_h(c, torus, f) for f in 
 
 # The same run on the honeycomb.
 honey = generate(6, 3, 8)
-n63 = stabilize_n(honey, 4, 2)
+n63 = stabilize_n(honey)
 print("\n{6,3}: n =", n63, " |Delta| =", len(i_fundamental_domain(honey, n63)))

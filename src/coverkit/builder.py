@@ -323,15 +323,18 @@ class CoverMap(Record):
 
 def default_seed(c: Coloring, host: Host) -> tuple[Flag, Flag]:
     """The least flag of the root, paired with the least colour-matched
-    flag of the least target vertex."""
+    flag of the target's first vertex (`_least_target_flag`)."""
     f = flags_at(c.g, c.patch.root)[0]
     return f, _least_target_flag(c, host, color(c, f))
 
 
 def _least_target_flag(c: Coloring, host: Host, want: int) -> Flag:
+    """The least flag of colour `want` at the target's first vertex: a
+    patch host's root, so that a self-cover seeds root on root however
+    the patch is labelled, and a graph host's least vertex."""
     if not host.graph.vertices:
         raise InputError("the target graph has no vertices")
-    x0 = host.graph.vertices[0]
+    x0 = host.graph.vertices[0] if host.source is host.graph else host.source.root
     for fh in flags_at(host, x0):
         if color_in_h(c, host, fh) == want:
             return fh
@@ -340,8 +343,8 @@ def _least_target_flag(c: Coloring, host: Host, want: int) -> Flag:
 
 class CoverRun:
     """One cover construction from a patch onto a target, prepared once:
-    the stabilisation level n (`stabilize_n`'s default window finds it
-    when it is not given), the palette, the colouring context, the
+    the stabilisation level n (`stabilize_n` finds it when it is not
+    given), the palette, the colouring context, the
     target host (`Host(h, patch.l_max)`, a self-cover's too, which finds
     faces only where a build asks; a disconnected target is an
     InputError), and the seed flags: neither given is

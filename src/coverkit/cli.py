@@ -1,12 +1,12 @@
 """Command-line entry point: cover-kit.
 
-Subcommands: gen, check-local, flags, cover, verify, instance.  `cover`
-stabilises n over the default window unless given --n; `flags
---stabilize --i-max I --guard K` finds n over another window.  All
-artifacts are JSON, written with sorted keys so identical inputs produce
-byte-identical outputs.  Exit codes: 0 success / checks passed, 1
-verification failure or hypothesis violation, 2 input error, 3 patch too
-small (increase radius), 4 internal error (a defect in cover-kit).
+Subcommands: gen, check-local, flags, cover, verify, instance.  `flags`
+and `cover` both take the stabilisation level n from `stabilize_n` unless
+given --n, so they read the same palette.  All artifacts are JSON,
+written with sorted keys so identical inputs produce byte-identical
+outputs.  Exit codes: 0 success / checks passed, 1 verification failure
+or hypothesis violation, 2 input error, 3 patch too small (increase
+radius), 4 internal error (a defect in cover-kit).
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     flg = sub.add_parser("flags", help="stabilisation level and fundamental domain")
     flg.add_argument("--g", dest="g_path", required=True)
-    flg.add_argument("--stabilize", action="store_true")
-    flg.add_argument("--i-max", type=int, default=argparse.SUPPRESS)
-    flg.add_argument("--guard", type=int, default=argparse.SUPPRESS)
     flg.add_argument("--n", type=int, default=None, help="override the stabilisation level")
 
     cov = sub.add_parser("cover", help="build a cover from a patch onto a target graph")
@@ -143,12 +140,7 @@ def _cmd_check_local(args) -> int:
 
 def _cmd_flags(args) -> int:
     patch = import_patch(_load_json(args.g_path))
-    if args.n is not None:
-        n = args.n
-    elif args.stabilize:
-        n = stabilize_n(patch, **{k: v for k, v in vars(args).items() if k in ("i_max", "guard")})
-    else:
-        n = 1
+    n = stabilize_n(patch) if args.n is None else args.n
     delta = i_fundamental_domain(patch, n)
     out = {
         "n": n,

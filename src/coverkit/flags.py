@@ -223,27 +223,26 @@ def i_fundamental_domain(patch: PlanePatch, i: int) -> FundamentalDomain:
     raise DefectError("no connected traversal: impossible for a plane vertex")
 
 
-def stabilize_n(patch: PlanePatch, i_max: int = 4, guard: int = 2) -> int:
-    """The least n <= i_max whose orbit partition repeats for `guard`
-    consecutive levels (n, n+1, ..., n+guard-1).  The defaults are the
-    window of every cover build that is not given n.
+_I_MAX, _GUARD = 4, 2  # the stabilisation window, see stabilize_n
+
+
+def stabilize_n(patch: PlanePatch) -> int:
+    """The least n <= _I_MAX whose orbit partition repeats for _GUARD
+    consecutive levels (n, n+1, ..., n+_GUARD-1): the stabilisation level
+    of every run that is not given n, `cover-kit flags` and `cover` alike.
 
     The partition can only refine as the depth grows and its size is
     bounded by twice the root degree, so a stable window certifies
     stabilisation at desk scale.  Raises PatchTooSmallError when the
-    patch cannot host the cores needed, or when no window stabilises
-    within i_max.
+    patch cannot host the cores needed, or when no level up to _I_MAX
+    stabilises.
     """
-    if guard < 1:
-        raise InputError("guard must be >= 1")
-    if i_max < 1:
-        raise InputError("i_max must be >= 1")
-    for n in range(1, i_max + 1):  # levels first found in ascending order; orbits listed by least flag
-        if all(flag_orbit_partition(patch, n) == flag_orbit_partition(patch, n + t) for t in range(1, guard)):
+    for n in range(1, _I_MAX + 1):  # levels first found in ascending order; orbits listed by least flag
+        if all(flag_orbit_partition(patch, n) == flag_orbit_partition(patch, n + t) for t in range(1, _GUARD)):
             return n
     raise PatchTooSmallError(
-        f"orbit partition did not stabilise for {guard} consecutive levels "
-        f"within i_max={i_max}; increase radius or i_max"
+        f"orbit partition did not stabilise for {_GUARD} consecutive levels "
+        f"within i_max={_I_MAX}; increase radius"
     )
 
 

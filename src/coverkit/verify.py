@@ -16,9 +16,9 @@ import random
 
 from .builder import CoverMap, CoverRun
 from .errors import CoverKitError, InputError
-from .flags import Coloring, Flag, color, color_in_h, extend_iso
+from .flags import Coloring, Flag, color, color_in_h, extend_iso, flags_at
 from .graph import Graph, edge_key
-from .local import Host, dk_ball, host_faces_at
+from .local import Host, dk_ball
 from .report import VerificationReport
 from .tessellation import PlanePatch
 
@@ -142,15 +142,9 @@ def check_normality(
     commute_bad: list = []
     orientations: list[bool] = []
     for v, w in pairs:
-        hv = cover.vertex_map[v]
-        target_flags = [
-            Flag(hv, e, b)
-            for b in host_faces_at(host, hv)
-            for e in b.edges_at(hv)
-        ]
         alpha = None
         by_v, by_w = _flags_by_image(cover, v), _flags_by_image(cover, w)
-        for tf in sorted(target_flags):
+        for tf in flags_at(host, cover.vertex_map[v]):
             hits = by_v.get(tf, []), by_w.get(tf, [])
             for u, found in zip((v, w), hits):
                 if len(found) != 1:

@@ -113,7 +113,7 @@ def test_criterion_3_hexagonal():
 def test_criterion_4_hyperbolic_machinery():
     t0 = time.time()
     patch = generate(4, 5, 5)
-    n = stabilize_n(patch, 2, 2)
+    n = stabilize_n(patch)
     delta = i_fundamental_domain(patch, n)
     assert len(delta) == 1
     r = n + 1
@@ -180,7 +180,7 @@ def test_criterion_6_color_well_definedness():
     t0 = time.time()
     patch = generate(4, 4, 8)
     torus = make_quotient(QuotientSpec("torus", 5, 7))
-    n = stabilize_n(patch, 4, 2)
+    n = stabilize_n(patch)
     delta = i_fundamental_domain(patch, n)
     ref = face_core(Host(patch), patch.root, n)
     torus_host = Host(torus.graph, 4)

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from functools import cached_property
@@ -28,6 +29,7 @@ from coverkit import (
     flags_at,
     generate,
     i_fundamental_domain,
+    import_patch,
     init_cover,
     make_quotient,
     match_face,
@@ -209,7 +211,7 @@ class TestEligibleLedger:
         return generate(p, q, radius)
 
     def test_ledger_is_the_filtered_enumeration(self, patch):
-        n = stabilize_n(patch, 2, 2)
+        n = stabilize_n(patch)
         f = seed_flag(patch)
         run = CoverRun(patch, patch, f=f, flag_h=f, n=n)
         c = run.coloring
@@ -525,7 +527,7 @@ class TestBuildCover:
         from .test_flags import build_squareoct_patch
 
         patch = build_squareoct_patch(9)
-        n = stabilize_n(patch, 2, 2)
+        n = stabilize_n(patch)
         delta = i_fundamental_domain(patch, n)
         assert len(delta) == 3
         target = squareoct_torus(4, 4)
@@ -538,7 +540,7 @@ class TestBuildCover:
         from coverkit import check_cover, stabilize_n
 
         patch = generate(5, 4, 5)
-        n = stabilize_n(patch, 2, 2)
+        n = stabilize_n(patch)
         delta = i_fundamental_domain(patch, n)
         assert (n, len(delta)) == (1, 1)
         cov = build_cover(patch, patch, n=n)
@@ -551,7 +553,7 @@ class TestBuildCover:
         from coverkit import check_cover, stabilize_n
 
         patch = generate(3, 6, 8)
-        n = stabilize_n(patch, 3, 2)
+        n = stabilize_n(patch)
         delta = i_fundamental_domain(patch, n)
         assert (n, len(delta)) == (1, 1)
         cov = build_cover(patch, patch, n=n)
@@ -584,6 +586,73 @@ class TestBuildCover:
         assert all(iso.mapping[u] == cov.vertex_map[u] for u in overlap)
 
 
+def _relabelled_patch(patch, perm):
+    """The patch with each vertex v renamed perm[v], through its JSON."""
+    d, r = patch.to_json_dict(), perm.__getitem__
+    d.update(
+        edges=[[r(u), r(w)] for u, w in d["edges"]],
+        rotation={str(r(int(v))): [r(u) for u in rot] for v, rot in d["rotation"].items()},
+        root=r(d["root"]),
+        faces=[[r(v) for v in c] for c in d["faces"]],
+        outer=[r(v) for v in d["outer"]],
+        complete_radius={str(r(int(v))): k for v, k in d["complete_radius"].items()},
+    )
+    return import_patch(d)
+
+
+def _shuffled(patch, seed):
+    perm = list(range(patch.graph.n))
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
+def _zero_at_radius(patch, radius):
+    """The renaming that swaps 0 with the least vertex of this complete radius."""
+    v = min(u for u, k in patch.complete_radius.items() if k == radius)
+    perm = list(range(patch.graph.n))
+    perm[0], perm[v] = v, 0
+    return perm
+
+
+class TestRelabelledSelfCover:
+    """A self-cover of a vertex-transitive, planar, 1-ended patch is the
+    identity, however the patch is labelled: the default seed pairs the
+    least root flag with itself, since a patch target starts at its root.
+    Each relabelled build keeps the step count and the surjective flag of
+    the patch as generated."""
+
+    @pytest.mark.parametrize(
+        "make, steps, renamings",
+        [
+            (lambda: generate(4, 4, 10), 111, [(_shuffled, 0), (_shuffled, 1), (_shuffled, 2),
+                                              (_zero_at_radius, 0), (_zero_at_radius, 4)]),
+            (lambda: generate(6, 3, 10), 26, [(_shuffled, 0), (_shuffled, 1), (_shuffled, 2)]),
+            (lambda: generate(3, 7, 5), 111, [(_shuffled, 0), (_shuffled, 1), (_shuffled, 2)]),
+        ],
+        ids=["{4,4} R=10", "{6,3} R=10", "{3,7} R=5"],
+    )
+    def test_labels_carry_no_meaning(self, make, steps, renamings):
+        patch = make()
+        plain = build_cover(patch, patch)
+        assert plain.steps == steps and all(k == v for k, v in plain.vertex_map.items())
+        for rename, arg in renamings:
+            perm = rename(patch, arg)
+            p = _relabelled_patch(patch, perm)
+            cov = build_cover(p, p)
+            assert all(k == v for k, v in cov.vertex_map.items()), (rename.__name__, arg)
+            assert set(cov.vertex_map) == {perm[v] for v in plain.vertex_map}
+            assert (cov.steps, cov.surjective) == (plain.steps, plain.surjective)
+
+    def test_a_root_far_from_vertex_0(self):
+        # the 4.8.8 patch is rooted at 720, and its vertex 0 lies on its rim
+        from .test_flags import build_squareoct_patch
+
+        patch = build_squareoct_patch(9)
+        assert (patch.root, patch.complete_radius[0]) == (720, 0)
+        cov = build_cover(patch, patch)
+        assert cov.steps == 420 and all(k == v for k, v in cov.vertex_map.items())
+
+
 class TestOneSidedSeed:
     """A missing seed flag is completed against the colour of the given
     one, on a 4.8.8 patch whose root flags have colours 0, 1, 0, 1, 2, 2."""
@@ -593,7 +662,7 @@ class TestOneSidedSeed:
         from .test_flags import build_squareoct_patch
 
         patch = build_squareoct_patch(9)
-        n = stabilize_n(patch, 2, 2)
+        n = stabilize_n(patch)
         c = Coloring(patch, i_fundamental_domain(patch, n))
         target = squareoct_torus(4, 4)
         host = Host(target, patch.l_max)
@@ -910,7 +979,7 @@ class TestColorCheckErrors:
         from .test_flags import build_squareoct_patch
 
         damaged, ids = build_squareoct_patch(6, drop_links=[(2, 0)])
-        c = Coloring(damaged, i_fundamental_domain(damaged, stabilize_n(damaged, 1, 1)))
+        c = Coloring(damaged, i_fundamental_domain(damaged, 1))
         face = next(f for f in damaged.faces_at(ids[(2, 0, 1)]) if len(f) == 14)
         state = _hand_built(c, face, face, {v: v for v in face})
         state.host = Host(damaged.graph, damaged.l_max)

@@ -4,10 +4,13 @@ import json
 import pytest
 
 import coverkit.cli as cli
-from coverkit import generate
+import coverkit.flags
+from coverkit import QuotientSpec, generate, make_quotient
 from coverkit.cli import main
 
 from .oracles import hub_patch
+from .test_builder import squareoct_torus
+from .test_flags import build_squareoct_patch
 
 
 def run(argv, capsys):
@@ -152,7 +155,7 @@ class TestPipeline:
 
     def test_flags_stabilize(self, artifacts, capsys):
         d, g, t = artifacts
-        code, out, _ = run(["flags", "--g", str(g), "--stabilize"], capsys)
+        code, out, _ = run(["flags", "--g", str(g)], capsys)
         assert code == 0
         doc = json.loads(out)
         assert doc["n"] == 1 and doc["delta_size"] == 1
@@ -185,9 +188,6 @@ class TestPipeline:
         # of colour 1, gets a target flag of colour 1 as its partner
         from coverkit import Host, flags_at
 
-        from .test_builder import squareoct_torus
-        from .test_flags import build_squareoct_patch
-
         patch = build_squareoct_patch(9)
         g, t, c = tmp_path / "g.json", tmp_path / "t.json", tmp_path / "c.json"
         g.write_text(json.dumps(patch.to_json_dict()))
@@ -207,24 +207,17 @@ class TestPipeline:
         assert (g.read_bytes(), t.read_bytes()) == before
 
     def test_patch_too_small_exit_3(self, tmp_path, capsys):
+        # a {7,3} R=2 patch hosts the level-1 palette but not the cores of
+        # level 2, so no level can be shown to repeat
         g = tmp_path / "small.json"
-        run(["gen", "--p", "4", "--q", "4", "--radius", "2", "-o", str(g)], capsys)
-        code, _, err = run(["flags", "--g", str(g), "--stabilize", "--guard", "3", "--i-max", "3"], capsys)
-        assert code == 3
-        assert "patch" in err or "increase" in err
-
-    @pytest.mark.parametrize("window", [[], ["--i-max", "3"], ["--guard", "3"], ["--i-max", "3", "--guard", "1"]])
-    def test_flags_leaves_an_omitted_bound_to_stabilize_n(self, artifacts, capsys, monkeypatch, window):
-        # the default window is written once, in stabilize_n's signature:
-        # flags passes on only the bounds it is given
-        _, g, _ = artifacts
-        seen, real = [], cli.stabilize_n
-        monkeypatch.setattr(cli, "stabilize_n", lambda patch, **kw: seen.append(kw) or real(patch, **kw))
-        code, out, _ = run(["flags", "--g", str(g), "--stabilize", *window], capsys)
-        assert code == 0 and json.loads(out)["n"] == 1
-        assert seen == [{k[2:].replace("-", "_"): int(v) for k, v in zip(window[::2], window[1::2])}]
-        if not window:
-            assert run(["flags", "--g", str(g), "--stabilize", "--i-max", "4", "--guard", "2"], capsys)[1] == out
+        run(["gen", "--p", "7", "--q", "3", "--radius", "2", "-o", str(g)], capsys)
+        code, out, err = run(["flags", "--g", str(g)], capsys)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "patch-too-small",
+            "message": "patch too small: faces at boundary vertex 3 are not all known",
+        }
+        assert run(["flags", "--g", str(g), "--n", "1"], capsys)[0] == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -251,12 +244,10 @@ class TestPipeline:
 
     def test_imported_patch_through_flags(self, tmp_path, capsys):
         # a user-supplied vertex-transitive plane graph with two face sizes
-        from .test_flags import build_squareoct_patch
-
         patch = build_squareoct_patch(6)
         path = tmp_path / "squareoct.json"
         path.write_text(json.dumps(patch.to_json_dict()))
-        code, out, _ = run(["flags", "--g", str(path), "--stabilize", "--i-max", "2"], capsys)
+        code, out, _ = run(["flags", "--g", str(path)], capsys)
         assert code == 0
         doc = json.loads(out)
         assert doc["delta_size"] == 3
@@ -473,6 +464,62 @@ class TestVerifyMargin:
         bijections = json.loads(out)["cover"]["checks"][0]
         assert code == 0 and bijections["name"] == "neighbourhood bijections"
         assert bijections["info"]["margin"] == 1 and bijections["info"]["checked"] > 100
+
+
+class TestFlagsAndCoverAgree:
+    """`flags` finds n as `cover` does, through `stabilize_n`, so the two
+    commands read the same palette; --n is the one override of both.  The
+    stabilisation window is fixed, so its former options exit 2."""
+
+    # sha256 of the `flags --g P` output, each recorded from `flags --g P
+    # --stabilize` before the window options were removed; a target of
+    # None is the patch itself, read as a plain graph
+    CASES = {
+        "{4,4} R=10": (lambda: generate(4, 4, 10), lambda: make_quotient(QuotientSpec("torus", 5, 7)).graph,
+                       "974edb4c35b0ed348d6f9ffc38bab4542172609aa7e093aceccb13975a68d90a"),
+        "{6,3} R=10": (lambda: generate(6, 3, 10), lambda: make_quotient(QuotientSpec("hex_torus", 5, 5)).graph,
+                       "a658149787484f07aabc20d34053af153a871a341f97600865b72f775b676deb"),
+        "{3,7} R=4": (lambda: generate(3, 7, 4), None,
+                      "50e1ead295d4d3ad5248030a1c946b54c16d6561596561c71d12a69b50fec229"),
+        "{4,5} R=4": (lambda: generate(4, 5, 4), None,
+                      "dc309ad59f492f94d2684c1fa8e19acc8151c82ac40870297c2b6e7ae8caca06"),
+        "4.8.8 R=9": (lambda: build_squareoct_patch(9), lambda: squareoct_torus(4, 4),
+                      "ace10f6b2c7719adcf1a1c9bd8c389aaac7059fa4e13199182eab9aa2b0030b3"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_flags_prints_the_n_that_cover_writes(self, case, tmp_path, capsys):
+        make_patch, make_target, digest = self.CASES[case]
+        g, c = tmp_path / "g.json", tmp_path / "c.json"
+        g.write_text(json.dumps(make_patch().to_json_dict()))
+        h = g
+        if make_target is not None:
+            h = tmp_path / "h.json"
+            h.write_text(json.dumps(make_target().to_json_dict()))
+        code, out, _ = run(["flags", "--g", str(g)], capsys)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+        assert run(["cover", "--g", str(g), "--h", str(h), "-o", str(c)], capsys)[0] == 0
+        assert json.loads(out)["n"] == json.loads(c.read_text())["n"]
+
+    def test_both_commands_read_n_from_stabilize_n(self, artifacts, capsys, monkeypatch):
+        # a level-1 partition made to differ from level 2 moves the
+        # stabilised n to 2 in both commands, and --n still overrides it
+        d, g, t = artifacts
+        real = coverkit.flags.flag_orbit_partition
+        monkeypatch.setattr(coverkit.flags, "flag_orbit_partition", lambda p, i: () if i == 1 else real(p, i))
+        code, out, _ = run(["flags", "--g", str(g)], capsys)
+        assert code == 0 and json.loads(out)["n"] == 2
+        assert run(["cover", "--g", str(g), "--h", str(t), "-o", str(d / "n2.json")], capsys)[0] == 0
+        assert json.loads((d / "n2.json").read_text())["n"] == 2
+        assert json.loads(run(["flags", "--g", str(g), "--n", "3"], capsys)[1])["n"] == 3
+
+    @pytest.mark.parametrize("option", [["--stabilize"], ["--i-max", "4"], ["--guard", "2"]], ids=lambda o: o[0])
+    def test_the_window_is_not_an_option(self, artifacts, capsys, option):
+        _, g, _ = artifacts
+        with pytest.raises(SystemExit) as done:
+            main(["flags", "--g", str(g), *option])
+        assert done.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 class TestUnwritableOutput:

@@ -196,16 +196,16 @@ class TestFundamentalDomain:
 
 class TestStabilize:
     def test_44(self, patch44_r6):
-        assert stabilize_n(patch44_r6, 4, 2) == 1
+        assert stabilize_n(patch44_r6) == 1
 
     def test_63(self, patch63_r10):
-        assert stabilize_n(patch63_r10, 4, 2) == 1
+        assert stabilize_n(patch63_r10) == 1
 
     def test_45(self, patch45_r5):
-        assert stabilize_n(patch45_r5, 2, 2) == 1
+        assert stabilize_n(patch45_r5) == 1
 
     def test_squareoct_has_multiple_orbits(self, squareoct):
-        n = stabilize_n(squareoct, 2, 2)
+        n = stabilize_n(squareoct)
         orbits = flag_orbit_partition(squareoct, n)
         assert len(orbits) >= 2
         # face length is an orbit invariant
@@ -215,15 +215,9 @@ class TestStabilize:
     def test_increase_radius_error(self):
         from coverkit import generate
 
-        tiny = generate(4, 4, 2)
-        with pytest.raises(PatchTooSmallError):
-            stabilize_n(tiny, 3, 3)
-
-    def test_bad_parameters(self, patch44_r6):
-        with pytest.raises(InputError):
-            stabilize_n(patch44_r6, 0, 2)
-        with pytest.raises(InputError):
-            stabilize_n(patch44_r6, 2, 0)
+        tiny = generate(4, 4, 1)  # too small for the depth-2 cores of level 2
+        with pytest.raises(PatchTooSmallError, match="increase radius"):
+            stabilize_n(tiny)
 
 
 class TestColor:
@@ -240,7 +234,7 @@ class TestColor:
                 assert color(c, f) == 0
 
     def test_surjective_and_orbit_constant(self, squareoct):
-        n = stabilize_n(squareoct, 2, 2)
+        n = stabilize_n(squareoct)
         delta = i_fundamental_domain(squareoct, n)
         cols = {}
         for f in flags_at(Host(squareoct), squareoct.root):
@@ -253,7 +247,7 @@ class TestColor:
         # a root flag takes no shortcut: it is pulled to the root like any
         # other flag, and keeps its own orbit index
         patch = request.getfixturevalue(fixture)
-        delta = i_fundamental_domain(patch, stabilize_n(patch, 2, 2))
+        delta = i_fundamental_domain(patch, stabilize_n(patch))
         c = Coloring(patch, delta)
         root_flags = flags_at(c.g, patch.root)
         assert [color(c, f) for f in root_flags] == [delta.orbit_index[f] for f in root_flags]
@@ -278,7 +272,7 @@ class TestColor:
         # import still succeeds (trusted), but colouring a flag near the
         # damage reports the patch as not vertex-transitive there
         damaged, ids = build_squareoct_patch(6, drop_links=[(2, 0)])
-        n = stabilize_n(damaged, 1, 1)  # the root area is intact
+        n = 1  # the root area is intact
         delta = i_fundamental_domain(damaged, n)
         victim = ids[(2, 0, 1)]  # on the merged 14-gon
         assert any(len(f.face) == 14 for f in flags_at(Host(damaged), victim))
@@ -287,7 +281,7 @@ class TestColor:
                 color(Coloring(damaged, delta), f)
 
     def test_square_and_octagon_flags_differ(self, squareoct):
-        n = stabilize_n(squareoct, 2, 2)
+        n = stabilize_n(squareoct)
         delta = i_fundamental_domain(squareoct, n)
         c = Coloring(squareoct, delta)
         v = sorted(v for v in squareoct.graph.vertices if squareoct.complete_radius[v] >= 3)[5]
@@ -370,7 +364,7 @@ class TestWalkPull:
         cases += [(patch44_r10, torus57.graph), (patch44_r10, klein66.graph)]
         total = 0
         for patch, h in cases:
-            n = stabilize_n(patch, 2, 2)
+            n = stabilize_n(patch)
             c = Coloring(patch, i_fundamental_domain(patch, n))
             if h is None:
                 host, pull = c.g, lambda f: color(c, f)
@@ -421,7 +415,7 @@ class TestWalkPull:
         cases += [(damaged, damaged), (damaged, damaged.graph)]
         pulled, raised = 0, Counter()
         for patch, h in cases:
-            n = stabilize_n(patch, 1, 1) if patch is damaged else stabilize_n(patch, 2, 2)
+            n = 1 if patch is damaged else stabilize_n(patch)
             delta = i_fundamental_domain(patch, n)
             walks, flags = Coloring(patch, delta), Coloring(patch, delta)
             host, flag_host = Host(h, patch.l_max), Host(h, patch.l_max)
@@ -458,7 +452,7 @@ class TestWalkPull:
         cases += [(patch44_r10, torus57.graph), (patch44_r10, klein66.graph)]
         searched = 0
         for patch, h in cases:
-            n = stabilize_n(patch, 2, 2)
+            n = stabilize_n(patch)
             c = Coloring(patch, i_fundamental_domain(patch, n))
             if h is None:
                 host, need = c.g, max(dk_ball(c.g, patch.root, n).radius, 2)
@@ -813,7 +807,7 @@ class TestExtendIso:
                     extension_by_propagation(c.g, rewired, f, fh, 2)
 
     def test_color_mismatch_rejected(self, squareoct):
-        n = stabilize_n(squareoct, 2, 2)
+        n = stabilize_n(squareoct)
         delta = i_fundamental_domain(squareoct, n)
         c = Coloring(squareoct, delta)
         root_flags = flags_at(c.g, squareoct.root)

@@ -342,17 +342,31 @@ def test_a_colour_pull_takes_its_side_from_its_host():
 
 
 def test_the_build_path_sets_no_stabilisation_window():
-    # a cover build that is not given n finds it over stabilize_n's
-    # default window; the builder and the verifier name no window of
-    # their own (`flags --stabilize` is where another one is chosen)
-    found = []
-    for name in ("builder.py", "verify.py"):
-        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)):
-            named = (
-                getattr(node, "id", None),
-                getattr(node, "attr", None),
-                node.arg if isinstance(node, (ast.arg, ast.keyword)) else None,
-            )
-            found += [f"{name}:{node.lineno} {n}" for n in named if n in ("i_max", "guard")]
-    if not (SRC / "builder.py").is_file() or found:
-        raise AssertionError(f"stabilisation window named on the build path: {found or 'no sources found'}")
+    # the window is a constant of flags.py: stabilize_n takes the patch
+    # alone, every call passes just that, no module names a bound, and
+    # the command line offers no option that picks a window
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=path.name) for path in SRC.glob("*.py")}
+    nodes = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)]
+    defs = [node for name, node in nodes if isinstance(node, ast.FunctionDef) and node.name == "stabilize_n"]
+    found = [
+        f"{name}:{node.lineno} {n}"
+        for name, node in nodes
+        for n in (
+            getattr(node, "id", None),
+            getattr(node, "attr", None),
+            node.arg if isinstance(node, (ast.arg, ast.keyword)) else None,
+        )
+        if n in ("i_max", "guard")
+    ] + [
+        f"{name}:{node.lineno} stabilize_n(...)"
+        for name, node in nodes
+        if isinstance(node, ast.Call)
+        and "stabilize_n" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and (node.keywords or len(node.args) != 1)
+    ] + [
+        f"cli.py:{node.lineno} {node.value}"
+        for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.Constant) and node.value in ("--stabilize", "--i-max", "--guard")
+    ]
+    if len(defs) != 1 or [a.arg for a in ast.walk(defs[0].args) if isinstance(a, ast.arg)] != ["patch"] or found:
+        raise AssertionError(f"a stabilisation window is set: {found or 'stabilize_n takes more than the patch'}")
