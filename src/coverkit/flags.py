@@ -285,7 +285,7 @@ class Coloring:
         patch with no such face is too small to start a cover at all."""
         patch = self.patch
         need = max(dk_ball(self.g, patch.root, self.n).radius, 2)
-        deep = {v for v, r in patch.complete_radius.items() if r >= need}
+        deep = {v for v, r in enumerate(patch.complete_radius) if r >= need}
         eligible = frozenset(f for v in deep for f in patch.faces_at(v) if deep.issuperset(f.cycle))
         if not eligible:
             raise PatchTooSmallError(

@@ -56,16 +56,16 @@ class Graph:
         self.components: int = component_count(self)
 
     @classmethod
-    def _trusted(cls, adj: dict[int, Iterable[int]]) -> Graph:
+    def _trusted(cls, adj: dict[int, Iterable[int]], components: int | None = None) -> Graph:
         """A graph read off an adjacency that its caller vouches for:
-        integer vertices, symmetric, no loops, no repeated neighbour.
-        Nothing is checked: generated patches, face cores and balls are
-        built this way."""
+        integer vertices, symmetric, no loops, no repeated neighbour, and
+        `components` components if given.  Nothing is checked: generated
+        patches, face cores and balls are built this way."""
         g = cls.__new__(cls)
         g._vertices = tuple(sorted(adj))
         g._adj = {v: tuple(sorted(adj[v])) for v in g._vertices}
         g._face_memos = {}
-        g.components = component_count(g)
+        g.components = component_count(g) if components is None else components
         return g
 
     @property

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from itertools import islice
+from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import DefectError, InputError, PatchTooSmallError
@@ -33,10 +33,7 @@ class FaceBoundary:
     __slots__ = ("cycle", "_edges", "_hash")
 
     def __init__(self, cycle: Sequence[int]):
-        t = tuple(int(v) for v in cycle)
-        if len(t) < 3 or len(set(t)) != len(t):
-            raise InputError(f"not a simple cycle: {t}")
-        self.cycle: tuple[int, ...] = _canonical_cycle(t)
+        self.cycle: tuple[int, ...] = _simple_cycle(tuple(int(v) for v in cycle))
         self._hash = hash(self.cycle)
         self._edges: frozenset[tuple[int, int]] | None = None
 
@@ -104,9 +101,14 @@ class FaceBoundary:
         return f"FaceBoundary{self.cycle}"
 
 
-def _face_order(f: FaceBoundary) -> tuple[int, tuple[int, ...]]:
-    """FaceBoundary.__lt__'s order, as a sort key."""
-    return len(f.cycle), f.cycle
+_tables = attrgetter("graph", "root", "rotation", "_faces_at", "outer", "complete_radius")  # what == compares
+
+
+def _simple_cycle(t: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical form of t, a simple cycle of three or more vertices."""
+    if len(t) < 3 or len(set(t)) != len(t):
+        raise InputError(f"not a simple cycle: {t}")
+    return _canonical_cycle(t)
 
 
 def _canonical_cycle(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -160,12 +162,9 @@ def trace_faces(g: Graph, rotation: dict[int, Sequence[int]]) -> list[tuple[int,
 
 def _canonical_walk(w: tuple[int, ...]) -> tuple[int, ...]:
     """Rotate a closed walk to start at its lexicographically least dart."""
-    k = len(w)
-    best = 0
-    for i in range(1, k):
-        if (w[i], w[(i + 1) % k]) < (w[best], w[(best + 1) % k]):
-            best = i
-    return tuple(w[(best + j) % k] for j in range(k))
+    k, m = len(w), min(w, default=None)  # an empty walk stays empty
+    best = min(((w[(i + 1) % k], i) for i, v in enumerate(w) if v == m), default=(0, 0))[1]
+    return w[best:] + w[:best]
 
 
 def _is_simple_walk(w: tuple[int, ...]) -> bool:
@@ -177,51 +176,56 @@ def _is_simple_walk(w: tuple[int, ...]) -> bool:
 # ---------------------------------------------------------------------------
 
 class PlanePatch:
-    """A finite window into a plane tessellation.
+    """A finite window into a plane tessellation, on the vertices 0..n-1.
 
     Attributes:
-        graph: the underlying Graph (dense 0-based ids, root 0 for
-            generated patches).
+        graph: the underlying Graph (root 0 for generated patches).
         root: the distinguished origin vertex o.
-        rotation: cyclic neighbour order at every vertex.
+        rotation: the cyclic neighbour order at each vertex.
         faces: every interior face, as canonical FaceBoundary values.
         outer: the outer boundary walk (an artifact of truncation, never
             treated as a face).
-        complete_radius: v -> largest i such that B_i(v) of the infinite
-            tessellation is certified to sit inside the patch.
+        complete_radius: the largest i such that B_i(v) of the infinite
+            tessellation is certified to sit inside the patch, for each v.
         schlafli: (p, q) for generated patches, None for imports.
         l_max: maximum co-degree, the length bound for peripheral-cycle
             search: p, or the longest face of an import.
-    The sorted faces at each vertex answer `has_face` and `is_interior`.
+    Each per-vertex table, also the sorted faces at each vertex and the
+    root distances, is a tuple indexed by vertex and filled in one pass:
+    generate's two passes over its graph are complete_radius's and the root's.
     """
 
     def __init__(
         self,
         graph: Graph,
         root: int,
-        rotation: dict[int, tuple[int, ...]],
+        rotation: Sequence[tuple[int, ...]] | dict[int, tuple[int, ...]],
         faces: Sequence[FaceBoundary],
         outer: tuple[int, ...],
-        complete_radius: dict[int, int],
+        complete_radius: Sequence[int] | dict[int, int],
         schlafli: tuple[int, int] | None,
     ):
+        if root not in graph or (graph.vertices[0], graph.vertices[-1]) != (0, graph.n - 1):
+            raise InputError(f"a patch needs the vertices 0..n-1, its root {root} among them")
         self.graph = graph
         self.root = root
-        self.rotation = rotation
+        self.rotation: tuple[tuple[int, ...], ...] = tuple(map(rotation.__getitem__, range(graph.n)))
         self.faces: tuple[FaceBoundary, ...] = tuple(faces)
         self.outer = outer
-        self.complete_radius = complete_radius
+        self.complete_radius: tuple[int, ...] = tuple(map(complete_radius.__getitem__, range(graph.n)))
         self.schlafli = schlafli
         self.l_max = schlafli[0] if schlafli is not None else max(len(f) for f in self.faces)
-        at: dict = {v: [] for v in graph.vertices}
-        for f in self.faces:
+        # each face goes to its vertices in FaceBoundary's order: by cycle, then stably by length
+        order = sorted(self.faces, key=attrgetter("cycle"))
+        order.sort(key=len)
+        at: list[list[FaceBoundary]] = [[] for _ in graph.vertices]
+        for f in order:
             for v in f.cycle:
                 at[v].append(f)
-        for v, fs in at.items():  # each list goes as its tuple comes
-            fs.sort(key=_face_order)
+        for v, fs in enumerate(at):  # each list goes as its tuple comes
             at[v] = tuple(fs)
-        self._faces_at: dict[int, tuple[FaceBoundary, ...]] = at
-        self._dist_from_root = graph.distances_from(root)
+        self._faces_at = tuple(at)
+        self._dist_from_root = _distances(graph._adj, (root,))  # -1 where the root does not reach
         # what its hosts learn (local.Host): keyed by l_max like a Graph's,
         # so it holds one entry, at the patch's own l_max
         self._face_memos: dict = {}
@@ -229,19 +233,23 @@ class PlanePatch:
     # -- basic queries ------------------------------------------------------
 
     def faces_at(self, v: int) -> tuple[FaceBoundary, ...]:
-        return self._faces_at[v]
+        if 0 <= v < len(self._faces_at):
+            return self._faces_at[v]
+        raise KeyError(v)
 
     def has_face(self, f: FaceBoundary) -> bool:
         """Whether f is a face: a canonical cycle starts at its least vertex."""
-        return f in self._faces_at.get(f.cycle[0], ())
+        return 0 <= f.cycle[0] < len(self._faces_at) and f in self._faces_at[f.cycle[0]]
 
     def is_interior(self, v: int) -> bool:
         """Interior vertices have a face in every corner: a face, a simple
         cycle, takes one corner of a vertex, and the outer walk one or more."""
-        return len(self._faces_at[v]) == len(self.rotation[v])
+        return len(self.faces_at(v)) == len(self.rotation[v])
 
     def root_distance(self, v: int) -> int:
-        return self._dist_from_root[v]
+        if 0 <= v < len(self._dist_from_root) and self._dist_from_root[v] >= 0:
+            return self._dist_from_root[v]
+        raise KeyError(v)
 
     def require_complete(self, v: int, radius: int) -> None:
         if v not in self.graph:
@@ -260,7 +268,7 @@ class PlanePatch:
     def corner_face(self, v: int, a: int, b: int) -> FaceBoundary:
         """The unique face at v containing both edges va and vb."""
         ea, eb = edge_key(v, a), edge_key(v, b)
-        hits = [f for f in self._faces_at[v] if ea in f.edges and eb in f.edges]
+        hits = [f for f in self.faces_at(v) if ea in f.edges and eb in f.edges]
         if len(hits) != 1:
             raise DefectError(f"corner ({a},{b}) at {v} has {len(hits)} faces")
         return hits[0]
@@ -268,14 +276,7 @@ class PlanePatch:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PlanePatch):
             return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.root == other.root
-            and self.rotation == other.rotation
-            and self._faces_at == other._faces_at
-            and self.outer == other.outer
-            and self.complete_radius == other.complete_radius
-        )
+        return _tables(self) == _tables(other)
 
     def __repr__(self) -> str:
         s = f"{{{self.schlafli[0]},{self.schlafli[1]}}}" if self.schlafli else "imported"
@@ -288,7 +289,7 @@ class PlanePatch:
         d["root"] = self.root
         d["faces"] = sorted([list(f.cycle) for f in self.faces])
         d["outer"] = list(self.outer)
-        d["complete_radius"] = {str(v): r for v, r in sorted(self.complete_radius.items())}
+        d["complete_radius"] = {str(v): r for v, r in enumerate(self.complete_radius)}
         if self.schlafli is not None:
             d["schlafli"] = list(self.schlafli)
         return d
@@ -298,21 +299,19 @@ class PlanePatch:
         sort_keys=True) + "\n"`, piece by piece: each piece holds at most
         `_BATCH` vertices, edges or faces, so that neither `to_json_dict`
         nor the whole text is built.  Vertex keys are ordered as strings,
-        as `sort_keys` orders them ("10" before "2").  A graph without
-        dense 0-based ids raises InputError at the first piece."""
+        as `sort_keys` orders them ("10" before "2")."""
         g, crad, rot = self.graph, self.complete_radius, self.rotation
-        if g.vertices != tuple(range(g.n)):
-            raise InputError("only graphs with dense 0-based ids are serialisable")
         top, inner = _int_lists("  "), _int_lists("    ")
+        by_name = sorted(g.vertices, key=str)
         yield '{\n  "complete_radius": '
-        yield from _json_block("{}", (f'"{v}": {crad[v]}' for v in sorted(crad, key=str)))
+        yield from _json_block("{}", (f'"{v}": {crad[v]}' for v in by_name))
         yield ',\n  "edges": '
         edge = "[\n      %d,\n      %d\n    ]"
         yield from _json_block("[]", (edge % (u, w) for u in g.vertices for w in g.neighbors(u) if u < w))
         yield ',\n  "faces": '
         yield from _json_block("[]", (inner(c) for c in sorted(f.cycle for f in self.faces)))
         yield f',\n  "n": {g.n},\n  "outer": {top(self.outer)},\n  "root": {self.root},\n  "rotation": '
-        yield from _json_block("{}", (f'"{v}": {inner(rot[v])}' for v in sorted(g.vertices, key=str)))
+        yield from _json_block("{}", (f'"{v}": {inner(rot[v])}' for v in by_name))
         if self.schlafli is not None:
             yield f',\n  "schlafli": {top(self.schlafli)}'
         yield "\n}\n"
@@ -443,13 +442,13 @@ class _PatchBuilder:
 
     def graph(self) -> Graph:
         """The patch's graph, read off the arcs without re-validation: the
-        ids are arc positions, and add_face_at admits no loop and no
-        repeated neighbour.  That every edge is in the arcs of both its
-        ends is checked, as a trusted Graph takes the arcs as they are."""
+        ids are arc positions, and add_face_at admits no loop and no repeated
+        neighbour and grows each face onto those before (the root's search
+        checks the one component).  That the arcs are symmetric is checked."""
         arc = self.arc
         if any(v not in arc[u] for v, a in enumerate(arc) for u in a):
             raise DefectError("the rotation arcs are not symmetric")
-        return Graph._trusted(dict(enumerate(arc)))
+        return Graph._trusted(dict(enumerate(arc)), components=1)
 
 
 def generate(p: int, q: int, R: int) -> PlanePatch:
@@ -478,44 +477,45 @@ def generate(p: int, q: int, R: int) -> PlanePatch:
         prev, layer = layer, sorted({u for v in layer for u in b.arc[v]}.difference(prev, layer))
 
     graph = b.graph()
-    nverts = graph.n
-    rotation = {v: tuple(arc) for v, arc in enumerate(b.arc)}
-    nedges = sum(map(len, b.arc)) // 2
+    rotation = tuple(map(tuple, b.arc))
     faces = b.faces
     outer = b.outer_walk()
-    interior = {v for v in range(nverts) if b.nfaces[v] == q}
-    if interior != set(range(nverts)) - set(outer):
+    if {v for v, k in enumerate(b.nfaces) if k < q} != set(outer):
         raise DefectError("the complete vertices are not exactly those off the outer walk")
     del b  # its arcs go before the patch builds its tables
 
-    crad = _complete_radius_from_boundary(graph, set(outer))
+    crad = _complete_radius(rotation, outer)
     if crad[o] < R:
         raise DefectError(f"root complete_radius {crad[o]} < requested radius {R}")
     patch = PlanePatch(graph, o, rotation, faces, outer, crad, (p, q))
-    # a face made twice sits side by side in the sorted faces at its
-    # vertices; it is named before the Euler count, which it also throws off
-    for fs in patch._faces_at.values():
-        prev = None
-        for f in fs:
-            if f.cycle == prev:
-                raise DefectError("generation produced a face twice")
-            prev = f.cycle
-    if nverts - nedges + len(faces) + 1 != 2:
+    if -1 in patch._dist_from_root:
+        raise DefectError("the patch is not connected")
+    # a face made twice is named before the Euler count, which it also throws off
+    if len(set(faces)) != len(faces):
+        raise DefectError("generation produced a face twice")
+    if graph.n - sum(map(len, rotation)) // 2 + len(faces) + 1 != 2:  # the arcs hold each edge twice
         raise DefectError("the patch and its outer region do not close up into a sphere")
     return patch
 
 
-def _complete_radius_from_boundary(g: Graph, boundary: set[int]) -> dict[int, int]:
-    """complete_radius(v) = dist(v, outer boundary) - 1, floored at 0."""
-    dist = {v: 0 for v in boundary}
-    queue = deque(sorted(boundary))
-    while queue:
-        x = queue.popleft()
-        for u in g.neighbors(x):
-            if u not in dist:
-                dist[u] = dist[x] + 1
+def _distances(adj, sources: Sequence[int]) -> list[int]:
+    """Each vertex's distance from the nearest of `sources`, in one search
+    over adj (adj[v] the neighbours of v in 0..n-1); -1 where none reaches."""
+    dist = [-1] * len(adj)
+    for s in sources:
+        dist[s] = 0
+    queue = list(sources)
+    for v in queue:  # the queue grows as it is read
+        for u in adj[v]:
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
                 queue.append(u)
-    return {v: max(0, dist.get(v, 0) - 1) for v in g.vertices}
+    return dist
+
+
+def _complete_radius(adj, outer: Sequence[int]) -> tuple[int, ...]:
+    """complete_radius(v) = dist(v, outer boundary) - 1, floored at 0."""
+    return tuple([d - 1 if d > 1 else 0 for d in _distances(adj, outer)])
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +542,7 @@ def enumeration_key(patch: PlanePatch, tie_break: int):
     face_enumeration orders them."""
 
     def key(f: FaceBoundary):
-        d = min(patch.root_distance(v) for v in f)
+        d = min(map(patch.root_distance, f.cycle))
         t = tuple(sorted(f.cycle))
         if tie_break == 0:
             return (d, t)
@@ -593,7 +593,7 @@ def import_patch(source: dict | str | os.PathLike) -> PlanePatch:
         root = json_int(d["root"], "patch root")
         declared_outer = None if d.get("outer") is None else [json_int(v, "outer vertex") for v in d["outer"]]
         declared_faces = (
-            {FaceBoundary([json_int(v, "face vertex") for v in c]) for c in d["faces"]} if "faces" in d else None
+            {_simple_cycle(tuple(json_int(v, "face vertex") for v in c)) for c in d["faces"]} if "faces" in d else None
         )
         declared_crad = (
             {
@@ -631,13 +631,13 @@ def import_patch(source: dict | str | os.PathLike) -> PlanePatch:
         faces.append(FaceBoundary._trusted(w))
     if not faces:
         raise PatchTooSmallError("patch too small: the traced map has no interior face")
-    if declared_faces is not None and declared_faces != set(faces):
+    if declared_faces is not None and declared_faces != {f.cycle for f in faces}:
         raise InputError("declared faces disagree with the traced faces")
     if schlafli is not None:
         _check_schlafli(g, faces, set(outer), schlafli)
 
-    crad = _complete_radius_from_boundary(g, set(outer))
-    if declared_crad is not None and declared_crad != crad:
+    crad = _complete_radius(g._adj, outer)
+    if declared_crad is not None and declared_crad != dict(enumerate(crad)):
         raise InputError("declared complete_radius disagrees with recomputation")
     return PlanePatch(g, root, rotation, faces, outer, crad, schlafli)
 

@@ -258,7 +258,7 @@ def outer_walk_by_tracing(patch) -> tuple:
     of the next-dart map (u, v) -> (v, w), w following u in the rotation
     at v, keep the one walk that is not a face, and start it at its least
     dart."""
-    succ = {v: {rot[i - 1]: rot[i] for i in range(len(rot))} for v, rot in patch.rotation.items()}
+    succ = {v: {rot[i - 1]: rot[i] for i in range(len(rot))} for v, rot in enumerate(patch.rotation)}
     faces = {brute_canonical_cycle(f.cycle) for f in patch.faces}
     seen: set = set()
     leftovers = []

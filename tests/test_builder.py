@@ -608,7 +608,7 @@ def _shuffled(patch, seed):
 
 def _zero_at_radius(patch, radius):
     """The renaming that swaps 0 with the least vertex of this complete radius."""
-    v = min(u for u, k in patch.complete_radius.items() if k == radius)
+    v = min(u for u, k in enumerate(patch.complete_radius) if k == radius)
     perm = list(range(patch.graph.n))
     perm[0], perm[v] = v, 0
     return perm

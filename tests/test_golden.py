@@ -163,7 +163,7 @@ def test_errors_keep_their_class_and_message(patch44_r10, patch63_r10, hex55, to
 @pytest.mark.parametrize("schlafli", [(4, 4), (6, 3)])
 def test_bent_rotation_admits_no_coordinates(schlafli, patch44_r10, patch63_r10):
     patch = patch44_r10 if schlafli == (4, 4) else patch63_r10
-    rotation = dict(patch.rotation)
+    rotation = list(patch.rotation)
     first, second, *rest = rotation[patch.root]
     rotation[patch.root] = (second, first, *rest)
     bent = PlanePatch(

@@ -770,10 +770,10 @@ class TestPatchComponents:
         twin = PlanePatch(
             g,
             p.root,
-            {**p.rotation, **{v + shift: tuple(u + shift for u in r) for v, r in p.rotation.items()}},
+            [*p.rotation, *(tuple(u + shift for u in r) for r in p.rotation)],
             [*p.faces, *(FaceBoundary([v + shift for v in f]) for f in p.faces)],
             p.outer + tuple(v + shift for v in p.outer),
-            {**p.complete_radius, **{v + shift: r for v, r in p.complete_radius.items()}},
+            [*p.complete_radius, *p.complete_radius],
             p.schlafli,
         )
         host = Host(twin)
@@ -942,27 +942,64 @@ class TestFaceCore:
 FAR = 99999  # a vertex of neither the patch nor the torus
 
 
+def _off_flag(v):
+    """A flag at v whose edge and face count away from the vertex ids."""
+    step = 1 if v >= 0 else -1
+    cycle = tuple(v + i * step for i in range(4))
+    return Flag(v, (min(cycle[:2]), max(cycle[:2])), FaceBoundary(cycle))
+
+
+_CALLS = pytest.mark.parametrize(
+    "call",
+    [
+        lambda patch, s, v: flags_at(Host(s, 4), v),
+        lambda patch, s, v: face_core(Host(s, 4), v, 1),
+        lambda patch, s, v: host_faces_at(Host(s, 4), v),
+        lambda patch, s, v: s.ball(v, 1) if isinstance(s, PlanePatch) else ball(s, v, 1),
+        lambda patch, s, v: build_cover(patch, s, flag_h=_off_flag(v), n=1),
+    ],
+    ids=["flags_at", "face_core", "host_faces_at", "ball", "build_cover"],
+)
+
+
 class TestUnknownVertex:
     # a patch host refuses a vertex it does not have as a graph host
     # does, with InputError, not a bare KeyError from one of its tables
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda patch, s: flags_at(Host(s, 4), FAR),
-            lambda patch, s: face_core(Host(s, 4), FAR, 1),
-            lambda patch, s: host_faces_at(Host(s, 4), FAR),
-            lambda patch, s: s.ball(FAR, 1) if isinstance(s, PlanePatch) else ball(s, FAR, 1),
-            lambda patch, s: build_cover(
-                patch, s, flag_h=Flag(FAR, (FAR, FAR + 1), FaceBoundary((FAR, FAR + 1, FAR + 2, FAR + 3))), n=1
-            ),
-        ],
-        ids=["flags_at", "face_core", "host_faces_at", "ball", "build_cover"],
-    )
+    @_CALLS
     @pytest.mark.parametrize("side", ["patch", "graph"])
     def test_is_an_input_error(self, patch44_r6, torus57, call, side):
         source = patch44_r6 if side == "patch" else torus57.graph
         with pytest.raises(InputError, match=f"^unknown vertex {FAR}$"):
-            call(patch44_r6, source)
+            call(patch44_r6, source, FAR)
+
+    # -1 and n lie just outside the ids 0..n-1, and a table indexed by
+    # vertex answers xs[-1] with vertex n - 1's entry
+    @_CALLS
+    @pytest.mark.parametrize("which", ["-1", "n"])
+    @pytest.mark.parametrize("side", ["patch", "graph"])
+    def test_an_id_just_outside_is_an_input_error(self, patch44_r6, torus57, call, which, side):
+        source = patch44_r6 if side == "patch" else torus57.graph
+        n = patch44_r6.graph.n if side == "patch" else torus57.graph.n
+        v = -1 if which == "-1" else n
+        with pytest.raises(InputError, match=f"^unknown vertex {v}$"):
+            call(patch44_r6, source, v)
+
+    @pytest.mark.parametrize("which", ["-1", "n"])
+    def test_a_patch_never_answers_with_another_vertex(self, patch44_r6, which):
+        # each table of a patch is indexed by vertex, and a sequence
+        # answers xs[-1] with vertex n - 1's entry: every query refuses
+        # the id instead, as the patch's tables have always refused it
+        p = patch44_r6
+        v = -1 if which == "-1" else p.graph.n
+        for query in (p.faces_at, p.is_interior, p.root_distance):
+            with pytest.raises(KeyError):
+                query(v)
+        with pytest.raises(InputError, match=f"^unknown vertex {v}$"):
+            p.require_complete(v, 0)
+        # the faces at n - 1, with n - 1 renamed v, are faces of no patch
+        last = p.graph.n - 1
+        for f in p.faces_at(last):
+            assert not p.has_face(FaceBoundary([v if u == last else u for u in f.cycle]))
 
 
 class TestFaceCoresAgainstNetworkx:

@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,8 @@ from coverkit import (
     rooted_isomorphisms,
     trace_faces,
 )
+import coverkit.graph as graph
+import coverkit.tessellation as tessellation
 from coverkit.graph import RootedBall
 from coverkit.tessellation import _BATCH, _is_simple_walk, _json_block, _PatchBuilder
 
@@ -184,6 +188,36 @@ class TestStructuralChecks:
         with pytest.raises(DefectError, match="^generation produced a face twice$"):
             generate(3, 7, 3)
 
+    @pytest.mark.parametrize("plant", ["complete on the walk", "incomplete off it"])
+    def test_the_interior_is_exactly_what_lies_off_the_outer_walk(self, monkeypatch, plant):
+        real = _PatchBuilder.outer_walk
+
+        def outer_walk(self):
+            walk = real(self)
+            if plant == "complete on the walk":
+                self.nfaces[walk[0]] = self.q
+            else:
+                self.nfaces[0] -= 1  # the root, which is interior
+            return walk
+
+        monkeypatch.setattr(_PatchBuilder, "outer_walk", outer_walk)
+        with pytest.raises(DefectError, match="^the complete vertices are not exactly those off the outer walk$"):
+            generate(3, 7, 3)
+
+    def test_a_vertex_the_root_does_not_reach_is_a_defect(self, monkeypatch):
+        # the patch's graph is stated connected; its search from the root checks it
+        real = tessellation._distances
+
+        def distances(adj, sources):
+            dist = real(adj, sources)
+            if tuple(sources) == (0,):
+                dist[-1] = -1
+            return dist
+
+        monkeypatch.setattr(tessellation, "_distances", distances)
+        with pytest.raises(DefectError, match="^the patch is not connected$"):
+            generate(3, 7, 3)
+
     def test_a_lost_face_breaks_the_euler_count(self, monkeypatch):
         self._plant(monkeypatch, lambda faces: faces.pop())
         with pytest.raises(DefectError, match="^the patch and its outer region do not close up into a sphere$"):
@@ -196,6 +230,49 @@ def _count_edge_set_reads(monkeypatch) -> list:
     edges = Graph.edges.fget
     monkeypatch.setattr(Graph, "edges", property(lambda g: reads.append(g) or edges(g)))
     return reads
+
+
+class TestGenerationCost:
+    """What generation costs, in counts that do not depend on the machine."""
+
+    def test_two_passes_over_the_graph(self, monkeypatch):
+        # one search from the outer walk (complete_radius) and one from the
+        # root (the root distances, which also show the graph connected):
+        # no component count and no other search over the whole patch
+        passes = []
+
+        def wrap(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                passes.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        wrap(graph, "component_count")
+        wrap(Graph, "distances_from")
+        wrap(tessellation, "_distances")
+        patch = generate(3, 7, 5)
+        assert passes == ["_distances", "_distances"]
+        assert patch.graph.components == 1
+
+    def test_bytes_held_per_vertex(self):
+        # every per-vertex table is a tuple indexed by vertex, with no dict
+        # spine; 818 bytes a vertex with dicts, on Python 3.11
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            patch = generate(3, 7, 7)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert held / patch.graph.n <= 700
 
 
 class TestTrustedBuild:
@@ -217,9 +294,9 @@ class TestTrustedBuild:
 
     def test_import_builds_each_traced_face_once_and_no_edge_set(self, monkeypatch):
         # a traced walk is checked simple where it is traced, so its face is
-        # built trusted, and the Euler count reads the walk lengths; only
-        # declared faces, which are input, go through the validating
-        # constructor, and a quotient counts its degrees, not its edges
+        # built trusted, and the Euler count reads the walk lengths; declared
+        # faces are compared as canonical tuples (see TestImportExport), and
+        # a quotient counts its degrees, not its edges
         from coverkit import QuotientSpec, make_quotient
 
         p = generate(3, 7, 4)
@@ -277,7 +354,7 @@ class TestTrustedBuild:
         cov = build_cover(patch, patch)
         assert check_cover(cov).ok and check_normality(cov).ok
         assert reads == []
-        assert len(patch.graph.edges) == sum(map(len, patch.rotation.values())) // 2
+        assert len(patch.graph.edges) == sum(map(len, patch.rotation)) // 2
 
     def test_exporting_a_patch_builds_no_edge_set(self, monkeypatch):
         # to_json_dict lists the edges off the sorted adjacency
@@ -495,6 +572,28 @@ class TestImportExport:
         doc = p.to_json_dict()
         doc["faces"] = doc["faces"][:-1]
         with pytest.raises(InputError):
+            import_patch(doc)
+
+    def test_declared_faces_are_compared_as_cycles(self, monkeypatch):
+        # a declared face is read as a canonical tuple, in any rotation or
+        # direction, and never built through the validating constructor
+        p = generate(3, 7, 5)
+        doc = p.to_json_dict()
+        doc["faces"] = [c[1:] + c[:1] if i % 2 else c[::-1] for i, c in enumerate(doc["faces"])]
+        built = []
+        real = FaceBoundary.__init__
+        monkeypatch.setattr(FaceBoundary, "__init__", lambda f, cycle: built.append(cycle) or real(f, cycle))
+        assert import_patch(doc) == p and built == []
+        doc["faces"] = doc["faces"][1:]
+        with pytest.raises(InputError, match="^declared faces disagree with the traced faces$"):
+            import_patch(doc)
+
+    @pytest.mark.parametrize("face", [[0, 1, 0], [0, 1]])
+    def test_a_declared_face_that_is_no_simple_cycle_is_named_before_tracing(self, face):
+        doc = generate(4, 4, 2).to_json_dict()
+        doc["faces"] = [face, *doc["faces"]]
+        doc["rotation"]["0"] = doc["rotation"]["0"][:-1]  # tracing would refuse this
+        with pytest.raises(InputError, match="^" + re.escape(f"not a simple cycle: {tuple(face)}") + "$"):
             import_patch(doc)
 
 
