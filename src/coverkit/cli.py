@@ -105,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--h", dest="h_path", required=True)
     ver.add_argument("--normality", action="store_true")
     ver.add_argument("--samples", type=int, default=20)
-    ver.add_argument("--exhaustive", action="store_true")
     ver.add_argument("--rng-seed", type=int, default=0)
 
     inst = sub.add_parser("instance", help="generate a finite test target")
@@ -179,9 +178,7 @@ def _cmd_verify(args) -> int:
     reports["cover"] = rep.to_json_dict()
     ok = rep.ok and reports["rebuild_matches_file"]
     if args.normality:
-        repn = check_normality(
-            cov, samples=args.samples, rng_seed=args.rng_seed, exhaustive=args.exhaustive
-        )
+        repn = check_normality(cov, samples=args.samples, rng_seed=args.rng_seed)
         reports["normality"] = repn.to_json_dict()
         ok = ok and repn.ok
     reports["ok"] = ok

@@ -402,12 +402,13 @@ def extend_iso(c: Coloring, host: Host, f: Flag, flag_h: Flag, r: int) -> Isomor
 def _verify_partial_isomorphism(ga: Graph, gb: Graph, vmap: dict[int, int]) -> None:
     """vmap is injective and carries the edges among its keys onto the
     edges among its images, in time linear in the edges; a mismatch is
-    named by the least pair of keys (a, b), a < b, that it breaks."""
+    named by the least pair of keys (a, b), a < b, that it breaks.  The
+    keys are core vertices of ga and the images core vertices of gb."""
     inverse = {w: a for a, w in vmap.items()}
     if len(inverse) != len(vmap):
         raise HypothesisViolationError("extension is not injective on its core")
-    carried = {edge_key(a, b) for a in vmap for b in ga._adj.get(a, ()) if b in vmap}
-    pulled = {edge_key(inverse[w], inverse[z]) for w in inverse for z in gb._adj.get(w, ()) if z in inverse}
+    carried = {edge_key(a, b) for a in vmap for b in ga.neighbors(a) if b in vmap}
+    pulled = {edge_key(inverse[w], inverse[z]) for w in inverse for z in gb.neighbors(w) if z in inverse}
     if carried != pulled:
         a, b = min(carried ^ pulled)
         raise HypothesisViolationError(f"extension does not preserve adjacency on ({a},{b})")

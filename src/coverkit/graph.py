@@ -8,6 +8,7 @@ which makes every operation in the package deterministic.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from typing import Container, Iterable, Iterator
 
@@ -30,6 +31,15 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def vertex_id(value) -> int:
+    """A vertex id: an int, or what `operator.index` reads as one.  A float
+    or a string is refused, where `int()` would read 1.5 or "3" as a vertex."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"vertex ids must be integers, got {value!r}") from None
+
+
 class Graph:
     """Immutable simple undirected graph over integer vertex ids.
 
@@ -41,9 +51,10 @@ class Graph:
     __slots__ = ("_vertices", "_adj", "_face_memos", "components")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Edge]):
-        vs = sorted({int(v) for v in vertices})
+        vs = sorted(set(map(vertex_id, vertices)))
         adj: dict[int, set[int]] = {v: set() for v in vs}
         for u, w in edges:
+            u, w = vertex_id(u), vertex_id(w)
             if u == w:
                 raise InputError(f"loop edge at vertex {u}")
             if u not in adj or w not in adj:
@@ -139,7 +150,7 @@ class Graph:
 
     def to_json_dict(
         self,
-        rotation: dict[int, tuple[int, ...]] | None = None,
+        rotation: tuple[tuple[int, ...], ...] | dict[int, tuple[int, ...]] | None = None,
         labels: dict | None = None,
     ) -> dict:
         """Graph JSON: dense 0-based vertices, edges with u < v."""

@@ -83,7 +83,7 @@ class QuotientInstance:
                     )
         edges = [(v, u) for v, nbrs in rotation.items() for u in nbrs if v < u]
         self.graph = Graph(range(m * n * classes), edges)
-        if sum(map(len, self.graph._adj.values())) != sum(map(len, rotation.values())):
+        if sum(map(self.graph.degree, self.graph.vertices)) != sum(map(len, rotation.values())):
             raise InputError("degenerate quotient (a loop or a double edge); enlarge dimensions")
         self.rotation = rotation
 

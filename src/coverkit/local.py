@@ -326,14 +326,17 @@ def _assemble(x: int, faces: set[FaceBoundary]) -> FaceCore:
     straight off the face cycles; its Graph skips the checks of
     Graph(vertices, edges), which cannot fire here: a FaceBoundary is a
     simple cycle of at least 3 distinct ints, so no edge is a loop, and
-    every vertex and edge end comes from a face."""
+    every vertex and edge end comes from a face.  Nor is it counted: each
+    face after the first level meets a vertex already reached from x, so
+    a core is connected (`as_rooted` refuses one that is not), and only
+    hosts, targets and `is_vertex_transitive` read `components`."""
     adj: dict[int, set[int]] = {x: set()}
     for fb in faces:
         c = fb.cycle
         for u, v in zip(c, c[1:] + c[:1]):
             adj.setdefault(u, set()).add(v)
             adj.setdefault(v, set()).add(u)
-    return FaceCore(as_rooted(Graph._trusted(adj), x), frozenset(faces))
+    return FaceCore(as_rooted(Graph._trusted(adj, components=1), x), frozenset(faces))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +356,7 @@ class Isomorphism(Record):
     def map_cycle(self, c: FaceBoundary) -> FaceBoundary:
         return FaceBoundary([self.mapping[v] for v in c.cycle])
 
-    def is_orientation_reversing(self, rotation: dict[int, tuple[int, ...]], at: int) -> bool:
+    def is_orientation_reversing(self, rotation: tuple[tuple[int, ...], ...], at: int) -> bool:
         """Whether this self-map carries the cyclic order at `at` onto the
         reverse of the rotation at its image (rather than a rotation of it)."""
         img = tuple(self.mapping[u] for u in rotation[at])

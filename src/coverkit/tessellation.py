@@ -19,11 +19,11 @@ from __future__ import annotations
 import json
 import os
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Callable, Iterator, Sequence
 
 from .errors import DefectError, InputError, PatchTooSmallError
-from .graph import Graph, RootedBall, ball, edge_key, json_int
+from .graph import Graph, RootedBall, ball, edge_key, json_int, vertex_id
 
 
 class FaceBoundary:
@@ -33,7 +33,11 @@ class FaceBoundary:
     __slots__ = ("cycle", "_edges", "_hash")
 
     def __init__(self, cycle: Sequence[int]):
-        self.cycle: tuple[int, ...] = _simple_cycle(tuple(int(v) for v in cycle))
+        try:
+            t = tuple(map(index, cycle))
+        except TypeError:
+            t = tuple(map(vertex_id, cycle))  # raises, naming the first entry that is not an id
+        self.cycle: tuple[int, ...] = _simple_cycle(t)
         self._hash = hash(self.cycle)
         self._edges: frozenset[tuple[int, int]] | None = None
 
@@ -124,8 +128,9 @@ def _canonical_cycle(t: tuple[int, ...]) -> tuple[int, ...]:
 # Face tracing on a rotation system
 # ---------------------------------------------------------------------------
 
-def trace_faces(g: Graph, rotation: dict[int, Sequence[int]]) -> list[tuple[int, ...]]:
-    """All closed walks of the next-dart map of (g, rotation).
+def trace_faces(g: Graph, rotation: Sequence[Sequence[int]] | dict[int, Sequence[int]]) -> list[tuple[int, ...]]:
+    """All closed walks of the next-dart map of (g, rotation), a patch's
+    tuple or a dict.
 
     The successor of dart (u, v) is (v, w) where w follows u in the cyclic
     rotation at v.  Every directed edge lies in exactly one returned walk;
@@ -136,7 +141,7 @@ def trace_faces(g: Graph, rotation: dict[int, Sequence[int]]) -> list[tuple[int,
     for v in g.vertices:
         try:
             rot = tuple(rotation[v])
-        except KeyError:
+        except (KeyError, IndexError):
             raise InputError(f"rotation missing for vertex {v}") from None
         if sorted(rot) != sorted(g.neighbors(v)):
             raise InputError(f"rotation at {v} does not match its adjacency")

@@ -76,11 +76,9 @@ def _flags_by_image(cover: CoverMap, v: int) -> dict[Flag, list[Flag]]:
     return by_image
 
 
-def _sample_fiber_pairs(
-    cover: CoverMap, g: Host, samples: int, rng: random.Random, exhaustive: bool
-) -> list[tuple[int, int]]:
-    """Deterministic fiber pairs from the processed interior, round-robin
-    across target vertices; g is the patch's host."""
+def _sample_fiber_pairs(cover: CoverMap, g: Host, samples: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Deterministic fiber pairs from the processed interior, drawn without
+    replacement round-robin across target vertices; g is the patch's host."""
     patch = cover.patch
     j_r = dk_ball(g, patch.root, cover.delta.level + 1).radius
     core = [v for v in cover.region_interior() if patch.complete_radius[v] >= j_r]
@@ -91,8 +89,6 @@ def _sample_fiber_pairs(
     for hv in sorted(fibers):
         vs = sorted(fibers[hv])
         pools.append([(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :]])
-    if exhaustive:
-        return [p for pool in pools for p in pool]
     pairs: list[tuple[int, int]] = []
     idx = 0
     while len(pairs) < samples and any(pools):
@@ -104,12 +100,7 @@ def _sample_fiber_pairs(
     return pairs
 
 
-def check_normality(
-    cover: CoverMap,
-    samples: int = 20,
-    rng_seed: int = 0,
-    exhaustive: bool = False,
-) -> VerificationReport:
+def check_normality(cover: CoverMap, samples: int = 20, rng_seed: int = 0) -> VerificationReport:
     """Normality on sampled fiber pairs.
 
     Tier (a): for every flag of the common image vertex, the two
@@ -123,16 +114,17 @@ def check_normality(
     kept on the patch and the target; a vertex no call has searched is
     searched here.  Tier (b)'s extension isomorphism is searched afresh
     for every pair.  A sample of fewer than one pair is an input error:
-    it would check nothing, yet read as trivial normality.
+    it would check nothing, yet read as trivial normality; one at least
+    the number of fiber pairs checks every pair, as none is drawn twice.
     """
-    if samples < 1 and not exhaustive:
+    if samples < 1:
         raise InputError("samples must be >= 1")
     patch = cover.patch
     c = Coloring(patch, cover.delta)
     r = c.n + 1
     rng = random.Random(rng_seed)
     report = VerificationReport()
-    pairs = _sample_fiber_pairs(cover, c.g, samples, rng, exhaustive)
+    pairs = _sample_fiber_pairs(cover, c.g, samples, rng)
     if not pairs:
         # all fibers in the checked region are singletons: trivially normal
         report.add("fiber pairs sampled", True, note="all fibers singletons; trivially normal")

@@ -60,7 +60,7 @@ def test_criterion_1_euclidean_end_to_end():
     coords = square_lattice_coordinates(patch)
     where = {c: v for v, c in coords.items()}
     c = Coloring(patch, cover.delta)
-    pairs = _sample_fiber_pairs(cover, c.g, 20, random.Random(0), False)
+    pairs = _sample_fiber_pairs(cover, c.g, 20, random.Random(0))
     for v, w in pairs:
         hv = cover.vertex_map[v]
         tf = sorted(

@@ -466,6 +466,22 @@ class TestVerifyMargin:
         assert bijections["info"]["margin"] == 1 and bijections["info"]["checked"] > 100
 
 
+class TestOneNormalitySampler:
+    def test_exhaustive_is_not_an_option(self, artifacts, capsys):
+        # a sample at least the pair count checks every pair, so the
+        # option that asked for every pair is gone and argparse refuses it
+        with pytest.raises(SystemExit) as done:
+            main(_verify_argv(*artifacts, "--normality", "--exhaustive"))
+        assert done.value.code == 2
+        assert "unrecognized arguments: --exhaustive" in capsys.readouterr().err
+
+    def test_a_large_sample_checks_every_pair(self, artifacts, capsys):
+        code, out, _ = run(_verify_argv(*artifacts, "--normality", "--samples", "1000000"), capsys)
+        normality = json.loads(out)["normality"]
+        assert code == 0 and normality["ok"]
+        assert normality["checks"][0]["info"] == {"pairs": 67}
+
+
 class TestFlagsAndCoverAgree:
     """`flags` finds n as `cover` does, through `stabilize_n`, so the two
     commands read the same palette; --n is the one override of both.  The

@@ -37,6 +37,17 @@ class TestGraph:
         with pytest.raises(InputError):
             Graph(range(2), [(0, 5)])
 
+    def test_a_float_edge_end_is_refused(self):
+        # 1.0 == 1, so it would pass as a known vertex and be stored as a
+        # neighbour that to_json_dict writes and from_json_dict refuses
+        with pytest.raises(InputError, match=r"^vertex ids must be integers, got 1\.0$"):
+            Graph([0, 1, 2], [(0, 1.0), (1, 2)])
+
+    def test_a_float_vertex_is_refused_not_truncated(self):
+        # int() would read 1.5 as vertex 1
+        with pytest.raises(InputError, match=r"^vertex ids must be integers, got 1\.5$"):
+            Graph([0, 1.5, 2], [])
+
     def test_adjacency_symmetric_and_sorted(self):
         g = Graph(range(3), [(2, 0), (1, 2)])
         assert g.neighbors(2) == (0, 1)

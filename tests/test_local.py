@@ -736,7 +736,8 @@ class TestConfinedSearch:
 class TestPatchComponents:
     """A graph's component count is counted where the graph is made, a
     patch's graph when the patch is traced, so a patch host's verdicts
-    count nothing; on a disconnected patch they stay exact."""
+    count nothing; on a disconnected patch they stay exact.  A face core
+    is connected by construction, so it is never counted."""
 
     def test_a_self_cover_never_counts_the_patch(self, monkeypatch):
         import coverkit.graph as graph
@@ -759,8 +760,38 @@ class TestPatchComponents:
         cov = build_cover(patch, patch)
         assert check_normality(cov).ok
         assert any(g is patch.graph for g in tested)  # verdicts were taken on the patch
-        assert counted  # the balls and cores made on the way are counted as they are made
+        assert counted  # the balls and D-balls made on the way are counted as they are made
         assert patch.graph.n not in counted
+
+    def test_face_cores_are_never_counted(self, monkeypatch):
+        # each face of a core after the first level meets a vertex already
+        # reached from its root, so its one component is stated, not counted
+        import coverkit.flags as flags
+        import coverkit.graph as graph
+
+        patch = generate(4, 4, 16)
+        h = make_quotient(QuotientSpec("torus", 9, 9)).graph
+        counted, cores = [], []
+        real_count, real_assemble = graph.component_count, local._assemble
+
+        def counting(g):
+            counted.append(g)
+            return real_count(g)
+
+        def assembling(x, faces):
+            core = real_assemble(x, faces)
+            cores.append(core.rooted.graph)
+            return core
+
+        monkeypatch.setattr(graph, "component_count", counting)
+        for module in (local, flags):
+            monkeypatch.setattr(module, "_assemble", assembling)
+        assert is_r_locally(h, patch, 2, d_balls=True).ok
+        assert build_cover(patch, h).surjective
+        assert len(cores) > 20 and counted  # the D-balls are still counted
+        assert not [core for core in cores if any(core is g for g in counted)]
+        assert {core.components for core in cores} == {1}
+        assert face_core(Host(patch), patch.root, 2).rooted.graph.components == 1
 
     def test_two_patches_keep_exact_verdicts(self, patch44_r6):
         from coverkit import FaceBoundary, PlanePatch

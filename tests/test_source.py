@@ -370,3 +370,45 @@ def test_the_build_path_sets_no_stabilisation_window():
     ]
     if len(defs) != 1 or [a.arg for a in ast.walk(defs[0].args) if isinstance(a, ast.arg)] != ["patch"] or found:
         raise AssertionError(f"a stabilisation window is set: {found or 'stabilize_n takes more than the patch'}")
+
+def test_normality_has_one_sampler():
+    # the sampler draws fibre pairs without replacement until the pools
+    # are empty, so a sample at least the pair count checks every pair;
+    # no function takes or is passed an exhaustive= switch, and the
+    # command line offers no option for one
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=path.name) for path in SRC.glob("*.py")}
+    defs = [
+        node
+        for node in ast.walk(trees.get("verify.py", ast.Module(body=[], type_ignores=[])))
+        if isinstance(node, ast.FunctionDef) and node.name == "check_normality"
+    ]
+    found = [
+        f"{name}:{node.lineno} exhaustive="
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.arg, ast.keyword)) and node.arg == "exhaustive"
+    ] + [
+        f"cli.py:{node.lineno} {node.value}"
+        for node in ast.walk(trees.get("cli.py", ast.Module(body=[], type_ignores=[])))
+        if isinstance(node, ast.Constant) and node.value == "--exhaustive"
+    ]
+    params = [a.arg for a in defs[0].args.args] if len(defs) == 1 else None
+    if params != ["cover", "samples", "rng_seed"] or found:
+        raise AssertionError(f"normality sampled two ways: {found or f'check_normality takes {params}'}")
+
+
+def test_adjacency_is_read_through_the_graph():
+    # a Graph's adjacency is private to graph.py and to the searches and
+    # BFS passes of local and tessellation, which index it by ids that
+    # exist; the other layers ask neighbors(), degree() or has_edge(), so
+    # the adjacency's container can change without them
+    names = ("flags.py", "instances.py", "builder.py", "verify.py", "cli.py")
+    found = [
+        f"{name}:{node.lineno}"
+        for name in names
+        if (SRC / name).is_file()
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name))
+        if isinstance(node, ast.Attribute) and node.attr == "_adj"
+    ]
+    if not all((SRC / name).is_file() for name in names) or found:
+        raise AssertionError(f"reads of Graph._adj outside graph.py: {found or 'sources not found'}")

@@ -59,6 +59,16 @@ class TestFaceBoundary:
         with pytest.raises(InputError, match="not on the cycle"):
             f.cycle_from(4, 0)
 
+    def test_a_float_entry_is_refused_not_truncated(self):
+        # int() would read 1.9 as vertex 1
+        with pytest.raises(InputError, match=r"^vertex ids must be integers, got 1\.9$"):
+            FaceBoundary([0, 1.9, 2])
+
+    def test_a_string_entry_is_refused_not_parsed(self):
+        # int() would read "3" as vertex 3
+        with pytest.raises(InputError, match="^vertex ids must be integers, got '3'$"):
+            FaceBoundary(["3", 1, 2])
+
     @given(st.lists(st.integers(min_value=-5, max_value=60), min_size=3, max_size=12, unique=True))
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     def test_canonical_form_is_the_least_rotation_or_reflection(self, cycle):
@@ -476,6 +486,16 @@ class TestTraceFaces:
         g = Graph(range(3), [(0, 1), (1, 2)])
         with pytest.raises(InputError):
             trace_faces(g, {0: (1,), 1: (0,), 2: (1,)})
+
+    def test_a_rotation_tuple_that_lacks_a_vertex(self):
+        # a patch's rotation is a tuple indexed by vertex; one that stops
+        # short is refused as a dict that lacks the vertex is
+        p = generate(4, 4, 2)
+        last = p.graph.n - 1
+        with pytest.raises(InputError, match=f"^rotation missing for vertex {last}$"):
+            trace_faces(p.graph, p.rotation[:-1])
+        with pytest.raises(InputError, match=f"^rotation missing for vertex {last}$"):
+            trace_faces(p.graph, dict(enumerate(p.rotation[:-1])))
 
 
 class TestFaceEnumeration:

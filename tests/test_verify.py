@@ -102,7 +102,7 @@ class TestCheckNormality:
         from coverkit.verify import _flags_by_image
 
         c = Coloring(patch, torus_cover.delta)
-        pairs = _sample_fiber_pairs(torus_cover, c.g, 20, random.Random(0), False)
+        pairs = _sample_fiber_pairs(torus_cover, c.g, 20, random.Random(0))
         assert len(pairs) == 20
         from coverkit import face_boundaries_at
 
@@ -130,10 +130,13 @@ class TestCheckNormality:
         assert info["orientation_preserving"] >= 1
 
     def test_exhaustive_mode(self, patch44_r10, torus57):
+        # pairs are drawn without replacement until the pools are empty, so
+        # a sample larger than the pair count checks all 67 pairs of the cover
         cov = build_cover(patch44_r10, torus57.graph)
-        rep = check_normality(cov, exhaustive=True)
+        rep = check_normality(cov, samples=10**6)
         assert rep.ok
-        assert rep.checks[0].info["pairs"] > 50
+        assert rep.checks[0].info == {"pairs": 67}
+        assert rep.checks[1].info == {"orientation_reversing": 0, "orientation_preserving": 67}
 
     def test_flags_built_once_per_pair(self, monkeypatch):
         # the flags at both vertices of a pair are grouped by their images
@@ -177,7 +180,7 @@ class TestNormalityOnBrokenCovers:
     def test_the_first_vertex_fails_first(self, torus_cover, folded):
         # the first target flag has 2 preimages at 0; where 75 is folded
         # too, it has none there, but 0 is matched first
-        assert _sample_fiber_pairs(torus_cover, Host(torus_cover.patch), 1, random.Random(0), False) == [(0, 75)]
+        assert _sample_fiber_pairs(torus_cover, Host(torus_cover.patch), 1, random.Random(0)) == [(0, 75)]
         broken = torus_cover
         for x in folded:
             broken = _fold_two_faces(broken, x)
