@@ -214,15 +214,17 @@ class PlanePatch:
             raise InputError(f"a patch needs the vertices 0..n-1, its root {root} among them")
         self.graph = graph
         self.root = root
-        self.rotation: tuple[tuple[int, ...], ...] = tuple(map(rotation.__getitem__, range(graph.n)))
+        self.rotation: tuple[tuple[int, ...], ...] = _by_vertex(rotation, graph.n)
         self.faces: tuple[FaceBoundary, ...] = tuple(faces)
         self.outer = outer
-        self.complete_radius: tuple[int, ...] = tuple(map(complete_radius.__getitem__, range(graph.n)))
+        self.complete_radius: tuple[int, ...] = _by_vertex(complete_radius, graph.n)
         self.schlafli = schlafli
         self.l_max = schlafli[0] if schlafli is not None else max(len(f) for f in self.faces)
-        # each face goes to its vertices in FaceBoundary's order: by cycle, then stably by length
+        # each face goes to its vertices in FaceBoundary's order: by cycle,
+        # then stably by length, which a {p,q} patch's faces share
         order = sorted(self.faces, key=attrgetter("cycle"))
-        order.sort(key=len)
+        if schlafli is None:
+            order.sort(key=len)
         at: list[list[FaceBoundary]] = [[] for _ in graph.vertices]
         for f in order:
             for v in f.cycle:
@@ -322,6 +324,14 @@ class PlanePatch:
         yield "\n}\n"
 
 
+def _by_vertex(table, n: int) -> tuple:
+    """A per-vertex table as a tuple indexed by the vertices 0..n-1: kept
+    as it is when it is one already, else read off in vertex order."""
+    if type(table) is tuple and len(table) == n:
+        return table
+    return tuple(map(table.__getitem__, range(n)))
+
+
 _BATCH = 1024
 
 
@@ -368,6 +378,9 @@ class _PatchBuilder:
     carries d-1 faces (its faces form a fan), so the number of faces a
     vertex still needs determines whether an attaching face shares one
     boundary edge or absorbs the vertex completely.
+
+    `ids` keeps the int object of each id as it is made, and the arcs and
+    faces hold that object, so the patch's tables share one per vertex.
     """
 
     def __init__(self, p: int, q: int):
@@ -376,14 +389,20 @@ class _PatchBuilder:
         self.arc: list[list[int]] = []
         self.nfaces: list[int] = []
         self.faces: list[FaceBoundary] = []
+        self.ids: list[int] = []
 
     def new_vertex(self) -> int:
+        v = len(self.arc)
         self.arc.append([])
         self.nfaces.append(0)
-        return len(self.arc) - 1
+        self.ids.append(v)
+        return v
 
     def add_face_at(self, v: int) -> None:
-        """Close the next face in the outer corner at v (after arc_v[-1])."""
+        """Close the next face in the outer corner at v (after arc_v[-1]).
+
+        The face's cycle is built in one list: the backward run, reversed,
+        then v, the forward run and the new vertices."""
         p, q, arc, nfaces = self.p, self.q, self.arc, self.nfaces
         last = q - 1  # a vertex with q - 1 faces is absorbed by the next one
         if nfaces[v] > last:
@@ -391,49 +410,60 @@ class _PatchBuilder:
         if not arc[v]:
             path = [v]  # the root's first face
         else:
-            back = [arc[v][-1]]
-            while nfaces[back[-1]] == last:
-                back.append(arc[back[-1]][-1])
-                if len(back) >= p:
+            x = arc[v][-1]
+            path = [x]
+            while nfaces[x] == last:
+                x = arc[x][-1]
+                path.append(x)
+                if len(path) >= p:
                     raise DefectError(f"backward boundary run at {v} reached length {p}")
-            fwd: list[int] = []
+            path.reverse()
+            path.append(v)
             if nfaces[v] == last:
-                fwd.append(arc[v][0])
-                while nfaces[fwd[-1]] == last:
-                    fwd.append(arc[fwd[-1]][0])
-                    if len(fwd) >= p:
+                start = len(path)
+                x = arc[v][0]
+                path.append(x)
+                while nfaces[x] == last:
+                    x = arc[x][0]
+                    path.append(x)
+                    if len(path) - start >= p:
                         raise DefectError(f"forward boundary run at {v} reached length {p}")
-            path = back[::-1] + [v] + fwd
-        if len(path) > p or len(set(path)) != len(path):
+        m = len(path)
+        if m > p or len(set(path)) != m:
             raise DefectError(f"attaching path {path} is not a simple path of <= {p} vertices")
 
-        chain = list(range(len(arc), len(arc) + p - len(path)))
         left, right = path[0], path[-1]
-        cycle = path + chain
-        if chain:
-            nodes = [right, *chain, left]
-            arc.extend([nodes[i], nodes[i + 2]] for i in range(len(chain)))
-            nfaces.extend([0] * len(chain))
-            arc[right].append(chain[0])
-            arc[left].insert(0, chain[-1])
+        if m < p:
+            # the new vertices are the cycle's positions m..p-1, each between its
+            # two cycle neighbours; left closes the cycle while they are read
+            path.extend(range(len(arc), len(arc) + p - m))
+            path.append(left)
+            for i in range(m, p):
+                arc.append([path[i - 1], path[i + 1]])
+                nfaces.append(0)
+                self.ids.append(path[i])
+            path.pop()
+            arc[right].append(path[m])
+            arc[left].insert(0, path[-1])
         else:
             if left == right or left in arc[right]:
                 raise DefectError("tessellation closed on itself")
             arc[right].append(left)
             arc[left].insert(0, right)
 
-        for x in cycle:
+        for x in path:
             k = nfaces[x] = nfaces[x] + 1
             if k > q:
                 raise DefectError(f"vertex {x} carries more than {q} faces")
             if len(arc[x]) != (q if k == q else k + 1):
                 raise DefectError(f"vertex {x} has {len(arc[x])} edges for {k} faces")
-        # the path is simple and the chain is new, so the cycle is simple
-        self.faces.append(FaceBoundary._trusted(tuple(cycle)))
+        # the path is simple and the new vertices are new, so the cycle is simple
+        self.faces.append(FaceBoundary._trusted(tuple(path)))
 
     def complete_vertex(self, v: int) -> None:
-        while self.nfaces[v] < self.q:
-            self.add_face_at(v)
+        nfaces, q, add_face_at = self.nfaces, self.q, self.add_face_at
+        while nfaces[v] < q:
+            add_face_at(v)
 
     def outer_walk(self) -> tuple[int, ...]:
         """The outer boundary walk, from the least vertex that still needs
@@ -449,11 +479,12 @@ class _PatchBuilder:
         """The patch's graph, read off the arcs without re-validation: the
         ids are arc positions, and add_face_at admits no loop and no repeated
         neighbour and grows each face onto those before (the root's search
-        checks the one component).  That the arcs are symmetric is checked."""
+        checks the one component).  That the arcs are symmetric is checked.
+        Its vertices are the builder's own id objects."""
         arc = self.arc
         if any(v not in arc[u] for v, a in enumerate(arc) for u in a):
             raise DefectError("the rotation arcs are not symmetric")
-        return Graph._trusted(dict(enumerate(arc)), components=1)
+        return Graph._trusted(dict(zip(self.ids, arc)), components=1)
 
 
 def generate(p: int, q: int, R: int) -> PlanePatch:

@@ -78,26 +78,37 @@ def _flags_by_image(cover: CoverMap, v: int) -> dict[Flag, list[Flag]]:
 
 def _sample_fiber_pairs(cover: CoverMap, g: Host, samples: int, rng: random.Random) -> list[tuple[int, int]]:
     """Deterministic fiber pairs from the processed interior, drawn without
-    replacement round-robin across target vertices; g is the patch's host."""
+    replacement round-robin across target vertices; g is the patch's host.
+    A fiber's pairs are listed when the round first reaches it, so a small
+    sample lists the pairs of few fibers."""
     patch = cover.patch
     j_r = dk_ball(g, patch.root, cover.delta.level + 1).radius
     core = [v for v in cover.region_interior() if patch.complete_radius[v] >= j_r]
     fibers: dict[int, list[int]] = {}
     for v in core:
         fibers.setdefault(cover.vertex_map[v], []).append(v)
-    pools = []
-    for hv in sorted(fibers):
-        vs = sorted(fibers[hv])
-        pools.append([(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :]])
+    members = [sorted(fibers[hv]) for hv in sorted(fibers)]
+    pools: list[list[tuple[int, int]] | None] = [None] * len(members)
+    left = sum(len(vs) > 1 for vs in members)  # the fibers with a pair not drawn
     pairs: list[tuple[int, int]] = []
     idx = 0
-    while len(pairs) < samples and any(pools):
-        pool = pools[idx % len(pools)]
+    while len(pairs) < samples and left:
+        i = idx % len(pools)
+        pool = pools[i]
+        if pool is None:
+            pool = pools[i] = _fiber_pairs(members[i])
         if pool:
             pick = rng.randrange(len(pool))
             pairs.append(pool.pop(pick))
+            if not pool:
+                left -= 1
         idx += 1
     return pairs
+
+
+def _fiber_pairs(vs: list[int]) -> list[tuple[int, int]]:
+    """The pairs (a, b), a < b, of the sorted fiber vs, in order."""
+    return [(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :]]
 
 
 def check_normality(cover: CoverMap, samples: int = 20, rng_seed: int = 0) -> VerificationReport:

@@ -154,6 +154,60 @@ class TestCheckNormality:
         assert len(built) <= 1000
 
 
+def _all_pools_sample(cover, g, samples, rng):
+    """The sampler as it was before pools were listed lazily: every pair of
+    every fiber is listed before the first draw.  The reference for
+    `_sample_fiber_pairs`, which must draw the same pairs."""
+    patch = cover.patch
+    j_r = local.dk_ball(g, patch.root, cover.delta.level + 1).radius
+    core = [v for v in cover.region_interior() if patch.complete_radius[v] >= j_r]
+    fibers: dict[int, list[int]] = {}
+    for v in core:
+        fibers.setdefault(cover.vertex_map[v], []).append(v)
+    pools = []
+    for hv in sorted(fibers):
+        vs = sorted(fibers[hv])
+        pools.append([(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :]])
+    pairs = []
+    idx = 0
+    while len(pairs) < samples and any(pools):
+        pool = pools[idx % len(pools)]
+        if pool:
+            pick = rng.randrange(len(pool))
+            pairs.append(pool.pop(pick))
+        idx += 1
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def torus55_cover():
+    return build_cover(generate(4, 4, 16), make_quotient(QuotientSpec("torus", 5, 5)).graph)
+
+
+class TestFiberSampler:
+    @pytest.mark.parametrize("case", ["R=10 onto torus 5x7", "R=16 onto torus 5x5"])
+    def test_the_pairs_drawn_are_those_of_the_all_pools_sampler(self, case, request):
+        cover = request.getfixturevalue("torus_cover" if case.startswith("R=10") else "torus55_cover")
+        g = Host(cover.patch)
+        for seed in range(5):
+            for samples in (1, 20, 67, 10**6):
+                want = _all_pools_sample(cover, g, samples, random.Random(seed))
+                assert _sample_fiber_pairs(cover, g, samples, random.Random(seed)) == want, (seed, samples)
+
+    def test_a_small_sample_lists_the_pairs_of_few_fibers(self, torus55_cover, monkeypatch):
+        import coverkit.verify as verify
+
+        listed = []
+        real = verify._fiber_pairs
+        monkeypatch.setattr(verify, "_fiber_pairs", lambda vs: listed.append(vs) or real(vs))
+        g = Host(torus55_cover.patch)
+        _sample_fiber_pairs(torus55_cover, g, 10**6, random.Random(0))
+        assert len(listed) == 25  # a sample of every pair lists every fiber
+        listed.clear()
+        assert len(_sample_fiber_pairs(torus55_cover, g, 20, random.Random(0))) == 20
+        assert 0 < len(listed) <= 20
+
+
 def _fold_two_faces(cover, x):
     """A copy of the cover in which two faces at x share one image: the
     third neighbour of x in rotation takes the first one's image, and the
